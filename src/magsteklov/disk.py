@@ -12,11 +12,12 @@ consecutive crossing points z_{n-1} and z_n located by the intersect module.
 """
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 from .numerics import DomainError, ScaledReal
-from .specfun import kummer_log_ratio, kummer_m, kummer_m_prime
+from .specfun import kummer_log_ratio, kummer_m, kummer_m_prime, large_z_quotient
 
 __all__ = [
     "EigenCurvePoint",
@@ -54,29 +55,46 @@ class EnvelopePoint:
     lambda_dn: float
 
 
-def _check_mode(n: int, minimum: int = 0) -> None:
-    if not isinstance(n, int) or n < minimum:
+def _check_mode(n: int, minimum: int = 0) -> int:
+    """The mode index as a plain int: any integer type except bool, at least ``minimum``."""
+    try:
+        index = operator.index(n)
+    except TypeError:
+        index = None
+    if isinstance(n, bool) or index is None or index < minimum:
         raise DomainError(f"mode index must be an integer >= {minimum}, got {n!r}")
+    return index
 
 
 def _ratio(n: int, b: float) -> float:
     """M'(1/2, n+1, b) / M(1/2, n+1, b) for any real b.
 
-    Negative arguments go through M(a, c, -y) = exp(-y) M(c-a, c, y); the
-    exp(-y) factors cancel in the quotient, leaving a ratio of two
-    positive-term series.
+    Where the large-z expansion reaches full precision the ratio is
+    S(3/2, n+2, b) / S(1/2, n+1, b).  Otherwise it is summed from the Kummer
+    series.  Negative arguments go through M(a, c, -y) = exp(-y) M(c-a, c, y);
+    the exp(-y) factors cancel in the quotient, leaving
+    M(n+1/2, n+2, y) / M(n+1/2, n+1, y), which the expansion turns into
+    ((n+1)/y) S(n+1/2, n+2, y) / S(n+1/2, n+1, y).
     """
     if b >= 0.0:
+        quotient = large_z_quotient((1.5, n + 2.0), (0.5, n + 1.0), b)
+        if quotient is not None:
+            return quotient
         return kummer_log_ratio(0.5, n + 1.0, b)
     y = -b
+    quotient = large_z_quotient((n + 0.5, n + 2.0), (n + 0.5, n + 1.0), y)
+    if quotient is not None:
+        return 0.5 / y * quotient
     num = kummer_m(n + 0.5, n + 2.0, y, strict=True).value
     den = kummer_m(n + 0.5, n + 1.0, y, strict=True).value
     return 0.5 / (n + 1.0) * float(num / den)
 
 
 def lambda_n(n: int, b: float) -> float:
-    """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b."""
-    _check_mode(n)
+    """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
+    n = _check_mode(n)
+    if not math.isfinite(b):
+        raise DomainError(f"b must be finite, got b={b!r}")
     if b == 0.0:
         return float(n)
     return n - b + 2.0 * b * _ratio(n, b)
@@ -84,8 +102,7 @@ def lambda_n(n: int, b: float) -> float:
 
 def lambda_minus_n(n: int, b: float) -> float:
     """Eigenvalue of the reflected mode -n, which equals lambda_n(-b)."""
-    _check_mode(n, minimum=1)
-    return lambda_n(n, -b)
+    return lambda_n(_check_mode(n, minimum=1), -b)
 
 
 def radial_solution(n: int, b: float, r: float) -> float:
@@ -97,7 +114,7 @@ def radial_solution(n: int, b: float, r: float) -> float:
     in ScaledReal so the Gaussian damping and the exp(b r^2)-sized Kummer
     factor cannot under- or overflow separately.
     """
-    _check_mode(n)
+    n = _check_mode(n)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"radius must lie in (0, 1], got {r}")
     z = b * r * r
@@ -127,7 +144,7 @@ def lambda_n_prime(n: int, z: float) -> float:
     Product form: -2n M'(1/2, n+1, z) M(-1/2, n, z) / M(1/2, n+1, z)^2.
     Negative left of the crossing z_{n-1}, zero there, positive after.
     """
-    _check_mode(n, minimum=1)
+    n = _check_mode(n, minimum=1)
     if z <= 0.0:
         raise DomainError(f"need z > 0, got {z}")
     m = kummer_m(0.5, n + 1.0, z, strict=True).value
@@ -142,7 +159,7 @@ def lambda_n_prime_alt(n: int, z: float) -> float:
     Deficit form: M'(1/2,n+1,z) [M(1/2,n+1,z) - (2n+1) M(-1/2,n+1,z)] / M(1/2,n+1,z)^2.
     The two forms are linked by a contiguous relation of the Kummer family.
     """
-    _check_mode(n, minimum=1)
+    n = _check_mode(n, minimum=1)
     if z <= 0.0:
         raise DomainError(f"need z > 0, got {z}")
     m = kummer_m(0.5, n + 1.0, z, strict=True).value
@@ -158,7 +175,7 @@ def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
     Equals (z_{n-1} - n) / z_{n-1}, strictly positive.  When ``z_prev`` is
     not supplied, the crossing point is computed on demand.
     """
-    _check_mode(n, minimum=1)
+    n = _check_mode(n, minimum=1)
     if z_prev is None:
         from .intersect import find_zn  # deferred to avoid an import cycle
 

@@ -98,9 +98,7 @@ def _char_residual(n: int, z: float) -> float:
 
 
 def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"mode index must be an integer >= 0, got {n!r}")
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     sqrt_n = math.sqrt(n)
     lo = n + 1.0
     hi = n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 5.0 * math.sqrt(n + 1.0)
@@ -135,8 +133,10 @@ def find_zn(n: int, tol: Tolerances | None = None) -> IntersectionRecord:
     """Crossing point of the branches lambda_n and lambda_{n+1}.
 
     Results at the default tolerance are cached per process; the records
-    are immutable.
+    are immutable.  Any integer type except bool is accepted as ``n``; it is
+    checked before the cache, where True would otherwise hit the entry of 1.
     """
+    n = disk._check_mode(n)
     if tol is None:
         return _find_zn_cached(n)
     return _find_zn_impl(n, tol)
@@ -171,7 +171,7 @@ def gap_zn(n: int) -> float:
 
 def lambda_at_zn_asymptotic_check(n: int) -> float:
     """|lambda_n(z_n) - alpha sqrt(n) - (alpha^2 - 1)/3| at one mode."""
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     record = find_zn(n)
     predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
     return abs(record.lambda_at_zn - predicted)

@@ -2,7 +2,18 @@
 
 The Kummer function M(a, c, z) = sum_k (a)_k/(c)_k z^k/k! is summed termwise
 in ScaledReal arithmetic, so values of size exp(z) for z up to ~1e6 stay
-representable.  Parabolic cylinder functions D_nu are evaluated from the
+representable.  That series needs O(z) terms.  Quotients of Kummer functions
+at the same large z have a second route: by the large-z expansion of
+DLMF 13.7.2,
+
+    M(a, c, z) = Gamma(c)/Gamma(a) e^z z^(a-c) [S(a, c, z) + O(e^-z)],
+    S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s),
+
+so the exp(z)-sized growth cancels and the quotient is one of two short
+gamma-free sums.  S diverges; ``large_z_quotient`` uses it only where its
+terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
+before that ratio reaches 1 in size, and otherwise reports that the series
+must be used.  Parabolic cylinder functions D_nu are evaluated from the
 integral representation
 
     D_nu(z) = exp(-z^2/4)/Gamma(-nu) * int_0^inf t^(-nu-1) exp(-t^2/2 - z t) dt
@@ -36,6 +47,7 @@ __all__ = [
     "kummer_m",
     "kummer_m_prime",
     "laguerre",
+    "large_z_quotient",
 ]
 
 _MAX_TERMS = 2_000_000
@@ -43,6 +55,8 @@ _STOP_REL = 1e-16
 _RESCALE = 2.0**512
 _RESCALE_INV = 2.0**-512
 _MAX_ABS_Z = 1e6
+_LARGE_Z_STOP_REL = 1e-17
+_LARGE_Z_MAX_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,17 @@ class CylinderValue:
     derivative: float
     nu: float
     z: float
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {name}={value!r}")
+
+
+def _check_range(z: float) -> None:
+    if not abs(z) <= _MAX_ABS_Z:
+        raise DomainError(f"|z| <= {_MAX_ABS_Z:g} required, got z={z}")
 
 
 def _term_peak_bound(a: float, c: float, z: float) -> float:
@@ -126,10 +151,10 @@ def kummer_m(a: float, c: float, z: float, strict: bool = False) -> KummerValue:
     series is summed on the positive side.  Non-convergence is reported on
     the ``converged`` flag; ``strict`` turns it into an exception instead.
     """
+    _require_finite(a=a, c=c, z=z)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"M(a,c,z) undefined for non-positive integer c={c}")
-    if abs(z) > _MAX_ABS_Z:
-        raise DomainError(f"|z| <= {_MAX_ABS_Z:g} required, got z={z}")
+    _check_range(z)
     if z >= 0.0:
         pos, neg, terms, converged = _series_parts(a, c, z)
         value = pos - neg
@@ -152,11 +177,69 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     Both series have positive terms and the exp(z)-sized growth cancels in
     the ScaledReal quotient, so the ratio is accurate for z up to ~1e6.
     """
+    _require_finite(a=a, c=c, z=z)
     if a <= 0.0 or c <= 0.0 or z < 0.0:
         raise DomainError("kummer_log_ratio requires a > 0, c > 0, z >= 0")
     num = kummer_m(a + 1.0, c + 1.0, z, strict=True).value
     den = kummer_m(a, c, z, strict=True).value
     return (a / c) * float(num / den)
+
+
+def _large_z_sum(a: float, c: float, z: float) -> float | None:
+    """S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s), or None if it cannot reach full precision.
+
+    The sum is asymptotic: its terms shrink while the ratio of consecutive
+    terms, (c-a+s)(1-a+s) / ((s+1) z), stays below 1 in size, and grow from
+    there on.  The sum is returned once a term falls below _LARGE_Z_STOP_REL
+    of it; None means the ratio reached 1 first (always so for z <= 0), or
+    the term cap ran out.  The cap ends the loop for a NaN, and near the
+    switch for modes above ~1e4, where the series is then used.  The terms
+    are added by math.fsum: near the switch there are a few hundred of them,
+    and a running float sum would lose ~7 ulp.
+    """
+    p = c - a
+    q = 1.0 - a
+    term = 1.0
+    total = 1.0
+    terms = [term]
+    for s in range(_LARGE_Z_MAX_TERMS):
+        num = (p + s) * (q + s)
+        den = (s + 1.0) * z
+        if abs(num) >= den:
+            return None
+        term *= num / den
+        terms.append(term)
+        total += term
+        if abs(term) < _LARGE_Z_STOP_REL * abs(total):
+            return math.fsum(terms)
+    return None
+
+
+def large_z_quotient(
+    num: tuple[float, float], den: tuple[float, float], z: float
+) -> float | None:
+    """S(*num, z) / S(*den, z) from the large-z expansion, or None where it does not apply.
+
+    With num = (a', c') and den = (a, c), M(a', c', z) / M(a, c, z) is this
+    quotient times Gamma(c') Gamma(a) / (Gamma(c) Gamma(a')) z^(a'-c'-a+c).
+    The neglected O(e^-z) part of each M is about the size of the smallest
+    term of its S when a is a half-integer, which the stopping rule of
+    _large_z_sum bounds; for other a it can be far larger (S(1, 2, z) = 1
+    exactly, while M(1, 2, z) = (e^z - 1)/z), so both first parameters must
+    be half-integers.  The denominator is summed first; None from either
+    sum means the Kummer series has to be used instead.  The |z| <= 1e6
+    domain is that of kummer_m.
+    """
+    _check_range(z)
+    if num[0] % 1.0 != 0.5 or den[0] % 1.0 != 0.5:
+        raise DomainError(f"half-integer first parameters required, got {num[0]} and {den[0]}")
+    bottom = _large_z_sum(den[0], den[1], z)
+    if bottom is None:
+        return None
+    top = _large_z_sum(num[0], num[1], z)
+    if top is None:
+        return None
+    return top / bottom
 
 
 def laguerre(nu: float, alpha: float, z: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the disk eigenvalue branches and the ground-state envelope."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -79,8 +80,112 @@ class TestLambdaN:
         assert disk.lambda_n(0, -b) == pytest.approx(b - 1.0, abs=1e-3)
 
     def test_mode_validation(self):
+        for bad in (-1, True, False, 1.0, np.float64(2.0)):
+            with pytest.raises(DomainError):
+                disk.lambda_n(bad, 1.0)
         with pytest.raises(DomainError):
-            disk.lambda_n(-1, 1.0)
+            disk.lambda_minus_n(True, 1.0)
+
+    def test_mode_accepts_any_integer_type(self):
+        value = disk.lambda_n(np.int64(3), 2.0)
+        assert type(value) is float
+        assert value == disk.lambda_n(3, 2.0)
+        assert disk.lambda_minus_n(np.int64(3), 2.0) == disk.lambda_minus_n(3, 2.0)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_fast(self, b):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="b must be finite"):
+            disk.lambda_n(0, b)
+        assert time.perf_counter() - start < 0.01
+
+    def test_field_domain_unchanged(self):
+        for b in (2e6, -2e6):
+            with pytest.raises(DomainError):
+                disk.lambda_n(0, b)
+
+
+# ------------------------------------------------------- large-field route
+
+ROUTE_MODES = (0, 1, 5, 20, 100, 500)
+
+
+class RouteSpy:
+    """Counts the Kummer series calls lambda_n makes; zero means the expansion route."""
+
+    def __init__(self, monkeypatch):
+        self.series_calls = 0
+        for name in ("kummer_m", "kummer_log_ratio"):
+            monkeypatch.setattr(disk, name, self._counting(getattr(disk, name)))
+
+    def _counting(self, fn):
+        def counted(*args, **kwargs):
+            self.series_calls += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def route(self, n, b):
+        before = self.series_calls
+        value = disk.lambda_n(n, b)
+        return value, "series" if self.series_calls > before else "expansion"
+
+
+def mpmath_lambda(mp, n, b):
+    """40-digit lambda_n(b); the negative branch through M(a, c, -y) = e^-y M(c-a, c, y)."""
+    b = mp.mpf(b)
+    if b > 0:
+        ratio = mp.hyp1f1(1.5, n + 2, b) / mp.hyp1f1(0.5, n + 1, b)
+    else:
+        ratio = mp.hyp1f1(n + 0.5, n + 2, -b) / mp.hyp1f1(n + 0.5, n + 1, -b)
+    return n - b + b / (n + 1) * ratio
+
+
+class TestLargeFieldRoute:
+    @pytest.mark.parametrize("n", ROUTE_MODES)
+    def test_both_routes_against_mpmath(self, n, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        spy = RouteSpy(monkeypatch)
+        cases = [(b, "series") for b in (1.0, 20.0)]
+        cases += [(b, "expansion") for b in (1e3, 1.2345e4, 1e5, 1e6)]
+        for magnitude, expected_route in cases:
+            for b in (magnitude, -magnitude):
+                value, route = spy.route(n, b)
+                assert route == expected_route, (n, b)
+                with mpmath.workdps(40):
+                    ref = mpmath_lambda(mpmath.mp, n, b)
+                    rel = float(abs((value - ref) / ref))
+                budget = 5e-15 if route == "expansion" else 1e-14
+                assert rel <= budget, (n, b, route, rel)
+
+    @pytest.mark.parametrize("n", ROUTE_MODES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_continuous_across_the_switch(self, n, sign, monkeypatch):
+        spy = RouteSpy(monkeypatch)
+        lo, hi = 1.0, 1e3  # series at lo, expansion at hi, for every mode above
+        assert spy.route(n, sign * lo)[1] == "series"
+        assert spy.route(n, sign * hi)[1] == "expansion"
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            if spy.route(n, sign * mid)[1] == "series":
+                lo = mid
+            else:
+                hi = mid
+        last_series = disk.lambda_n(n, sign * lo)
+        first_expansion = disk.lambda_n(n, sign * hi)
+        # the exact branch moves by |lambda'| ulp(b) <= eps |b| between the two;
+        # the rest is rounding: up to ~10 eps |b| from the series route (at
+        # n = 20), under 1 eps |b| from the expansion
+        assert abs(last_series - first_expansion) <= 16.0 * np.finfo(float).eps * hi
+
+    def test_single_call_cost_is_flat_in_field(self):
+        for n in (0, 5):
+            for b in (1e6, -1e6):
+                start = time.perf_counter()
+                for _ in range(50):
+                    disk.lambda_n(n, b)
+                # about 5 us per call; the series would sum ~1e6 terms here
+                assert (time.perf_counter() - start) / 50 < 1e-3
 
 
 class TestLambdaMinusN:

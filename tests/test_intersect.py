@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from magsteklov import disk, intersect, models, verify
@@ -65,6 +66,30 @@ class TestFindZn:
     def test_domain(self):
         with pytest.raises(DomainError):
             intersect.find_zn(-1)
+
+    def test_mode_accepts_any_integer_type(self):
+        record = intersect.find_zn(np.int64(3))
+        assert type(record.n) is int
+        assert record == intersect.find_zn(3)
+        assert intersect.find_zn(np.int64(3), DEFAULT_TOL) == record
+
+    def test_mode_rejects_bool_even_when_one_is_cached(self):
+        intersect.find_zn(1)
+        for bad in (True, 2.0):
+            with pytest.raises(DomainError):
+                intersect.find_zn(bad)
+            with pytest.raises(DomainError):
+                intersect.find_zn(bad, DEFAULT_TOL)
+
+    def test_uses_the_cached_alpha(self, monkeypatch):
+        models._alpha_cached()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("compute_alpha called per crossing point")
+
+        monkeypatch.setattr(models, "compute_alpha", fail)
+        assert intersect.find_zn(7, DEFAULT_TOL).z_n == intersect.find_zn(7).z_n
+        intersect.lambda_at_zn_asymptotic_check(7)
 
 
 class TestCheckFFormula:

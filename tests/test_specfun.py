@@ -6,6 +6,7 @@ Gamma values, and finite differences.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from magsteklov.specfun import (
     kummer_m,
     kummer_m_prime,
     laguerre,
+    large_z_quotient,
 )
 
 ALPHA_REF = 0.7649508673  # reference digits for the negative zero of D_{1/2}
@@ -207,6 +209,71 @@ class TestKummerLogRatio:
             kummer_log_ratio(-0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             kummer_log_ratio(0.5, 1.0, -1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", [(0, "a"), (1, "c"), (2, "z")])
+    def test_rejected_naming_the_argument(self, bad, position, name):
+        args = [0.5, 1.0, 3.0]
+        args[position] = bad
+        for fn in (kummer_m, kummer_log_ratio):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                fn(*args)
+
+    def test_nan_rejected_fast(self):
+        start = time.perf_counter()
+        for fn in (kummer_m, kummer_log_ratio):
+            with pytest.raises(DomainError):
+                fn(0.5, 1.0, math.nan)
+        assert time.perf_counter() - start < 0.01
+
+
+# ------------------------------------------------------------ large-z route
+
+
+class TestLargeZQuotient:
+    def test_matches_series_quotient(self):
+        # M'/M for a = 1/2 is S(3/2, c+1, z) / S(1/2, c, z) with no prefactor
+        for c, z in ((1.0, 60.0), (11.0, 500.0), (101.0, 3000.0)):
+            quotient = large_z_quotient((1.5, c + 1.0), (0.5, c), z)
+            assert quotient is not None
+            assert quotient == pytest.approx(kummer_log_ratio(0.5, c, z), rel=1e-13)
+
+    def test_negative_branch_prefactor(self):
+        # M(a, c+1, z) / M(a, c, z) = (c/z) S(a, c+1, z) / S(a, c, z)
+        a, c, z = 5.5, 6.0, 400.0
+        quotient = large_z_quotient((a, c + 1.0), (a, c), z)
+        assert quotient is not None
+        expected = float(kummer_m(a, c + 1.0, z).value / kummer_m(a, c, z).value)
+        assert c / z * quotient == pytest.approx(expected, rel=1e-13)
+
+    def test_declines_where_terms_grow_first(self):
+        # at (n=20, z=50) the terms turn to growth above 1e-17 of the sum
+        assert large_z_quotient((1.5, 22.0), (0.5, 21.0), 50.0) is None
+        assert large_z_quotient((1.5, 2.0), (0.5, 1.0), 0.0) is None
+
+    def test_domain_is_that_of_kummer_m(self):
+        for z in (2e6, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                large_z_quotient((1.5, 2.0), (0.5, 1.0), z)
+
+    def test_needs_half_integer_first_parameters(self):
+        # S(1, 2, z) = 1 exactly, but M(1, 2, z) = (e^z - 1)/z: for integer a
+        # the neglected exponential part is not bounded by the terms of S
+        with pytest.raises(DomainError):
+            large_z_quotient((2.0, 3.0), (1.0, 2.0), 100.0)
+        with pytest.raises(DomainError):
+            large_z_quotient((1.5, 2.0), (0.25, 1.0), 100.0)
+        assert large_z_quotient((-0.5, 2.0), (0.5, 1.0), 100.0) is not None
+
+    def test_sum_has_a_hard_term_cap(self):
+        from magsteklov import specfun
+
+        # no ratio test can fail on NaN, so only the cap ends this loop
+        start = time.perf_counter()
+        assert specfun._large_z_sum(0.5, 1.0, math.nan) is None
+        assert time.perf_counter() - start < 0.01
 
 
 # ----------------------------------------------------------------- laguerre
