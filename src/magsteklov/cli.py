@@ -15,7 +15,6 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,56 +24,20 @@ from .specfun import cylinder_d
 
 SCHEMA_VERSION = 1
 
-_COMMANDS = (
-    "curves",
-    "envelope",
-    "intersections",
-    "asymptotics",
-    "constants",
-    "halfplane",
-    "degennes",
-    "verify",
-)
-
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_min: int = 0
-    n_max: int = 5
-    b_min: float = 0.0
-    b_max: float = 10.0
-    steps: int = 101
-    out_path: str = "-"
-    format: str = "csv"
-    rel_tol: float | None = None
-    only: str | None = None
-
-    def validate(self):
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.n_min > self.n_max:
-            raise ConfigError(f"need n_min <= n_max, got {self.n_min} > {self.n_max}")
-        if self.b_min > self.b_max:
-            raise ConfigError(f"need b_min <= b_max, got {self.b_min} > {self.b_max}")
-        if self.steps < 2:
-            raise ConfigError(f"need steps >= 2, got {self.steps}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.n_min < 0:
-            raise ConfigError(f"need n_min >= 0, got {self.n_min}")
-        if self.rel_tol is not None and self.rel_tol <= 0:
-            raise ConfigError("rel-tol must be positive")
-
-    @property
-    def tolerances(self) -> Tolerances:
-        if self.rel_tol is None:
-            return DEFAULT_TOL
-        return Tolerances(rel_tol=self.rel_tol)
+def _finite_float(text: str) -> float:
+    """argparse type for a float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -85,81 +48,84 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[tuple]) -> None:
-    if cfg.format == "csv":
+def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> None:
+    if args.format == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "command": cfg.command,
+            "command": args.command,
             "columns": columns,
             "rows": [[v for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    _write_output(cfg, text)
+    _write_output(args, text)
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
-    if cfg.out_path in ("-", ""):
+def _write_output(args: argparse.Namespace, text: str) -> None:
+    if args.out in ("-", ""):
         sys.stdout.write(text)
         return
-    with open(cfg.out_path, "w", encoding="utf-8", newline="") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
-        "command": cfg.command,
-        "parameters": {key: value for key, value in asdict(cfg).items() if value is not None},
+        "command": args.command,
+        "parameters": {
+            key: value for key, value in vars(args).items() if key != "command" and value is not None
+        },
         "package_version": __version__,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(cfg.out_path + ".meta.json", "w", encoding="utf-8") as handle:
+    with open(args.out + ".meta.json", "w", encoding="utf-8") as handle:
         json.dump(sidecar, handle, indent=2)
         handle.write("\n")
 
 
-def _b_grid(cfg: RunConfig) -> list[float]:
-    return [float(b) for b in np.linspace(cfg.b_min, cfg.b_max, cfg.steps)]
+def _b_grid(args: argparse.Namespace) -> list[float]:
+    return [float(b) for b in np.linspace(args.b_min, args.b_max, args.steps)]
 
 
-def cmd_curves(cfg: RunConfig) -> int:
-    grid = _b_grid(cfg)
+def cmd_curves(args: argparse.Namespace) -> int:
+    grid = _b_grid(args)
     rows = []
     for branch in ("pos", "neg"):
         sign = 1.0 if branch == "pos" else -1.0
-        for n in range(cfg.n_min, cfg.n_max + 1):
+        for n in range(args.n_min, args.n_max + 1):
             for b in grid:
                 rows.append((n, b, branch, disk.lambda_n(n, sign * b)))
-    _emit(cfg, ["n", "b", "branch", "lambda"], rows)
+    _emit(args, ["n", "b", "branch", "lambda"], rows)
     return 0
 
 
-def cmd_envelope(cfg: RunConfig) -> int:
-    if cfg.b_min < 0:
+def cmd_envelope(args: argparse.Namespace) -> int:
+    if args.b_min < 0:
         raise ConfigError("envelope needs b_min >= 0")
     alpha = models.compute_alpha()
     offset = (alpha * alpha + 2.0) / 6.0
     rows = []
-    for point in disk.envelope(_b_grid(cfg)):
+    for point in disk.envelope(_b_grid(args)):
         asymptote = alpha * math.sqrt(point.b) - offset
         rows.append((point.b, point.active_mode, point.lambda_dn, asymptote))
-    _emit(cfg, ["b", "active_mode", "lambda_dn", "asymptote"], rows)
+    _emit(args, ["b", "active_mode", "lambda_dn", "asymptote"], rows)
     return 0
 
 
-def cmd_intersections(cfg: RunConfig) -> int:
+def cmd_intersections(args: argparse.Namespace) -> int:
+    tol = None if args.rel_tol is None else Tolerances(rel_tol=args.rel_tol)
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        r = intersect.find_zn(n, cfg.tolerances if cfg.rel_tol else None)
+    for n in range(args.n_min, args.n_max + 1):
+        r = intersect.find_zn(n, tol)
         rows.append((r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F))
-    _emit(cfg, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
+    _emit(args, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
     return 0
 
 
-def cmd_asymptotics(cfg: RunConfig) -> int:
-    n_lo = max(cfg.n_min, 1)
-    n_hi = cfg.n_max
+def cmd_asymptotics(args: argparse.Namespace) -> int:
+    n_lo = max(args.n_min, 1)
+    n_hi = args.n_max
     if n_hi / max(n_lo, 1) < 4:
         raise ConfigError("asymptotics needs n_max/n_min >= 4 for a stable fit")
     count = min(40, n_hi - n_lo + 1)
@@ -170,12 +136,12 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     gap = intersect.gap_zn(n_hi)
     gap_model = 1.0 + 0.5 * alpha / math.sqrt(n_hi)
     names = ["sqrt_n", "const", "inv_sqrt_n", "inv_n"]
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [(name, coeff) for name, coeff in zip(names, fit.coefficients)]
         rows.append(("max_fit_residual", fit.max_residual))
         rows.append(("gap_at_n_max", gap))
         rows.append(("gap_model_at_n_max", gap_model))
-        _emit(cfg, ["quantity", "value"], rows)
+        _emit(args, ["quantity", "value"], rows)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -187,12 +153,12 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
             "gap_at_n_max": gap,
             "gap_model_at_n_max": gap_model,
         }
-        _write_output(cfg, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    tol = cfg.tolerances
+def cmd_constants(args: argparse.Namespace) -> int:
+    tol = DEFAULT_TOL if args.rel_tol is None else Tolerances(rel_tol=args.rel_tol)
     consts = models.constants(tol)
     alpha = consts.alpha
     phi_prime = central_diff(models.phi, alpha)
@@ -224,28 +190,28 @@ def cmd_constants(cfg: RunConfig) -> int:
             for name, (residual, limit) in checks.items()
         },
     }
-    _write_output(cfg, json.dumps(payload, indent=2) + "\n")
+    _write_output(args, json.dumps(payload, indent=2) + "\n")
     return 0 if all(v <= lim for v, lim in checks.values()) else 1
 
 
-def cmd_halfplane(cfg: RunConfig) -> int:
+def cmd_halfplane(args: argparse.Namespace) -> int:
     rows = []
-    for xi in _b_grid(cfg):
+    for xi in _b_grid(args):
         rows.append((xi, models.halfplane_multiplier(xi), cylinder_d(0.5, xi).value))
-    _emit(cfg, ["xi", "f1", "d_half"], rows)
+    _emit(args, ["xi", "f1", "d_half"], rows)
     return 0
 
 
-def cmd_degennes(cfg: RunConfig) -> int:
-    if cfg.b_min < 0.0 or cfg.b_max > 1.5:
+def cmd_degennes(args: argparse.Namespace) -> int:
+    if args.b_min < 0.0 or args.b_max > 1.5:
         raise ConfigError("degennes sweep needs the grid inside [0, 1.5]")
-    rows = [(xi, models.degennes_f(xi)) for xi in _b_grid(cfg)]
-    _emit(cfg, ["xi", "f"], rows)
+    rows = [(xi, models.degennes_f(xi)) for xi in _b_grid(args)]
+    _emit(args, ["xi", "f"], rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = verify.run_suite(only=cfg.only, rel_tol=cfg.rel_tol)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = verify.run_suite(only=args.only, rel_tol=args.rel_tol)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -260,21 +226,33 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-_DISPATCH = {
-    "curves": cmd_curves,
-    "envelope": cmd_envelope,
-    "intersections": cmd_intersections,
-    "asymptotics": cmd_asymptotics,
-    "constants": cmd_constants,
-    "halfplane": cmd_halfplane,
-    "degennes": cmd_degennes,
-    "verify": cmd_verify,
+# argparse settings of each flag; _SUBCOMMANDS says which commands take it.
+_FLAGS = {
+    "n_min": {"type": int},
+    "n_max": {"type": int},
+    "b_min": {"type": _finite_float},
+    "b_max": {"type": _finite_float},
+    "steps": {"type": int},
+    "out": {"help": "output path, or - for stdout"},
+    "format": {"choices": ("csv", "json")},
+    "rel_tol": {"type": _finite_float},
+    "only": {"help": "restrict verify to one module"},
 }
+_MODES = {"n_min": 0, "n_max": 5}
+_GRID = {"b_min": 0.0, "b_max": 10.0, "steps": 101}
+_DATA = {"out": "-", "format": "csv"}
 
-_GRID_DEFAULTS = {
-    # per-command (b_min, b_max) defaults matched to each function's domain
-    "halfplane": (-2.0, 2.0),
-    "degennes": (0.0, 1.5),
+# Each command's handler and the only flags it reads, with their defaults;
+# the field grids of halfplane and degennes match each function's domain.
+_SUBCOMMANDS = {
+    "curves": (cmd_curves, {**_MODES, **_GRID, **_DATA}),
+    "envelope": (cmd_envelope, {**_GRID, **_DATA}),
+    "intersections": (cmd_intersections, {**_MODES, **_DATA, "rel_tol": None}),
+    "asymptotics": (cmd_asymptotics, {**_MODES, "out": "-", "format": "json"}),
+    "constants": (cmd_constants, {"out": "-", "rel_tol": None}),
+    "halfplane": (cmd_halfplane, {**_GRID, "b_min": -2.0, "b_max": 2.0, **_DATA}),
+    "degennes": (cmd_degennes, {**_GRID, "b_max": 1.5, **_DATA}),
+    "verify": (cmd_verify, {"only": None, "rel_tol": None}),
 }
 
 
@@ -284,42 +262,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magnetic Steklov spectrum of the unit disk: sweeps, constants, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        b_lo, b_hi = _GRID_DEFAULTS.get(name, (0.0, 10.0))
+    for name, (_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n-min", type=int, default=0)
-        p.add_argument("--n-max", type=int, default=5)
-        p.add_argument("--b-min", type=float, default=b_lo)
-        p.add_argument("--b-max", type=float, default=b_hi)
-        p.add_argument("--steps", type=int, default=101)
-        p.add_argument("--out", default="-", help="output path, or - for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="json" if name in ("constants", "asymptotics") else "csv")
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--only", default=None, help="restrict verify to one module")
+        for flag, default in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), default=default, **_FLAGS[flag])
     return parser
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Range checks argparse cannot express, for the flags this command has."""
+    given = vars(args)
+    if "n_min" in given:
+        if args.n_min > args.n_max:
+            raise ConfigError(f"need n_min <= n_max, got {args.n_min} > {args.n_max}")
+        if args.n_min < 0:
+            raise ConfigError(f"need n_min >= 0, got {args.n_min}")
+    if "b_min" in given and args.b_min > args.b_max:
+        raise ConfigError(f"need b_min <= b_max, got {args.b_min} > {args.b_max}")
+    if "steps" in given and args.steps < 2:
+        raise ConfigError(f"need steps >= 2, got {args.steps}")
+    if given.get("rel_tol") is not None and args.rel_tol <= 0:
+        raise ConfigError("rel-tol must be positive")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        b_min=args.b_min,
-        b_max=args.b_max,
-        steps=args.steps,
-        out_path=args.out,
-        format=args.format,
-        rel_tol=args.rel_tol,
-        only=args.only,
-    )
+    handler, _ = _SUBCOMMANDS[args.command]
     try:
-        cfg.validate()
-        return _DISPATCH[cfg.command](cfg)
-    except (ConfigError, DomainError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _check_ranges(args)
+        return handler(args)
+    except (ConfigError, DomainError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ consecutive crossing points z_{n-1} and z_n located by the intersect module.
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 from .numerics import DomainError, ScaledReal
@@ -33,8 +32,6 @@ __all__ = [
     "radial_log_derivative",
     "radial_solution",
 ]
-
-_DEBUG_ENVELOPE = bool(os.environ.get("MAGSTEKLOV_DEBUG_ENVELOPE"))
 
 
 @dataclass(frozen=True)
@@ -197,6 +194,8 @@ def active_mode(b: float, hint: int = 0) -> int:
     ``hint`` (or an asymptotic guess for large b) costs only a handful of
     sign evaluations.
     """
+    if not math.isfinite(b):
+        raise DomainError(f"b must be finite, got b={b!r}")
     if b < 0.0:
         raise DomainError(f"field parameter must be >= 0, got {b}")
     if b <= 1.0:  # z_0 ~ 1.58, mode 0 certainly active
@@ -225,20 +224,8 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
             raise DomainError("envelope grid must be sorted ascending")
         prev_b = b
         mode = active_mode(b, hint=mode)
-        lam = lambda_n(mode, b)
-        if _DEBUG_ENVELOPE:
-            _assert_window_argmin(b, mode, lam)
-        points.append(EnvelopePoint(b=b, active_mode=mode, lambda_dn=lam))
+        points.append(EnvelopePoint(b=b, active_mode=mode, lambda_dn=lambda_n(mode, b)))
     return points
-
-
-def _assert_window_argmin(b: float, mode: int, lam: float) -> None:
-    # redundant argmin over a window of modes around b; expensive, opt-in
-    lo = max(0, int(b - 3.0 * math.sqrt(b)) - 2)
-    hi = int(math.ceil(b)) + 2
-    best = min(range(lo, hi + 1), key=lambda m: lambda_n(m, b))
-    if not math.isclose(lambda_n(best, b), lam, rel_tol=1e-10, abs_tol=1e-12):
-        raise AssertionError(f"envelope mode {mode} is not the window argmin {best} at b={b}")
 
 
 def curve_points(n: int, b_values: list[float]) -> list[EigenCurvePoint]:

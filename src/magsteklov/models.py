@@ -203,14 +203,14 @@ def comparison_bound(tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     nu = 0.5 * (xi0 * xi0 - 1.0)
     boundary = cylinder_d(nu, -_SQRT2 * xi0, tol).value
 
-    inner_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-11), abs_tol=tol.abs_tol)
+    inner_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-11))
 
     def density(t: float) -> float:
         if t > 12.0:  # decays like exp(-(t - xi0)^2); below 1e-100 out here
             return 0.0
         return cylinder_d(nu, _SQRT2 * (t - xi0), inner_tol).value ** 2
 
-    norm_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-9), abs_tol=tol.abs_tol)
+    norm_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-9))
     norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0, tol=norm_tol)
     u0_sq = boundary * boundary / norm
     bound = _SQRT2 * xi0 * xi0 / u0_sq

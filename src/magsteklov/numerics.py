@@ -48,23 +48,21 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Accuracy knobs shared by the iterative routines."""
+    """Relative accuracy asked of the iterative routines."""
 
     rel_tol: float = 1e-13
-    abs_tol: float = 1e-300
-    max_iter: int = 200
-    quad_panels_max: int = 4096
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_iter < 10:
-            raise DomainError("max_iter must be at least 10")
-        if self.quad_panels_max <= 0:
-            raise DomainError("quad_panels_max must be strictly positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 DEFAULT_TOL = Tolerances()
+
+# Absolute error floor, Brent iteration budget and QUADPACK subinterval cap.
+_ABS_TOL = 1e-300
+_MAX_ITER = 200
+_QUAD_PANELS_MAX = 4096
 
 # Cody-Waite split of ln 2; the high part has 31 trailing zero bits so that
 # k * _LN2_HI is exact for |k| < 2**31.
@@ -217,8 +215,8 @@ def integrate_semi_infinite(
             0.0,
             upper,
             points=seeds,
-            limit=tol.quad_panels_max,
-            epsabs=tol.abs_tol,
+            limit=_QUAD_PANELS_MAX,
+            epsabs=_ABS_TOL,
             epsrel=tol.rel_tol,
             full_output=True,
         )
@@ -226,7 +224,7 @@ def integrate_semi_infinite(
         raise QuadratureError(str(exc)) from exc
     value, abserr = out[0], out[1]
     if len(out) > 3:  # quadpack gave up; accept only if the estimate is still good
-        if abserr > max(100.0 * tol.rel_tol * abs(value), tol.abs_tol):
+        if abserr > max(100.0 * tol.rel_tol * abs(value), _ABS_TOL):
             raise QuadratureError(out[3])
     return value
 
@@ -249,16 +247,16 @@ def brent_root(
             f,
             lo,
             hi,
-            xtol=tol.abs_tol,
+            xtol=_ABS_TOL,
             rtol=max(tol.rel_tol, 4.0 * EPS),
-            maxiter=tol.max_iter,
+            maxiter=_MAX_ITER,
             full_output=True,
             disp=False,
         )
     except ValueError as exc:
         raise BracketError(str(exc)) from exc
     if not result.converged:
-        raise ConvergenceError(f"no convergence in {tol.max_iter} iterations")
+        raise ConvergenceError(f"no convergence in {_MAX_ITER} iterations")
     return root
 
 

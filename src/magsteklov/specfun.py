@@ -334,6 +334,7 @@ def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderVa
     """
     if not -4.0 <= nu <= 4.0:
         raise DomainError(f"cylinder_d supports nu in [-4, 4], got {nu}")
+    _require_finite(z=z)
     if abs(z) > 50.0:
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
     value = _cylinder_value(nu, z, tol)

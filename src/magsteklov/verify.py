@@ -302,6 +302,18 @@ def check_envelope_monotone(tol):
     return _result("disk", "envelope-strictly-increasing", worst, -1e-15, "10000-point grid")
 
 
+def check_envelope_window_argmin(tol):
+    # the active mode's branch is the lowest of every branch in a window of
+    # modes around b, found without the crossing-sign search
+    worst = 0.0
+    for point in disk.envelope([float(b) for b in np.linspace(0.5, 100.0, 50)]):
+        b = point.b
+        lo = max(0, int(b - 3.0 * math.sqrt(b)) - 2)
+        best = min(disk.lambda_n(m, b) for m in range(lo, math.ceil(b) + 3))
+        worst = max(worst, (point.lambda_dn - best) / max(abs(best), 1.0))
+    return _result("disk", "envelope-mode-is-window-argmin", worst, 1e-10, "50-point grid")
+
+
 def check_mode_switch(tol):
     failures = 0
     prev_mode = 0
@@ -451,6 +463,7 @@ MODULES: dict[str, list] = {
         check_lambda_prime_vs_fd,
         check_lambda_prime_two_forms,
         check_envelope_monotone,
+        check_envelope_window_argmin,
         check_mode_switch,
     ],
     "intersect": [

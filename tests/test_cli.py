@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +65,10 @@ class TestCurves:
         meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
         assert meta["command"] == "curves"
         assert meta["schema_version"] == 1
+        assert set(meta["parameters"]) == {
+            "n_min", "n_max", "b_min", "b_max", "steps", "out", "format",
+        }
+        assert meta["parameters"]["out"] == str(out)
 
     def test_json_format(self, tmp_path):
         code, out = run(
@@ -232,8 +240,82 @@ class TestConfigValidation:
         assert code == 2
 
 
+class TestFlags:
+    EXPECTED = {
+        "curves": {"--n-min", "--n-max", "--b-min", "--b-max", "--steps", "--out", "--format"},
+        "envelope": {"--b-min", "--b-max", "--steps", "--out", "--format"},
+        "intersections": {"--n-min", "--n-max", "--out", "--format", "--rel-tol"},
+        "asymptotics": {"--n-min", "--n-max", "--out", "--format"},
+        "constants": {"--out", "--rel-tol"},
+        "halfplane": {"--b-min", "--b-max", "--steps", "--out", "--format"},
+        "degennes": {"--b-min", "--b-max", "--steps", "--out", "--format"},
+        "verify": {"--only", "--rel-tol"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_help_lists_only_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == self.EXPECTED[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curves", "--only", "disk"],
+            ["envelope", "--n-max", "3"],
+            ["intersections", "--steps", "5"],
+            ["asymptotics", "--rel-tol", "1e-9"],
+            ["constants", "--format", "csv"],
+            ["halfplane", "--n-min", "1"],
+            ["degennes", "--rel-tol", "1e-9"],
+            ["verify", "--out", "x"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_unused_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--b-max", "nan"],
+            ["envelope", "--b-max", "inf"],
+            ["halfplane", "--b-min", "nan"],
+            ["curves", "--b-min=-inf"],  # a bare -inf would parse as a flag
+            ["verify", "--rel-tol", "nan"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_non_finite_value_is_usage_error_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        flag = argv[1].partition("=")[0]
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+
+
 class TestStdout:
     def test_dash_writes_to_stdout(self, capsys):
         assert cli.main(["curves", "--n-max", "0", "--b-max", "1", "--steps", "2"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("n,b,branch,lambda\n")
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magsteklov", "curves", "--n-max", "0", "--b-max", "1", "--steps", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n,b,branch,lambda\n")
+    assert proc.stderr == ""

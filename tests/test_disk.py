@@ -97,6 +97,8 @@ class TestLambdaN:
         start = time.perf_counter()
         with pytest.raises(DomainError, match="b must be finite"):
             disk.lambda_n(0, b)
+        with pytest.raises(DomainError, match="b must be finite"):
+            disk.active_mode(b)
         assert time.perf_counter() - start < 0.01
 
     def test_field_domain_unchanged(self):
@@ -374,6 +376,7 @@ class TestCurvePoints:
         verify.check_branch_positivity,
         verify.check_lambda_prime_vs_fd,
         verify.check_lambda_prime_two_forms,
+        verify.check_envelope_window_argmin,
         verify.check_mode_switch,
     ],
     ids=lambda fn: fn.__name__,

@@ -1,5 +1,6 @@
 """Tests for the numeric substrate: scaled floats, quadrature, roots, derivatives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,14 +114,27 @@ class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
         assert tol.rel_tol == 1e-13
-        assert tol.max_iter == 200
+        assert [field.name for field in dataclasses.fields(Tolerances)] == ["rel_tol"]
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.0}, {"abs_tol": -1.0}, {"max_iter": 5}, {"quad_panels_max": 0}],
+        [
+            {"rel_tol": 0.0},
+            {"rel_tol": -1e-13},
+            {"rel_tol": math.nan},
+            {"rel_tol": -math.inf},
+            {"rel_tol": math.inf},
+        ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="rel_tol"):
+            Tolerances(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"abs_tol": 1e-300}, {"max_iter": 200}, {"quad_panels_max": 4096}]
+    )
+    def test_removed_fields_rejected(self, kwargs):
+        with pytest.raises(TypeError):
             Tolerances(**kwargs)
 
 

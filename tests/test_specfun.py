@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from magsteklov import verify
+from magsteklov import models, verify
 from magsteklov.numerics import (
     DEFAULT_TOL,
     ConvergenceError,
@@ -221,11 +221,20 @@ class TestNonFiniteInput:
             with pytest.raises(DomainError, match=f"{name} must be finite"):
                 fn(*args)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cylinder_d_rejects_non_finite_z(self, bad):
+        with pytest.raises(DomainError, match="z must be finite"):
+            cylinder_d(0.5, bad)
+        with pytest.raises(DomainError, match="z must be finite"):
+            models.halfplane_multiplier(bad)
+
     def test_nan_rejected_fast(self):
         start = time.perf_counter()
         for fn in (kummer_m, kummer_log_ratio):
             with pytest.raises(DomainError):
                 fn(0.5, 1.0, math.nan)
+        with pytest.raises(DomainError):
+            cylinder_d(-0.5, math.nan)
         assert time.perf_counter() - start < 0.01
 
 
