@@ -12,6 +12,8 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from . import cli, disk, intersect, models, numerics, specfun, verify
+# cli and verify load on first use (``from magsteklov import cli``), so that
+# ``python -m magsteklov.cli`` does not find its own module already imported.
+from . import disk, intersect, models, numerics, specfun
 
 __all__ = ["cli", "disk", "intersect", "models", "numerics", "specfun", "verify"]

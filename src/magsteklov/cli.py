@@ -4,7 +4,9 @@ Emits plot-ready CSV/JSON sweeps (branch curves, ground-state envelope,
 crossing points, model-function graphs), resolves the model constants with
 their consistency checks, and runs the full invariant suite.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or a
+numerical failure (quadrature, series or root bracket) at the requested
+settings.
 Data files are deterministic byte-for-byte for a fixed configuration; a
 ``<out>.meta.json`` sidecar carries provenance (command, parameters,
 version) so the data itself stays timestamp-free.
@@ -19,7 +21,15 @@ import sys
 import numpy as np
 
 from . import __version__, disk, intersect, models, verify
-from .numerics import DEFAULT_TOL, DomainError, Tolerances, central_diff
+from .numerics import (
+    DEFAULT_TOL,
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    QuadratureError,
+    Tolerances,
+    central_diff,
+)
 from .specfun import cylinder_d
 
 SCHEMA_VERSION = 1
@@ -291,7 +301,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_ranges(args)
         return handler(args)
-    except (ConfigError, DomainError, KeyError, OSError) as exc:
+    except (
+        ConfigError, DomainError, KeyError, OSError, BracketError, ConvergenceError, QuadratureError
+    ) as exc:
+        # numerics that cannot meet the requested settings are a setting error, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

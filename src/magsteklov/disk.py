@@ -9,6 +9,8 @@ while the full spectrum is {lambda_0(b)} together with the pairs
 {lambda_n(b), lambda_n(-b)} for n >= 1.  The ground state energy is the
 infimum over modes; it equals lambda_n exactly on the interval between the
 consecutive crossing points z_{n-1} and z_n located by the intersect module.
+The ratio M'/M comes from ``specfun.kummer_log_ratio`` on both branches,
+which chooses between the Kummer series and the large-field expansion.
 """
 
 import math
@@ -16,7 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from .numerics import DomainError, ScaledReal
-from .specfun import kummer_log_ratio, kummer_m, kummer_m_prime, large_z_quotient
+from .specfun import kummer_log_ratio, kummer_m, kummer_m_prime
 
 __all__ = [
     "EigenCurvePoint",
@@ -63,30 +65,6 @@ def _check_mode(n: int, minimum: int = 0) -> int:
     return index
 
 
-def _ratio(n: int, b: float) -> float:
-    """M'(1/2, n+1, b) / M(1/2, n+1, b) for any real b.
-
-    Where the large-z expansion reaches full precision the ratio is
-    S(3/2, n+2, b) / S(1/2, n+1, b).  Otherwise it is summed from the Kummer
-    series.  Negative arguments go through M(a, c, -y) = exp(-y) M(c-a, c, y);
-    the exp(-y) factors cancel in the quotient, leaving
-    M(n+1/2, n+2, y) / M(n+1/2, n+1, y), which the expansion turns into
-    ((n+1)/y) S(n+1/2, n+2, y) / S(n+1/2, n+1, y).
-    """
-    if b >= 0.0:
-        quotient = large_z_quotient((1.5, n + 2.0), (0.5, n + 1.0), b)
-        if quotient is not None:
-            return quotient
-        return kummer_log_ratio(0.5, n + 1.0, b)
-    y = -b
-    quotient = large_z_quotient((n + 0.5, n + 2.0), (n + 0.5, n + 1.0), y)
-    if quotient is not None:
-        return 0.5 / y * quotient
-    num = kummer_m(n + 0.5, n + 2.0, y, strict=True).value
-    den = kummer_m(n + 0.5, n + 1.0, y, strict=True).value
-    return 0.5 / (n + 1.0) * float(num / den)
-
-
 def lambda_n(n: int, b: float) -> float:
     """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
     n = _check_mode(n)
@@ -94,7 +72,7 @@ def lambda_n(n: int, b: float) -> float:
         raise DomainError(f"b must be finite, got b={b!r}")
     if b == 0.0:
         return float(n)
-    return n - b + 2.0 * b * _ratio(n, b)
+    return n - b + 2.0 * b * kummer_log_ratio(0.5, n + 1.0, b)
 
 
 def lambda_minus_n(n: int, b: float) -> float:
@@ -115,7 +93,7 @@ def radial_solution(n: int, b: float, r: float) -> float:
     if not 0.0 < r <= 1.0:
         raise DomainError(f"radius must lie in (0, 1], got {r}")
     z = b * r * r
-    kummer = kummer_m(0.5, n + 1.0, z, strict=True).value
+    kummer = kummer_m(0.5, n + 1.0, z).value
     return float(ScaledReal.exp(-0.5 * z) * ScaledReal.from_float(r**n) * kummer)
 
 
@@ -144,9 +122,9 @@ def lambda_n_prime(n: int, z: float) -> float:
     n = _check_mode(n, minimum=1)
     if z <= 0.0:
         raise DomainError(f"need z > 0, got {z}")
-    m = kummer_m(0.5, n + 1.0, z, strict=True).value
+    m = kummer_m(0.5, n + 1.0, z).value
     mp = kummer_m_prime(0.5, n + 1.0, z)
-    mneg = kummer_m(-0.5, float(n), z, strict=True).value
+    mneg = kummer_m(-0.5, float(n), z).value
     return float(ScaledReal.from_float(-2.0 * n) * mp * mneg / (m * m))
 
 
@@ -159,9 +137,9 @@ def lambda_n_prime_alt(n: int, z: float) -> float:
     n = _check_mode(n, minimum=1)
     if z <= 0.0:
         raise DomainError(f"need z > 0, got {z}")
-    m = kummer_m(0.5, n + 1.0, z, strict=True).value
+    m = kummer_m(0.5, n + 1.0, z).value
     mp = kummer_m_prime(0.5, n + 1.0, z)
-    mneg = kummer_m(-0.5, n + 1.0, z, strict=True).value
+    mneg = kummer_m(-0.5, n + 1.0, z).value
     bracket = m - ScaledReal.from_float(2.0 * n + 1.0) * mneg
     return float(mp * bracket / (m * m))
 
@@ -182,7 +160,7 @@ def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
 
 def _crossing_sign(mode: int, b: float) -> float:
     """Sign of M(-1/2, mode+1, b): positive iff b < z_mode."""
-    return kummer_m(-0.5, mode + 1.0, b, strict=True).value.sign
+    return kummer_m(-0.5, mode + 1.0, b).value.sign
 
 
 def active_mode(b: float, hint: int = 0) -> int:

@@ -11,8 +11,8 @@ lambda_n(z_n) = z_n - n - 1, and for large n
     z_n = n + alpha sqrt(n) + (alpha^2 + 2)/3 + O(n^{-1/2}),
 
 with the rescaled offset beta_n = (z_n - n - 1/2)/sqrt(n) tending to alpha.
-This module locates the z_n, records the residuals of both
-characterizations, and extracts the expansion coefficients by least squares.
+This module locates the z_n, records the residual of the first
+characterization, and extracts the expansion coefficients by least squares.
 """
 
 import functools
@@ -26,11 +26,10 @@ from .numerics import (
     DEFAULT_TOL,
     BracketError,
     DomainError,
-    ScaledReal,
     Tolerances,
     brent_root,
 )
-from .specfun import kummer_m, kummer_m_prime
+from .specfun import kummer_m
 
 __all__ = [
     "AsymptoticFit",
@@ -51,8 +50,9 @@ class IntersectionRecord:
 
     ``beta_n`` is None for n = 0 (the rescaling divides by sqrt(n)).
     residual_M is |M(-1/2, n+1, z_n)| on the natural O(1) scale of that
-    series near its zero; residual_char is the relative residual of the
-    first-order characterization; residual_F is |lambda - (z_n - n - 1)|.
+    series near its zero; residual_F is |lambda - (z_n - n - 1)|.  The
+    residual of the first-order characterization is a cross-check and
+    lives in ``verify``.
     """
 
     n: int
@@ -60,7 +60,6 @@ class IntersectionRecord:
     lambda_at_zn: float
     beta_n: float | None
     residual_M: float
-    residual_char: float
     residual_F: float
 
 
@@ -82,19 +81,9 @@ def _crossing_function(n: int):
     """
 
     def f(z: float) -> float:
-        return kummer_m(-0.5, n + 1.0, z, strict=True).value.to_float()
+        return kummer_m(-0.5, n + 1.0, z).value.to_float()
 
     return f
-
-
-def _char_residual(n: int, z: float) -> float:
-    """Relative residual of (z - n - 1/2) M - z M' at z."""
-    m = kummer_m(0.5, n + 1.0, z, strict=True).value
-    mp = kummer_m_prime(0.5, n + 1.0, z)
-    left = ScaledReal.from_float(z - n - 0.5) * m
-    right = ScaledReal.from_float(z) * mp
-    scale = abs(left) + abs(right)
-    return float(abs(left - right) / scale)
 
 
 def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
@@ -119,7 +108,6 @@ def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
         lambda_at_zn=lam,
         beta_n=(z - n - 0.5) / sqrt_n if n >= 1 else None,
         residual_M=abs(f(z)),
-        residual_char=_char_residual(n, z),
         residual_F=abs(lam - (z - n - 1.0)),
     )
 

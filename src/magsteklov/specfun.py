@@ -1,29 +1,34 @@
 """Confluent hypergeometric and parabolic cylinder functions.
 
+This module alone decides how each function is evaluated; callers name the
+function and its arguments, never a route.
+
 The Kummer function M(a, c, z) = sum_k (a)_k/(c)_k z^k/k! is summed termwise
 in ScaledReal arithmetic, so values of size exp(z) for z up to ~1e6 stay
-representable.  That series needs O(z) terms.  Quotients of Kummer functions
-at the same large z have a second route: by the large-z expansion of
-DLMF 13.7.2,
+representable; negative z goes through M(a, c, -y) = exp(-y) M(c-a, c, y).
+That series needs O(|z|) terms.  The log-derivative M'/M has a second route:
+by the large-z expansion of DLMF 13.7.2,
 
     M(a, c, z) = Gamma(c)/Gamma(a) e^z z^(a-c) [S(a, c, z) + O(e^-z)],
     S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s),
 
-so the exp(z)-sized growth cancels and the quotient is one of two short
-gamma-free sums.  S diverges; ``large_z_quotient`` uses it only where its
+so the exp(z)-sized growth cancels and M'/M is a quotient of two short
+gamma-free sums.  S diverges; ``kummer_log_ratio`` uses it only where its
 terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
-before that ratio reaches 1 in size, and otherwise reports that the series
-must be used.  Parabolic cylinder functions D_nu are evaluated from the
-integral representation
+before that ratio reaches 1 in size, and sums the Kummer series otherwise.
+Parabolic cylinder functions D_nu are evaluated from the integral
+representation
 
     D_nu(z) = exp(-z^2/4)/Gamma(-nu) * int_0^inf t^(-nu-1) exp(-t^2/2 - z t) dt
 
-for nu < 0 and lifted to nu >= 0 with the three-term recurrence
-D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z).  Derivatives always come from the
-companion recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never from
-numerical differentiation.  (For half-integer orders D_nu is expressible
-through modified Bessel functions K_{1/4}, K_{3/4}; that form carries no
-extra information and is not provided.)
+for nu < 0, from the even/odd Kummer decomposition for nu >= 0 and z <= 0,
+and lifted to nu >= 0, z > 0 with the three-term recurrence
+D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z).  Each route yields D_nu together
+with D_{nu-1}, and the derivative always comes from the companion
+recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never from numerical
+differentiation.  (For half-integer orders D_nu is expressible through
+modified Bessel functions K_{1/4}, K_{3/4}; that form carries no extra
+information and is not provided.)
 """
 
 import math
@@ -47,7 +52,6 @@ __all__ = [
     "kummer_m",
     "kummer_m_prime",
     "laguerre",
-    "large_z_quotient",
 ]
 
 _MAX_TERMS = 2_000_000
@@ -65,7 +69,6 @@ class KummerValue:
 
     value: ScaledReal
     terms_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def _term_peak_bound(a: float, c: float, z: float) -> float:
     return max(0.0, -half_b + math.sqrt(disc))
 
 
-def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal, int, bool]:
+def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal, int]:
     """Termwise sum of the Kummer series for z >= 0.
 
     Positive and negative terms go to separate accumulators so the only
@@ -112,7 +115,8 @@ def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal,
     accumulator stays empty.  Term and accumulators share one power-of-two
     offset that is rescaled whenever the running sum outgrows 2**512; the
     stopping test runs before any rescale so it always compares the term
-    and the sum in the same scaling.
+    and the sum in the same scaling.  Raises ConvergenceError when the
+    term budget runs out first.
     """
     term = 1.0
     pos = 1.0
@@ -120,7 +124,6 @@ def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal,
     offset = 0
     k = 0
     k_peak = _term_peak_bound(a, c, z)
-    converged = False
     while k < _MAX_TERMS:
         term *= (a + k) * z / ((c + k) * (k + 1.0))
         k += 1
@@ -130,59 +133,43 @@ def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal,
             neg -= term
         scale = pos if pos >= neg else neg
         if term == 0.0:  # terminating polynomial, or underflow past the peak
-            converged = True
             break
         if abs(term) < _STOP_REL * scale and k > k_peak:
-            converged = True
             break
         if scale > _RESCALE:
             pos *= _RESCALE_INV
             neg *= _RESCALE_INV
             term *= _RESCALE_INV
             offset += 512
-    return ScaledReal(pos, offset), ScaledReal(neg, offset), k + 1, converged
+    else:
+        raise ConvergenceError(f"Kummer series M({a}, {c}, {z}) did not converge in {k} terms")
+    return ScaledReal(pos, offset), ScaledReal(neg, offset), k + 1
 
 
-def kummer_m(a: float, c: float, z: float, strict: bool = False) -> KummerValue:
+def kummer_m(a: float, c: float, z: float) -> KummerValue:
     """Kummer confluent hypergeometric function M(a, c, z).
 
     For z < 0 the series alternates and loses all precision near z ~ -c, so
     the evaluation goes through M(a, c, z) = exp(z) * M(c - a, c, -z), whose
-    series is summed on the positive side.  Non-convergence is reported on
-    the ``converged`` flag; ``strict`` turns it into an exception instead.
+    series is summed on the positive side.  A series that does not converge
+    raises ConvergenceError.
     """
     _require_finite(a=a, c=c, z=z)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"M(a,c,z) undefined for non-positive integer c={c}")
     _check_range(z)
     if z >= 0.0:
-        pos, neg, terms, converged = _series_parts(a, c, z)
+        pos, neg, terms = _series_parts(a, c, z)
         value = pos - neg
     else:
-        pos, neg, terms, converged = _series_parts(c - a, c, -z)
+        pos, neg, terms = _series_parts(c - a, c, -z)
         value = ScaledReal.exp(z) * (pos - neg)
-    if strict and not converged:
-        raise ConvergenceError(f"Kummer series did not converge for (a={a}, c={c}, z={z})")
-    return KummerValue(value=value, terms_used=terms, converged=converged)
+    return KummerValue(value=value, terms_used=terms)
 
 
 def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
     """d/dz M(a, c, z), via the shift identity M' = (a/c) M(a+1, c+1, z)."""
-    return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z, strict=True).value
-
-
-def kummer_log_ratio(a: float, c: float, z: float) -> float:
-    """M'(a, c, z) / M(a, c, z) for a > 0, c > 0, z >= 0.
-
-    Both series have positive terms and the exp(z)-sized growth cancels in
-    the ScaledReal quotient, so the ratio is accurate for z up to ~1e6.
-    """
-    _require_finite(a=a, c=c, z=z)
-    if a <= 0.0 or c <= 0.0 or z < 0.0:
-        raise DomainError("kummer_log_ratio requires a > 0, c > 0, z >= 0")
-    num = kummer_m(a + 1.0, c + 1.0, z, strict=True).value
-    den = kummer_m(a, c, z, strict=True).value
-    return (a / c) * float(num / den)
+    return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z).value
 
 
 def _large_z_sum(a: float, c: float, z: float) -> float | None:
@@ -215,31 +202,42 @@ def _large_z_sum(a: float, c: float, z: float) -> float | None:
     return None
 
 
-def large_z_quotient(
-    num: tuple[float, float], den: tuple[float, float], z: float
-) -> float | None:
-    """S(*num, z) / S(*den, z) from the large-z expansion, or None where it does not apply.
+def kummer_log_ratio(a: float, c: float, z: float) -> float:
+    """M'(a, c, z) / M(a, c, z) for a > 0, c > 0 and real z with |z| <= 1e6; z < 0 needs c >= a.
 
-    With num = (a', c') and den = (a, c), M(a', c', z) / M(a, c, z) is this
-    quotient times Gamma(c') Gamma(a) / (Gamma(c) Gamma(a')) z^(a'-c'-a+c).
-    The neglected O(e^-z) part of each M is about the size of the smallest
-    term of its S when a is a half-integer, which the stopping rule of
-    _large_z_sum bounds; for other a it can be far larger (S(1, 2, z) = 1
-    exactly, while M(1, 2, z) = (e^z - 1)/z), so both first parameters must
-    be half-integers.  The denominator is summed first; None from either
-    sum means the Kummer series has to be used instead.  The |z| <= 1e6
-    domain is that of kummer_m.
+    The ratio is (a/c) M(a+1, c+1, z) / M(a, c, z) for z >= 0 and, through
+    M(a, c, -y) = exp(-y) M(c-a, c, y), (a/c) M(c-a, c+1, y) / M(c-a, c, y)
+    for z = -y < 0: both series have positive terms, and their exp(|z|)-sized
+    growth cancels in the ScaledReal quotient.  When the shared first
+    parameter (a, or c-a) is a half-integer the large-z expansion is tried
+    first: S(a+1, c+1, z) / S(a, c, z), or (a/y) S(c-a, c+1, y) / S(c-a, c, y).
+    Its neglected O(e^-y) part is then about the size of the smallest term of
+    S, which the stopping rule of _large_z_sum bounds; for other first
+    parameters it can be far larger (S(1, 2, z) = 1 exactly, while
+    M(1, 2, z) = (e^z - 1)/z).  The series is summed wherever the expansion
+    is not tried or either sum declines.
     """
+    # a finite sum proves all three finite in one test (this runs once per lambda_n);
+    # only otherwise is the argument found and named
+    if not math.isfinite(a + c + z):
+        _require_finite(a=a, c=c, z=z)
+    if a <= 0.0 or c <= 0.0 or (z < 0.0 and c < a):
+        raise DomainError(
+            f"kummer_log_ratio requires a > 0, c > 0, and c >= a for z < 0; got a={a}, c={c}, z={z}"
+        )
     _check_range(z)
-    if num[0] % 1.0 != 0.5 or den[0] % 1.0 != 0.5:
-        raise DomainError(f"half-integer first parameters required, got {num[0]} and {den[0]}")
-    bottom = _large_z_sum(den[0], den[1], z)
-    if bottom is None:
-        return None
-    top = _large_z_sum(num[0], num[1], z)
-    if top is None:
-        return None
-    return top / bottom
+    if z >= 0.0:
+        y, upper, lower, prefactor = z, a + 1.0, a, 1.0
+    else:
+        y, upper, lower, prefactor = -z, c - a, c - a, a / -z
+    if lower % 1.0 == 0.5:
+        bottom = _large_z_sum(lower, c, y)
+        top = None if bottom is None else _large_z_sum(upper, c + 1.0, y)
+        if top is not None:
+            return prefactor * (top / bottom)
+    num = kummer_m(upper, c + 1.0, y).value
+    den = kummer_m(lower, c, y).value
+    return (a / c) * float(num / den)
 
 
 def laguerre(nu: float, alpha: float, z: float) -> float:
@@ -252,7 +250,7 @@ def laguerre(nu: float, alpha: float, z: float) -> float:
         if arg <= 0.0:
             raise DomainError(f"laguerre needs positive Gamma arguments, got {arg}")
     coeff = gamma(alpha + nu + 1.0) / (gamma(alpha + 1.0) * gamma(nu + 1.0))
-    return coeff * kummer_m(-nu, alpha + 1.0, z, strict=True).value.to_float()
+    return coeff * kummer_m(-nu, alpha + 1.0, z).value.to_float()
 
 
 def _cylinder_from_integral(nu: float, z: float, tol: Tolerances) -> float:
@@ -292,30 +290,34 @@ def _cylinder_even_odd(nu: float, z: float) -> float:
     """
     w = 0.5 * z * z
     even = ScaledReal.from_float(_reciprocal_gamma(0.5 * (1.0 - nu))) * kummer_m(
-        -0.5 * nu, 0.5, w, strict=True
+        -0.5 * nu, 0.5, w
     ).value
     odd = ScaledReal.from_float(
         -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu)
-    ) * kummer_m(0.5 * (1.0 - nu), 1.5, w, strict=True).value
+    ) * kummer_m(0.5 * (1.0 - nu), 1.5, w).value
     prefactor = ScaledReal.exp(-0.25 * z * z) * ScaledReal.from_float(
         2.0 ** (0.5 * nu) * math.sqrt(math.pi)
     )
     return float(prefactor * (even + odd))
 
 
-def _cylinder_value(nu: float, z: float, tol: Tolerances) -> float:
-    """D_nu(z) by the route that is well conditioned for the given signs.
+def _cylinder_value(nu: float, z: float, tol: Tolerances) -> tuple[float, float]:
+    """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the given signs.
 
     nu < 0: half-line integral representation (positive integrand).
-    nu >= 0, z <= 0: even/odd Kummer decomposition (pieces reinforce).
+    nu >= 0, z <= 0: even/odd Kummer decomposition (pieces reinforce);
+    D_{nu-1} from the integral when its order is negative.
     nu >= 0, z > 0: recurrence lift from two negative-order anchors,
     D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z); on this side the lift keeps
-    relative accuracy since the subtracted term is smaller by ~nu/z^2.
+    relative accuracy since the subtracted term is smaller by ~nu/z^2.  The
+    lift ends holding D_{nu-1} as well.
     """
     if nu < 0.0:
-        return _cylinder_from_integral(nu, z, tol)
+        return _cylinder_from_integral(nu, z, tol), _cylinder_from_integral(nu - 1.0, z, tol)
     if z <= 0.0:
-        return _cylinder_even_odd(nu, z)
+        if nu < 1.0:
+            return _cylinder_even_odd(nu, z), _cylinder_from_integral(nu - 1.0, z, tol)
+        return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
     lifts = int(math.floor(nu)) + 1  # lands mu = nu - lifts in [-1, 0)
     mu = nu - lifts
     below = _cylinder_from_integral(mu - 1.0, z, tol)
@@ -323,7 +325,7 @@ def _cylinder_value(nu: float, z: float, tol: Tolerances) -> float:
     for _ in range(lifts):
         below, value = value, z * value - mu * below
         mu += 1.0
-    return value
+    return value, below
 
 
 def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderValue:
@@ -337,7 +339,6 @@ def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderVa
     _require_finite(z=z)
     if abs(z) > 50.0:
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
-    value = _cylinder_value(nu, z, tol)
-    below = _cylinder_value(nu - 1.0, z, tol)
+    value, below = _cylinder_value(nu, z, tol)
     derivative = nu * below - 0.5 * z * value
     return CylinderValue(value=value, derivative=derivative, nu=nu, z=z)

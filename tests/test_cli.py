@@ -305,17 +305,33 @@ class TestStdout:
         assert captured.out.startswith("n,b,branch,lambda\n")
 
 
-def test_python_dash_m_entry_point():
+def run_python(*argv):
+    """Run the interpreter on argv with this checkout's src on the path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "magsteklov", "curves", "--n-max", "0", "--b-max", "1", "--steps", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = run_python("-m", "magsteklov", "curves", "--n-max", "0", "--b-max", "1", "--steps", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,b,branch,lambda\n")
     assert proc.stderr == ""
+
+
+def test_python_dash_m_cli_module_warns_nothing():
+    # the package must not import cli before runpy executes it as __main__
+    proc = run_python("-W", "error", "-m", "magsteklov.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_numerical_failure_exits_2_without_traceback():
+    # quadrature cannot reach 1e-16; that is not a failed check (exit 1)
+    proc = run_python("-m", "magsteklov", "constants", "--rel-tol", "1e-16")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -46,7 +46,7 @@ class TestFindZn:
         for n in (0, 1, 7, 42):
             record = intersect.find_zn(n)
             assert record.residual_M <= 1e-9
-            assert record.residual_char <= 1e-9
+            assert verify.characterization_residual(n, record.z_n) <= 1e-9
             assert record.residual_F <= 1e-8
 
     def test_exceeds_mode_plus_one(self):
@@ -141,7 +141,6 @@ class TestLambdaAtZnAsymptotic:
             lambda_at_zn=alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0,
             beta_n=None,
             residual_M=0.0,
-            residual_char=0.0,
             residual_F=0.0,
         )
         predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
@@ -165,8 +164,7 @@ class TestFitAsymptotics:
                 lambda_at_zn=0.0,
                 beta_n=None,
                 residual_M=0.0,
-                residual_char=0.0,
-                residual_F=0.0,
+                    residual_F=0.0,
             )
             for n in ns
         ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from magsteklov import models, verify
+from magsteklov import models, specfun, verify
 from magsteklov.numerics import (
     DEFAULT_TOL,
     ConvergenceError,
@@ -28,7 +28,6 @@ from magsteklov.specfun import (
     kummer_m,
     kummer_m_prime,
     laguerre,
-    large_z_quotient,
 )
 
 ALPHA_REF = 0.7649508673  # reference digits for the negative zero of D_{1/2}
@@ -106,13 +105,12 @@ class TestKummerM:
             kummer_m(0.5, 1.0, 2e6)
 
     def test_non_convergence_flag_and_strict(self, monkeypatch):
-        from magsteklov import specfun
-
+        # non-convergence raises on either sign of z; no result is returned to misread
         monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
-        result = kummer_m(0.5, 1.0, 40.0)
-        assert not result.converged
         with pytest.raises(ConvergenceError):
-            kummer_m(0.5, 1.0, 40.0, strict=True)
+            kummer_m(0.5, 1.0, 40.0)
+        with pytest.raises(ConvergenceError):
+            kummer_m(0.5, 1.0, -40.0)
 
     @given(
         st.floats(min_value=0.1, max_value=4.0),
@@ -121,8 +119,7 @@ class TestKummerM:
     )
     @settings(max_examples=150, deadline=None)
     def test_positive_series_positive_and_converged(self, a, c, z):
-        result = kummer_m(a, c, z)
-        assert result.converged
+        result = kummer_m(a, c, z)  # raises ConvergenceError if the series does not converge
         assert result.value.sign == 1
 
     def test_large_argument_growth_card(self):
@@ -145,9 +142,9 @@ class TestKummerM:
         # transformed branch regime: a of size n, c ~ a, z between; the term
         # peak sits far beyond z - c, which a naive peak guard misses
         a, c, z = 216.5, 218.0, 374.57
-        m_mid = kummer_m(a, c, z, strict=True).value
-        m_up = kummer_m(a + 1.0, c, z, strict=True).value
-        m_dn = kummer_m(a - 1.0, c, z, strict=True).value
+        m_mid = kummer_m(a, c, z).value
+        m_up = kummer_m(a + 1.0, c, z).value
+        m_dn = kummer_m(a - 1.0, c, z).value
         mp_ = kummer_m_prime(a, c, z)
         # a M(a+1,c,z) - a M(a,c,z) - z M'(a,c,z) = 0
         terms = [
@@ -208,7 +205,23 @@ class TestKummerLogRatio:
         with pytest.raises(DomainError):
             kummer_log_ratio(-0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
-            kummer_log_ratio(0.5, 1.0, -1.0)
+            kummer_log_ratio(1.0, 0.0, 1.0)
+        # z < 0 maps to M(c-a, c, y), which has zeros on y > 0 when c < a
+        with pytest.raises(DomainError):
+            kummer_log_ratio(2.0, 1.0, -1.0)
+
+    def test_negative_argument_against_mpmath(self, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        spy = SeriesSpy(monkeypatch)
+        cases = [(0.5, 1.0, -1.0, "series"), (0.5, 21.0, -20.0, "series")]
+        cases += [(0.5, 1.0, -1e3, "expansion"), (0.5, 21.0, -1e5, "expansion")]
+        cases += [(1.0, 1.5, -300.0, "expansion"), (0.5, 1.5, -300.0, "series")]
+        for a, c, z, expected_route in cases:
+            value, route = spy.route(a, c, z)
+            assert route == expected_route, (a, c, z)
+            with mpmath.workdps(40):
+                ref = a / c * mpmath.hyp1f1(a + 1, c + 1, z) / mpmath.hyp1f1(a, c, z)
+                assert float(abs((value - ref) / ref)) <= 1e-14, (a, c, z)
 
 
 class TestNonFiniteInput:
@@ -241,44 +254,84 @@ class TestNonFiniteInput:
 # ------------------------------------------------------------ large-z route
 
 
+class SeriesSpy:
+    """Counts the Kummer series calls kummer_log_ratio makes; zero means the expansion route."""
+
+    def __init__(self, monkeypatch):
+        self.series_calls = 0
+        series = specfun.kummer_m
+
+        def counted(*args):
+            self.series_calls += 1
+            return series(*args)
+
+        monkeypatch.setattr(specfun, "kummer_m", counted)
+
+    def route(self, a, c, z):
+        before = self.series_calls
+        value = kummer_log_ratio(a, c, z)
+        return value, "series" if self.series_calls > before else "expansion"
+
+
+def series_log_ratio(a, c, z):
+    """(a/c) M(a+1, c+1, z) / M(a, c, z) straight from the Kummer series."""
+    return a / c * float(kummer_m(a + 1.0, c + 1.0, z).value / kummer_m(a, c, z).value)
+
+
 class TestLargeZQuotient:
-    def test_matches_series_quotient(self):
+    def test_matches_series_quotient(self, monkeypatch):
         # M'/M for a = 1/2 is S(3/2, c+1, z) / S(1/2, c, z) with no prefactor
+        spy = SeriesSpy(monkeypatch)
         for c, z in ((1.0, 60.0), (11.0, 500.0), (101.0, 3000.0)):
-            quotient = large_z_quotient((1.5, c + 1.0), (0.5, c), z)
-            assert quotient is not None
-            assert quotient == pytest.approx(kummer_log_ratio(0.5, c, z), rel=1e-13)
+            quotient, route = spy.route(0.5, c, z)
+            assert route == "expansion"
+            assert quotient == specfun._large_z_sum(1.5, c + 1.0, z) / specfun._large_z_sum(0.5, c, z)
+            assert quotient == pytest.approx(series_log_ratio(0.5, c, z), rel=1e-13)
 
-    def test_negative_branch_prefactor(self):
-        # M(a, c+1, z) / M(a, c, z) = (c/z) S(a, c+1, z) / S(a, c, z)
-        a, c, z = 5.5, 6.0, 400.0
-        quotient = large_z_quotient((a, c + 1.0), (a, c), z)
-        assert quotient is not None
-        expected = float(kummer_m(a, c + 1.0, z).value / kummer_m(a, c, z).value)
-        assert c / z * quotient == pytest.approx(expected, rel=1e-13)
+    def test_negative_branch_prefactor(self, monkeypatch):
+        # M'/M at z = -y is (a/y) S(c-a, c+1, y) / S(c-a, c, y)
+        spy = SeriesSpy(monkeypatch)
+        a, c, y = 0.5, 6.0, 400.0
+        ratio, route = spy.route(a, c, -y)
+        assert route == "expansion"
+        top = specfun._large_z_sum(c - a, c + 1.0, y)
+        bottom = specfun._large_z_sum(c - a, c, y)
+        assert ratio == a / y * (top / bottom)
+        expected = a / c * float(kummer_m(c - a, c + 1.0, y).value / kummer_m(c - a, c, y).value)
+        assert ratio == pytest.approx(expected, rel=1e-13)
 
-    def test_declines_where_terms_grow_first(self):
-        # at (n=20, z=50) the terms turn to growth above 1e-17 of the sum
-        assert large_z_quotient((1.5, 22.0), (0.5, 21.0), 50.0) is None
-        assert large_z_quotient((1.5, 2.0), (0.5, 1.0), 0.0) is None
+    def test_declines_where_terms_grow_first(self, monkeypatch):
+        # at (n=20, z=50) the terms turn to growth above 1e-17 of the sum,
+        # so the ratio is the Kummer series quotient
+        assert specfun._large_z_sum(0.5, 21.0, 50.0) is None
+        assert specfun._large_z_sum(0.5, 1.0, 0.0) is None
+        spy = SeriesSpy(monkeypatch)
+        ratio, route = spy.route(0.5, 21.0, 50.0)
+        assert route == "series"
+        assert ratio == series_log_ratio(0.5, 21.0, 50.0)
 
     def test_domain_is_that_of_kummer_m(self):
-        for z in (2e6, math.nan, math.inf):
+        for z in (2e6, -2e6, math.nan, math.inf):
             with pytest.raises(DomainError):
-                large_z_quotient((1.5, 2.0), (0.5, 1.0), z)
+                kummer_log_ratio(0.5, 1.0, z)
 
-    def test_needs_half_integer_first_parameters(self):
+    def test_needs_half_integer_first_parameters(self, monkeypatch):
         # S(1, 2, z) = 1 exactly, but M(1, 2, z) = (e^z - 1)/z: for integer a
-        # the neglected exponential part is not bounded by the terms of S
-        with pytest.raises(DomainError):
-            large_z_quotient((2.0, 3.0), (1.0, 2.0), 100.0)
-        with pytest.raises(DomainError):
-            large_z_quotient((1.5, 2.0), (0.25, 1.0), 100.0)
-        assert large_z_quotient((-0.5, 2.0), (0.5, 1.0), 100.0) is not None
+        # the neglected exponential part is not bounded by the terms of S, so
+        # the expansion would give 0.5 at z = 2 where M'/M is 0.6565...
+        spy = SeriesSpy(monkeypatch)
+        for z in (2.0, 100.0):
+            ratio, route = spy.route(1.0, 2.0, z)
+            assert route == "series"
+            exact = (z * math.exp(z) - math.expm1(z)) / (z * math.expm1(z))
+            assert ratio == pytest.approx(exact, rel=1e-13)
+        assert spy.route(0.25, 1.0, 100.0)[1] == "series"
+        assert spy.route(0.5, 1.0, 100.0)[1] == "expansion"
+        # at z < 0 the shared first parameter is c - a
+        assert spy.route(1.0, 1.5, -100.0)[1] == "expansion"
+        assert spy.route(0.5, 1.5, -100.0)[1] == "series"
 
     def test_sum_has_a_hard_term_cap(self):
-        from magsteklov import specfun
-
         # no ratio test can fail on NaN, so only the cap ends this loop
         start = time.perf_counter()
         assert specfun._large_z_sum(0.5, 1.0, math.nan) is None
@@ -331,6 +384,24 @@ class TestCylinderD:
         for nu, z in ((-1.5, 0.3), (-0.5, -1.2), (0.5, 2.0), (1.5, -0.7)):
             fd = central_diff(lambda x: cylinder_d(nu, x).value, z)
             assert cylinder_d(nu, z).derivative == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.5])
+    def test_lift_runs_each_anchor_integral_once(self, nu, monkeypatch):
+        # D_{nu-1} is the lift's own last step; a second lift would rerun the anchor integrals
+        calls = []
+        integral = specfun._cylinder_from_integral
+
+        def counted(*args):
+            calls.append(args[0])
+            return integral(*args)
+
+        monkeypatch.setattr(specfun, "_cylinder_from_integral", counted)
+        z = 1.0
+        d = cylinder_d(nu, z)
+        assert len(calls) == 2
+        below = cylinder_d(nu - 1.0, z).value
+        assert d.value == z * below - (nu - 1.0) * cylinder_d(nu - 2.0, z).value
+        assert d.derivative == nu * below - 0.5 * z * d.value
 
     def test_lifted_orders_against_integral_anchors(self):
         # lift D_{3/2} by recurrence, compare with z D_{1/2} - (1/2) D_{-1/2}
