@@ -152,31 +152,6 @@ class ScaledReal:
             raise ZeroDivisionError("division by zero ScaledReal")
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
-    def _cmp(self, other: "ScaledReal") -> int:
-        sa, sb = self.sign, other.sign
-        if sa != sb:
-            return -1 if sa < sb else 1
-        if sa == 0:
-            return 0
-        if self.exponent != other.exponent:
-            hi_is_self = self.exponent > other.exponent
-            return (1 if hi_is_self else -1) * sa
-        if self.mantissa == other.mantissa:
-            return 0
-        return 1 if self.mantissa > other.mantissa else -1
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
 
 def gamma(x: float) -> float:
     """Gamma function for x > 0.

@@ -16,19 +16,20 @@ so the exp(z)-sized growth cancels and M'/M is a quotient of two short
 gamma-free sums.  S diverges; ``kummer_log_ratio`` uses it only where its
 terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
 before that ratio reaches 1 in size, and sums the Kummer series otherwise.
-Parabolic cylinder functions D_nu are evaluated from the integral
-representation
+Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
+For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
+decomposition (DLMF 12.4, 12.7).  For z > 0 the anchors are the half-line
+integrals
 
-    D_nu(z) = exp(-z^2/4)/Gamma(-nu) * int_0^inf t^(-nu-1) exp(-t^2/2 - z t) dt
+    D_mu(z) = exp(-z^2/4)/Gamma(-mu) * int_0^inf t^(-mu-1) exp(-t^2/2 - z t) dt
 
-for nu < 0, from the even/odd Kummer decomposition for nu >= 0 and z <= 0,
-and lifted to nu >= 0, z > 0 with the three-term recurrence
-D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z).  Each route yields D_nu together
-with D_{nu-1}, and the derivative always comes from the companion
-recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never from numerical
-differentiation.  (For half-integer orders D_nu is expressible through
-modified Bessel functions K_{1/4}, K_{3/4}; that form carries no extra
-information and is not provided.)
+at orders mu and mu-1 below -1, so t^(-mu-1) has no endpoint singularity,
+lifted to nu by the three-term recurrence
+D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  The derivative always comes from
+the companion recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never
+from numerical differentiation.  (For half-integer orders D_nu is
+expressible through modified Bessel functions K_{1/4}, K_{3/4}; that form
+carries no extra information and is not provided.)
 """
 
 import math
@@ -77,8 +78,6 @@ class CylinderValue:
 
     value: float
     derivative: float
-    nu: float
-    z: float
 
 
 def _require_finite(**values: float) -> None:
@@ -254,20 +253,13 @@ def laguerre(nu: float, alpha: float, z: float) -> float:
 
 
 def _cylinder_from_integral(nu: float, z: float, tol: Tolerances) -> float:
-    """D_nu(z) for nu < 0 from the half-line integral representation.
-
-    For z < 0 the exponent -t^2/2 - z t peaks at t = -z with value z^2/2;
-    the peak is factored out of the integrand so it never overflows, and
-    reabsorbed into the exp(-z^2/4) prefactor.
-    """
+    """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation."""
     power = -nu - 1.0
-    shift = 0.5 * z * z if z < 0.0 else 0.0
 
     def integrand(t: float) -> float:
-        return t**power * math.exp(-0.5 * t * t - z * t - shift)
+        return t**power * math.exp(-0.5 * t * t - z * t)
 
-    moment = integrate_semi_infinite(integrand, decay_scale=-z, tol=tol)
-    return math.exp(shift - 0.25 * z * z) * moment / gamma(-nu)
+    return math.exp(-0.25 * z * z) * integrate_semi_infinite(integrand, tol=tol) / gamma(-nu)
 
 
 def _reciprocal_gamma(x: float) -> float:
@@ -302,23 +294,19 @@ def _cylinder_even_odd(nu: float, z: float) -> float:
 
 
 def _cylinder_value(nu: float, z: float, tol: Tolerances) -> tuple[float, float]:
-    """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the given signs.
+    """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the sign of z.
 
-    nu < 0: half-line integral representation (positive integrand).
-    nu >= 0, z <= 0: even/odd Kummer decomposition (pieces reinforce);
-    D_{nu-1} from the integral when its order is negative.
-    nu >= 0, z > 0: recurrence lift from two negative-order anchors,
-    D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z); on this side the lift keeps
-    relative accuracy since the subtracted term is smaller by ~nu/z^2.  The
-    lift ends holding D_{nu-1} as well.
+    z <= 0: even/odd Kummer decomposition for both orders; its pieces
+    reinforce there (for nu < 0 both are positive).
+    z > 0: half-line integrals at mu and mu-1, where
+    mu = nu - max(0, floor(nu) + 2) < -1, lifted to nu by
+    D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  While mu < 0 both terms are
+    positive; above that the subtracted term is smaller by ~mu/z^2 at large
+    z.  The lift ends holding D_{nu-1} as well.
     """
-    if nu < 0.0:
-        return _cylinder_from_integral(nu, z, tol), _cylinder_from_integral(nu - 1.0, z, tol)
     if z <= 0.0:
-        if nu < 1.0:
-            return _cylinder_even_odd(nu, z), _cylinder_from_integral(nu - 1.0, z, tol)
         return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
-    lifts = int(math.floor(nu)) + 1  # lands mu = nu - lifts in [-1, 0)
+    lifts = max(0, int(math.floor(nu)) + 2)
     mu = nu - lifts
     below = _cylinder_from_integral(mu - 1.0, z, tol)
     value = _cylinder_from_integral(mu, z, tol)
@@ -341,4 +329,4 @@ def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderVa
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
     value, below = _cylinder_value(nu, z, tol)
     derivative = nu * below - 0.5 * z * value
-    return CylinderValue(value=value, derivative=derivative, nu=nu, z=z)
+    return CylinderValue(value=value, derivative=derivative)

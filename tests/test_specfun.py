@@ -361,6 +361,12 @@ class TestLaguerre:
 
 # ----------------------------------------------------------------- cylinder
 
+# integers, half-integers, and orders just off an integer on either side
+ORACLE_ORDERS = [
+    -4.0, -3.5, -2.0, -1.0001, -1.0, -0.5, -1e-6, 0.0, 1e-6,
+    0.5, 0.999, 1.999, 2.5, 3.9999, 4.0,
+]
+
 
 class TestCylinderD:
     def test_value_at_origin_closed_form(self):
@@ -385,7 +391,7 @@ class TestCylinderD:
             fd = central_diff(lambda x: cylinder_d(nu, x).value, z)
             assert cylinder_d(nu, z).derivative == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
-    @pytest.mark.parametrize("nu", [0.5, 2.5])
+    @pytest.mark.parametrize("nu", [0.5, 2.5, -4.0, -3.5, -1.0, -0.5, -1e-6])
     def test_lift_runs_each_anchor_integral_once(self, nu, monkeypatch):
         # D_{nu-1} is the lift's own last step; a second lift would rerun the anchor integrals
         calls = []
@@ -399,9 +405,43 @@ class TestCylinderD:
         z = 1.0
         d = cylinder_d(nu, z)
         assert len(calls) == 2
-        below = cylinder_d(nu - 1.0, z).value
-        assert d.value == z * below - (nu - 1.0) * cylinder_d(nu - 2.0, z).value
-        assert d.derivative == nu * below - 0.5 * z * d.value
+        assert all(order < -1.0 for order in calls)
+        if nu - 2.0 >= -4.0:  # the recurrence below needs both lower orders in the domain
+            below = cylinder_d(nu - 1.0, z).value
+            assert d.value == z * below - (nu - 1.0) * cylinder_d(nu - 2.0, z).value
+            assert d.derivative == nu * below - 0.5 * z * d.value
+
+    @pytest.mark.parametrize("z", [-50.0, -5.0, -0.3, 0.0])
+    def test_nonpositive_z_runs_no_integral(self, z, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError(f"integral route taken at z={z}")
+
+        monkeypatch.setattr(specfun, "_cylinder_from_integral", forbidden)
+        for nu in ORACLE_ORDERS:
+            cylinder_d(nu, z)
+
+    @pytest.mark.parametrize("nu", ORACLE_ORDERS)
+    def test_continuous_across_route_switch(self, nu):
+        # z = 0 takes the Kummer route, the smallest positive float the lifted integrals
+        at_zero = cylinder_d(nu, 0.0)
+        above = cylinder_d(nu, 5e-324)
+        scale = max(abs(at_zero.value), abs(at_zero.derivative))
+        assert abs(above.value - at_zero.value) <= DEFAULT_TOL.rel_tol * scale
+        assert abs(above.derivative - at_zero.derivative) <= DEFAULT_TOL.rel_tol * scale
+
+    @pytest.mark.parametrize("nu", ORACLE_ORDERS)
+    def test_against_mpmath(self, nu):
+        # error in units of max(|D|, |D'|), so zeros of D or D' need no special case;
+        # the grid avoids D_2 at z = +-1, an exact zero on which pcfd raises
+        mpmath = pytest.importorskip("mpmath")
+        for z in (-50.0, -20.0, -5.0, -0.3, 0.0, 0.3, 1.0, 5.0, 20.0, 50.0):
+            with mpmath.workdps(40):
+                ref = mpmath.pcfd(nu, z)
+                ref_prime = nu * mpmath.pcfd(nu - 1.0, z) - 0.5 * z * ref
+                scale = max(abs(ref), abs(ref_prime))
+                got = cylinder_d(nu, z)
+                err = max(abs(got.value - ref), abs(got.derivative - ref_prime)) / scale
+            assert err <= 2e-13, (nu, z, float(err))
 
     def test_lifted_orders_against_integral_anchors(self):
         # lift D_{3/2} by recurrence, compare with z D_{1/2} - (1/2) D_{-1/2}
