@@ -3,11 +3,12 @@
 Subpackages:
 
 * ``numerics``: scaled floats, quadrature, root finding, derivatives.
-* ``specfun``: Kummer M, generalized Laguerre, parabolic cylinder D_nu.
+* ``specfun``: Kummer M and its log-derivative, parabolic cylinder D_nu.
 * ``disk``: eigenvalue branches lambda_n(b) and the ground-state envelope.
 * ``intersect``: branch crossing points z_n and their asymptotics.
 * ``models``: the constants alpha, xi0, theta0 and the limit functions.
-* ``cli``: command-line sweeps, tables, and the verification suite.
+* ``verify``: the named checks, and the reference routes only they use.
+* ``cli``: command-line sweeps, the constants report, and the check table.
 """
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from .numerics import (
     DomainError,
     QuadratureError,
     Tolerances,
-    central_diff,
 )
 from .specfun import cylinder_d
 
@@ -170,25 +169,11 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     tol = DEFAULT_TOL if args.rel_tol is None else Tolerances(rel_tol=args.rel_tol)
     consts = models.constants(tol)
-    alpha = consts.alpha
-    phi_prime = central_diff(models.phi, alpha)
-    delta_quad = models.delta(alpha, tol)
-    f_residual = intersect.check_F_formula(20)
-    f1_at_alpha = models.halfplane_multiplier(alpha)
-    d_half_residual = abs(cylinder_d(0.5, -alpha).value)
-    checks = {
-        "alpha_matches_reference": (abs(alpha - 0.7649508673), 1e-8),
-        "theta0_matches_reference": (abs(consts.theta0 - 0.5901061249), 1e-6),
-        "cylinder_root_residual": (d_half_residual, 1e-10),
-        "halfplane_fixed_point": (abs(f1_at_alpha - alpha), 1e-8),
-        "phi_prime_alpha": (abs(phi_prime - 0.5), 1e-6),
-        "delta_alpha_two_routes": (abs(delta_quad - consts.delta_alpha), 1e-6),
-        "f_formula_max_residual": (f_residual, 1e-8),
-        "alpha_below_bound": (max(0.0, alpha - consts.alpha_upper_bound), 0.0),
-    }
+    # called directly, not through run_suite, so a numerical failure exits 2
+    results = [check(tol) for check in verify.MODULES["constants"]]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "alpha": alpha,
+        "alpha": consts.alpha,
         "xi0": consts.xi0,
         "theta0": consts.theta0,
         "delta_alpha": consts.delta_alpha,
@@ -196,12 +181,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "alpha_upper_bound": consts.alpha_upper_bound,
         "resolved_tol": consts.resolved_tol,
         "checks": {
-            name: {"residual": residual, "limit": limit, "pass": residual <= limit}
-            for name, (residual, limit) in checks.items()
+            r.name.replace("-", "_"): {"residual": r.measured, "limit": r.limit, "pass": r.passed}
+            for r in results
         },
     }
     _write_output(args, json.dumps(payload, indent=2) + "\n")
-    return 0 if all(v <= lim for v, lim in checks.values()) else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_halfplane(args: argparse.Namespace) -> int:

@@ -29,7 +29,6 @@ from .numerics import (
     Tolerances,
     brent_root,
 )
-from .specfun import kummer_m
 
 __all__ = [
     "AsymptoticFit",
@@ -40,7 +39,6 @@ __all__ = [
     "find_zn",
     "fit_asymptotics",
     "gap_zn",
-    "lambda_at_zn_asymptotic_check",
 ]
 
 
@@ -73,7 +71,7 @@ class AsymptoticFit:
 
 
 def _crossing_function(n: int):
-    """z -> M(-1/2, n+1, z) as a plain float.
+    """z -> disk._crossing_m(n, z) as a plain float.
 
     Near z_n the positive-part sum of the series is ~1, so the float value
     is itself the natural residual scale.  On the bracket used below the
@@ -81,7 +79,7 @@ def _crossing_function(n: int):
     """
 
     def f(z: float) -> float:
-        return kummer_m(-0.5, n + 1.0, z).value.to_float()
+        return disk._crossing_m(n, z).to_float()
 
     return f
 
@@ -155,14 +153,6 @@ def gap_zn(n: int) -> float:
     if n < 1:
         raise DomainError(f"gap_zn needs n >= 1, got {n}")
     return find_zn(n).z_n - find_zn(n - 1).z_n
-
-
-def lambda_at_zn_asymptotic_check(n: int) -> float:
-    """|lambda_n(z_n) - alpha sqrt(n) - (alpha^2 - 1)/3| at one mode."""
-    alpha = models._alpha_cached()
-    record = find_zn(n)
-    predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
-    return abs(record.lambda_at_zn - predicted)
 
 
 def fit_asymptotics(records: list[IntersectionRecord], terms: int = 4) -> AsymptoticFit:

@@ -19,7 +19,7 @@
 
   as Phi = A/C (equivalently beta + D_{1/2}(-beta)/D_{-1/2}(-beta)) and
   Delta = (BC - AD)/C^2 = (D/C)'.  At beta = alpha, Delta equals
-  (1 - 10 alpha^2)/12 exactly, which the tests use as a two-route check.
+  (1 - 10 alpha^2)/12 exactly, which ``verify`` uses as a two-route check.
 """
 
 import math
@@ -31,7 +31,6 @@ from .numerics import (
     DomainError,
     Tolerances,
     brent_root,
-    central_diff,
     integrate_semi_infinite,
 )
 from .specfun import cylinder_d
@@ -44,12 +43,10 @@ __all__ = [
     "constants",
     "degennes_f",
     "delta",
-    "halfplane_argmin",
     "halfplane_bottom",
     "halfplane_multiplier",
     "moment_integrals",
     "phi",
-    "phi_from_integrals",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -94,27 +91,6 @@ def halfplane_bottom(b: float) -> float:
     if b <= 0.0:
         raise DomainError(f"field must be positive, got {b}")
     return math.sqrt(b) * _alpha_cached()
-
-
-def halfplane_argmin(lo: float = 0.0, hi: float = 2.0) -> float:
-    """Minimizer of f1 on [lo, hi], located without using its closed form.
-
-    A bracketing minimization gets within ~sqrt(eps) of the minimum; the
-    result is then polished as the zero of the finite-difference slope,
-    which pins the argmin to ~1e-10.  Independent of the alpha computed
-    from the cylinder-function root, so the two may be compared.
-    """
-    from scipy import optimize
-
-    coarse = optimize.minimize_scalar(
-        halfplane_multiplier, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-    ).x
-
-    def slope(xi: float) -> float:
-        return central_diff(halfplane_multiplier, xi)
-
-    polish_tol = Tolerances(rel_tol=1e-11)
-    return brent_root(slope, coarse - 1e-3, coarse + 1e-3, polish_tol)
 
 
 def degennes_f(xi: float) -> float:
@@ -171,12 +147,6 @@ def phi(beta: float) -> float:
     half = cylinder_d(0.5, -beta)
     minus_half = cylinder_d(-0.5, -beta)
     return beta + half.value / minus_half.value
-
-
-def phi_from_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Phi computed as the raw moment ratio A/C, a cross-check route."""
-    a, _, c, _ = moment_integrals(beta, tol)
-    return a / c
 
 
 def delta(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:

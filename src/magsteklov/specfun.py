@@ -52,7 +52,6 @@ __all__ = [
     "kummer_log_ratio",
     "kummer_m",
     "kummer_m_prime",
-    "laguerre",
 ]
 
 _MAX_TERMS = 2_000_000
@@ -237,19 +236,6 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     num = kummer_m(upper, c + 1.0, y).value
     den = kummer_m(lower, c, y).value
     return (a / c) * float(num / den)
-
-
-def laguerre(nu: float, alpha: float, z: float) -> float:
-    """Generalized Laguerre function L_nu^alpha(z).
-
-    Defined as Gamma(alpha+nu+1) / (Gamma(alpha+1) Gamma(nu+1)) * M(-nu, alpha+1, z);
-    all three Gamma arguments must be positive.
-    """
-    for arg in (alpha + nu + 1.0, alpha + 1.0, nu + 1.0):
-        if arg <= 0.0:
-            raise DomainError(f"laguerre needs positive Gamma arguments, got {arg}")
-    coeff = gamma(alpha + nu + 1.0) / (gamma(alpha + 1.0) * gamma(nu + 1.0))
-    return coeff * kummer_m(-nu, alpha + 1.0, z).value.to_float()
 
 
 def _cylinder_from_integral(nu: float, z: float, tol: Tolerances) -> float:

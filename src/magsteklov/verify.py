@@ -1,11 +1,18 @@
-"""Named runtime checks for every library invariant.
+"""Named runtime checks for every library invariant, and the routes they compare.
 
 Each check re-derives one mathematical property on a fixed default grid and
-reports a pass/fail with the measured residual, so a broken build fails
-loudly and by name.  The CLI ``verify`` command prints the table; the test
-suite calls the same functions.
+reports a pass/fail with the measured residual and its limit, so a broken
+build fails loudly and by name.  The CLI ``verify`` command prints the
+table; the ``constants`` command reports the ``constants`` group as JSON;
+the test suite calls the same functions.
+
+The independent routes that only cross-check the library live here, off
+its fast path: the closed-form derivatives of lambda_n, the first-order
+characterization of z_n, Phi as a moment ratio, and the argmin of f1 found
+without its closed form.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -15,6 +22,7 @@ import numpy as np
 from . import disk, intersect, models
 from .numerics import (
     DEFAULT_TOL,
+    DomainError,
     ScaledReal,
     Tolerances,
     brent_root,
@@ -32,6 +40,8 @@ class CheckResult:
     module: str
     name: str
     passed: bool
+    measured: float  # NaN, like limit, when the check raised
+    limit: float
     detail: str
 
 
@@ -39,7 +49,7 @@ def _result(module, name, measured, limit, extra=""):
     note = f"max residual {measured:.3e} (limit {limit:.1e})"
     if extra:
         note += f"; {extra}"
-    return CheckResult(module, name, measured <= limit, note)
+    return CheckResult(module, name, measured <= limit, measured, limit, note)
 
 
 # ----------------------------------------------------------------- numerics
@@ -253,6 +263,38 @@ def check_cylinder_positivity(tol):
 
 # --------------------------------------------------------------------- disk
 
+
+def lambda_n_prime(n: int, z: float) -> float:
+    """Closed-form derivative of lambda_n at z > 0, n >= 1.
+
+    Product form: -2n M'(1/2, n+1, z) M(-1/2, n, z) / M(1/2, n+1, z)^2.
+    Negative left of the crossing z_{n-1}, zero there, positive after.
+    """
+    n = disk._check_mode(n, minimum=1)
+    if z <= 0.0:
+        raise DomainError(f"need z > 0, got {z}")
+    m = kummer_m(0.5, n + 1.0, z).value
+    mp = kummer_m_prime(0.5, n + 1.0, z)
+    mneg = kummer_m(-0.5, float(n), z).value
+    return float(ScaledReal.from_float(-2.0 * n) * mp * mneg / (m * m))
+
+
+def lambda_n_prime_alt(n: int, z: float) -> float:
+    """Equivalent derivative formula, used as a cross-check on lambda_n_prime.
+
+    Deficit form: M'(1/2,n+1,z) [M(1/2,n+1,z) - (2n+1) M(-1/2,n+1,z)] / M(1/2,n+1,z)^2.
+    The two forms are linked by a contiguous relation of the Kummer family.
+    """
+    n = disk._check_mode(n, minimum=1)
+    if z <= 0.0:
+        raise DomainError(f"need z > 0, got {z}")
+    m = kummer_m(0.5, n + 1.0, z).value
+    mp = kummer_m_prime(0.5, n + 1.0, z)
+    mneg = kummer_m(-0.5, n + 1.0, z).value
+    bracket = m - ScaledReal.from_float(2.0 * n + 1.0) * mneg
+    return float(mp * bracket / (m * m))
+
+
 _BRANCH_B = [0.5, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
 
 
@@ -276,7 +318,7 @@ def check_lambda_prime_vs_fd(tol):
     worst = 0.0
     for n in (1, 3, 10):
         for z in (1.0, 5.0, 20.0):
-            closed = disk.lambda_n_prime(n, z)
+            closed = lambda_n_prime(n, z)
             fd = central_diff(lambda x: disk.lambda_n(n, x), z)
             worst = max(worst, abs(closed - fd) / max(abs(closed), 1.0))
     return _result("disk", "lambda-prime-vs-finite-difference", worst, 1e-6)
@@ -286,8 +328,8 @@ def check_lambda_prime_two_forms(tol):
     worst = 0.0
     for n in (1, 3, 10):
         for z in (1.0, 5.0, 20.0):
-            a = disk.lambda_n_prime(n, z)
-            b = disk.lambda_n_prime_alt(n, z)
+            a = lambda_n_prime(n, z)
+            b = lambda_n_prime_alt(n, z)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-30))
     return _result("disk", "lambda-prime-two-closed-forms", worst, 1e-10)
 
@@ -342,6 +384,18 @@ def characterization_residual(n: int, z: float) -> float:
     return float(abs(left - right) / scale)
 
 
+def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
+    """Second derivative of lambda_n at its minimum z_{n-1}.
+
+    Equals (z_{n-1} - n) / z_{n-1}, strictly positive.  When ``z_prev`` is
+    not supplied, the crossing point is computed on demand.
+    """
+    n = disk._check_mode(n, minimum=1)
+    if z_prev is None:
+        z_prev = intersect.find_zn(n - 1).z_n
+    return (z_prev - n) / z_prev
+
+
 def check_characterization_equivalence(tol):
     worst = 0.0
     for n in (0, 1, 5, 20, 100):
@@ -366,9 +420,9 @@ def check_stationary_at_previous_crossing(tol):
     worst = 0.0
     for n in (1, 2, 5):
         z_prev = intersect.find_zn(n - 1).z_n
-        slope = disk.lambda_n_prime(n, z_prev)
-        second_fd = central_diff(lambda z: disk.lambda_n_prime(n, z), z_prev)
-        second = disk.lambda_n_second_at_zprev(n, z_prev)
+        slope = lambda_n_prime(n, z_prev)
+        second_fd = central_diff(lambda z: lambda_n_prime(n, z), z_prev)
+        second = lambda_n_second_at_zprev(n, z_prev)
         worst = max(worst, abs(slope), abs(second_fd - second))
     return _result("intersect", "stationarity-at-previous-crossing", worst, 1e-6)
 
@@ -394,11 +448,50 @@ def check_envelope_sandwich(tol):
     return _result("intersect", "envelope-sandwich-bounds", worst, 1e-9)
 
 
+def check_crossing_eigenvalue_asymptotic(tol):
+    # lambda_n(z_n) = alpha sqrt(n) + (alpha^2 - 1)/3 + O(n^{-1/2})
+    alpha = models.compute_alpha()
+    worst = 0.0
+    for n in (100, 10_000):
+        predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
+        deviation = intersect.find_zn(n).lambda_at_zn - predicted
+        worst = max(worst, abs(deviation) * math.sqrt(n))
+    return _result("intersect", "crossing-eigenvalue-asymptotic", worst, 5.0, "scaled by sqrt(n)")
+
+
 # ------------------------------------------------------------------- models
 
 
+def halfplane_argmin(lo: float = 0.0, hi: float = 2.0) -> float:
+    """Minimizer of f1 on [lo, hi], located without using its closed form.
+
+    A bracketing minimization gets within ~sqrt(eps) of the minimum; the
+    result is then polished as the zero of the finite-difference slope,
+    which pins the argmin to ~1e-10.  Independent of the alpha computed
+    from the cylinder-function root, so the two may be compared.
+    """
+    from scipy import optimize
+
+    f1 = models.halfplane_multiplier
+    coarse = optimize.minimize_scalar(
+        f1, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
+    ).x
+
+    def slope(xi: float) -> float:
+        return central_diff(f1, xi)
+
+    polish_tol = Tolerances(rel_tol=1e-11)
+    return brent_root(slope, coarse - 1e-3, coarse + 1e-3, polish_tol)
+
+
+def phi_from_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Phi computed as the raw moment ratio A/C, a cross-check route."""
+    a, _, c, _ = models.moment_integrals(beta, tol)
+    return a / c
+
+
 def check_first_order_condition(tol):
-    xi = models.halfplane_argmin()
+    xi = halfplane_argmin()
     cd = cylinder_d(-0.5, -xi)
     residual = abs(0.5 * xi * cd.value + cd.derivative) / abs(cd.value)
     return _result("models", "halfplane-first-order-condition", residual, 1e-8)
@@ -442,8 +535,34 @@ def check_halfplane_scaling(tol):
 def check_phi_two_routes(tol):
     worst = 0.0
     for beta in (0.0, 0.5, 1.0):
-        worst = max(worst, abs(models.phi(beta) - models.phi_from_integrals(beta, tol)))
+        worst = max(worst, abs(models.phi(beta) - phi_from_integrals(beta, tol)))
     return _result("models", "phi-cylinder-vs-quadrature", worst, 1e-9)
+
+
+# ---------------------------------------------------------------- constants
+# The checks ``magsteklov constants`` reports; each JSON key is the check
+# name with - replaced by _.  The group shares one resolution of the constants.
+
+_model_constants = functools.lru_cache(maxsize=1)(models.constants)
+
+_CONSTANTS_CHECKS = {  # name: (limit, residual from the constants and the tolerance)
+    "alpha-matches-reference": (1e-8, lambda c, tol: abs(c.alpha - 0.7649508673)),
+    "theta0-matches-reference": (1e-6, lambda c, tol: abs(c.theta0 - 0.5901061249)),
+    "cylinder-root-residual": (1e-10, lambda c, tol: abs(cylinder_d(0.5, -c.alpha).value)),
+    "halfplane-fixed-point": (1e-8, lambda c, tol: abs(models.halfplane_multiplier(c.alpha) - c.alpha)),
+    "phi-prime-alpha": (1e-6, lambda c, tol: abs(central_diff(models.phi, c.alpha) - 0.5)),
+    "delta-alpha-two-routes": (1e-6, lambda c, tol: abs(models.delta(c.alpha, tol) - c.delta_alpha)),
+    "f-formula-max-residual": (1e-8, lambda c, tol: intersect.check_F_formula(20)),
+    "alpha-below-bound": (0.0, lambda c, tol: max(0.0, c.alpha - c.alpha_upper_bound)),
+}
+
+
+def _constants_check(name, limit, residual):
+    def check(tol):
+        return _result("constants", name, residual(_model_constants(tol), tol), limit)
+
+    check.__name__ = "check_" + name.replace("-", "_")
+    return check
 
 
 MODULES: dict[str, list] = {
@@ -482,6 +601,7 @@ MODULES: dict[str, list] = {
         check_stationary_at_previous_crossing,
         check_beta_trend,
         check_envelope_sandwich,
+        check_crossing_eigenvalue_asymptotic,
     ],
     "models": [
         check_first_order_condition,
@@ -491,6 +611,7 @@ MODULES: dict[str, list] = {
         check_halfplane_scaling,
         check_phi_two_routes,
     ],
+    "constants": [_constants_check(name, *spec) for name, spec in _CONSTANTS_CHECKS.items()],
 }
 
 
@@ -512,5 +633,6 @@ def run_suite(only: str | None = None, rel_tol: float | None = None) -> list[Che
                 results.append(check(tol))
             except (ArithmeticError, ValueError) as exc:
                 name = check.__name__.removeprefix("check_").replace("_", "-")
-                results.append(CheckResult(module, name, False, f"raised {exc!r}"))
+                detail = f"raised {exc!r}"
+                results.append(CheckResult(module, name, False, math.nan, math.nan, detail))
     return results

@@ -51,7 +51,7 @@ def test_criterion_02_degennes_constants():
 
 
 def test_criterion_03_halfplane_model(alpha):
-    argmin = models.halfplane_argmin(0.0, 2.0)
+    argmin = verify.halfplane_argmin(0.0, 2.0)
     argmin_err = abs(argmin - alpha)
     fixed_point_err = abs(models.halfplane_multiplier(alpha) - alpha)
     assert argmin_err <= 1e-6

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from magsteklov import cli
+from magsteklov import cli, verify
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -146,6 +146,16 @@ class TestConstantsCommand:
         assert abs(payload["theta0"] - 0.5901061249) <= 1e-6
         assert abs(payload["checks"]["phi_prime_alpha"]["residual"]) <= 1e-6
         assert all(entry["pass"] for entry in payload["checks"].values())
+
+    def test_checks_are_the_verify_constants_group(self, tmp_path):
+        code, out = run(tmp_path, "constants", name="constants.json")
+        assert code == 0
+        checks = json.loads(out.read_text())["checks"]
+        results = verify.run_suite(only="constants")
+        assert list(checks) == [r.name.replace("-", "_") for r in results]
+        for r in results:
+            entry = checks[r.name.replace("-", "_")]
+            assert (entry["residual"], entry["limit"], entry["pass"]) == (r.measured, r.limit, r.passed)
 
 
 class TestHalfplaneCommand:

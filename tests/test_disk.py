@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsteklov import disk, specfun, verify
-from magsteklov.numerics import DEFAULT_TOL, DomainError, central_diff
+from magsteklov.numerics import DEFAULT_TOL, DomainError, ScaledReal, central_diff
 
 # ----------------------------------------------------------------- oracles
 
@@ -43,6 +43,35 @@ def crossing_oracle(n, lo, hi, terms=30):
 Z0_ORACLE = crossing_oracle(0, 1.5, 1.7)  # ~1.57996
 
 
+def radial_solution(n, b, r):
+    """Bounded radial solution of the mode-n field equation on the disk.
+
+    Proportional to exp(-b r^2/2) r^n L_{-1/2}^n(b r^2) and normalized so
+    that v_n(r) ~ r^n at the center (divide the Laguerre factor by its
+    value at 0, leaving exp(-b r^2/2) r^n M(1/2, n+1, b r^2)).  Assembled
+    in ScaledReal so the Gaussian damping and the exp(b r^2)-sized Kummer
+    factor cannot under- or overflow separately.
+    """
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"radius must lie in (0, 1], got {r}")
+    z = b * r * r
+    kummer = specfun.kummer_m(0.5, n + 1.0, z).value
+    return float(ScaledReal.exp(-0.5 * z) * ScaledReal.from_float(r**n) * kummer)
+
+
+def radial_log_derivative(n, b):
+    """v_n'(1) / v_n(1) from a one-sided second-order difference.
+
+    A slow route to lambda_n that shares only kummer_m with it; the stencil
+    stays inside (0, 1] where the radial solution is defined.
+    """
+    h = 1e-6
+    v0 = radial_solution(n, b, 1.0)
+    v1 = radial_solution(n, b, 1.0 - h)
+    v2 = radial_solution(n, b, 1.0 - 2.0 * h)
+    return (3.0 * v0 - 4.0 * v1 + v2) / (2.0 * h * v0)
+
+
 # ----------------------------------------------------------------- branches
 
 
@@ -64,7 +93,7 @@ class TestLambdaN:
     def test_cross_check_against_radial_route(self):
         for n, b in ((0, 1.0), (2, 3.0), (5, 2.5)):
             assert disk.lambda_n(n, b) == pytest.approx(
-                disk.radial_log_derivative(n, b), abs=1e-6
+                radial_log_derivative(n, b), abs=1e-6
             )
 
     def test_negative_field_against_alternating_series(self):
@@ -207,41 +236,42 @@ class TestLambdaMinusN:
 class TestRadialSolution:
     def test_zero_field_harmonics(self):
         for r in (0.2, 0.7, 1.0):
-            assert disk.radial_solution(0, 0.0, r) == pytest.approx(1.0, rel=1e-14)
-            assert disk.radial_solution(1, 0.0, r) == pytest.approx(r, rel=1e-14)
+            assert radial_solution(0, 0.0, r) == pytest.approx(1.0, rel=1e-14)
+            assert radial_solution(1, 0.0, r) == pytest.approx(r, rel=1e-14)
 
     def test_boundary_value_against_laguerre(self):
-        from magsteklov.specfun import laguerre
-
-        expected = math.exp(-0.5) * laguerre(-0.5, 0.0, 1.0)
-        assert disk.radial_solution(0, 1.0, 1.0) == pytest.approx(expected, rel=1e-13)
+        # v_0(1) = e^{-1/2} L_{-1/2}^0(1) = e^{-1/2} M(1/2, 1, 1), in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.exp(-0.5) * mpmath.hyp1f1(0.5, 1, 1))
+        assert radial_solution(0, 1.0, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_ode_residual(self):
         # -v'' - v'/r + (b r - n/r)^2 v = 0 probed by finite differences
         n, b = 2, 1.5
         for r in (0.4, 0.6, 0.85):
-            v = disk.radial_solution(n, b, r)
-            vp = central_diff(lambda x: disk.radial_solution(n, b, x), r)
-            vpp = central_diff(lambda x: disk.radial_solution(n, b, x), r, order=2)
+            v = radial_solution(n, b, r)
+            vp = central_diff(lambda x: radial_solution(n, b, x), r)
+            vpp = central_diff(lambda x: radial_solution(n, b, x), r, order=2)
             residual = -vpp - vp / r + (b * r - n / r) ** 2 * v
             assert abs(residual) <= 1e-6 * max(1.0, abs(v))
 
     def test_radius_domain(self):
         with pytest.raises(DomainError):
-            disk.radial_solution(0, 1.0, 0.0)
+            radial_solution(0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            disk.radial_solution(0, 1.0, 1.5)
+            radial_solution(0, 1.0, 1.5)
 
 
 class TestRadialLogDerivative:
     def test_constant_solution(self):
-        assert disk.radial_log_derivative(0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert radial_log_derivative(0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_solution(self):
-        assert disk.radial_log_derivative(1, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert radial_log_derivative(1, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_agrees_with_eigenvalue(self):
-        assert disk.radial_log_derivative(2, 3.0) == pytest.approx(
+        assert radial_log_derivative(2, 3.0) == pytest.approx(
             disk.lambda_n(2, 3.0), abs=1e-6
         )
 
@@ -251,48 +281,48 @@ class TestRadialLogDerivative:
 
 class TestLambdaPrime:
     def test_zero_at_previous_crossing(self):
-        assert disk.lambda_n_prime(1, Z0_ORACLE) == pytest.approx(0.0, abs=1e-8)
+        assert verify.lambda_n_prime(1, Z0_ORACLE) == pytest.approx(0.0, abs=1e-8)
 
     def test_negative_before_crossing(self):
-        assert disk.lambda_n_prime(1, 0.5) < 0.0
-        assert disk.lambda_n_prime(1, Z0_ORACLE + 0.5) > 0.0
+        assert verify.lambda_n_prime(1, 0.5) < 0.0
+        assert verify.lambda_n_prime(1, Z0_ORACLE + 0.5) > 0.0
 
     def test_matches_finite_difference(self):
         fd = central_diff(lambda z: disk.lambda_n(2, z), 10.0)
-        assert disk.lambda_n_prime(2, 10.0) == pytest.approx(fd, rel=1e-6)
+        assert verify.lambda_n_prime(2, 10.0) == pytest.approx(fd, rel=1e-6)
 
     def test_two_closed_forms_agree(self):
         for n, z in ((1, 0.8), (3, 4.0), (10, 25.0)):
-            assert disk.lambda_n_prime(n, z) == pytest.approx(
-                disk.lambda_n_prime_alt(n, z), rel=1e-10
+            assert verify.lambda_n_prime(n, z) == pytest.approx(
+                verify.lambda_n_prime_alt(n, z), rel=1e-10
             )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            disk.lambda_n_prime(0, 1.0)
+            verify.lambda_n_prime(0, 1.0)
         with pytest.raises(DomainError):
-            disk.lambda_n_prime(1, -1.0)
+            verify.lambda_n_prime(1, -1.0)
 
 
 class TestLambdaSecondAtPrev:
     def test_mode_one_value(self):
         expected = (Z0_ORACLE - 1.0) / Z0_ORACLE  # ~0.3671
-        assert disk.lambda_n_second_at_zprev(1, Z0_ORACLE) == pytest.approx(expected, rel=1e-12)
+        assert verify.lambda_n_second_at_zprev(1, Z0_ORACLE) == pytest.approx(expected, rel=1e-12)
         assert 0.36 < expected < 0.38
 
     def test_against_second_difference(self):
         fd2 = central_diff(lambda z: disk.lambda_n(1, z), Z0_ORACLE, order=2)
-        assert disk.lambda_n_second_at_zprev(1, Z0_ORACLE) == pytest.approx(fd2, abs=1e-4)
+        assert verify.lambda_n_second_at_zprev(1, Z0_ORACLE) == pytest.approx(fd2, abs=1e-4)
 
     def test_computes_crossing_when_missing(self):
-        implicit = disk.lambda_n_second_at_zprev(1)
+        implicit = verify.lambda_n_second_at_zprev(1)
         assert implicit == pytest.approx((Z0_ORACLE - 1.0) / Z0_ORACLE, rel=1e-9)
 
     def test_large_mode_asymptotic_decay(self):
         from magsteklov import models
 
         alpha = models.compute_alpha()
-        value = disk.lambda_n_second_at_zprev(10_000)
+        value = verify.lambda_n_second_at_zprev(10_000)
         assert value == pytest.approx(alpha * 10_000**-0.5, rel=0.05)
 
 
@@ -354,15 +384,6 @@ class TestEnvelope:
         assert lam <= disk.lambda_n(mode + 1, b) + slack
         if mode > 0:
             assert lam <= disk.lambda_n(mode - 1, b) + slack
-
-
-class TestCurvePoints:
-    def test_branch_samples(self):
-        points = disk.curve_points(2, [0.0, 1.0, 3.5])
-        assert [p.b for p in points] == [0.0, 1.0, 3.5]
-        assert all(p.n == 2 for p in points)
-        assert points[0].lam == 2.0
-        assert points[2].lam == pytest.approx(disk.lambda_n(2, 3.5), rel=1e-15)
 
 
 # ------------------------------------------------- invariant suite delegates

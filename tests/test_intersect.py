@@ -89,7 +89,6 @@ class TestFindZn:
 
         monkeypatch.setattr(models, "compute_alpha", fail)
         assert intersect.find_zn(7, DEFAULT_TOL).z_n == intersect.find_zn(7).z_n
-        intersect.lambda_at_zn_asymptotic_check(7)
 
 
 class TestCheckFFormula:
@@ -147,8 +146,10 @@ class TestLambdaAtZnAsymptotic:
         assert abs(synthetic.lambda_at_zn - predicted) == 0.0
 
     def test_residual_scales(self):
-        assert intersect.lambda_at_zn_asymptotic_check(100) <= 0.5
-        assert intersect.lambda_at_zn_asymptotic_check(10_000) <= 0.05
+        # sqrt(n) |lambda_n(z_n) - prediction| <= 5: 0.5 at n = 100, 0.05 at n = 1e4
+        result = verify.check_crossing_eigenvalue_asymptotic(DEFAULT_TOL)
+        assert result.passed, result.detail
+        assert result.limit == 5.0
 
 
 # ---------------------------------------------------------------------- fit

@@ -47,7 +47,7 @@ class TestHalfplaneMultiplier:
 
     def test_argmin_is_alpha(self):
         alpha = models.compute_alpha()
-        assert models.halfplane_argmin() == pytest.approx(alpha, abs=1e-6)
+        assert verify.halfplane_argmin() == pytest.approx(alpha, abs=1e-6)
 
     def test_defined_on_negative_arguments(self):
         assert math.isfinite(models.halfplane_multiplier(-2.0))
@@ -101,7 +101,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_two_routes_agree(self, beta):
-        assert abs(models.phi(beta) - models.phi_from_integrals(beta)) <= 1e-9
+        assert abs(models.phi(beta) - verify.phi_from_integrals(beta)) <= 1e-9
 
 
 class TestDelta:

@@ -1,4 +1,4 @@
-"""Tests for the Kummer, Laguerre and parabolic cylinder evaluations.
+"""Tests for the Kummer and parabolic cylinder evaluations.
 
 Expected values come from independent oracles computed here: plain-float
 truncated series, the Euler-type integral representation, closed forms in
@@ -27,7 +27,6 @@ from magsteklov.specfun import (
     kummer_log_ratio,
     kummer_m,
     kummer_m_prime,
-    laguerre,
 )
 
 ALPHA_REF = 0.7649508673  # reference digits for the negative zero of D_{1/2}
@@ -342,21 +341,18 @@ class TestLargeZQuotient:
 
 
 class TestLaguerre:
+    """Laguerre functions of parameter 0 through kummer_m: L_nu^0(z) = M(-nu, 1, z)."""
+
     def test_constant(self):
-        assert laguerre(0.0, 0.0, 5.0) == pytest.approx(1.0, rel=1e-14)
+        assert kummer_m(0.0, 1.0, 5.0).value.to_float() == pytest.approx(1.0, rel=1e-14)
 
     def test_degree_one_polynomial(self):
         for z in (0.0, 0.7, 2.5):
-            assert laguerre(1.0, 0.0, z) == pytest.approx(1.0 - z, abs=1e-13)
+            assert kummer_m(-1.0, 1.0, z).value.to_float() == pytest.approx(1.0 - z, abs=1e-13)
 
     def test_half_order_value(self):
-        # Gamma(1/2)/(Gamma(1)Gamma(1/2)) M(1/2, 1, 1) = M(1/2, 1, 1)
         expected = series_oracle(0.5, 1.0, 1.0)  # = 1.7533876543770904
-        assert laguerre(-0.5, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_gamma_domain(self):
-        with pytest.raises(DomainError):
-            laguerre(-1.5, 0.0, 1.0)
+        assert kummer_m(0.5, 1.0, 1.0).value.to_float() == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------- cylinder

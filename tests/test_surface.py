@@ -1,0 +1,86 @@
+"""The library modules export only what the package itself uses.
+
+A name in the ``__all__`` of a library module is live when another module
+under ``magsteklov`` imports it or reads it as an attribute, or when a live
+definition of its own module refers to it (a result type, a helper that a
+live function calls).  Routes that only cross-check the library belong in
+``verify``, and helpers that only the tests use belong in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import magsteklov
+
+PACKAGE = Path(magsteklov.__file__).parent
+LIBRARY = ("numerics", "specfun", "disk", "intersect", "models")
+# public for callers outside the package: a caller times find_zn from a cold cache
+KEPT_FOR_CALLERS = {("intersect", "clear_cache")}
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    raise AssertionError("module has no __all__")
+
+
+def _used_by_other_modules(module):
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == module:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in (module, f"magsteklov.{module}"):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == module:
+                    used.add(node.attr)
+    return used
+
+
+def _references(tree):
+    """Each top-level definition's name -> the names read anywhere inside it."""
+    refs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in assigned if isinstance(t, ast.Name)]
+        else:
+            continue
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for target in targets:
+            refs[target] = read
+    return refs
+
+
+def _live(module):
+    tree = _tree(module)
+    refs = _references(tree)
+    live = set()
+    frontier = _used_by_other_modules(module)
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier |= refs.get(name, set())
+    return live
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_every_export_has_a_caller_in_the_package(module):
+    exports = _exports(_tree(module))
+    kept = {name for owner, name in KEPT_FOR_CALLERS if owner == module}
+    assert kept <= set(exports)
+    unused = [name for name in exports if name not in _live(module) | kept]
+    assert unused == [], f"{module} exports names nothing in the package uses: {unused}"
