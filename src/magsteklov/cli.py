@@ -5,8 +5,7 @@ crossing points, model-function graphs), resolves the model constants with
 their consistency checks, and runs the full invariant suite.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or a
-numerical failure (quadrature, series or root bracket) at the requested
-settings.
+numerical failure (quadrature, series or root bracket).
 Data files are deterministic byte-for-byte for a fixed configuration; a
 ``<out>.meta.json`` sidecar carries provenance (command, parameters,
 version) so the data itself stays timestamp-free.
@@ -22,12 +21,11 @@ import numpy as np
 
 from . import __version__, disk, intersect, models, verify
 from .numerics import (
-    DEFAULT_TOL,
+    REL_TOL,
     BracketError,
     ConvergenceError,
     DomainError,
     QuadratureError,
-    Tolerances,
 )
 from .specfun import cylinder_d
 
@@ -123,10 +121,9 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_intersections(args: argparse.Namespace) -> int:
-    tol = None if args.rel_tol is None else Tolerances(rel_tol=args.rel_tol)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        r = intersect.find_zn(n, tol)
+        r = intersect.find_zn(n)
         rows.append((r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F))
     _emit(args, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
     return 0
@@ -167,10 +164,9 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    tol = DEFAULT_TOL if args.rel_tol is None else Tolerances(rel_tol=args.rel_tol)
-    consts = models.constants(tol)
+    consts = models.constants()
     # called directly, not through run_suite, so a numerical failure exits 2
-    results = [check(tol) for check in verify.MODULES["constants"]]
+    results = [check() for check in verify.MODULES["constants"]]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "alpha": consts.alpha,
@@ -179,7 +175,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "delta_alpha": consts.delta_alpha,
         "u0_sq_at_0": consts.u0_sq_at_0,
         "alpha_upper_bound": consts.alpha_upper_bound,
-        "resolved_tol": consts.resolved_tol,
+        "resolved_tol": REL_TOL,
         "checks": {
             r.name.replace("-", "_"): {"residual": r.measured, "limit": r.limit, "pass": r.passed}
             for r in results
@@ -206,7 +202,7 @@ def cmd_degennes(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suite(only=args.only, rel_tol=args.rel_tol)
+    results = verify.run_suite(only=args.only)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -230,7 +226,6 @@ _FLAGS = {
     "steps": {"type": int},
     "out": {"help": "output path, or - for stdout"},
     "format": {"choices": ("csv", "json")},
-    "rel_tol": {"type": _finite_float},
     "only": {"help": "restrict verify to one module"},
 }
 _MODES = {"n_min": 0, "n_max": 5}
@@ -242,12 +237,12 @@ _DATA = {"out": "-", "format": "csv"}
 _SUBCOMMANDS = {
     "curves": (cmd_curves, {**_MODES, **_GRID, **_DATA}),
     "envelope": (cmd_envelope, {**_GRID, **_DATA}),
-    "intersections": (cmd_intersections, {**_MODES, **_DATA, "rel_tol": None}),
+    "intersections": (cmd_intersections, {**_MODES, **_DATA}),
     "asymptotics": (cmd_asymptotics, {**_MODES, "out": "-", "format": "json"}),
-    "constants": (cmd_constants, {"out": "-", "rel_tol": None}),
+    "constants": (cmd_constants, {"out": "-"}),
     "halfplane": (cmd_halfplane, {**_GRID, "b_min": -2.0, "b_max": 2.0, **_DATA}),
     "degennes": (cmd_degennes, {**_GRID, "b_max": 1.5, **_DATA}),
-    "verify": (cmd_verify, {"only": None, "rel_tol": None}),
+    "verify": (cmd_verify, {"only": None}),
 }
 
 
@@ -276,8 +271,6 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise ConfigError(f"need b_min <= b_max, got {args.b_min} > {args.b_max}")
     if "steps" in given and args.steps < 2:
         raise ConfigError(f"need steps >= 2, got {args.steps}")
-    if given.get("rel_tol") is not None and args.rel_tol <= 0:
-        raise ConfigError("rel-tol must be positive")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ConfigError, DomainError, KeyError, OSError, BracketError, ConvergenceError, QuadratureError
     ) as exc:
-        # numerics that cannot meet the requested settings are a setting error, not a failed check
+        # a numerical failure is reported like a setting error, not as a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,13 +75,14 @@ def active_mode(b: float, hint: int = 0) -> int:
     That is the unique n with z_{n-1} <= b <= z_n (z_{-1} taken as 0, so
     mode 0 owns [0, z_0]).  Membership is decided by the sign of
     M(-1/2, n+1, b) alone, which flips exactly at z_n; starting from
-    ``hint`` (or an asymptotic guess for large b) costs only a handful of
-    sign evaluations.
+    ``hint``, a mode index like ``n`` of lambda_n (or an asymptotic guess
+    for large b), costs only a handful of sign evaluations.
     """
     if not math.isfinite(b):
         raise DomainError(f"b must be finite, got b={b!r}")
     if b < 0.0:
         raise DomainError(f"field parameter must be >= 0, got {b}")
+    hint = _check_mode(hint)
     if b <= 1.0:  # z_0 ~ 1.58, mode 0 certainly active
         return 0
     guess = max(hint, int(b - 0.765 * math.sqrt(b)) - 1, 0)

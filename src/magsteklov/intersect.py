@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disk, models
-from .numerics import (
-    DEFAULT_TOL,
-    BracketError,
-    DomainError,
-    Tolerances,
-    brent_root,
-)
+from .numerics import BracketError, DomainError, brent_root
 
 __all__ = [
     "AsymptoticFit",
@@ -84,7 +78,8 @@ def _crossing_function(n: int):
     return f
 
 
-def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
+@functools.cache
+def _find_zn_cached(n: int) -> IntersectionRecord:
     alpha = models._alpha_cached()
     sqrt_n = math.sqrt(n)
     lo = n + 1.0
@@ -98,7 +93,7 @@ def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
         raise BracketError(
             f"no sign change for mode {n} on [{lo}, {hi}] (f={f_lo:.3e}, {f_hi:.3e})"
         )
-    z = brent_root(f, lo, hi, tol)
+    z = brent_root(f, lo, hi)
     lam = disk.lambda_n(n, z)
     return IntersectionRecord(
         n=n,
@@ -110,22 +105,14 @@ def _find_zn_impl(n: int, tol: Tolerances) -> IntersectionRecord:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _find_zn_cached(n: int) -> IntersectionRecord:
-    return _find_zn_impl(n, DEFAULT_TOL)
-
-
-def find_zn(n: int, tol: Tolerances | None = None) -> IntersectionRecord:
+def find_zn(n: int) -> IntersectionRecord:
     """Crossing point of the branches lambda_n and lambda_{n+1}.
 
-    Results at the default tolerance are cached per process; the records
-    are immutable.  Any integer type except bool is accepted as ``n``; it is
-    checked before the cache, where True would otherwise hit the entry of 1.
+    Results are cached per process; the records are immutable.  Any
+    integer type except bool is accepted as ``n``; it is checked before the
+    cache, where True would otherwise hit the entry of 1.
     """
-    n = disk._check_mode(n)
-    if tol is None:
-        return _find_zn_cached(n)
-    return _find_zn_impl(n, tol)
+    return _find_zn_cached(disk._check_mode(n))
 
 
 def clear_cache() -> None:

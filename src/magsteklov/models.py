@@ -22,17 +22,11 @@
   (1 - 10 alpha^2)/12 exactly, which ``verify`` uses as a two-route check.
 """
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
-from .numerics import (
-    DEFAULT_TOL,
-    DomainError,
-    Tolerances,
-    brent_root,
-    integrate_semi_infinite,
-)
+from .numerics import DomainError, brent_root, integrate_semi_infinite
 from .specfun import cylinder_d
 
 __all__ = [
@@ -50,6 +44,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# Relative accuracies of the ground-state density and of its norm quadrature
+# in comparison_bound, looser than REL_TOL.
+_DENSITY_REL_TOL = 1e-11
+_NORM_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class ModelConstants:
     delta_alpha: float  # (1 - 10 alpha^2) / 12
     u0_sq_at_0: float  # squared boundary value of the normalized half-line ground state
     alpha_upper_bound: float  # sqrt(2) * theta0 / u0_sq_at_0
-    resolved_tol: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -71,9 +68,9 @@ class ModelConstants:
             raise DomainError("alpha exceeds its variational upper bound")
 
 
-def compute_alpha(tol: Tolerances = DEFAULT_TOL) -> float:
+def compute_alpha() -> float:
     """Positive zero of x -> D_{1/2}(-x), bracketed in (0.5, 1.0)."""
-    return brent_root(lambda x: cylinder_d(0.5, -x, tol).value, 0.5, 1.0, tol)
+    return brent_root(lambda x: cylinder_d(0.5, -x).value, 0.5, 1.0)
 
 
 def halfplane_multiplier(xi: float) -> float:
@@ -88,8 +85,8 @@ def halfplane_multiplier(xi: float) -> float:
 
 def halfplane_bottom(b: float) -> float:
     """Bottom of the half-plane boundary-map spectrum: sqrt(b) * alpha."""
-    if b <= 0.0:
-        raise DomainError(f"field must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"b must be positive and finite, got b={b!r}")
     return math.sqrt(b) * _alpha_cached()
 
 
@@ -108,12 +105,12 @@ def degennes_f(xi: float) -> float:
     return xi * lower + _SQRT2 * upper
 
 
-def compute_xi0(tol: Tolerances = DEFAULT_TOL) -> float:
+def compute_xi0() -> float:
     """Root of degennes_f on (0.5, 1.0)."""
-    return brent_root(degennes_f, 0.5, 1.0, tol)
+    return brent_root(degennes_f, 0.5, 1.0)
 
 
-def moment_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float, float]:
+def moment_integrals(beta: float) -> tuple[float, float, float, float]:
     """The four half-line moments (A, B, C, D) at parameter beta.
 
     All integrands carry the weight exp(beta s - s^2/2); A and B use the
@@ -121,6 +118,8 @@ def moment_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> tuple[float,
     polynomial factor (s - s^3/3).  The moments grow like exp(beta^2/2),
     so beta beyond ~37 would overflow the double range.
     """
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got beta={beta!r}")
     if beta > 37.0:
         raise DomainError(f"moment integrals exceed the double range for beta={beta}")
 
@@ -129,7 +128,7 @@ def moment_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> tuple[float,
             w = math.exp(beta * s - 0.5 * s * s) * s**power
             return w * (s - s**3 / 3.0) if with_poly else w
 
-        return integrate_semi_infinite(f, decay_scale=beta, tol=tol)
+        return integrate_semi_infinite(f, decay_scale=beta)
 
     return (
         moment(0.5, False),
@@ -149,7 +148,7 @@ def phi(beta: float) -> float:
     return beta + half.value / minus_half.value
 
 
-def delta(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def delta(beta: float) -> float:
     """First correction Delta(beta) = (BC - AD)/C^2, by quadrature.
 
     Since B = D' and A = C' (derivatives in beta), this is also (D/C)'.
@@ -157,11 +156,11 @@ def delta(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:
     shortcut so that the exact value (1 - 10 alpha^2)/12 at beta = alpha is
     a genuine cross-check.
     """
-    a, b_, c, d_ = moment_integrals(beta, tol)
+    a, b_, c, d_ = moment_integrals(beta)
     return (b_ * c - a * d_) / (c * c)
 
 
-def comparison_bound(tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+def comparison_bound() -> tuple[float, float]:
     """Squared boundary value of the half-line ground state, and the bound.
 
     The normalized ground state of the half-line model at its optimal
@@ -171,50 +170,37 @@ def comparison_bound(tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """
     xi0 = _xi0_cached()
     nu = 0.5 * (xi0 * xi0 - 1.0)
-    boundary = cylinder_d(nu, -_SQRT2 * xi0, tol).value
-
-    inner_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-11))
+    boundary = cylinder_d(nu, -_SQRT2 * xi0).value
 
     def density(t: float) -> float:
         if t > 12.0:  # decays like exp(-(t - xi0)^2); below 1e-100 out here
             return 0.0
-        return cylinder_d(nu, _SQRT2 * (t - xi0), inner_tol).value ** 2
+        return cylinder_d(nu, _SQRT2 * (t - xi0), rel_tol=_DENSITY_REL_TOL).value ** 2
 
-    norm_tol = Tolerances(rel_tol=max(tol.rel_tol, 1e-9))
-    norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0, tol=norm_tol)
+    norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0, rel_tol=_NORM_REL_TOL)
     u0_sq = boundary * boundary / norm
     bound = _SQRT2 * xi0 * xi0 / u0_sq
     return u0_sq, bound
 
 
-_cache_lock = threading.Lock()
-_cached: dict[str, float] = {}
-
-
-def _once(key: str, compute) -> float:
-    with _cache_lock:
-        if key not in _cached:
-            _cached[key] = compute()
-        return _cached[key]
-
-
+# compute_alpha and compute_xi0 are looked up at call time, so a wrapper
+# installed on the module attribute sees the one call each makes.
+@functools.cache
 def _alpha_cached() -> float:
-    return _once("alpha", compute_alpha)
+    return compute_alpha()
 
 
+@functools.cache
 def _xi0_cached() -> float:
-    return _once("xi0", compute_xi0)
+    return compute_xi0()
 
 
-def constants(tol: Tolerances = DEFAULT_TOL) -> ModelConstants:
-    """All model constants; the default-tolerance resolution is cached per process."""
-    if tol == DEFAULT_TOL:
-        alpha = _alpha_cached()
-        xi0 = _xi0_cached()
-    else:
-        alpha = compute_alpha(tol)
-        xi0 = compute_xi0(tol)
-    u0_sq, bound = comparison_bound(tol)
+@functools.cache
+def constants() -> ModelConstants:
+    """All model constants, resolved once per process."""
+    alpha = _alpha_cached()
+    xi0 = _xi0_cached()
+    u0_sq, bound = comparison_bound()
     return ModelConstants(
         alpha=alpha,
         xi0=xi0,
@@ -222,5 +208,4 @@ def constants(tol: Tolerances = DEFAULT_TOL) -> ModelConstants:
         delta_alpha=(1.0 - 10.0 * alpha * alpha) / 12.0,
         u0_sq_at_0=u0_sq,
         alpha_upper_bound=bound,
-        resolved_tol=tol.rel_tol,
     )

@@ -1,9 +1,11 @@
 """Shared numeric substrate.
 
 Scaled power-of-two floats for overflow-free series summation, adaptive
-quadrature on the half line, a bracketing root finder, finite differences,
-and the Gamma function for positive arguments.  Everything here is a pure
-function of its inputs and safe to call concurrently.
+quadrature on the half line, a bracketing root finder and finite
+differences.  REL_TOL is the one relative accuracy the package asks of its
+iterative routines; the two kernels here take it as a float keyword.
+Everything here is a pure function of its inputs and safe to call
+concurrently.
 """
 
 import math
@@ -21,11 +23,10 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "QuadratureError",
+    "REL_TOL",
     "ScaledReal",
-    "Tolerances",
     "brent_root",
     "central_diff",
-    "gamma",
     "integrate_semi_infinite",
 ]
 
@@ -46,18 +47,8 @@ class QuadratureError(ArithmeticError):
     """Adaptive quadrature could not reach the requested accuracy."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative accuracy asked of the iterative routines."""
-
-    rel_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-
-
-DEFAULT_TOL = Tolerances()
+# Relative accuracy of quadrature and root finding, the default of every kernel.
+REL_TOL = 1e-13
 
 # Absolute error floor, Brent iteration budget and QUADPACK subinterval cap.
 _ABS_TOL = 1e-300
@@ -153,21 +144,10 @@ class ScaledReal:
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
 
-def gamma(x: float) -> float:
-    """Gamma function for x > 0.
-
-    Raises DomainError for x <= 0 and OverflowError past the double range
-    (x > ~171.6).  Relative accuracy is a few ulp throughout (0, 170].
-    """
-    if x <= 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 def integrate_semi_infinite(
     f: Callable[[float], float],
     decay_scale: float = 0.0,
-    tol: Tolerances = DEFAULT_TOL,
+    rel_tol: float = REL_TOL,
 ) -> float:
     """Integral of f over (0, infinity) for Gaussian- or exponentially-decaying f.
 
@@ -178,8 +158,11 @@ def integrate_semi_infinite(
     The half line is truncated at decay_scale + 48 (the discarded tail is
     below 1e-20 relative for exp(-t) decay, far smaller for Gaussian decay)
     and the remaining finite integral is handled by adaptive Gauss-Kronrod
-    panels with breakpoints seeded around the region that carries the mass.
+    panels with breakpoints seeded around the region that carries the mass,
+    to the relative accuracy ``rel_tol`` (positive and finite).
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     peak = max(decay_scale, 0.0)
     upper = peak + 48.0
     seeds = sorted({0.25, 1.0, peak + 1.0, peak + 8.0, upper / 2.0})
@@ -192,14 +175,14 @@ def integrate_semi_infinite(
             points=seeds,
             limit=_QUAD_PANELS_MAX,
             epsabs=_ABS_TOL,
-            epsrel=tol.rel_tol,
+            epsrel=rel_tol,
             full_output=True,
         )
     except ValueError as exc:  # requested tolerance tighter than QUADPACK allows
         raise QuadratureError(str(exc)) from exc
     value, abserr = out[0], out[1]
     if len(out) > 3:  # quadpack gave up; accept only if the estimate is still good
-        if abserr > max(100.0 * tol.rel_tol * abs(value), _ABS_TOL):
+        if abserr > max(100.0 * rel_tol * abs(value), _ABS_TOL):
             raise QuadratureError(out[3])
     return value
 
@@ -208,13 +191,17 @@ def brent_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: Tolerances = DEFAULT_TOL,
+    rel_tol: float = REL_TOL,
 ) -> float:
     """Root of f on [lo, hi], which must bracket a sign change.
 
-    Raises BracketError when f(lo) and f(hi) have the same sign and
-    ConvergenceError if the iteration budget is exhausted.
+    The root is located to the relative accuracy ``rel_tol`` (positive and
+    finite, floored at 4 eps).  Raises BracketError when f(lo) and f(hi)
+    have the same sign and ConvergenceError if the iteration budget is
+    exhausted.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
     try:
@@ -223,7 +210,7 @@ def brent_root(
             lo,
             hi,
             xtol=_ABS_TOL,
-            rtol=max(tol.rel_tol, 4.0 * EPS),
+            rtol=max(rel_tol, 4.0 * EPS),
             maxiter=_MAX_ITER,
             full_output=True,
             disp=False,

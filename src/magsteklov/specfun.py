@@ -36,12 +36,10 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (
-    DEFAULT_TOL,
+    REL_TOL,
     ConvergenceError,
     DomainError,
     ScaledReal,
-    Tolerances,
-    gamma,
     integrate_semi_infinite,
 )
 
@@ -238,14 +236,15 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     return (a / c) * float(num / den)
 
 
-def _cylinder_from_integral(nu: float, z: float, tol: Tolerances) -> float:
+def _cylinder_from_integral(nu: float, z: float, rel_tol: float) -> float:
     """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation."""
     power = -nu - 1.0
 
     def integrand(t: float) -> float:
         return t**power * math.exp(-0.5 * t * t - z * t)
 
-    return math.exp(-0.25 * z * z) * integrate_semi_infinite(integrand, tol=tol) / gamma(-nu)
+    integral = integrate_semi_infinite(integrand, rel_tol=rel_tol)
+    return math.exp(-0.25 * z * z) * integral / math.gamma(-nu)
 
 
 def _reciprocal_gamma(x: float) -> float:
@@ -279,7 +278,7 @@ def _cylinder_even_odd(nu: float, z: float) -> float:
     return float(prefactor * (even + odd))
 
 
-def _cylinder_value(nu: float, z: float, tol: Tolerances) -> tuple[float, float]:
+def _cylinder_value(nu: float, z: float, rel_tol: float) -> tuple[float, float]:
     """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the sign of z.
 
     z <= 0: even/odd Kummer decomposition for both orders; its pieces
@@ -294,15 +293,15 @@ def _cylinder_value(nu: float, z: float, tol: Tolerances) -> tuple[float, float]
         return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
     lifts = max(0, int(math.floor(nu)) + 2)
     mu = nu - lifts
-    below = _cylinder_from_integral(mu - 1.0, z, tol)
-    value = _cylinder_from_integral(mu, z, tol)
+    below = _cylinder_from_integral(mu - 1.0, z, rel_tol)
+    value = _cylinder_from_integral(mu, z, rel_tol)
     for _ in range(lifts):
         below, value = value, z * value - mu * below
         mu += 1.0
     return value, below
 
 
-def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderValue:
+def cylinder_d(nu: float, z: float, rel_tol: float = REL_TOL) -> CylinderValue:
     """Parabolic cylinder function D_nu(z) with derivative, nu in [-4, 4].
 
     The derivative is always the recurrence combination
@@ -313,6 +312,6 @@ def cylinder_d(nu: float, z: float, tol: Tolerances = DEFAULT_TOL) -> CylinderVa
     _require_finite(z=z)
     if abs(z) > 50.0:
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
-    value, below = _cylinder_value(nu, z, tol)
+    value, below = _cylinder_value(nu, z, rel_tol)
     derivative = nu * below - 0.5 * z * value
     return CylinderValue(value=value, derivative=derivative)

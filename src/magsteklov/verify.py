@@ -12,7 +12,6 @@ characterization of z_n, Phi as a moment ratio, and the argmin of f1 found
 without its closed form.
 """
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -21,13 +20,11 @@ import numpy as np
 
 from . import disk, intersect, models
 from .numerics import (
-    DEFAULT_TOL,
+    REL_TOL,
     DomainError,
     ScaledReal,
-    Tolerances,
     brent_root,
     central_diff,
-    gamma,
     integrate_semi_infinite,
 )
 from .specfun import cylinder_d, kummer_m, kummer_m_prime
@@ -55,7 +52,7 @@ def _result(module, name, measured, limit, extra=""):
 # ----------------------------------------------------------------- numerics
 
 
-def check_scaled_round_trip(tol):
+def check_scaled_round_trip():
     rng = random.Random(20240811)
     bad = 0
     for _ in range(2000):
@@ -65,7 +62,7 @@ def check_scaled_round_trip(tol):
     return _result("numerics", "scaled-real-round-trip", float(bad), 0.0, "2000 samples")
 
 
-def check_scaled_sum_grouping(tol):
+def check_scaled_sum_grouping():
     rng = random.Random(7)
     worst = 0.0
     for _ in range(20):
@@ -84,17 +81,17 @@ def check_scaled_sum_grouping(tol):
     return _result("numerics", "scaled-sum-grouping", worst, limit)
 
 
-def check_quadrature_gamma_family(tol):
+def check_quadrature_gamma_family():
     worst = 0.0
     for k in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        value = integrate_semi_infinite(lambda t, k=k: t**k * math.exp(-t), 1.0, tol)
-        worst = max(worst, abs(value - gamma(k + 1.0)) / gamma(k + 1.0))
-    return _result("numerics", "quadrature-gamma-family", worst, 5.0 * tol.rel_tol)
+        value = integrate_semi_infinite(lambda t, k=k: t**k * math.exp(-t), 1.0)
+        worst = max(worst, abs(value - math.gamma(k + 1.0)) / math.gamma(k + 1.0))
+    return _result("numerics", "quadrature-gamma-family", worst, 5.0 * REL_TOL)
 
 
-def check_brent_bracket_invariance(tol):
+def check_brent_bracket_invariance():
     f = math.cos
-    roots = [brent_root(f, lo, hi, tol) for lo, hi in ((1.0, 2.0), (0.5, 3.0), (1.4, 1.8))]
+    roots = [brent_root(f, lo, hi) for lo, hi in ((1.0, 2.0), (0.5, 3.0), (1.4, 1.8))]
     worst = max(abs(r - roots[0]) for r in roots)
     return _result("numerics", "brent-bracket-invariance", worst, 1e-12)
 
@@ -121,7 +118,7 @@ def _mval(a, c, z):
     return kummer_m(a, c, z).value
 
 
-def check_contiguous_c_shift(tol):
+def check_contiguous_c_shift():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
         worst = max(
@@ -137,7 +134,7 @@ def check_contiguous_c_shift(tol):
     return _result("specfun", "kummer-contiguous-c-shift", worst, 1e-10)
 
 
-def check_contiguous_a_shift(tol):
+def check_contiguous_a_shift():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
         worst = max(
@@ -153,7 +150,7 @@ def check_contiguous_a_shift(tol):
     return _result("specfun", "kummer-contiguous-a-shift", worst, 1e-10)
 
 
-def check_contiguous_derivative_a(tol):
+def check_contiguous_derivative_a():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
         worst = max(
@@ -169,7 +166,7 @@ def check_contiguous_derivative_a(tol):
     return _result("specfun", "kummer-contiguous-derivative-a", worst, 1e-10)
 
 
-def check_contiguous_derivative_ac(tol):
+def check_contiguous_derivative_ac():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
         worst = max(
@@ -185,7 +182,7 @@ def check_contiguous_derivative_ac(tol):
     return _result("specfun", "kummer-contiguous-derivative-ac", worst, 1e-10)
 
 
-def check_kummer_derivative_fd(tol):
+def check_kummer_derivative_fd():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
         if z > 10.0:
@@ -205,7 +202,7 @@ def _cyl_rel(parts):
     return abs(total) / scale if scale else 0.0
 
 
-def check_cylinder_recurrence_derivative_up(tol):
+def check_cylinder_recurrence_derivative_up():
     worst = 0.0
     for nu, z in _CYL_GRID:
         d = cylinder_d(nu, z)
@@ -214,7 +211,7 @@ def check_cylinder_recurrence_derivative_up(tol):
     return _result("specfun", "cylinder-recurrence-derivative-up", worst, 1e-9)
 
 
-def check_cylinder_recurrence_three_term(tol):
+def check_cylinder_recurrence_three_term():
     worst = 0.0
     for nu, z in _CYL_GRID:
         d = cylinder_d(nu, z)
@@ -224,7 +221,7 @@ def check_cylinder_recurrence_three_term(tol):
     return _result("specfun", "cylinder-recurrence-three-term", worst, 1e-9)
 
 
-def check_cylinder_recurrence_derivative_down(tol):
+def check_cylinder_recurrence_derivative_down():
     worst = 0.0
     for nu, z in _CYL_GRID:
         d = cylinder_d(nu, z)
@@ -233,7 +230,7 @@ def check_cylinder_recurrence_derivative_down(tol):
     return _result("specfun", "cylinder-recurrence-derivative-down", worst, 1e-9)
 
 
-def check_cylinder_ode(tol):
+def check_cylinder_ode():
     worst = 0.0
     for nu in (-1.5, -0.5, 0.5):
         for z in (0.7, 1.3, 2.6):
@@ -243,7 +240,7 @@ def check_cylinder_ode(tol):
     return _result("specfun", "cylinder-ode-residual", worst, 1e-5)
 
 
-def check_cylinder_asymptotic(tol):
+def check_cylinder_asymptotic():
     worst = 0.0
     z = 12.0
     for nu in (-1.5, -0.5):
@@ -252,7 +249,7 @@ def check_cylinder_asymptotic(tol):
     return _result("specfun", "cylinder-large-z-asymptotic", worst, 0.02)
 
 
-def check_cylinder_positivity(tol):
+def check_cylinder_positivity():
     bad = 0
     for nu in (-3.5, -1.5, -0.5, -0.05):
         for z in np.linspace(-10.0, 10.0, 41):
@@ -298,7 +295,7 @@ def lambda_n_prime_alt(n: int, z: float) -> float:
 _BRANCH_B = [0.5, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
 
 
-def check_branch_inequality(tol):
+def check_branch_inequality():
     worst = -math.inf
     for n in range(1, 21):
         for b in _BRANCH_B:
@@ -306,7 +303,7 @@ def check_branch_inequality(tol):
     return _result("disk", "branch-diamagnetic-inequality", worst, 1e-12)
 
 
-def check_branch_positivity(tol):
+def check_branch_positivity():
     worst = -math.inf
     for n in range(0, 21):
         for b in _BRANCH_B + [0.0]:
@@ -314,7 +311,7 @@ def check_branch_positivity(tol):
     return _result("disk", "branch-positivity", worst, 1e-12)
 
 
-def check_lambda_prime_vs_fd(tol):
+def check_lambda_prime_vs_fd():
     worst = 0.0
     for n in (1, 3, 10):
         for z in (1.0, 5.0, 20.0):
@@ -324,7 +321,7 @@ def check_lambda_prime_vs_fd(tol):
     return _result("disk", "lambda-prime-vs-finite-difference", worst, 1e-6)
 
 
-def check_lambda_prime_two_forms(tol):
+def check_lambda_prime_two_forms():
     worst = 0.0
     for n in (1, 3, 10):
         for z in (1.0, 5.0, 20.0):
@@ -334,7 +331,7 @@ def check_lambda_prime_two_forms(tol):
     return _result("disk", "lambda-prime-two-closed-forms", worst, 1e-10)
 
 
-def check_envelope_monotone(tol):
+def check_envelope_monotone():
     grid = np.linspace(0.01, 100.0, 10_000)
     values = [p.lambda_dn for p in disk.envelope(list(grid))]
     worst = max(
@@ -344,7 +341,7 @@ def check_envelope_monotone(tol):
     return _result("disk", "envelope-strictly-increasing", worst, -1e-15, "10000-point grid")
 
 
-def check_envelope_window_argmin(tol):
+def check_envelope_window_argmin():
     # the active mode's branch is the lowest of every branch in a window of
     # modes around b, found without the crossing-sign search
     worst = 0.0
@@ -356,7 +353,7 @@ def check_envelope_window_argmin(tol):
     return _result("disk", "envelope-mode-is-window-argmin", worst, 1e-10, "50-point grid")
 
 
-def check_mode_switch(tol):
+def check_mode_switch():
     failures = 0
     prev_mode = 0
     for n in range(4):
@@ -396,19 +393,19 @@ def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
     return (z_prev - n) / z_prev
 
 
-def check_characterization_equivalence(tol):
+def check_characterization_equivalence():
     worst = 0.0
     for n in (0, 1, 5, 20, 100):
         worst = max(worst, characterization_residual(n, intersect.find_zn(n).z_n))
     return _result("intersect", "characterization-equivalence", worst, 1e-9)
 
 
-def check_f_formula(tol):
+def check_f_formula():
     worst = intersect.check_F_formula(50)
     return _result("intersect", "crossing-eigenvalue-formula", worst, 1e-8)
 
 
-def check_crossing_ordering(tol):
+def check_crossing_ordering():
     zs = [intersect.find_zn(n).z_n for n in range(51)]
     gaps = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     lower = [zs[i] - (i + 1.0) for i in range(len(zs))]
@@ -416,7 +413,7 @@ def check_crossing_ordering(tol):
     return _result("intersect", "crossing-ordering-and-lower-bound", worst, 0.0)
 
 
-def check_stationary_at_previous_crossing(tol):
+def check_stationary_at_previous_crossing():
     worst = 0.0
     for n in (1, 2, 5):
         z_prev = intersect.find_zn(n - 1).z_n
@@ -427,7 +424,7 @@ def check_stationary_at_previous_crossing(tol):
     return _result("intersect", "stationarity-at-previous-crossing", worst, 1e-6)
 
 
-def check_beta_trend(tol):
+def check_beta_trend():
     alpha = models.compute_alpha()
     correction = (2.0 * alpha * alpha + 1.0) / 6.0
     worst = 0.0
@@ -437,7 +434,7 @@ def check_beta_trend(tol):
     return _result("intersect", "beta-second-order-trend", worst, 5.0, "scaled by n")
 
 
-def check_envelope_sandwich(tol):
+def check_envelope_sandwich():
     worst = -math.inf
     for n in (2, 5, 10):
         z_lo = intersect.find_zn(n - 1).z_n
@@ -448,7 +445,7 @@ def check_envelope_sandwich(tol):
     return _result("intersect", "envelope-sandwich-bounds", worst, 1e-9)
 
 
-def check_crossing_eigenvalue_asymptotic(tol):
+def check_crossing_eigenvalue_asymptotic():
     # lambda_n(z_n) = alpha sqrt(n) + (alpha^2 - 1)/3 + O(n^{-1/2})
     alpha = models.compute_alpha()
     worst = 0.0
@@ -480,35 +477,34 @@ def halfplane_argmin(lo: float = 0.0, hi: float = 2.0) -> float:
     def slope(xi: float) -> float:
         return central_diff(f1, xi)
 
-    polish_tol = Tolerances(rel_tol=1e-11)
-    return brent_root(slope, coarse - 1e-3, coarse + 1e-3, polish_tol)
+    return brent_root(slope, coarse - 1e-3, coarse + 1e-3, rel_tol=1e-11)
 
 
-def phi_from_integrals(beta: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def phi_from_integrals(beta: float) -> float:
     """Phi computed as the raw moment ratio A/C, a cross-check route."""
-    a, _, c, _ = models.moment_integrals(beta, tol)
+    a, _, c, _ = models.moment_integrals(beta)
     return a / c
 
 
-def check_first_order_condition(tol):
+def check_first_order_condition():
     xi = halfplane_argmin()
     cd = cylinder_d(-0.5, -xi)
     residual = abs(0.5 * xi * cd.value + cd.derivative) / abs(cd.value)
     return _result("models", "halfplane-first-order-condition", residual, 1e-8)
 
 
-def check_neumann_condition(tol):
+def check_neumann_condition():
     xi0 = models.compute_xi0()
     nu = 0.5 * (xi0 * xi0 - 1.0)
     residual = abs(cylinder_d(nu, -math.sqrt(2.0) * xi0).derivative)
     return _result("models", "degennes-neumann-condition", residual, 1e-7)
 
 
-def check_moment_ode(tol):
+def check_moment_ode():
     worst = 0.0
     for beta in (0.0, 0.5, models.compute_alpha(), 1.0):
         def c_of(b):
-            return models.moment_integrals(b, tol)[2]
+            return models.moment_integrals(b)[2]
 
         second = central_diff(c_of, beta, order=2)
         first = central_diff(c_of, beta, order=1)
@@ -517,14 +513,14 @@ def check_moment_ode(tol):
     return _result("models", "moment-ode-residual", worst, 1e-5)
 
 
-def check_phi_no_pole(tol):
+def check_phi_no_pole():
     worst = -math.inf
     for beta in np.linspace(-2.0, 2.0, 33):
         worst = max(worst, -cylinder_d(-0.5, -float(beta)).value)
     return _result("models", "phi-denominator-positive", worst, 0.0)
 
 
-def check_halfplane_scaling(tol):
+def check_halfplane_scaling():
     alpha = models.compute_alpha()
     worst = 0.0
     for b in (1.0, 2.0, 10.0, 100.0):
@@ -532,34 +528,33 @@ def check_halfplane_scaling(tol):
     return _result("models", "halfplane-sqrt-scaling", worst, 1e-14)
 
 
-def check_phi_two_routes(tol):
+def check_phi_two_routes():
     worst = 0.0
     for beta in (0.0, 0.5, 1.0):
-        worst = max(worst, abs(models.phi(beta) - phi_from_integrals(beta, tol)))
+        worst = max(worst, abs(models.phi(beta) - phi_from_integrals(beta)))
     return _result("models", "phi-cylinder-vs-quadrature", worst, 1e-9)
 
 
 # ---------------------------------------------------------------- constants
 # The checks ``magsteklov constants`` reports; each JSON key is the check
-# name with - replaced by _.  The group shares one resolution of the constants.
+# name with - replaced by _.  The group shares the one resolution of the
+# constants that models caches.
 
-_model_constants = functools.lru_cache(maxsize=1)(models.constants)
-
-_CONSTANTS_CHECKS = {  # name: (limit, residual from the constants and the tolerance)
-    "alpha-matches-reference": (1e-8, lambda c, tol: abs(c.alpha - 0.7649508673)),
-    "theta0-matches-reference": (1e-6, lambda c, tol: abs(c.theta0 - 0.5901061249)),
-    "cylinder-root-residual": (1e-10, lambda c, tol: abs(cylinder_d(0.5, -c.alpha).value)),
-    "halfplane-fixed-point": (1e-8, lambda c, tol: abs(models.halfplane_multiplier(c.alpha) - c.alpha)),
-    "phi-prime-alpha": (1e-6, lambda c, tol: abs(central_diff(models.phi, c.alpha) - 0.5)),
-    "delta-alpha-two-routes": (1e-6, lambda c, tol: abs(models.delta(c.alpha, tol) - c.delta_alpha)),
-    "f-formula-max-residual": (1e-8, lambda c, tol: intersect.check_F_formula(20)),
-    "alpha-below-bound": (0.0, lambda c, tol: max(0.0, c.alpha - c.alpha_upper_bound)),
+_CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
+    "alpha-matches-reference": (1e-8, lambda c: abs(c.alpha - 0.7649508673)),
+    "theta0-matches-reference": (1e-6, lambda c: abs(c.theta0 - 0.5901061249)),
+    "cylinder-root-residual": (1e-10, lambda c: abs(cylinder_d(0.5, -c.alpha).value)),
+    "halfplane-fixed-point": (1e-8, lambda c: abs(models.halfplane_multiplier(c.alpha) - c.alpha)),
+    "phi-prime-alpha": (1e-6, lambda c: abs(central_diff(models.phi, c.alpha) - 0.5)),
+    "delta-alpha-two-routes": (1e-6, lambda c: abs(models.delta(c.alpha) - c.delta_alpha)),
+    "f-formula-max-residual": (1e-8, lambda c: intersect.check_F_formula(20)),
+    "alpha-below-bound": (0.0, lambda c: max(0.0, c.alpha - c.alpha_upper_bound)),
 }
 
 
 def _constants_check(name, limit, residual):
-    def check(tol):
-        return _result("constants", name, residual(_model_constants(tol), tol), limit)
+    def check():
+        return _result("constants", name, residual(models.constants()), limit)
 
     check.__name__ = "check_" + name.replace("-", "_")
     return check
@@ -615,22 +610,21 @@ MODULES: dict[str, list] = {
 }
 
 
-def run_suite(only: str | None = None, rel_tol: float | None = None) -> list[CheckResult]:
-    """Run the named checks, optionally for one module or a custom tolerance.
+def run_suite(only: str | None = None) -> list[CheckResult]:
+    """Run the named checks, all of them or those of one module.
 
-    A check that raises (e.g. quadrature refusing an untenable tolerance)
-    is reported as a named failure rather than aborting the suite.
+    A check that raises (a quadrature, series or root that fails) is
+    reported as a named failure rather than aborting the suite.
     """
     if only is not None and only not in MODULES:
         raise KeyError(f"unknown module {only!r}; choose from {sorted(MODULES)}")
-    tol = DEFAULT_TOL if rel_tol is None else Tolerances(rel_tol=rel_tol)
     results = []
     for module, checks in MODULES.items():
         if only is not None and module != only:
             continue
         for check in checks:
             try:
-                results.append(check(tol))
+                results.append(check())
             except (ArithmeticError, ValueError) as exc:
                 name = check.__name__.removeprefix("check_").replace("_", "-")
                 detail = f"raised {exc!r}"

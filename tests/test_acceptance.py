@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from magsteklov import disk, intersect, models, verify
-from magsteklov.numerics import DEFAULT_TOL, Tolerances, central_diff
+from magsteklov.numerics import central_diff
 
 ALPHA_REF = 0.7649508673
 THETA0_REF = 0.5901061249
@@ -30,7 +30,7 @@ def alpha():
 
 def test_criterion_01_alpha_constant():
     start = time.perf_counter()
-    alpha = models.compute_alpha(Tolerances())  # uncached path
+    alpha = models.compute_alpha()  # uncached path
     elapsed = time.perf_counter() - start
     error = abs(alpha - ALPHA_REF)
     assert error <= 1e-8
@@ -40,7 +40,7 @@ def test_criterion_01_alpha_constant():
 
 def test_criterion_02_degennes_constants():
     start = time.perf_counter()
-    xi0 = models.compute_xi0(Tolerances())  # uncached path
+    xi0 = models.compute_xi0()  # uncached path
     elapsed = time.perf_counter() - start
     xi_err = abs(xi0 - XI0_REF)
     theta_err = abs(xi0 * xi0 - THETA0_REF)
@@ -133,7 +133,7 @@ def test_criterion_08_identity_suite():
     ]
     failures = []
     for check, _ in checks:
-        result = check(DEFAULT_TOL)
+        result = check()
         if not result.passed:
             failures.append(f"{result.name}: {result.detail}")
     assert not failures, "; ".join(failures)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from magsteklov import cli, verify
+from magsteklov import cli, models, verify
+from magsteklov.numerics import QuadratureError
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -221,15 +223,19 @@ class TestVerifyCommand:
     def test_unknown_module_is_config_error(self):
         assert cli.main(["verify", "--only", "nonsense"]) == 2
 
-    def test_tightened_tolerance_reports_by_name(self, capsys):
-        # 100x tighter than default quadrature accuracy; may legitimately fail,
-        # and when it does the failing check must be named
-        code = cli.main(["verify", "--only", "numerics", "--rel-tol", "1e-15"])
+    def test_tightened_tolerance_reports_by_name(self, capsys, monkeypatch):
+        # a check whose quadrature raises is a named failure, not an aborted suite
+        def refuse(*args, **kwargs):
+            raise QuadratureError("cannot reach the requested accuracy")
+
+        monkeypatch.setattr(verify, "integrate_semi_infinite", refuse)
+        failed = [r for r in verify.run_suite(only="numerics") if not r.passed]
+        assert [r.name for r in failed] == ["quadrature-gamma-family"]
+        assert math.isnan(failed[0].measured) and math.isnan(failed[0].limit)
+        assert cli.main(["verify", "--only", "numerics"]) == 1
         captured = capsys.readouterr()
-        if code == 1:
-            assert "FAILED:" in captured.err
-        else:
-            assert "PASS" in captured.out
+        assert "FAILED: quadrature-gamma-family" in captured.err
+        assert "PASS" in captured.out
 
 
 class TestConfigValidation:
@@ -254,12 +260,12 @@ class TestFlags:
     EXPECTED = {
         "curves": {"--n-min", "--n-max", "--b-min", "--b-max", "--steps", "--out", "--format"},
         "envelope": {"--b-min", "--b-max", "--steps", "--out", "--format"},
-        "intersections": {"--n-min", "--n-max", "--out", "--format", "--rel-tol"},
+        "intersections": {"--n-min", "--n-max", "--out", "--format"},
         "asymptotics": {"--n-min", "--n-max", "--out", "--format"},
-        "constants": {"--out", "--rel-tol"},
+        "constants": {"--out"},
         "halfplane": {"--b-min", "--b-max", "--steps", "--out", "--format"},
         "degennes": {"--b-min", "--b-max", "--steps", "--out", "--format"},
-        "verify": {"--only", "--rel-tol"},
+        "verify": {"--only"},
     }
 
     @pytest.mark.parametrize("command", sorted(EXPECTED))
@@ -281,6 +287,9 @@ class TestFlags:
             ["halfplane", "--n-min", "1"],
             ["degennes", "--rel-tol", "1e-9"],
             ["verify", "--out", "x"],
+            ["intersections", "--rel-tol", "1e-9"],
+            ["constants", "--rel-tol", "1e-9"],
+            ["verify", "--rel-tol", "1e-9"],
         ],
         ids=lambda argv: "-".join(argv[:2]),
     )
@@ -296,7 +305,6 @@ class TestFlags:
             ["envelope", "--b-max", "inf"],
             ["halfplane", "--b-min", "nan"],
             ["curves", "--b-min=-inf"],  # a bare -inf would parse as a flag
-            ["verify", "--rel-tol", "nan"],
         ],
         ids=lambda argv: "-".join(argv),
     )
@@ -339,9 +347,13 @@ def test_python_dash_m_cli_module_warns_nothing():
     assert proc.stderr == ""
 
 
-def test_numerical_failure_exits_2_without_traceback():
-    # quadrature cannot reach 1e-16; that is not a failed check (exit 1)
-    proc = run_python("-m", "magsteklov", "constants", "--rel-tol", "1e-16")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+def test_numerical_failure_exits_2_without_traceback(capsys, monkeypatch):
+    # a quadrature that fails is a numerical failure, not a failed check (exit 1)
+    def refuse():
+        raise QuadratureError("cannot reach the requested accuracy")
+
+    monkeypatch.setattr(models, "constants", refuse)
+    assert cli.main(["constants"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot reach the requested accuracy\n"

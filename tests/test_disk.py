@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsteklov import disk, specfun, verify
-from magsteklov.numerics import DEFAULT_TOL, DomainError, ScaledReal, central_diff
+from magsteklov.numerics import DomainError, ScaledReal, central_diff
 
 # ----------------------------------------------------------------- oracles
 
@@ -385,6 +385,17 @@ class TestEnvelope:
         if mode > 0:
             assert lam <= disk.lambda_n(mode - 1, b) + slack
 
+    @pytest.mark.parametrize("hint", [60.5, True, math.nan])
+    def test_hint_must_be_a_mode_index(self, hint):
+        # unchecked, 60.5 would come back as the mode 44.5 and NaN would fail in the series
+        with pytest.raises(DomainError, match="mode index"):
+            disk.active_mode(50.0, hint=hint)
+
+    def test_hint_accepts_any_integer_type(self):
+        mode = disk.active_mode(50.0, hint=np.int64(60))
+        assert type(mode) is int
+        assert mode == disk.active_mode(50.0)
+
 
 # ------------------------------------------------- invariant suite delegates
 
@@ -402,5 +413,5 @@ class TestEnvelope:
     ids=lambda fn: fn.__name__,
 )
 def test_invariant_suite(check):
-    result = check(DEFAULT_TOL)
+    result = check()
     assert result.passed, result.detail

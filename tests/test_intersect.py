@@ -7,7 +7,7 @@ import pytest
 
 from magsteklov import disk, intersect, models, verify
 from magsteklov.intersect import IntersectionRecord
-from magsteklov.numerics import DEFAULT_TOL, DomainError
+from magsteklov.numerics import DomainError
 
 # ----------------------------------------------------------------- oracles
 
@@ -71,24 +71,23 @@ class TestFindZn:
         record = intersect.find_zn(np.int64(3))
         assert type(record.n) is int
         assert record == intersect.find_zn(3)
-        assert intersect.find_zn(np.int64(3), DEFAULT_TOL) == record
 
     def test_mode_rejects_bool_even_when_one_is_cached(self):
         intersect.find_zn(1)
         for bad in (True, 2.0):
             with pytest.raises(DomainError):
                 intersect.find_zn(bad)
-            with pytest.raises(DomainError):
-                intersect.find_zn(bad, DEFAULT_TOL)
 
     def test_uses_the_cached_alpha(self, monkeypatch):
         models._alpha_cached()
+        expected = intersect.find_zn(7)
+        intersect.clear_cache()
 
         def fail(*args, **kwargs):
             raise AssertionError("compute_alpha called per crossing point")
 
         monkeypatch.setattr(models, "compute_alpha", fail)
-        assert intersect.find_zn(7, DEFAULT_TOL).z_n == intersect.find_zn(7).z_n
+        assert intersect.find_zn(7) == expected
 
 
 class TestCheckFFormula:
@@ -147,7 +146,7 @@ class TestLambdaAtZnAsymptotic:
 
     def test_residual_scales(self):
         # sqrt(n) |lambda_n(z_n) - prediction| <= 5: 0.5 at n = 100, 0.05 at n = 1e4
-        result = verify.check_crossing_eigenvalue_asymptotic(DEFAULT_TOL)
+        result = verify.check_crossing_eigenvalue_asymptotic()
         assert result.passed, result.detail
         assert result.limit == 5.0
 
@@ -212,5 +211,5 @@ class TestFitAsymptotics:
     ids=lambda fn: fn.__name__,
 )
 def test_invariant_suite(check):
-    result = check(DEFAULT_TOL)
+    result = check()
     assert result.passed, result.detail

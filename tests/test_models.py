@@ -5,7 +5,7 @@ import math
 import pytest
 
 from magsteklov import models, verify
-from magsteklov.numerics import DEFAULT_TOL, DomainError, Tolerances, central_diff, gamma
+from magsteklov.numerics import DomainError, central_diff
 from magsteklov.specfun import cylinder_d
 
 ALPHA_REF = 0.7649508673
@@ -28,10 +28,6 @@ class TestAlpha:
         alpha = models.compute_alpha()
         assert models.halfplane_multiplier(alpha) == pytest.approx(alpha, abs=1e-8)
 
-    def test_custom_tolerance_accepted(self):
-        loose = models.compute_alpha(Tolerances(rel_tol=1e-9))
-        assert loose == pytest.approx(models.compute_alpha(), abs=1e-8)
-
 
 # -------------------------------------------------------------- half plane
 
@@ -39,8 +35,8 @@ class TestAlpha:
 class TestHalfplaneMultiplier:
     def test_value_at_zero_closed_form(self):
         # f1(0) = 2 D_{1/2}(0)/D_{-1/2}(0) with D_nu(0) = 2^{nu/2} sqrt(pi)/Gamma((1-nu)/2)
-        d_half = 2.0**0.25 * math.sqrt(math.pi) / gamma(0.25)
-        d_minus = 2.0**-0.25 * math.sqrt(math.pi) / gamma(0.75)
+        d_half = 2.0**0.25 * math.sqrt(math.pi) / math.gamma(0.25)
+        d_minus = 2.0**-0.25 * math.sqrt(math.pi) / math.gamma(0.75)
         assert models.halfplane_multiplier(0.0) == pytest.approx(
             2.0 * d_half / d_minus, rel=1e-11
         )
@@ -65,6 +61,11 @@ class TestHalfplaneBottom:
     def test_domain(self):
         with pytest.raises(DomainError):
             models.halfplane_bottom(0.0)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, b):
+        with pytest.raises(DomainError, match="^b must be positive and finite"):
+            models.halfplane_bottom(b)
 
 
 # ---------------------------------------------------------------- de Gennes
@@ -124,6 +125,13 @@ class TestDelta:
         a, _, c, _ = models.moment_integrals(alpha)
         assert a / c == pytest.approx(alpha, abs=1e-7)  # A = C', so this is C'/C
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(DomainError, match="^beta must be finite"):
+            models.moment_integrals(beta)
+        with pytest.raises(DomainError, match="^beta must be finite"):
+            models.delta(beta)
+
 
 # ------------------------------------------------------------ comparison 6.3
 
@@ -152,13 +160,13 @@ class TestModelConstants:
         assert c.delta_alpha == (1.0 - 10.0 * c.alpha * c.alpha) / 12.0
         assert 0.0 < c.alpha < 1.0
         assert c.alpha <= c.alpha_upper_bound
-        assert c.resolved_tol == DEFAULT_TOL.rel_tol
 
     def test_cached_instances_consistent(self):
         first = models.constants()
         second = models.constants()
         assert first.alpha == second.alpha
         assert first.u0_sq_at_0 == second.u0_sq_at_0
+        assert first is second  # resolved once per process
 
 
 # ------------------------------------------------- invariant suite delegates
@@ -177,5 +185,5 @@ class TestModelConstants:
     ids=lambda fn: fn.__name__,
 )
 def test_invariant_suite(check):
-    result = check(DEFAULT_TOL)
+    result = check()
     assert result.passed, result.detail

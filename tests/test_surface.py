@@ -5,6 +5,10 @@ under ``magsteklov`` imports it or reads it as an attribute, or when a live
 definition of its own module refers to it (a result type, a helper that a
 live function calls).  Routes that only cross-check the library belong in
 ``verify``, and helpers that only the tests use belong in the tests.
+
+The package has one accuracy, ``numerics.REL_TOL``.  Only the quadrature,
+the root finder and ``cylinder_d`` (with its two private helpers) take it as
+a ``rel_tol`` float; no function anywhere takes a tolerance object.
 """
 
 import ast
@@ -18,6 +22,13 @@ PACKAGE = Path(magsteklov.__file__).parent
 LIBRARY = ("numerics", "specfun", "disk", "intersect", "models")
 # public for callers outside the package: a caller times find_zn from a cold cache
 KEPT_FOR_CALLERS = {("intersect", "clear_cache")}
+ACCURACY_KERNELS = {
+    ("numerics", "integrate_semi_infinite"),
+    ("numerics", "brent_root"),
+    ("specfun", "cylinder_d"),
+    ("specfun", "_cylinder_value"),
+    ("specfun", "_cylinder_from_integral"),
+}
 
 
 def _tree(module):
@@ -84,3 +95,22 @@ def test_every_export_has_a_caller_in_the_package(module):
     assert kept <= set(exports)
     unused = [name for name in exports if name not in _live(module) | kept]
     assert unused == [], f"{module} exports names nothing in the package uses: {unused}"
+
+
+def _parameters(module):
+    """(name, parameter names) of every def and lambda in the module, nested ones too."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            yield getattr(node, "name", "<lambda>"), names
+
+
+@pytest.mark.parametrize("module", LIBRARY + ("verify", "cli"))
+def test_only_the_kernels_take_an_accuracy(module):
+    with_rel_tol = set()
+    for name, params in _parameters(module):
+        assert "tol" not in params, f"{module}.{name} takes a tol parameter"
+        if "rel_tol" in params:
+            with_rel_tol.add((module, name))
+    assert with_rel_tol == {k for k in ACCURACY_KERNELS if k[0] == module}
