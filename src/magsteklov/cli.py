@@ -110,7 +110,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_envelope(args: argparse.Namespace) -> int:
     if args.b_min < 0:
         raise ConfigError("envelope needs b_min >= 0")
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     offset = (alpha * alpha + 2.0) / 6.0
     rows = []
     for point in disk.envelope(_b_grid(args)):
@@ -138,7 +138,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, count)})
     records = [intersect.find_zn(n) for n in ns]
     fit = intersect.fit_asymptotics(records, terms=4)
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     gap = intersect.gap_zn(n_hi)
     gap_model = 1.0 + 0.5 * alpha / math.sqrt(n_hi)
     names = ["sqrt_n", "const", "inv_sqrt_n", "inv_n"]

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import disk, models
 from .numerics import BracketError, DomainError, brent_root
+from .specfun import kummer_m
 
 __all__ = [
     "AsymptoticFit",
@@ -65,7 +66,7 @@ class AsymptoticFit:
 
 
 def _crossing_function(n: int):
-    """z -> disk._crossing_m(n, z) as a plain float.
+    """z -> M(-1/2, n+1, z) as a plain float: positive iff z < z_n.
 
     Near z_n the positive-part sum of the series is ~1, so the float value
     is itself the natural residual scale.  On the bracket used below the
@@ -73,7 +74,7 @@ def _crossing_function(n: int):
     """
 
     def f(z: float) -> float:
-        return disk._crossing_m(n, z).to_float()
+        return kummer_m(-0.5, n + 1.0, z).value.to_float()
 
     return f
 

@@ -183,8 +183,9 @@ def comparison_bound() -> tuple[float, float]:
     return u0_sq, bound
 
 
-# compute_alpha and compute_xi0 are looked up at call time, so a wrapper
-# installed on the module attribute sees the one call each makes.
+# The package reads alpha and xi0 only through these caches.  compute_alpha
+# and compute_xi0 are looked up at call time, so a wrapper installed on the
+# module attribute sees the one call each makes.
 @functools.cache
 def _alpha_cached() -> float:
     return compute_alpha()

@@ -2,9 +2,11 @@
 
 Each check re-derives one mathematical property on a fixed default grid and
 reports a pass/fail with the measured residual and its limit, so a broken
-build fails loudly and by name.  The CLI ``verify`` command prints the
-table; the ``constants`` command reports the ``constants`` group as JSON;
-the test suite calls the same functions.
+build fails loudly and by name.  A check is registered once, with its
+module and name, and reports under that name whether it passes, fails or
+raises.  The CLI ``verify`` command prints the table; the ``constants``
+command reports the ``constants`` group as JSON; the test suite calls the
+same functions.
 
 The independent routes that only cross-check the library live here, off
 its fast path: the closed-form derivatives of lambda_n, the first-order
@@ -12,6 +14,7 @@ characterization of z_n, Phi as a moment ratio, and the argmin of f1 found
 without its closed form.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -49,9 +52,36 @@ def _result(module, name, measured, limit, extra=""):
     return CheckResult(module, name, measured <= limit, measured, limit, note)
 
 
+# Every check of the suite, by module, in the order of definition.
+MODULES: dict[str, list] = {}
+
+
+def _check(module: str, name: str):
+    """Register the decorated body as the check ``name`` of ``module``.
+
+    The body returns (measured, limit) or (measured, limit, note); the
+    check wraps that into a CheckResult.  ``run_suite`` reports a check
+    that raises under the same ``module`` and ``name`` attributes, so a
+    check has one name whether it passes, fails or raises.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            return _result(module, name, *body())
+
+        check.module = module
+        check.name = name
+        MODULES.setdefault(module, []).append(check)
+        return check
+
+    return register
+
+
 # ----------------------------------------------------------------- numerics
 
 
+@_check("numerics", "scaled-real-round-trip")
 def check_scaled_round_trip():
     rng = random.Random(20240811)
     bad = 0
@@ -59,9 +89,10 @@ def check_scaled_round_trip():
         x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
         if ScaledReal.from_float(x).to_float() != x:
             bad += 1
-    return _result("numerics", "scaled-real-round-trip", float(bad), 0.0, "2000 samples")
+    return float(bad), 0.0, "2000 samples"
 
 
+@_check("numerics", "scaled-sum-grouping")
 def check_scaled_sum_grouping():
     rng = random.Random(7)
     worst = 0.0
@@ -78,22 +109,24 @@ def check_scaled_sum_grouping():
         rel = float(abs(ordered - alt) / abs(ordered))
         worst = max(worst, rel)
     limit = 2.0 * 400 * np.finfo(float).eps
-    return _result("numerics", "scaled-sum-grouping", worst, limit)
+    return worst, limit
 
 
+@_check("numerics", "quadrature-gamma-family")
 def check_quadrature_gamma_family():
     worst = 0.0
     for k in (-0.5, 0.0, 0.5, 1.0, 2.0):
         value = integrate_semi_infinite(lambda t, k=k: t**k * math.exp(-t), 1.0)
         worst = max(worst, abs(value - math.gamma(k + 1.0)) / math.gamma(k + 1.0))
-    return _result("numerics", "quadrature-gamma-family", worst, 5.0 * REL_TOL)
+    return worst, 5.0 * REL_TOL
 
 
+@_check("numerics", "brent-bracket-invariance")
 def check_brent_bracket_invariance():
     f = math.cos
     roots = [brent_root(f, lo, hi) for lo, hi in ((1.0, 2.0), (0.5, 3.0), (1.4, 1.8))]
     worst = max(abs(r - roots[0]) for r in roots)
-    return _result("numerics", "brent-bracket-invariance", worst, 1e-12)
+    return worst, 1e-12
 
 
 # ------------------------------------------------------------------ specfun
@@ -118,6 +151,7 @@ def _mval(a, c, z):
     return kummer_m(a, c, z).value
 
 
+@_check("specfun", "kummer-contiguous-c-shift")
 def check_contiguous_c_shift():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
@@ -131,9 +165,10 @@ def check_contiguous_c_shift():
                 ]
             ),
         )
-    return _result("specfun", "kummer-contiguous-c-shift", worst, 1e-10)
+    return worst, 1e-10
 
 
+@_check("specfun", "kummer-contiguous-a-shift")
 def check_contiguous_a_shift():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
@@ -147,9 +182,10 @@ def check_contiguous_a_shift():
                 ]
             ),
         )
-    return _result("specfun", "kummer-contiguous-a-shift", worst, 1e-10)
+    return worst, 1e-10
 
 
+@_check("specfun", "kummer-contiguous-derivative-a")
 def check_contiguous_derivative_a():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
@@ -163,9 +199,10 @@ def check_contiguous_derivative_a():
                 ]
             ),
         )
-    return _result("specfun", "kummer-contiguous-derivative-a", worst, 1e-10)
+    return worst, 1e-10
 
 
+@_check("specfun", "kummer-contiguous-derivative-ac")
 def check_contiguous_derivative_ac():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
@@ -179,9 +216,10 @@ def check_contiguous_derivative_ac():
                 ]
             ),
         )
-    return _result("specfun", "kummer-contiguous-derivative-ac", worst, 1e-10)
+    return worst, 1e-10
 
 
+@_check("specfun", "kummer-derivative-vs-fd")
 def check_kummer_derivative_fd():
     worst = 0.0
     for a, c, z in _KUMMER_GRID:
@@ -190,7 +228,7 @@ def check_kummer_derivative_fd():
         exact = float(kummer_m_prime(a, c, z))
         fd = central_diff(lambda x: float(_mval(a, c, x)), z)
         worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
-    return _result("specfun", "kummer-derivative-vs-fd", worst, 1e-6)
+    return worst, 1e-6
 
 
 _CYL_GRID = [(nu, z) for nu in (-1.5, -0.5, 0.5) for z in (-2.0, -0.5, 0.0, 1.0, 3.0)]
@@ -202,15 +240,17 @@ def _cyl_rel(parts):
     return abs(total) / scale if scale else 0.0
 
 
+@_check("specfun", "cylinder-recurrence-derivative-up")
 def check_cylinder_recurrence_derivative_up():
     worst = 0.0
     for nu, z in _CYL_GRID:
         d = cylinder_d(nu, z)
         up = cylinder_d(nu + 1.0, z)
         worst = max(worst, _cyl_rel([d.derivative, -0.5 * z * d.value, up.value]))
-    return _result("specfun", "cylinder-recurrence-derivative-up", worst, 1e-9)
+    return worst, 1e-9
 
 
+@_check("specfun", "cylinder-recurrence-three-term")
 def check_cylinder_recurrence_three_term():
     worst = 0.0
     for nu, z in _CYL_GRID:
@@ -218,18 +258,20 @@ def check_cylinder_recurrence_three_term():
         up = cylinder_d(nu + 1.0, z)
         down = cylinder_d(nu - 1.0, z)
         worst = max(worst, _cyl_rel([up.value, -z * d.value, nu * down.value]))
-    return _result("specfun", "cylinder-recurrence-three-term", worst, 1e-9)
+    return worst, 1e-9
 
 
+@_check("specfun", "cylinder-recurrence-derivative-down")
 def check_cylinder_recurrence_derivative_down():
     worst = 0.0
     for nu, z in _CYL_GRID:
         d = cylinder_d(nu, z)
         down = cylinder_d(nu - 1.0, z)
         worst = max(worst, _cyl_rel([d.derivative, 0.5 * z * d.value, -nu * down.value]))
-    return _result("specfun", "cylinder-recurrence-derivative-down", worst, 1e-9)
+    return worst, 1e-9
 
 
+@_check("specfun", "cylinder-ode-residual")
 def check_cylinder_ode():
     worst = 0.0
     for nu in (-1.5, -0.5, 0.5):
@@ -237,25 +279,27 @@ def check_cylinder_ode():
             second = central_diff(lambda x: cylinder_d(nu, x).value, z, order=2)
             expected = (0.25 * z * z - nu - 0.5) * cylinder_d(nu, z).value
             worst = max(worst, abs(second - expected) / max(abs(expected), 1e-30))
-    return _result("specfun", "cylinder-ode-residual", worst, 1e-5)
+    return worst, 1e-5
 
 
+@_check("specfun", "cylinder-large-z-asymptotic")
 def check_cylinder_asymptotic():
     worst = 0.0
     z = 12.0
     for nu in (-1.5, -0.5):
         value = cylinder_d(nu, z).value
         worst = max(worst, abs(value * math.exp(0.25 * z * z) * z ** (-nu) - 1.0))
-    return _result("specfun", "cylinder-large-z-asymptotic", worst, 0.02)
+    return worst, 0.02
 
 
+@_check("specfun", "cylinder-negative-order-positivity")
 def check_cylinder_positivity():
     bad = 0
     for nu in (-3.5, -1.5, -0.5, -0.05):
         for z in np.linspace(-10.0, 10.0, 41):
             if cylinder_d(nu, float(z)).value <= 0.0:
                 bad += 1
-    return _result("specfun", "cylinder-negative-order-positivity", float(bad), 0.0)
+    return float(bad), 0.0
 
 
 # --------------------------------------------------------------------- disk
@@ -295,22 +339,25 @@ def lambda_n_prime_alt(n: int, z: float) -> float:
 _BRANCH_B = [0.5, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
 
 
+@_check("disk", "branch-diamagnetic-inequality")
 def check_branch_inequality():
     worst = -math.inf
     for n in range(1, 21):
         for b in _BRANCH_B:
             worst = max(worst, disk.lambda_n(n, b) - disk.lambda_minus_n(n, b))
-    return _result("disk", "branch-diamagnetic-inequality", worst, 1e-12)
+    return worst, 1e-12
 
 
+@_check("disk", "branch-positivity")
 def check_branch_positivity():
     worst = -math.inf
     for n in range(0, 21):
         for b in _BRANCH_B + [0.0]:
             worst = max(worst, -disk.lambda_n(n, b))
-    return _result("disk", "branch-positivity", worst, 1e-12)
+    return worst, 1e-12
 
 
+@_check("disk", "lambda-prime-vs-finite-difference")
 def check_lambda_prime_vs_fd():
     worst = 0.0
     for n in (1, 3, 10):
@@ -318,9 +365,10 @@ def check_lambda_prime_vs_fd():
             closed = lambda_n_prime(n, z)
             fd = central_diff(lambda x: disk.lambda_n(n, x), z)
             worst = max(worst, abs(closed - fd) / max(abs(closed), 1.0))
-    return _result("disk", "lambda-prime-vs-finite-difference", worst, 1e-6)
+    return worst, 1e-6
 
 
+@_check("disk", "lambda-prime-two-closed-forms")
 def check_lambda_prime_two_forms():
     worst = 0.0
     for n in (1, 3, 10):
@@ -328,9 +376,10 @@ def check_lambda_prime_two_forms():
             a = lambda_n_prime(n, z)
             b = lambda_n_prime_alt(n, z)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-30))
-    return _result("disk", "lambda-prime-two-closed-forms", worst, 1e-10)
+    return worst, 1e-10
 
 
+@_check("disk", "envelope-strictly-increasing")
 def check_envelope_monotone():
     grid = np.linspace(0.01, 100.0, 10_000)
     values = [p.lambda_dn for p in disk.envelope(list(grid))]
@@ -338,9 +387,10 @@ def check_envelope_monotone():
         (values[i] - values[i + 1] for i in range(len(values) - 1)),
         default=-math.inf,
     )
-    return _result("disk", "envelope-strictly-increasing", worst, -1e-15, "10000-point grid")
+    return worst, -1e-15, "10000-point grid"
 
 
+@_check("disk", "envelope-mode-is-window-argmin")
 def check_envelope_window_argmin():
     # the active mode's branch is the lowest of every branch in a window of
     # modes around b, found without the crossing-sign search
@@ -350,9 +400,10 @@ def check_envelope_window_argmin():
         lo = max(0, int(b - 3.0 * math.sqrt(b)) - 2)
         best = min(disk.lambda_n(m, b) for m in range(lo, math.ceil(b) + 3))
         worst = max(worst, (point.lambda_dn - best) / max(abs(best), 1.0))
-    return _result("disk", "envelope-mode-is-window-argmin", worst, 1e-10, "50-point grid")
+    return worst, 1e-10, "50-point grid"
 
 
+@_check("disk", "mode-switch-at-crossings")
 def check_mode_switch():
     failures = 0
     prev_mode = 0
@@ -365,7 +416,7 @@ def check_mode_switch():
         if below < prev_mode:
             failures += 1
         prev_mode = above
-    return _result("disk", "mode-switch-at-crossings", float(failures), 0.0)
+    return float(failures), 0.0
 
 
 # ---------------------------------------------------------------- intersect
@@ -393,26 +444,30 @@ def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
     return (z_prev - n) / z_prev
 
 
+@_check("intersect", "characterization-equivalence")
 def check_characterization_equivalence():
     worst = 0.0
     for n in (0, 1, 5, 20, 100):
         worst = max(worst, characterization_residual(n, intersect.find_zn(n).z_n))
-    return _result("intersect", "characterization-equivalence", worst, 1e-9)
+    return worst, 1e-9
 
 
+@_check("intersect", "crossing-eigenvalue-formula")
 def check_f_formula():
     worst = intersect.check_F_formula(50)
-    return _result("intersect", "crossing-eigenvalue-formula", worst, 1e-8)
+    return worst, 1e-8
 
 
+@_check("intersect", "crossing-ordering-and-lower-bound")
 def check_crossing_ordering():
     zs = [intersect.find_zn(n).z_n for n in range(51)]
     gaps = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     lower = [zs[i] - (i + 1.0) for i in range(len(zs))]
     worst = -min(min(gaps), min(lower))
-    return _result("intersect", "crossing-ordering-and-lower-bound", worst, 0.0)
+    return worst, 0.0
 
 
+@_check("intersect", "stationarity-at-previous-crossing")
 def check_stationary_at_previous_crossing():
     worst = 0.0
     for n in (1, 2, 5):
@@ -421,19 +476,21 @@ def check_stationary_at_previous_crossing():
         second_fd = central_diff(lambda z: lambda_n_prime(n, z), z_prev)
         second = lambda_n_second_at_zprev(n, z_prev)
         worst = max(worst, abs(slope), abs(second_fd - second))
-    return _result("intersect", "stationarity-at-previous-crossing", worst, 1e-6)
+    return worst, 1e-6
 
 
+@_check("intersect", "beta-second-order-trend")
 def check_beta_trend():
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     correction = (2.0 * alpha * alpha + 1.0) / 6.0
     worst = 0.0
     for n in (100, 400, 1600, 6400):
         deviation = intersect.beta_n(n) - alpha - correction / math.sqrt(n)
         worst = max(worst, abs(deviation) * n)
-    return _result("intersect", "beta-second-order-trend", worst, 5.0, "scaled by n")
+    return worst, 5.0, "scaled by n"
 
 
+@_check("intersect", "envelope-sandwich-bounds")
 def check_envelope_sandwich():
     worst = -math.inf
     for n in (2, 5, 10):
@@ -442,18 +499,19 @@ def check_envelope_sandwich():
         for z in np.linspace(z_lo, z_hi, 5):
             lam = disk.lambda_n(n, float(z))
             worst = max(worst, (z_lo - n) - lam, lam - (z_hi - n - 1.0))
-    return _result("intersect", "envelope-sandwich-bounds", worst, 1e-9)
+    return worst, 1e-9
 
 
+@_check("intersect", "crossing-eigenvalue-asymptotic")
 def check_crossing_eigenvalue_asymptotic():
     # lambda_n(z_n) = alpha sqrt(n) + (alpha^2 - 1)/3 + O(n^{-1/2})
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     worst = 0.0
     for n in (100, 10_000):
         predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
         deviation = intersect.find_zn(n).lambda_at_zn - predicted
         worst = max(worst, abs(deviation) * math.sqrt(n))
-    return _result("intersect", "crossing-eigenvalue-asymptotic", worst, 5.0, "scaled by sqrt(n)")
+    return worst, 5.0, "scaled by sqrt(n)"
 
 
 # ------------------------------------------------------------------- models
@@ -486,23 +544,26 @@ def phi_from_integrals(beta: float) -> float:
     return a / c
 
 
+@_check("models", "halfplane-first-order-condition")
 def check_first_order_condition():
     xi = halfplane_argmin()
     cd = cylinder_d(-0.5, -xi)
     residual = abs(0.5 * xi * cd.value + cd.derivative) / abs(cd.value)
-    return _result("models", "halfplane-first-order-condition", residual, 1e-8)
+    return residual, 1e-8
 
 
+@_check("models", "degennes-neumann-condition")
 def check_neumann_condition():
-    xi0 = models.compute_xi0()
+    xi0 = models._xi0_cached()
     nu = 0.5 * (xi0 * xi0 - 1.0)
     residual = abs(cylinder_d(nu, -math.sqrt(2.0) * xi0).derivative)
-    return _result("models", "degennes-neumann-condition", residual, 1e-7)
+    return residual, 1e-7
 
 
+@_check("models", "moment-ode-residual")
 def check_moment_ode():
     worst = 0.0
-    for beta in (0.0, 0.5, models.compute_alpha(), 1.0):
+    for beta in (0.0, 0.5, models._alpha_cached(), 1.0):
         def c_of(b):
             return models.moment_integrals(b)[2]
 
@@ -510,29 +571,32 @@ def check_moment_ode():
         first = central_diff(c_of, beta, order=1)
         value = c_of(beta)
         worst = max(worst, abs(second - beta * first - 0.5 * value) / abs(value))
-    return _result("models", "moment-ode-residual", worst, 1e-5)
+    return worst, 1e-5
 
 
+@_check("models", "phi-denominator-positive")
 def check_phi_no_pole():
     worst = -math.inf
     for beta in np.linspace(-2.0, 2.0, 33):
         worst = max(worst, -cylinder_d(-0.5, -float(beta)).value)
-    return _result("models", "phi-denominator-positive", worst, 0.0)
+    return worst, 0.0
 
 
+@_check("models", "halfplane-sqrt-scaling")
 def check_halfplane_scaling():
-    alpha = models.compute_alpha()
+    alpha = models._alpha_cached()
     worst = 0.0
     for b in (1.0, 2.0, 10.0, 100.0):
         worst = max(worst, abs(models.halfplane_bottom(b) / math.sqrt(b) - alpha))
-    return _result("models", "halfplane-sqrt-scaling", worst, 1e-14)
+    return worst, 1e-14
 
 
+@_check("models", "phi-cylinder-vs-quadrature")
 def check_phi_two_routes():
     worst = 0.0
     for beta in (0.0, 0.5, 1.0):
         worst = max(worst, abs(models.phi(beta) - phi_from_integrals(beta)))
-    return _result("models", "phi-cylinder-vs-quadrature", worst, 1e-9)
+    return worst, 1e-9
 
 
 # ---------------------------------------------------------------- constants
@@ -553,61 +617,15 @@ _CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
 
 
 def _constants_check(name, limit, residual):
-    def check():
-        return _result("constants", name, residual(models.constants()), limit)
+    def body():
+        return residual(models.constants()), limit
 
-    check.__name__ = "check_" + name.replace("-", "_")
-    return check
+    body.__name__ = "check_" + name.replace("-", "_")
+    return _check("constants", name)(body)
 
 
-MODULES: dict[str, list] = {
-    "numerics": [
-        check_scaled_round_trip,
-        check_scaled_sum_grouping,
-        check_quadrature_gamma_family,
-        check_brent_bracket_invariance,
-    ],
-    "specfun": [
-        check_contiguous_c_shift,
-        check_contiguous_a_shift,
-        check_contiguous_derivative_a,
-        check_contiguous_derivative_ac,
-        check_kummer_derivative_fd,
-        check_cylinder_recurrence_derivative_up,
-        check_cylinder_recurrence_three_term,
-        check_cylinder_recurrence_derivative_down,
-        check_cylinder_ode,
-        check_cylinder_asymptotic,
-        check_cylinder_positivity,
-    ],
-    "disk": [
-        check_branch_inequality,
-        check_branch_positivity,
-        check_lambda_prime_vs_fd,
-        check_lambda_prime_two_forms,
-        check_envelope_monotone,
-        check_envelope_window_argmin,
-        check_mode_switch,
-    ],
-    "intersect": [
-        check_characterization_equivalence,
-        check_f_formula,
-        check_crossing_ordering,
-        check_stationary_at_previous_crossing,
-        check_beta_trend,
-        check_envelope_sandwich,
-        check_crossing_eigenvalue_asymptotic,
-    ],
-    "models": [
-        check_first_order_condition,
-        check_neumann_condition,
-        check_moment_ode,
-        check_phi_no_pole,
-        check_halfplane_scaling,
-        check_phi_two_routes,
-    ],
-    "constants": [_constants_check(name, *spec) for name, spec in _CONSTANTS_CHECKS.items()],
-}
+for _name, _spec in _CONSTANTS_CHECKS.items():
+    _constants_check(_name, *_spec)
 
 
 def run_suite(only: str | None = None) -> list[CheckResult]:
@@ -626,7 +644,6 @@ def run_suite(only: str | None = None) -> list[CheckResult]:
             try:
                 results.append(check())
             except (ArithmeticError, ValueError) as exc:
-                name = check.__name__.removeprefix("check_").replace("_", "-")
                 detail = f"raised {exc!r}"
-                results.append(CheckResult(module, name, False, math.nan, math.nan, detail))
+                results.append(CheckResult(module, check.name, False, math.nan, math.nan, detail))
     return results

@@ -200,6 +200,23 @@ class TestAsymptoticsCommand:
             (alpha * alpha + 2.0) / 3.0, abs=1e-2
         )
 
+    def test_alpha_is_computed_once(self, tmp_path, monkeypatch):
+        from magsteklov import intersect, models
+
+        calls = []
+        compute = models.compute_alpha
+
+        def counted():
+            calls.append(1)
+            return compute()
+
+        monkeypatch.setattr(models, "compute_alpha", counted)
+        models._alpha_cached.cache_clear()
+        intersect.clear_cache()
+        code, _ = run(tmp_path, "asymptotics", "--n-min", "10", "--n-max", "40")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_narrow_range_rejected(self, tmp_path):
         code, _ = run(tmp_path, "asymptotics", "--n-min", "100", "--n-max", "300")
         assert code == 2
@@ -236,6 +253,23 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "FAILED: quadrature-gamma-family" in captured.err
         assert "PASS" in captured.out
+
+
+    def test_a_check_has_one_name_whether_it_passes_or_raises(self, monkeypatch):
+        # each check builds its result, as on a pass, and then raises
+        built = []
+
+        def build_then_raise(*args, **kwargs):
+            result = real(*args, **kwargs)
+            built.append((result.module, result.name))
+            raise ValueError("forced failure")
+
+        real = verify._result
+        monkeypatch.setattr(verify, "_result", build_then_raise)
+        results = verify.run_suite()
+        assert len(results) == len(built) == 43
+        assert [(r.module, r.name) for r in results] == built
+        assert all(not r.passed and "forced failure" in r.detail for r in results)
 
 
 class TestConfigValidation:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsteklov import disk, specfun, verify
+from magsteklov import disk, intersect, specfun, verify
 from magsteklov.numerics import DomainError, ScaledReal, central_diff
 
 # ----------------------------------------------------------------- oracles
@@ -395,6 +395,89 @@ class TestEnvelope:
         mode = disk.active_mode(50.0, hint=np.int64(60))
         assert type(mode) is int
         assert mode == disk.active_mode(50.0)
+
+
+    @pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf], [-1.0]])
+    def test_bad_field_rejected_by_name(self, grid):
+        with pytest.raises(DomainError, match="got b="):
+            disk.envelope(grid)
+
+
+# ----------------------------------------------- active-mode search by ratio
+
+IDENTITY_MODES = (0, 1, 5, 50, 500)
+
+
+class RatioSpy:
+    """Counts the branch ratios the search computes fresh and the lambda_n calls it makes."""
+
+    def __init__(self, monkeypatch):
+        self.ratio_modes = []
+        self.lambda_calls = 0
+        ratio, lam = disk.kummer_log_ratio, disk.lambda_n
+
+        def counted_ratio(a, c, z):
+            self.ratio_modes.append(int(c) - 1)
+            return ratio(a, c, z)
+
+        def counted_lambda(n, b):
+            self.lambda_calls += 1
+            return lam(n, b)
+
+        monkeypatch.setattr(disk, "kummer_log_ratio", counted_ratio)
+        monkeypatch.setattr(disk, "lambda_n", counted_lambda)
+
+
+class TestGroundStateSearch:
+    @pytest.mark.parametrize("n", IDENTITY_MODES)
+    def test_crossing_identity_against_mpmath(self, n):
+        # M(-1/2, n+1, b) / M(1/2, n+1, b) = (lambda_n(b) + n + 1 - b) / (2n + 1)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        z = intersect.find_zn(n).z_n
+        for b, sign in ((z * (1.0 - 1e-8), 1.0), (z * (1.0 + 1e-8), -1.0), (0.5 * z, 1.0)):
+            exact = mp.hyp1f1(-0.5, n + 1, b) / mp.hyp1f1(0.5, n + 1, b)
+            value = (disk.lambda_n(n, b) + n + 1.0 - b) / (2.0 * n + 1.0)
+            assert math.copysign(1.0, value) == sign == math.copysign(1.0, float(exact))
+            assert abs(value - float(exact)) <= 1e-13 * max(1.0, b / (2.0 * n + 1.0))
+
+    def test_agrees_with_the_crossing_function(self):
+        for n in range(0, 2001, 37):
+            z = intersect.find_zn(n).z_n
+            f = intersect._crossing_function(n)
+            for b in (z - 1e-9 * z, z + 1e-9 * z):
+                mode, lam = disk._ground_state(b, 0)
+                assert mode == (n if f(b) > 0.0 else n + 1)
+                assert lam == disk.lambda_n(mode, b)
+
+    def test_hint_far_above_steps_down(self, monkeypatch):
+        expected = disk.active_mode(50.0)
+        spy = RatioSpy(monkeypatch)
+        mode, lam = disk._ground_state(50.0, 60)
+        assert mode == expected < 60
+        assert spy.ratio_modes == [60, expected]  # the start, then lambda_n's own ratio
+        assert spy.lambda_calls == 1
+        assert lam == disk.lambda_n(mode, 50.0)
+
+    def test_low_start_moves_up_with_fresh_ratios(self, monkeypatch):
+        expected = {b: disk._ground_state(b, 0) for b in (1.5, 7.3, 50.0, 400.0)}
+        monkeypatch.setattr(disk, "_start_mode", lambda b: 0)
+        spy = RatioSpy(monkeypatch)
+        for b, (mode, lam) in expected.items():
+            spy.ratio_modes.clear()
+            assert disk._ground_state(b, 0) == (mode, lam)
+            assert spy.ratio_modes == list(range(mode + 1))
+        assert spy.lambda_calls == 0
+
+    def test_start_guess_is_exact_or_one_above(self):
+        for b in np.linspace(1.01, 1e4, 400):
+            mode = disk.active_mode(float(b))
+            assert mode <= disk._start_mode(float(b)) <= mode + 1
+
+    def test_disk_sums_no_kummer_series_itself(self):
+        assert not hasattr(disk, "kummer_m")
+        assert not hasattr(disk, "_crossing_m")
 
 
 # ------------------------------------------------- invariant suite delegates
