@@ -26,14 +26,22 @@ a = 1/2 and R_n = R(n+1),
 
 which is the stable direction: M(a, c, b) is the minimal solution of its
 recurrence as c grows.
+
+A search starts from one fresh ratio at a guess of the mode.  ``envelope``
+checks its whole grid first and then takes the start ratios of all its
+points from one ``specfun.kummer_log_ratios`` call, which returns the floats
+of the scalar ``kummer_log_ratio`` bit for bit; each point then runs the
+search ``active_mode`` runs, so the two agree point by point.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import DomainError
-from .specfun import kummer_log_ratio
+from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios
 
 __all__ = [
     "EnvelopePoint",
@@ -69,11 +77,20 @@ def _branch(n: int, b: float, ratio: float) -> float:
     return n - b + 2.0 * b * ratio
 
 
+def _check_field(b: float, nonnegative: bool = False) -> None:
+    """A DomainError naming b unless b is finite, |b| <= 1e6 and, if asked, b >= 0."""
+    if not math.isfinite(b):
+        raise DomainError(f"b must be finite, got b={b!r}")
+    if nonnegative and b < 0.0:
+        raise DomainError(f"field parameter must be >= 0, got b={b}")
+    if abs(b) > _MAX_ABS_Z:
+        raise DomainError(f"|b| <= {_MAX_ABS_Z:g} required, got b={b}")
+
+
 def lambda_n(n: int, b: float) -> float:
     """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
     n = _check_mode(n)
-    if not math.isfinite(b):
-        raise DomainError(f"b must be finite, got b={b!r}")
+    _check_field(b)
     if b == 0.0:
         return float(n)
     return _branch(n, b, kummer_log_ratio(0.5, n + 1.0, b))
@@ -84,9 +101,13 @@ def lambda_minus_n(n: int, b: float) -> float:
     return lambda_n(_check_mode(n, minimum=1), -b)
 
 
-# alpha of z_n = n + alpha sqrt(n) + (alpha^2+2)/3 + O(n^{-1/2}), to the
-# digits a starting guess needs; the search corrects any start
-_ALPHA_GUESS = 0.765
+# Must not exceed alpha = 0.76495... of z_n = n + alpha sqrt(n) + (alpha^2+2)/3
+# + ~0.311/sqrt(n): then the guess stays below every z_n, and its smallest n at
+# or above b is the mode or one above (it stays above z_{n-1} while the
+# ~5e-5 sqrt(n) it gives away is below 1, far past |b| <= 1e6).  A literal
+# above alpha, such as 0.765, passes z_n from n ~ 6e3 on, and the start can
+# fall one below the mode.
+_ALPHA_GUESS = 0.7649
 _OFFSET_GUESS = (_ALPHA_GUESS * _ALPHA_GUESS + 2.0) / 3.0
 
 
@@ -96,26 +117,16 @@ def _start_mode(b: float) -> int:
     return math.ceil(x * x)
 
 
-def _ground_state(b: float, hint: int) -> tuple[int, float]:
-    """(active mode, lambda_DN) at field parameter b, searched from ``hint``.
+def _search(b: float, mode: int, ratio: float) -> tuple[int, float]:
+    """(active mode, lambda_DN) at b > 1, searched from mode and its fresh ratio R_mode.
 
-    One ratio R is computed fresh at start = max(hint, guess).  If
-    b <= z_start, lower modes are tested with ratios stepped down in c;
+    If b <= z_mode, lower modes are tested with ratios stepped down in c;
     otherwise the mode moves up with a fresh ratio at each step, since
     stepping R up in c is unstable.  lambda is the branch of the last fresh
     ratio when the search ends at that ratio's mode, and lambda_n of the
     mode otherwise: a stepped ratio loses digits to the cancellation in
     1 - (c-1-a)/(c-1 + b R).
     """
-    if not math.isfinite(b):
-        raise DomainError(f"b must be finite, got b={b!r}")
-    if b < 0.0:
-        raise DomainError(f"field parameter must be >= 0, got b={b}")
-    hint = _check_mode(hint)
-    if b <= 1.0:  # z_0 ~ 1.58, mode 0 certainly active
-        return 0, lambda_n(0, b)
-    mode = max(hint, _start_mode(b))
-    ratio = kummer_log_ratio(0.5, mode + 1.0, b)
     if mode + 0.5 - b + b * ratio >= 0.0:  # b <= z_mode: the active mode is mode or below
         start = mode
         stepped = ratio
@@ -133,6 +144,19 @@ def _ground_state(b: float, hint: int) -> tuple[int, float]:
             if mode + 0.5 - b + b * ratio >= 0.0:
                 break
     return mode, _branch(mode, b, ratio)
+
+
+def _ground_state(b: float, hint: int) -> tuple[int, float]:
+    """(active mode, lambda_DN) at field parameter b, searched from ``hint``.
+
+    The search starts from one fresh ratio at max(hint, guess).
+    """
+    _check_field(b, nonnegative=True)
+    hint = _check_mode(hint)
+    if b <= 1.0:  # z_0 ~ 1.58, mode 0 certainly active
+        return 0, lambda_n(0, b)
+    mode = max(hint, _start_mode(b))
+    return _search(b, mode, kummer_log_ratio(0.5, mode + 1.0, b))
 
 
 def active_mode(b: float, hint: int = 0) -> int:
@@ -155,14 +179,34 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     mode and lambda_dn = lambda_{active}(b); the active mode is
     non-decreasing along the grid and increases by exactly one at each
     crossing point.
+
+    The whole grid is checked before any series is summed.  Then the start
+    ratios of all points with b > 1, at their guesses, come from one
+    ``kummer_log_ratios`` call, bit for bit the ratios ``active_mode`` would
+    compute one at a time, and each point runs the same search from there.
+    Where the previous point's mode lies above the guess, the search starts
+    from a fresh ratio at that mode instead, as ``active_mode`` does.
     """
-    points: list[EnvelopePoint] = []
-    mode = 0
+    grid = list(b_grid)
     prev_b = -math.inf
-    for b in b_grid:
+    for b in grid:
         if b < prev_b:
             raise DomainError("envelope grid must be sorted ascending")
         prev_b = b
-        mode, lambda_dn = _ground_state(b, mode)
+        _check_field(b, nonnegative=True)
+    fields = [b for b in grid if b > 1.0]
+    starts = [_start_mode(b) for b in fields]
+    ratios = kummer_log_ratios(0.5, np.add(starts, 1.0), np.array(fields, dtype=float)).tolist()
+    guesses = iter(zip(starts, ratios))
+    points: list[EnvelopePoint] = []
+    mode = 0
+    for b in grid:
+        if b > 1.0:
+            start, ratio = next(guesses)
+            if mode > start:
+                start, ratio = mode, kummer_log_ratio(0.5, mode + 1.0, b)
+            mode, lambda_dn = _search(b, start, ratio)
+        else:
+            mode, lambda_dn = _ground_state(b, mode)
         points.append(EnvelopePoint(b=b, active_mode=mode, lambda_dn=lambda_dn))
     return points

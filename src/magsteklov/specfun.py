@@ -16,6 +16,14 @@ so the exp(z)-sized growth cancels and M'/M is a quotient of two short
 gamma-free sums.  S diverges; ``kummer_log_ratio`` uses it only where its
 terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
 before that ratio reaches 1 in size, and sums the Kummer series otherwise.
+
+``kummer_log_ratios(a, c, z)`` is the same ratio on arrays c and z >= 0 with
+one a, for callers that need many at once (the envelope's grid).  Its
+contract is bitwise: each lane is the float ``kummer_log_ratio`` returns,
+because it runs the same float operations in the same order, lane by lane,
+in numpy; a test compares the two on every route.  The scalar loop is not
+written as a batch of one, which would cost ~20 us per term against ~0.5 us.
+
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
 decomposition (DLMF 12.4, 12.7).  For z > 0 the anchors are the half-line
@@ -35,6 +43,8 @@ carries no extra information and is not provided.)
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import (
     REL_TOL,
     ConvergenceError,
@@ -48,6 +58,7 @@ __all__ = [
     "KummerValue",
     "cylinder_d",
     "kummer_log_ratio",
+    "kummer_log_ratios",
     "kummer_m",
     "kummer_m_prime",
 ]
@@ -234,6 +245,113 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     num = kummer_m(upper, c + 1.0, y).value
     den = kummer_m(lower, c, y).value
     return (a / c) * float(num / den)
+
+
+def _large_z_accepts(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Lanes on which _large_z_sum(a, c_i, z_i) returns a sum rather than None.
+
+    The loop of _large_z_sum with its float operations in the same order,
+    over the lanes still undecided at each s; the sums themselves are left
+    to _large_z_sum.
+    """
+    accepted = np.zeros(z.shape, dtype=bool)
+    lane = np.arange(z.size)
+    p = c - a
+    q = 1.0 - a
+    term = np.ones(z.shape)
+    total = np.ones(z.shape)
+    for s in range(_LARGE_Z_MAX_TERMS):
+        num = (p + s) * (q + s)
+        den = (s + 1.0) * z
+        going = np.abs(num) < den
+        lane, p, z, num, den = lane[going], p[going], z[going], num[going], den[going]
+        term = term[going] * (num / den)
+        total = total[going] + term
+        done = np.abs(term) < _LARGE_Z_STOP_REL * np.abs(total)
+        accepted[lane[done]] = True
+        going = ~done
+        lane, p, z, term, total = lane[going], p[going], z[going], term[going], total[going]
+        if lane.size == 0:
+            break
+    return accepted
+
+
+def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, offset) of _series_parts(a, c_i, z_i) on every lane, for a > 0 and z >= 0.
+
+    All terms are positive, so there is no negative accumulator.  Every lane
+    keeps its own k_peak, stopping test, rescale and offset; the term index
+    k is shared, and a lane leaves the live set at the term where its scalar
+    loop would break.
+    """
+    half_b = 0.5 * (c + 1.0 - z)  # _term_peak_bound, lane by lane
+    disc = half_b * half_b - (c - abs(a) * z)
+    root = -half_b + np.sqrt(np.maximum(disc, 0.0))
+    k_peak = np.where(disc <= 0.0, 0.0, np.maximum(0.0, root))
+    sums = np.empty(z.shape)
+    offsets = np.zeros(z.shape, dtype=np.int64)
+    lane = np.arange(z.size)
+    term = np.ones(z.shape)
+    pos = np.ones(z.shape)
+    offset = np.zeros(z.shape, dtype=np.int64)
+    k = 0
+    while lane.size:
+        if k >= _MAX_TERMS:
+            raise ConvergenceError(
+                f"Kummer series M({a}, {c[0]}, {z[0]}) did not converge in {k} terms"
+            )
+        term = term * ((a + k) * z / ((c + k) * (k + 1.0)))
+        k += 1
+        pos = pos + term
+        done = (term == 0.0) | ((np.abs(term) < _STOP_REL * pos) & (k > k_peak))
+        if done.any():
+            sums[lane[done]] = pos[done]
+            offsets[lane[done]] = offset[done]
+            going = ~done
+            lane, c, z, k_peak = lane[going], c[going], z[going], k_peak[going]
+            term, pos, offset = term[going], pos[going], offset[going]
+        big = pos > _RESCALE
+        if big.any():
+            pos[big] *= _RESCALE_INV
+            term[big] *= _RESCALE_INV
+            offset[big] += 512
+    return sums, offsets
+
+
+def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """kummer_log_ratio(a, c_i, z_i) on every lane, for a > 0 and arrays c > 0, 0 <= z <= 1e6.
+
+    Each lane is the float the scalar call returns, bit for bit: the
+    expansion is tried where a is a half-integer, with its refusal test run
+    on all lanes at once and the sums of accepted lanes taken from
+    _large_z_sum; the other lanes sum both Kummer series in numpy loops, and
+    their quotient is the one ScaledReal division forms.
+    """
+    c = np.asarray(c, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if c.shape != z.shape or c.ndim != 1:
+        raise DomainError(f"c and z must be 1-d arrays of one length, got {c.shape} and {z.shape}")
+    if not (math.isfinite(a) and np.isfinite(c).all() and np.isfinite(z).all()):
+        raise DomainError("kummer_log_ratios requires finite a, c and z")
+    if not (a > 0.0 and (c > 0.0).all() and (z >= 0.0).all() and (z <= _MAX_ABS_Z).all()):
+        raise DomainError(f"kummer_log_ratios requires a > 0, c > 0 and 0 <= z <= {_MAX_ABS_Z:g}")
+    ratios = np.empty(z.shape)
+    series = np.ones(z.shape, dtype=bool)
+    if a % 1.0 == 0.5:
+        for i in np.flatnonzero(_large_z_accepts(a, c, z)):
+            c_i, z_i = float(c[i]), float(z[i])
+            top = _large_z_sum(a + 1.0, c_i + 1.0, z_i)
+            if top is not None:
+                ratios[i] = top / _large_z_sum(a, c_i, z_i)
+                series[i] = False
+    lane = np.flatnonzero(series)
+    c, z = c[lane], z[lane]
+    num, num_offset = _series_sums(a + 1.0, c + 1.0, z)
+    den, den_offset = _series_sums(a, c, z)
+    # ScaledReal normalizes by powers of two only, so its quotient rounds
+    # to this one: both sums lie in [1, 2**513], far from under- and overflow
+    ratios[lane] = (a / c) * np.ldexp(num / den, num_offset - den_offset)
+    return ratios
 
 
 def _cylinder_from_integral(nu: float, z: float, rel_tol: float) -> float:

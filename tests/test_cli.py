@@ -112,6 +112,13 @@ class TestEnvelope:
         assert float(row["asymptote"]) == pytest.approx(expected, rel=1e-12)
         assert abs(float(row["lambda_dn"]) - float(row["asymptote"])) <= 0.05
 
+    def test_field_out_of_range_names_b(self, capsys):
+        argv = ["envelope", "--b-min", "9e5", "--b-max", "1.1e6", "--steps", "41"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: |b| <= 1e+06 required, got b=1005000.0\n"
+
 
 # -------------------------------------------------------------- intersections
 

@@ -1,6 +1,7 @@
 """Tests for the disk eigenvalue branches and the ground-state envelope."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -132,8 +133,10 @@ class TestLambdaN:
 
     def test_field_domain_unchanged(self):
         for b in (2e6, -2e6):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"\|b\| <= 1e\+06 required, got b="):
                 disk.lambda_n(0, b)
+        with pytest.raises(DomainError, match=r"\|b\| <= 1e\+06 required, got b=2000000.0"):
+            disk.active_mode(2e6)
 
 
 # ------------------------------------------------------- large-field route
@@ -397,10 +400,65 @@ class TestEnvelope:
         assert mode == disk.active_mode(50.0)
 
 
-    @pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf], [-1.0]])
+    @pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf], [-1.0], [1.0, 2e6]])
     def test_bad_field_rejected_by_name(self, grid):
         with pytest.raises(DomainError, match="got b="):
             disk.envelope(grid)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "b must be finite"), (2e6, "got b=2000000.0"), (0.5, "sorted ascending")],
+    )
+    def test_whole_grid_checked_before_any_series(self, monkeypatch, bad, message):
+        def no_series(*args):
+            raise AssertionError("a series ran before the grid was checked")
+
+        for name in ("kummer_log_ratio", "kummer_log_ratios", "lambda_n"):
+            monkeypatch.setattr(disk, name, no_series)
+        grid = [0.5, 1.0] + [float(b) for b in np.linspace(2.0, 9e5, 20)] + [bad]
+        with pytest.raises(DomainError, match=message):
+            disk.envelope(grid)
+
+    def test_first_bad_point_in_grid_order_wins(self):
+        with pytest.raises(DomainError, match="sorted ascending"):
+            disk.envelope([1.0, 3.0, 2.0, math.nan])
+        with pytest.raises(DomainError, match="finite"):
+            disk.envelope([1.0, math.nan, 2.0, 1.0])
+        with pytest.raises(DomainError, match=">= 0"):
+            disk.envelope([-2e6, 1.0])
+
+    @pytest.mark.parametrize("seed", [7, 21, 23])
+    def test_matches_the_per_point_search_on_the_bench_grid(self, seed):
+        # the envelope_sweep grid of bench/workloads.py for this seed
+        rng = random.Random(seed)
+        b_min = round(0.25 + rng.uniform(-0.25, 0.25), 3)
+        b_max = round(1e4 + rng.uniform(-25.0, 25.0), 3)
+        grid = [float(b) for b in np.linspace(b_min, b_max, 4001)]
+        assert envelope_pairs(grid) == searched_pairs(grid)
+
+    def test_matches_the_per_point_search_from_a_low_start(self, monkeypatch):
+        # one below the guess, the previous point's mode usually wins: the
+        # batch ratio is dropped and a fresh scalar ratio taken at the hint
+        grid = [float(b) for b in np.linspace(0.0, 2000.0, 801)]
+        expected = envelope_pairs(grid)
+        start_mode = disk._start_mode
+        monkeypatch.setattr(disk, "_start_mode", lambda b: max(0, start_mode(b) - 1))
+        spy = RatioSpy(monkeypatch)
+        pairs = envelope_pairs(grid)
+        assert len(spy.ratio_modes) > 700
+        assert pairs == searched_pairs(grid) == expected
+
+
+def envelope_pairs(grid):
+    return [(p.active_mode, p.lambda_dn.hex()) for p in disk.envelope(grid)]
+
+
+def searched_pairs(grid):
+    pairs, mode = [], 0
+    for b in grid:
+        mode, lam = disk._ground_state(b, mode)
+        pairs.append((mode, lam.hex()))
+    return pairs
 
 
 # ----------------------------------------------- active-mode search by ratio
@@ -471,7 +529,10 @@ class TestGroundStateSearch:
         assert spy.lambda_calls == 0
 
     def test_start_guess_is_exact_or_one_above(self):
-        for b in np.linspace(1.01, 1e4, 400):
+        # a guess above alpha passes z_n at large n: 0.765 started one below
+        # the mode at five of these geomspace points, the first at b = 18067.39...
+        grid = np.concatenate([np.linspace(1.01, 1e4, 400), np.geomspace(1.01, 1e6, 400)])
+        for b in grid:
             mode = disk.active_mode(float(b))
             assert mode <= disk._start_mode(float(b)) <= mode + 1
 

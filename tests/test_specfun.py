@@ -8,6 +8,7 @@ Gamma values, and finite differences.
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from magsteklov.numerics import (
 from magsteklov.specfun import (
     cylinder_d,
     kummer_log_ratio,
+    kummer_log_ratios,
     kummer_m,
     kummer_m_prime,
 )
@@ -334,6 +336,102 @@ class TestLargeZQuotient:
         start = time.perf_counter()
         assert specfun._large_z_sum(0.5, 1.0, math.nan) is None
         assert time.perf_counter() - start < 0.01
+
+
+# ------------------------------------------------------------- batch kernel
+
+
+class TestKummerLogRatios:
+    """kummer_log_ratios is the scalar kummer_log_ratio on every lane, bit for bit."""
+
+    @staticmethod
+    def assert_lanes_match(a, c, z):
+        batch = kummer_log_ratios(a, c, z).tolist()
+        scalar = [kummer_log_ratio(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())]
+        mismatched = [
+            (c_i, z_i, x, y)
+            for c_i, z_i, x, y in zip(c.tolist(), z.tolist(), batch, scalar)
+            if x.hex() != y.hex()
+        ]
+        assert mismatched == []
+
+    def test_half_integer_a_on_both_routes(self):
+        rng = np.random.default_rng(20261018)
+        c = np.floor(rng.uniform(0.0, 400.0, 300)) + 1.0
+        z = 10.0 ** rng.uniform(-3.0, 3.5, 300)
+        z[:3] = 0.0
+        self.assert_lanes_match(0.5, c, z)
+        lanes = list(zip(c.tolist(), z.tolist()))
+        bottoms = [specfun._large_z_sum(0.5, c_i, z_i) for c_i, z_i in lanes]
+        tops = [specfun._large_z_sum(1.5, c_i + 1.0, z_i) for c_i, z_i in lanes]
+        assert sum(t is not None for t in tops) >= 20  # the expansion
+        assert sum(b is None for b in bottoms) >= 100  # refused, then the series
+        # the refusal test of the batch is that of the scalar sum
+        accepted = specfun._large_z_accepts(0.5, c, z).tolist()
+        assert accepted == [b is not None for b in bottoms]
+        peaks = [specfun._term_peak_bound(0.5, c_i, z_i) > 0.0 for c_i, z_i in lanes]
+        assert any(peaks) and not all(peaks)
+
+    def test_rescaled_series_of_a_non_half_integer_a(self):
+        rng = np.random.default_rng(7)
+        c = rng.uniform(0.1, 40.0, 300)
+        z = np.concatenate([10.0 ** rng.uniform(-1.0, 2.5, 100), rng.uniform(300.0, 3000.0, 200)])
+        self.assert_lanes_match(0.25, c, z)
+        lanes = list(zip(c.tolist(), z.tolist()))
+        assert sum(kummer_m(0.25, c_i, z_i).value.exponent > 512 for c_i, z_i in lanes) >= 150
+        # lanes where the two series rescale a different number of times
+        num_offsets = specfun._series_sums(1.25, c + 1.0, z)[1]
+        assert (num_offsets != specfun._series_sums(0.25, c, z)[1]).any()
+        peaks = [specfun._term_peak_bound(0.25, c_i, z_i) > 0.0 for c_i, z_i in lanes]
+        assert any(peaks) and not all(peaks)
+
+    def test_peak_guard_outlasts_tiny_first_terms(self):
+        # with a = 1e-20 the first term is below 1e-16 of the sum long before
+        # the terms peak; only the k > k_peak condition keeps the series going
+        rng = np.random.default_rng(11)
+        c, z = rng.uniform(0.5, 5.0, 50), rng.uniform(20.0, 200.0, 50)
+        self.assert_lanes_match(1e-20, c, z)
+
+    def test_declined_top_sum_falls_back_to_the_series(self, monkeypatch):
+        # no lane of a = 1/2 has been seen where S(a, c) is accepted and
+        # S(a+1, c+1) declined, so the decline is forced on both paths
+        large_z_sum = specfun._large_z_sum
+
+        def declining_top(a, c, z):
+            return None if a == 1.5 else large_z_sum(a, c, z)
+
+        monkeypatch.setattr(specfun, "_large_z_sum", declining_top)
+        c, z = np.array([1.0, 11.0, 101.0]), np.array([60.0, 500.0, 3000.0])
+        assert specfun._large_z_accepts(0.5, c, z).all()
+        self.assert_lanes_match(0.5, c, z)
+        assert kummer_log_ratios(0.5, c, z).tolist() == [
+            series_log_ratio(0.5, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())
+        ]
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError):
+            kummer_log_ratios(0.5, np.array([1.0, 21.0]), np.array([1.0, 50.0]))
+
+    def test_empty_and_single_lane(self):
+        assert kummer_log_ratios(0.5, np.array([]), np.array([])).shape == (0,)
+        self.assert_lanes_match(0.5, np.array([11.0]), np.array([500.0]))
+
+    @pytest.mark.parametrize(
+        "a, c, z",
+        [
+            (0.0, [1.0], [1.0]),
+            (0.5, [0.0], [1.0]),
+            (0.5, [1.0], [-1.0]),
+            (0.5, [1.0], [2e6]),
+            (0.5, [1.0], [math.nan]),
+            (math.inf, [1.0], [1.0]),
+            (0.5, [1.0, 2.0], [1.0]),
+        ],
+    )
+    def test_domain(self, a, c, z):
+        with pytest.raises(DomainError):
+            kummer_log_ratios(a, np.array(c), np.array(z))
 
 
 # ----------------------------------------------------------------- laguerre
