@@ -27,11 +27,13 @@ a = 1/2 and R_n = R(n+1),
 which is the stable direction: M(a, c, b) is the minimal solution of its
 recurrence as c grows.
 
-A search starts from one fresh ratio at a guess of the mode.  ``envelope``
-checks its whole grid first and then takes the start ratios of all its
-points from one ``specfun.kummer_log_ratios`` call, which returns the floats
-of the scalar ``kummer_log_ratio`` bit for bit; each point then runs the
-search ``active_mode`` runs, so the two agree point by point.
+A search starts from one fresh ratio at a guess of the mode, which is the
+mode or one above.  ``envelope`` is the one search: it checks its whole grid
+first and then takes the start ratios of all its points from one
+``specfun.kummer_log_ratios`` call, the Kummer series quotient on every lane.
+Each start has c = n + 1 >= 2 and b <= c + sqrt(c) + 1, where the scalar
+``kummer_log_ratio`` refuses the expansion and sums the same series, so each
+point's lambda_dn is bit for bit lambda_n of its active mode.
 """
 
 import math
@@ -45,7 +47,6 @@ from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios
 
 __all__ = [
     "EnvelopePoint",
-    "active_mode",
     "envelope",
     "lambda_minus_n",
     "lambda_n",
@@ -146,46 +147,18 @@ def _search(b: float, mode: int, ratio: float) -> tuple[int, float]:
     return mode, _branch(mode, b, ratio)
 
 
-def _ground_state(b: float, hint: int) -> tuple[int, float]:
-    """(active mode, lambda_DN) at field parameter b, searched from ``hint``.
-
-    The search starts from one fresh ratio at max(hint, guess).
-    """
-    _check_field(b, nonnegative=True)
-    hint = _check_mode(hint)
-    if b <= 1.0:  # z_0 ~ 1.58, mode 0 certainly active
-        return 0, lambda_n(0, b)
-    mode = max(hint, _start_mode(b))
-    return _search(b, mode, kummer_log_ratio(0.5, mode + 1.0, b))
-
-
-def active_mode(b: float, hint: int = 0) -> int:
-    """Mode n whose branch realizes the ground state at field parameter b.
-
-    That is the unique n with z_{n-1} <= b <= z_n (z_{-1} taken as 0, so
-    mode 0 owns [0, z_0]).  Membership is decided by the sign of
-    lambda_n(b) + n + 1 - b, which flips exactly at z_n (module docstring):
-    one branch ratio is computed at max(hint, guess), where ``hint`` is a
-    mode index such as that of a smaller b, and the signs of lower modes
-    come from ratios stepped down in c (DLMF 13.3).
-    """
-    return _ground_state(b, hint)[0]
-
-
 def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     """Ground state energy along an ascending grid of field parameters.
 
     Output order matches the input grid.  Each point reports the active
-    mode and lambda_dn = lambda_{active}(b); the active mode is
-    non-decreasing along the grid and increases by exactly one at each
-    crossing point.
+    mode, the unique n with z_{n-1} <= b <= z_n (z_{-1} taken as 0), and
+    lambda_dn = lambda_{active}(b); the active mode is non-decreasing along
+    the grid and increases by exactly one at each crossing point.
 
-    The whole grid is checked before any series is summed.  Then the start
-    ratios of all points with b > 1, at their guesses, come from one
-    ``kummer_log_ratios`` call, bit for bit the ratios ``active_mode`` would
-    compute one at a time, and each point runs the same search from there.
-    Where the previous point's mode lies above the guess, the search starts
-    from a fresh ratio at that mode instead, as ``active_mode`` does.
+    The whole grid is checked before any series is summed.  Points with
+    b <= 1 lie below z_0 ~ 1.58 and take mode 0; the start ratios of all
+    others, at their guesses, come from one ``kummer_log_ratios`` call, and
+    each point runs ``_search`` from there.
     """
     grid = list(b_grid)
     prev_b = -math.inf
@@ -199,14 +172,10 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     ratios = kummer_log_ratios(0.5, np.add(starts, 1.0), np.array(fields, dtype=float)).tolist()
     guesses = iter(zip(starts, ratios))
     points: list[EnvelopePoint] = []
-    mode = 0
     for b in grid:
         if b > 1.0:
-            start, ratio = next(guesses)
-            if mode > start:
-                start, ratio = mode, kummer_log_ratio(0.5, mode + 1.0, b)
-            mode, lambda_dn = _search(b, start, ratio)
+            mode, lambda_dn = _search(b, *next(guesses))
         else:
-            mode, lambda_dn = _ground_state(b, mode)
+            mode, lambda_dn = 0, lambda_n(0, b)
         points.append(EnvelopePoint(b=b, active_mode=mode, lambda_dn=lambda_dn))
     return points

@@ -30,7 +30,6 @@ __all__ = [
     "IntersectionRecord",
     "beta_n",
     "check_F_formula",
-    "clear_cache",
     "find_zn",
     "fit_asymptotics",
     "gap_zn",
@@ -114,10 +113,6 @@ def find_zn(n: int) -> IntersectionRecord:
     cache, where True would otherwise hit the entry of 1.
     """
     return _find_zn_cached(disk._check_mode(n))
-
-
-def clear_cache() -> None:
-    _find_zn_cached.cache_clear()
 
 
 def check_F_formula(n_max: int) -> float:

@@ -17,11 +17,12 @@ gamma-free sums.  S diverges; ``kummer_log_ratio`` uses it only where its
 terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
 before that ratio reaches 1 in size, and sums the Kummer series otherwise.
 
-``kummer_log_ratios(a, c, z)`` is the same ratio on arrays c and z >= 0 with
-one a, for callers that need many at once (the envelope's grid).  Its
-contract is bitwise: each lane is the float ``kummer_log_ratio`` returns,
-because it runs the same float operations in the same order, lane by lane,
-in numpy; a test compares the two on every route.  The scalar loop is not
+``kummer_log_ratios(a, c, z)`` is the series route of that ratio on arrays
+c and z >= 0 with one a, for callers that need many at once (the envelope's
+grid).  Its contract is bitwise: each lane is the float the scalar series
+route returns, because it runs the same float operations in the same order,
+lane by lane, in numpy.  It never tries the expansion, which refuses every
+lane the envelope asks for (z <= c + sqrt(c) + 1).  The scalar loop is not
 written as a batch of one, which would cost ~20 us per term against ~0.5 us.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
@@ -247,35 +248,6 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     return (a / c) * float(num / den)
 
 
-def _large_z_accepts(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Lanes on which _large_z_sum(a, c_i, z_i) returns a sum rather than None.
-
-    The loop of _large_z_sum with its float operations in the same order,
-    over the lanes still undecided at each s; the sums themselves are left
-    to _large_z_sum.
-    """
-    accepted = np.zeros(z.shape, dtype=bool)
-    lane = np.arange(z.size)
-    p = c - a
-    q = 1.0 - a
-    term = np.ones(z.shape)
-    total = np.ones(z.shape)
-    for s in range(_LARGE_Z_MAX_TERMS):
-        num = (p + s) * (q + s)
-        den = (s + 1.0) * z
-        going = np.abs(num) < den
-        lane, p, z, num, den = lane[going], p[going], z[going], num[going], den[going]
-        term = term[going] * (num / den)
-        total = total[going] + term
-        done = np.abs(term) < _LARGE_Z_STOP_REL * np.abs(total)
-        accepted[lane[done]] = True
-        going = ~done
-        lane, p, z, term, total = lane[going], p[going], z[going], term[going], total[going]
-        if lane.size == 0:
-            break
-    return accepted
-
-
 def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pos, offset) of _series_parts(a, c_i, z_i) on every lane, for a > 0 and z >= 0.
 
@@ -319,13 +291,15 @@ def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np
 
 
 def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """kummer_log_ratio(a, c_i, z_i) on every lane, for a > 0 and arrays c > 0, 0 <= z <= 1e6.
+    """(a/c_i) M(a+1, c_i+1, z_i) / M(a, c_i, z_i) from the Kummer series on every lane.
 
-    Each lane is the float the scalar call returns, bit for bit: the
-    expansion is tried where a is a half-integer, with its refusal test run
-    on all lanes at once and the sums of accepted lanes taken from
-    _large_z_sum; the other lanes sum both Kummer series in numpy loops, and
-    their quotient is the one ScaledReal division forms.
+    For a > 0 and arrays c > 0, 0 <= z <= 1e6.  Each lane is the float that
+    the series route of the scalar ``kummer_log_ratio`` returns, bit for bit:
+    both series are summed in numpy loops that run the float operations of
+    _series_parts, and their quotient is the one ScaledReal division forms.
+    The expansion is never tried, so a lane equals ``kummer_log_ratio``
+    wherever the scalar refuses it, as for a = 1/2 at every c >= 2 with
+    z <= c + sqrt(c) + 1.
     """
     c = np.asarray(c, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -335,23 +309,11 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise DomainError("kummer_log_ratios requires finite a, c and z")
     if not (a > 0.0 and (c > 0.0).all() and (z >= 0.0).all() and (z <= _MAX_ABS_Z).all()):
         raise DomainError(f"kummer_log_ratios requires a > 0, c > 0 and 0 <= z <= {_MAX_ABS_Z:g}")
-    ratios = np.empty(z.shape)
-    series = np.ones(z.shape, dtype=bool)
-    if a % 1.0 == 0.5:
-        for i in np.flatnonzero(_large_z_accepts(a, c, z)):
-            c_i, z_i = float(c[i]), float(z[i])
-            top = _large_z_sum(a + 1.0, c_i + 1.0, z_i)
-            if top is not None:
-                ratios[i] = top / _large_z_sum(a, c_i, z_i)
-                series[i] = False
-    lane = np.flatnonzero(series)
-    c, z = c[lane], z[lane]
     num, num_offset = _series_sums(a + 1.0, c + 1.0, z)
     den, den_offset = _series_sums(a, c, z)
     # ScaledReal normalizes by powers of two only, so its quotient rounds
     # to this one: both sums lie in [1, 2**513], far from under- and overflow
-    ratios[lane] = (a / c) * np.ldexp(num / den, num_offset - den_offset)
-    return ratios
+    return (a / c) * np.ldexp(num / den, num_offset - den_offset)
 
 
 def _cylinder_from_integral(nu: float, z: float, rel_tol: float) -> float:

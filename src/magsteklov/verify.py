@@ -409,8 +409,7 @@ def check_mode_switch():
     prev_mode = 0
     for n in range(4):
         z = intersect.find_zn(n).z_n
-        below = disk.active_mode(z - 1e-6)
-        above = disk.active_mode(z + 1e-6)
+        below, above = (point.active_mode for point in disk.envelope([z - 1e-6, z + 1e-6]))
         if below != n or above != n + 1:
             failures += 1
         if below < prev_mode:
@@ -517,8 +516,8 @@ def check_crossing_eigenvalue_asymptotic():
 # ------------------------------------------------------------------- models
 
 
-def halfplane_argmin(lo: float = 0.0, hi: float = 2.0) -> float:
-    """Minimizer of f1 on [lo, hi], located without using its closed form.
+def halfplane_argmin() -> float:
+    """Minimizer of f1 on [0, 2], located without using its closed form.
 
     A bracketing minimization gets within ~sqrt(eps) of the minimum; the
     result is then polished as the zero of the finite-difference slope,
@@ -529,7 +528,7 @@ def halfplane_argmin(lo: float = 0.0, hi: float = 2.0) -> float:
 
     f1 = models.halfplane_multiplier
     coarse = optimize.minimize_scalar(
-        f1, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
+        f1, bounds=(0.0, 2.0), method="bounded", options={"xatol": 1e-8}
     ).x
 
     def slope(xi: float) -> float:

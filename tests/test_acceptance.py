@@ -51,7 +51,7 @@ def test_criterion_02_degennes_constants():
 
 
 def test_criterion_03_halfplane_model(alpha):
-    argmin = verify.halfplane_argmin(0.0, 2.0)
+    argmin = verify.halfplane_argmin()
     argmin_err = abs(argmin - alpha)
     fixed_point_err = abs(models.halfplane_multiplier(alpha) - alpha)
     assert argmin_err <= 1e-6
@@ -60,7 +60,7 @@ def test_criterion_03_halfplane_model(alpha):
 
 
 def test_criterion_04_crossing_formula():
-    intersect.clear_cache()  # time the real work, not a warm cache
+    intersect._find_zn_cached.cache_clear()  # time the real work, not a warm cache
     start = time.perf_counter()
     worst = intersect.check_F_formula(200)
     elapsed = time.perf_counter() - start

@@ -219,7 +219,7 @@ class TestAsymptoticsCommand:
 
         monkeypatch.setattr(models, "compute_alpha", counted)
         models._alpha_cached.cache_clear()
-        intersect.clear_cache()
+        intersect._find_zn_cached.cache_clear()
         code, _ = run(tmp_path, "asymptotics", "--n-min", "10", "--n-max", "40")
         assert code == 0
         assert len(calls) == 1

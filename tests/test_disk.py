@@ -128,7 +128,7 @@ class TestLambdaN:
         with pytest.raises(DomainError, match="b must be finite"):
             disk.lambda_n(0, b)
         with pytest.raises(DomainError, match="b must be finite"):
-            disk.active_mode(b)
+            disk.envelope([b])
         assert time.perf_counter() - start < 0.01
 
     def test_field_domain_unchanged(self):
@@ -136,7 +136,7 @@ class TestLambdaN:
             with pytest.raises(DomainError, match=r"\|b\| <= 1e\+06 required, got b="):
                 disk.lambda_n(0, b)
         with pytest.raises(DomainError, match=r"\|b\| <= 1e\+06 required, got b=2000000.0"):
-            disk.active_mode(2e6)
+            disk.envelope([2e6])
 
 
 # ------------------------------------------------------- large-field route
@@ -332,6 +332,14 @@ class TestLambdaSecondAtPrev:
 # ----------------------------------------------------------------- envelope
 
 
+def bench_grid(seed):
+    """The envelope_sweep grid of bench/workloads.py for this seed."""
+    rng = random.Random(seed)
+    b_min = round(0.25 + rng.uniform(-0.25, 0.25), 3)
+    b_max = round(1e4 + rng.uniform(-25.0, 25.0), 3)
+    return np.linspace(b_min, b_max, 4001)
+
+
 class TestEnvelope:
     def test_at_origin(self):
         point = disk.envelope([0.0])[0]
@@ -381,24 +389,12 @@ class TestEnvelope:
     @given(st.floats(min_value=0.05, max_value=500.0))
     @settings(max_examples=40, deadline=None)
     def test_active_mode_is_local_minimum(self, b):
-        mode = disk.active_mode(b)
+        mode = disk.envelope([b])[0].active_mode
         lam = disk.lambda_n(mode, b)
         slack = 1e-11 * max(1.0, abs(lam))
         assert lam <= disk.lambda_n(mode + 1, b) + slack
         if mode > 0:
             assert lam <= disk.lambda_n(mode - 1, b) + slack
-
-    @pytest.mark.parametrize("hint", [60.5, True, math.nan])
-    def test_hint_must_be_a_mode_index(self, hint):
-        # unchecked, 60.5 would come back as the mode 44.5 and NaN would fail in the series
-        with pytest.raises(DomainError, match="mode index"):
-            disk.active_mode(50.0, hint=hint)
-
-    def test_hint_accepts_any_integer_type(self):
-        mode = disk.active_mode(50.0, hint=np.int64(60))
-        assert type(mode) is int
-        assert mode == disk.active_mode(50.0)
-
 
     @pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf], [-1.0], [1.0, 2e6]])
     def test_bad_field_rejected_by_name(self, grid):
@@ -427,18 +423,22 @@ class TestEnvelope:
         with pytest.raises(DomainError, match=">= 0"):
             disk.envelope([-2e6, 1.0])
 
-    @pytest.mark.parametrize("seed", [7, 21, 23])
-    def test_matches_the_per_point_search_on_the_bench_grid(self, seed):
-        # the envelope_sweep grid of bench/workloads.py for this seed
-        rng = random.Random(seed)
-        b_min = round(0.25 + rng.uniform(-0.25, 0.25), 3)
-        b_max = round(1e4 + rng.uniform(-25.0, 25.0), 3)
-        grid = [float(b) for b in np.linspace(b_min, b_max, 4001)]
-        assert envelope_pairs(grid) == searched_pairs(grid)
+    @pytest.mark.parametrize(
+        "fields",
+        [bench_grid(7), bench_grid(21), bench_grid(23), np.geomspace(0.5, 1e6, 401)],
+        ids=["bench-7", "bench-21", "bench-23", "geomspace-1e6"],
+    )
+    def test_each_point_is_the_branch_of_its_mode(self, fields):
+        points = disk.envelope([float(b) for b in fields])
+        modes = [p.active_mode for p in points]
+        assert modes == sorted(modes)
+        branch = [disk.lambda_n(p.active_mode, p.b) for p in points]
+        mismatched = [p for p, lam in zip(points, branch) if p.lambda_dn.hex() != lam.hex()]
+        assert mismatched == []
 
     def test_matches_the_per_point_search_from_a_low_start(self, monkeypatch):
-        # one below the guess, the previous point's mode usually wins: the
-        # batch ratio is dropped and a fresh scalar ratio taken at the hint
+        # one below the guess, the start is mostly one below the mode, and
+        # the search climbs to it with a fresh scalar ratio
         grid = [float(b) for b in np.linspace(0.0, 2000.0, 801)]
         expected = envelope_pairs(grid)
         start_mode = disk._start_mode
@@ -446,19 +446,11 @@ class TestEnvelope:
         spy = RatioSpy(monkeypatch)
         pairs = envelope_pairs(grid)
         assert len(spy.ratio_modes) > 700
-        assert pairs == searched_pairs(grid) == expected
+        assert pairs == expected
 
 
 def envelope_pairs(grid):
     return [(p.active_mode, p.lambda_dn.hex()) for p in disk.envelope(grid)]
-
-
-def searched_pairs(grid):
-    pairs, mode = [], 0
-    for b in grid:
-        mode, lam = disk._ground_state(b, mode)
-        pairs.append((mode, lam.hex()))
-    return pairs
 
 
 # ----------------------------------------------- active-mode search by ratio
@@ -504,37 +496,27 @@ class TestGroundStateSearch:
         for n in range(0, 2001, 37):
             z = intersect.find_zn(n).z_n
             f = intersect._crossing_function(n)
-            for b in (z - 1e-9 * z, z + 1e-9 * z):
-                mode, lam = disk._ground_state(b, 0)
+            for point in disk.envelope([z - 1e-9 * z, z + 1e-9 * z]):
+                b, mode = point.b, point.active_mode
                 assert mode == (n if f(b) > 0.0 else n + 1)
-                assert lam == disk.lambda_n(mode, b)
-
-    def test_hint_far_above_steps_down(self, monkeypatch):
-        expected = disk.active_mode(50.0)
-        spy = RatioSpy(monkeypatch)
-        mode, lam = disk._ground_state(50.0, 60)
-        assert mode == expected < 60
-        assert spy.ratio_modes == [60, expected]  # the start, then lambda_n's own ratio
-        assert spy.lambda_calls == 1
-        assert lam == disk.lambda_n(mode, 50.0)
+                assert point.lambda_dn == disk.lambda_n(mode, b)
 
     def test_low_start_moves_up_with_fresh_ratios(self, monkeypatch):
-        expected = {b: disk._ground_state(b, 0) for b in (1.5, 7.3, 50.0, 400.0)}
-        monkeypatch.setattr(disk, "_start_mode", lambda b: 0)
+        grid = [1.5, 7.3, 50.0, 400.0]
+        expected = [(p.active_mode, p.lambda_dn) for p in disk.envelope(grid)]
         spy = RatioSpy(monkeypatch)
-        for b, (mode, lam) in expected.items():
+        for b, (mode, lam) in zip(grid, expected):
             spy.ratio_modes.clear()
-            assert disk._ground_state(b, 0) == (mode, lam)
+            assert disk._search(b, 0, disk.kummer_log_ratio(0.5, 1.0, b)) == (mode, lam)
             assert spy.ratio_modes == list(range(mode + 1))
         assert spy.lambda_calls == 0
 
     def test_start_guess_is_exact_or_one_above(self):
         # a guess above alpha passes z_n at large n: 0.765 started one below
         # the mode at five of these geomspace points, the first at b = 18067.39...
-        grid = np.concatenate([np.linspace(1.01, 1e4, 400), np.geomspace(1.01, 1e6, 400)])
-        for b in grid:
-            mode = disk.active_mode(float(b))
-            assert mode <= disk._start_mode(float(b)) <= mode + 1
+        for grid in (np.linspace(1.01, 1e4, 400), np.geomspace(1.01, 1e6, 400)):
+            for point in disk.envelope([float(b) for b in grid]):
+                assert point.active_mode <= disk._start_mode(point.b) <= point.active_mode + 1
 
     def test_disk_sums_no_kummer_series_itself(self):
         assert not hasattr(disk, "kummer_m")

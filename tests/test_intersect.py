@@ -81,7 +81,7 @@ class TestFindZn:
     def test_uses_the_cached_alpha(self, monkeypatch):
         models._alpha_cached()
         expected = intersect.find_zn(7)
-        intersect.clear_cache()
+        intersect._find_zn_cached.cache_clear()
 
         def fail(*args, **kwargs):
             raise AssertionError("compute_alpha called per crossing point")

@@ -342,18 +342,21 @@ class TestLargeZQuotient:
 
 
 class TestKummerLogRatios:
-    """kummer_log_ratios is the scalar kummer_log_ratio on every lane, bit for bit."""
+    """kummer_log_ratios is the series quotient on every lane, bit for bit, and
+    so the scalar kummer_log_ratio wherever that refuses the expansion."""
 
     @staticmethod
     def assert_lanes_match(a, c, z):
+        lanes = list(zip(c.tolist(), z.tolist()))
         batch = kummer_log_ratios(a, c, z).tolist()
-        scalar = [kummer_log_ratio(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())]
+        series = [series_log_ratio(a, c_i, z_i) for c_i, z_i in lanes]
         mismatched = [
-            (c_i, z_i, x, y)
-            for c_i, z_i, x, y in zip(c.tolist(), z.tolist(), batch, scalar)
-            if x.hex() != y.hex()
+            (lane, x, y) for lane, x, y in zip(lanes, batch, series) if x.hex() != y.hex()
         ]
         assert mismatched == []
+        refused = [a % 1.0 != 0.5 or specfun._large_z_sum(a, *lane) is None for lane in lanes]
+        scalar = [kummer_log_ratio(a, *lane) for lane, r in zip(lanes, refused) if r]
+        assert [x.hex() for x, r in zip(batch, refused) if r] == [y.hex() for y in scalar]
 
     def test_half_integer_a_on_both_routes(self):
         rng = np.random.default_rng(20261018)
@@ -366,9 +369,6 @@ class TestKummerLogRatios:
         tops = [specfun._large_z_sum(1.5, c_i + 1.0, z_i) for c_i, z_i in lanes]
         assert sum(t is not None for t in tops) >= 20  # the expansion
         assert sum(b is None for b in bottoms) >= 100  # refused, then the series
-        # the refusal test of the batch is that of the scalar sum
-        accepted = specfun._large_z_accepts(0.5, c, z).tolist()
-        assert accepted == [b is not None for b in bottoms]
         peaks = [specfun._term_peak_bound(0.5, c_i, z_i) > 0.0 for c_i, z_i in lanes]
         assert any(peaks) and not all(peaks)
 
@@ -394,19 +394,42 @@ class TestKummerLogRatios:
 
     def test_declined_top_sum_falls_back_to_the_series(self, monkeypatch):
         # no lane of a = 1/2 has been seen where S(a, c) is accepted and
-        # S(a+1, c+1) declined, so the decline is forced on both paths
+        # S(a+1, c+1) declined, so the scalar's decline is forced
         large_z_sum = specfun._large_z_sum
 
         def declining_top(a, c, z):
             return None if a == 1.5 else large_z_sum(a, c, z)
 
         monkeypatch.setattr(specfun, "_large_z_sum", declining_top)
-        c, z = np.array([1.0, 11.0, 101.0]), np.array([60.0, 500.0, 3000.0])
-        assert specfun._large_z_accepts(0.5, c, z).all()
-        self.assert_lanes_match(0.5, c, z)
-        assert kummer_log_ratios(0.5, c, z).tolist() == [
-            series_log_ratio(0.5, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())
-        ]
+        lanes = [(1.0, 60.0), (11.0, 500.0), (101.0, 3000.0)]
+        assert all(large_z_sum(0.5, c, z) is not None for c, z in lanes)
+        scalar = [kummer_log_ratio(0.5, c, z).hex() for c, z in lanes]
+        assert scalar == [series_log_ratio(0.5, c, z).hex() for c, z in lanes]
+
+    def test_expansion_refuses_every_envelope_lane(self):
+        """The scalar sums the series wherever c >= 2 and z <= c + sqrt(c) + 1.
+
+        All terms of S(1/2, c, z) are positive, and the ratio of consecutive
+        terms, (c - 1/2 + s)(1/2 + s) / ((s + 1) z), grows with c and shrinks
+        with z.  So as c grows or z shrinks every term grows, and so does
+        every term's share of the running sum, which is 1 over a sum of
+        reciprocal products of those ratios: the ratio reaches 1 no later,
+        and no term falls below 1e-17 of the sum sooner.  A refusal at
+        (c_i, z) therefore holds on all of c >= c_i, z' <= z.  The strips
+        c_i <= c <= c_{i+1} = c_i (1 + 1/64) from 2 past 1e6 + 2 are each
+        covered by the refusal at (c_i, c_{i+1} + sqrt(c_{i+1}) + 1); the
+        smallest share met there is ~2.6e-10, so rounding decides none.  The
+        envelope's starts have c = n + 1 >= 2 and b <= c + 0.765 sqrt(c),
+        so its batch lanes are the scalar's floats.
+        """
+        c = 2.0
+        strips = 0
+        while c < 1e6 + 2.0:
+            top = c * (1.0 + 1.0 / 64.0)
+            assert specfun._large_z_sum(0.5, c, top + math.sqrt(top) + 1.0) is None, c
+            c = top
+            strips += 1
+        assert strips == 847
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 5)

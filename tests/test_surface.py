@@ -6,6 +6,10 @@ definition of its own module refers to it (a result type, a helper that a
 live function calls).  Routes that only cross-check the library belong in
 ``verify``, and helpers that only the tests use belong in the tests.
 
+A parameter with a default, on a top-level function of a library module or
+``verify``, is an option: some call in the package must pass it, or its
+default belongs in the body as a constant.
+
 The package has one accuracy, ``numerics.REL_TOL``.  Only the quadrature,
 the root finder and ``cylinder_d`` (with its two private helpers) take it as
 a ``rel_tol`` float; no function anywhere takes a tolerance object.
@@ -20,8 +24,6 @@ import magsteklov
 
 PACKAGE = Path(magsteklov.__file__).parent
 LIBRARY = ("numerics", "specfun", "disk", "intersect", "models")
-# public for callers outside the package: a caller times find_zn from a cold cache
-KEPT_FOR_CALLERS = {("intersect", "clear_cache")}
 ACCURACY_KERNELS = {
     ("numerics", "integrate_semi_infinite"),
     ("numerics", "brent_root"),
@@ -91,9 +93,7 @@ def _live(module):
 @pytest.mark.parametrize("module", LIBRARY)
 def test_every_export_has_a_caller_in_the_package(module):
     exports = _exports(_tree(module))
-    kept = {name for owner, name in KEPT_FOR_CALLERS if owner == module}
-    assert kept <= set(exports)
-    unused = [name for name in exports if name not in _live(module) | kept]
+    unused = [name for name in exports if name not in _live(module)]
     assert unused == [], f"{module} exports names nothing in the package uses: {unused}"
 
 
@@ -114,3 +114,49 @@ def test_only_the_kernels_take_an_accuracy(module):
         if "rel_tol" in params:
             with_rel_tol.add((module, name))
     assert with_rel_tol == {k for k in ACCURACY_KERNELS if k[0] == module}
+
+
+def _options(module):
+    """(function, parameter, position or None) of each defaulted parameter of a top-level def."""
+    for node in _tree(module).body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield node.name, positional[index].arg, index
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _calls_by_name():
+    """Called name -> every call of it in the package, as ``f(...)`` or ``x.f(...)``."""
+    calls = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, parameter, index):
+    """Whether the call sets the parameter; a starred argument may set any."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == parameter for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+@pytest.mark.parametrize("module", LIBRARY + ("verify",))
+def test_every_option_is_passed_by_a_caller(module):
+    calls = _calls_by_name()
+    unset = [
+        f"{function}({parameter})"
+        for function, parameter, index in _options(module)
+        if not any(_passes(call, parameter, index) for call in calls.get(function, []))
+    ]
+    assert unset == [], f"{module} has options no call in the package sets: {unset}"
