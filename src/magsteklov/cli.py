@@ -137,7 +137,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     count = min(40, n_hi - n_lo + 1)
     ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, count)})
     records = [intersect.find_zn(n) for n in ns]
-    fit = intersect.fit_asymptotics(records, terms=4)
+    fit = intersect.fit_asymptotics(records)
     alpha = models._alpha_cached()
     gap = intersect.gap_zn(n_hi)
     gap_model = 1.0 + 0.5 * alpha / math.sqrt(n_hi)

@@ -11,8 +11,8 @@ lambda_n(z_n) = z_n - n - 1, and for large n
     z_n = n + alpha sqrt(n) + (alpha^2 + 2)/3 + O(n^{-1/2}),
 
 with the rescaled offset beta_n = (z_n - n - 1/2)/sqrt(n) tending to alpha.
-This module locates the z_n, records the residual of the first
-characterization, and extracts the expansion coefficients by least squares.
+This module locates the z_n, records the residuals of their
+characterizations, and extracts the expansion coefficients by least squares.
 """
 
 import functools
@@ -28,8 +28,6 @@ from .specfun import kummer_m
 __all__ = [
     "AsymptoticFit",
     "IntersectionRecord",
-    "beta_n",
-    "check_F_formula",
     "find_zn",
     "fit_asymptotics",
     "gap_zn",
@@ -115,22 +113,6 @@ def find_zn(n: int) -> IntersectionRecord:
     return _find_zn_cached(disk._check_mode(n))
 
 
-def check_F_formula(n_max: int) -> float:
-    """Max over n <= n_max of |lambda_n(z_n) - (z_n - n - 1)|."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    return max(find_zn(n).residual_F for n in range(n_max + 1))
-
-
-def beta_n(n: int) -> float:
-    """Rescaled crossing offset (z_n - n - 1/2)/sqrt(n); tends to alpha."""
-    if n < 1:
-        raise DomainError(f"beta_n needs n >= 1, got {n}")
-    value = find_zn(n).beta_n
-    assert value is not None
-    return value
-
-
 def gap_zn(n: int) -> float:
     """Spacing z_n - z_{n-1}; approaches 1 + (alpha/2) n^{-1/2} for large n."""
     if n < 1:
@@ -138,16 +120,14 @@ def gap_zn(n: int) -> float:
     return find_zn(n).z_n - find_zn(n - 1).z_n
 
 
-def fit_asymptotics(records: list[IntersectionRecord], terms: int = 4) -> AsymptoticFit:
+def fit_asymptotics(records: list[IntersectionRecord]) -> AsymptoticFit:
     """Least-squares fit of z_n - n against {sqrt(n), 1, n^{-1/2}, n^{-1}}.
 
-    ``terms`` truncates that basis.  Requires n_hi/n_lo >= 4 so the basis
+    Requires at least five records and n_hi/n_lo >= 4 so the four basis
     columns stay distinguishable; higher-order coefficients than n^{-1} are
     not resolvable in double precision and are out of scope.
     """
-    if not 1 <= terms <= 4:
-        raise DomainError(f"terms must be in [1, 4], got {terms}")
-    if len(records) < terms + 1:
+    if len(records) < 5:
         raise DomainError("need more records than fit terms")
     ns = np.array([float(r.n) for r in records])
     if ns.min() <= 0:
@@ -155,11 +135,9 @@ def fit_asymptotics(records: list[IntersectionRecord], terms: int = 4) -> Asympt
     if ns.max() / ns.min() < 4.0:
         raise DomainError("n range too narrow for a stable fit (need n_hi/n_lo >= 4)")
     y = np.array([r.z_n - r.n for r in records])
-    basis = np.column_stack(
-        [np.sqrt(ns), np.ones_like(ns), 1.0 / np.sqrt(ns), 1.0 / ns][:terms]
-    )
+    basis = np.column_stack([np.sqrt(ns), np.ones_like(ns), 1.0 / np.sqrt(ns), 1.0 / ns])
     coeffs, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
-    if rank < terms:
+    if rank < 4:
         raise DomainError("fit basis is numerically rank deficient on this n range")
     residuals = basis @ coeffs - y
     return AsymptoticFit(

@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Relative accuracies of the ground-state density and of its norm quadrature
-# in comparison_bound, looser than REL_TOL.
-_DENSITY_REL_TOL = 1e-11
-_NORM_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,9 +171,9 @@ def comparison_bound() -> tuple[float, float]:
     def density(t: float) -> float:
         if t > 12.0:  # decays like exp(-(t - xi0)^2); below 1e-100 out here
             return 0.0
-        return cylinder_d(nu, _SQRT2 * (t - xi0), rel_tol=_DENSITY_REL_TOL).value ** 2
+        return cylinder_d(nu, _SQRT2 * (t - xi0)).value ** 2
 
-    norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0, rel_tol=_NORM_REL_TOL)
+    norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0)
     u0_sq = boundary * boundary / norm
     bound = _SQRT2 * xi0 * xi0 / u0_sq
     return u0_sq, bound

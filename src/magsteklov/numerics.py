@@ -1,9 +1,9 @@
 """Shared numeric substrate.
 
 Scaled power-of-two floats for overflow-free series summation, adaptive
-quadrature on the half line, a bracketing root finder and finite
-differences.  REL_TOL is the one relative accuracy the package asks of its
-iterative routines; the two kernels here take it as a float keyword.
+quadrature on the half line and a bracketing root finder.  REL_TOL is the
+one relative accuracy the package asks of its iterative routines; both
+kernels here read it, and no function takes an accuracy argument.
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "REL_TOL",
     "ScaledReal",
     "brent_root",
-    "central_diff",
     "integrate_semi_infinite",
 ]
 
@@ -47,7 +46,7 @@ class QuadratureError(ArithmeticError):
     """Adaptive quadrature could not reach the requested accuracy."""
 
 
-# Relative accuracy of quadrature and root finding, the default of every kernel.
+# Relative accuracy of quadrature and root finding, the one accuracy of the package.
 REL_TOL = 1e-13
 
 # Absolute error floor, Brent iteration budget and QUADPACK subinterval cap.
@@ -144,11 +143,7 @@ class ScaledReal:
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    decay_scale: float = 0.0,
-    rel_tol: float = REL_TOL,
-) -> float:
+def integrate_semi_infinite(f: Callable[[float], float], decay_scale: float = 0.0) -> float:
     """Integral of f over (0, infinity) for Gaussian- or exponentially-decaying f.
 
     ``f`` may carry an integrable endpoint singularity t**p with p > -1 and
@@ -159,10 +154,8 @@ def integrate_semi_infinite(
     below 1e-20 relative for exp(-t) decay, far smaller for Gaussian decay)
     and the remaining finite integral is handled by adaptive Gauss-Kronrod
     panels with breakpoints seeded around the region that carries the mass,
-    to the relative accuracy ``rel_tol`` (positive and finite).
+    to the relative accuracy REL_TOL.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     peak = max(decay_scale, 0.0)
     upper = peak + 48.0
     seeds = sorted({0.25, 1.0, peak + 1.0, peak + 8.0, upper / 2.0})
@@ -175,33 +168,26 @@ def integrate_semi_infinite(
             points=seeds,
             limit=_QUAD_PANELS_MAX,
             epsabs=_ABS_TOL,
-            epsrel=rel_tol,
+            epsrel=REL_TOL,
             full_output=True,
         )
     except ValueError as exc:  # requested tolerance tighter than QUADPACK allows
         raise QuadratureError(str(exc)) from exc
     value, abserr = out[0], out[1]
     if len(out) > 3:  # quadpack gave up; accept only if the estimate is still good
-        if abserr > max(100.0 * rel_tol * abs(value), _ABS_TOL):
+        if abserr > max(100.0 * REL_TOL * abs(value), _ABS_TOL):
             raise QuadratureError(out[3])
     return value
 
 
-def brent_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = REL_TOL,
-) -> float:
+def brent_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi], which must bracket a sign change.
 
-    The root is located to the relative accuracy ``rel_tol`` (positive and
-    finite, floored at 4 eps).  Raises BracketError when f(lo) and f(hi)
-    have the same sign and ConvergenceError if the iteration budget is
-    exhausted.
+    The root is located to the relative accuracy REL_TOL, which lies above
+    the 4 eps floor of scipy's brentq.  Raises BracketError when f(lo) and
+    f(hi) have the same sign and ConvergenceError if the iteration budget
+    is exhausted.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
     try:
@@ -210,7 +196,7 @@ def brent_root(
             lo,
             hi,
             xtol=_ABS_TOL,
-            rtol=max(rel_tol, 4.0 * EPS),
+            rtol=REL_TOL,
             maxiter=_MAX_ITER,
             full_output=True,
             disp=False,
@@ -220,18 +206,3 @@ def brent_root(
     if not result.converged:
         raise ConvergenceError(f"no convergence in {_MAX_ITER} iterations")
     return root
-
-
-def central_diff(f: Callable[[float], float], x: float, order: int = 1) -> float:
-    """Central finite-difference derivative of order 1 or 2 at x.
-
-    The step balances truncation against round-off: eps**(1/3) scaled by
-    max(|x|, 1) for the first derivative, eps**(1/4) for the second.
-    """
-    if order == 1:
-        h = max(abs(x), 1.0) * EPS ** (1.0 / 3.0)
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        h = max(abs(x), 1.0) * EPS**0.25
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise DomainError(f"order must be 1 or 2, got {order}")

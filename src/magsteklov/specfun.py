@@ -4,10 +4,10 @@ This module alone decides how each function is evaluated; callers name the
 function and its arguments, never a route.
 
 The Kummer function M(a, c, z) = sum_k (a)_k/(c)_k z^k/k! is summed termwise
-in ScaledReal arithmetic, so values of size exp(z) for z up to ~1e6 stay
-representable; negative z goes through M(a, c, -y) = exp(-y) M(c-a, c, y).
-That series needs O(|z|) terms.  The log-derivative M'/M has a second route:
-by the large-z expansion of DLMF 13.7.2,
+in ScaledReal arithmetic for z >= 0, so values of size exp(z) for z up to
+~1e6 stay representable.  That series needs O(z) terms.  The
+log-derivative M'/M has a second route: by the large-z expansion of
+DLMF 13.7.2,
 
     M(a, c, z) = Gamma(c)/Gamma(a) e^z z^(a-c) [S(a, c, z) + O(e^-z)],
     S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s),
@@ -46,13 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    REL_TOL,
-    ConvergenceError,
-    DomainError,
-    ScaledReal,
-    integrate_semi_infinite,
-)
+from .numerics import ConvergenceError, DomainError, ScaledReal, integrate_semi_infinite
 
 __all__ = [
     "CylinderValue",
@@ -61,7 +55,6 @@ __all__ = [
     "kummer_log_ratio",
     "kummer_log_ratios",
     "kummer_m",
-    "kummer_m_prime",
 ]
 
 _MAX_TERMS = 2_000_000
@@ -155,29 +148,21 @@ def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal,
 
 
 def kummer_m(a: float, c: float, z: float) -> KummerValue:
-    """Kummer confluent hypergeometric function M(a, c, z).
+    """Kummer confluent hypergeometric function M(a, c, z) for 0 <= z <= 1e6.
 
-    For z < 0 the series alternates and loses all precision near z ~ -c, so
-    the evaluation goes through M(a, c, z) = exp(z) * M(c - a, c, -z), whose
-    series is summed on the positive side.  A series that does not converge
-    raises ConvergenceError.
+    Negative z is refused: there the series alternates and loses all
+    precision near z ~ -c, and every caller in the package transforms its
+    argument to z >= 0 first.  A series that does not converge raises
+    ConvergenceError.
     """
     _require_finite(a=a, c=c, z=z)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"M(a,c,z) undefined for non-positive integer c={c}")
+    if z < 0.0:
+        raise DomainError(f"kummer_m requires z >= 0, got z={z}")
     _check_range(z)
-    if z >= 0.0:
-        pos, neg, terms = _series_parts(a, c, z)
-        value = pos - neg
-    else:
-        pos, neg, terms = _series_parts(c - a, c, -z)
-        value = ScaledReal.exp(z) * (pos - neg)
-    return KummerValue(value=value, terms_used=terms)
-
-
-def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
-    """d/dz M(a, c, z), via the shift identity M' = (a/c) M(a+1, c+1, z)."""
-    return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z).value
+    pos, neg, terms = _series_parts(a, c, z)
+    return KummerValue(value=pos - neg, terms_used=terms)
 
 
 def _large_z_sum(a: float, c: float, z: float) -> float | None:
@@ -316,14 +301,14 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a / c) * np.ldexp(num / den, num_offset - den_offset)
 
 
-def _cylinder_from_integral(nu: float, z: float, rel_tol: float) -> float:
+def _cylinder_from_integral(nu: float, z: float) -> float:
     """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation."""
     power = -nu - 1.0
 
     def integrand(t: float) -> float:
         return t**power * math.exp(-0.5 * t * t - z * t)
 
-    integral = integrate_semi_infinite(integrand, rel_tol=rel_tol)
+    integral = integrate_semi_infinite(integrand)
     return math.exp(-0.25 * z * z) * integral / math.gamma(-nu)
 
 
@@ -358,7 +343,7 @@ def _cylinder_even_odd(nu: float, z: float) -> float:
     return float(prefactor * (even + odd))
 
 
-def _cylinder_value(nu: float, z: float, rel_tol: float) -> tuple[float, float]:
+def _cylinder_value(nu: float, z: float) -> tuple[float, float]:
     """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the sign of z.
 
     z <= 0: even/odd Kummer decomposition for both orders; its pieces
@@ -373,15 +358,15 @@ def _cylinder_value(nu: float, z: float, rel_tol: float) -> tuple[float, float]:
         return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
     lifts = max(0, int(math.floor(nu)) + 2)
     mu = nu - lifts
-    below = _cylinder_from_integral(mu - 1.0, z, rel_tol)
-    value = _cylinder_from_integral(mu, z, rel_tol)
+    below = _cylinder_from_integral(mu - 1.0, z)
+    value = _cylinder_from_integral(mu, z)
     for _ in range(lifts):
         below, value = value, z * value - mu * below
         mu += 1.0
     return value, below
 
 
-def cylinder_d(nu: float, z: float, rel_tol: float = REL_TOL) -> CylinderValue:
+def cylinder_d(nu: float, z: float) -> CylinderValue:
     """Parabolic cylinder function D_nu(z) with derivative, nu in [-4, 4].
 
     The derivative is always the recurrence combination
@@ -392,6 +377,6 @@ def cylinder_d(nu: float, z: float, rel_tol: float = REL_TOL) -> CylinderValue:
     _require_finite(z=z)
     if abs(z) > 50.0:
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
-    value, below = _cylinder_value(nu, z, rel_tol)
+    value, below = _cylinder_value(nu, z)
     derivative = nu * below - 0.5 * z * value
     return CylinderValue(value=value, derivative=derivative)

@@ -9,28 +9,30 @@ command reports the ``constants`` group as JSON; the test suite calls the
 same functions.
 
 The independent routes that only cross-check the library live here, off
-its fast path: the closed-form derivatives of lambda_n, the first-order
-characterization of z_n, Phi as a moment ratio, and the argmin of f1 found
-without its closed form.
+its fast path: central finite differences, the shift identity for M', the
+closed-form derivatives of lambda_n, the first-order characterization of
+z_n, Phi as a moment ratio, and the argmin of f1 found without its closed
+form.
 """
 
 import functools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import disk, intersect, models
 from .numerics import (
+    EPS,
     REL_TOL,
     DomainError,
     ScaledReal,
     brent_root,
-    central_diff,
     integrate_semi_infinite,
 )
-from .specfun import cylinder_d, kummer_m, kummer_m_prime
+from .specfun import cylinder_d, kummer_m
 
 __all__ = ["CheckResult", "MODULES", "run_suite"]
 
@@ -79,6 +81,21 @@ def _check(module: str, name: str):
 
 
 # ----------------------------------------------------------------- numerics
+
+
+def central_diff(f: Callable[[float], float], x: float, order: int = 1) -> float:
+    """Central finite-difference derivative of order 1 or 2 at x.
+
+    The step balances truncation against round-off: eps**(1/3) scaled by
+    max(|x|, 1) for the first derivative, eps**(1/4) for the second.
+    """
+    if order == 1:
+        h = max(abs(x), 1.0) * EPS ** (1.0 / 3.0)
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+    if order == 2:
+        h = max(abs(x), 1.0) * EPS**0.25
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    raise DomainError(f"order must be 1 or 2, got {order}")
 
 
 @_check("numerics", "scaled-real-round-trip")
@@ -149,6 +166,11 @@ def _rel_combo(parts):
 
 def _mval(a, c, z):
     return kummer_m(a, c, z).value
+
+
+def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
+    """d/dz M(a, c, z), via the shift identity M' = (a/c) M(a+1, c+1, z)."""
+    return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z).value
 
 
 @_check("specfun", "kummer-contiguous-c-shift")
@@ -431,16 +453,20 @@ def characterization_residual(n: int, z: float) -> float:
     return float(abs(left - right) / scale)
 
 
-def lambda_n_second_at_zprev(n: int, z_prev: float | None = None) -> float:
-    """Second derivative of lambda_n at its minimum z_{n-1}.
+def lambda_n_second_at_zprev(n: int, z_prev: float) -> float:
+    """Second derivative of lambda_n at its minimum z_prev = z_{n-1}.
 
-    Equals (z_{n-1} - n) / z_{n-1}, strictly positive.  When ``z_prev`` is
-    not supplied, the crossing point is computed on demand.
+    Equals (z_{n-1} - n) / z_{n-1}, strictly positive.
     """
     n = disk._check_mode(n, minimum=1)
-    if z_prev is None:
-        z_prev = intersect.find_zn(n - 1).z_n
     return (z_prev - n) / z_prev
+
+
+def max_crossing_residual(n_max: int) -> float:
+    """Max over n <= n_max of |lambda_n(z_n) - (z_n - n - 1)|."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    return max(intersect.find_zn(n).residual_F for n in range(n_max + 1))
 
 
 @_check("intersect", "characterization-equivalence")
@@ -453,7 +479,7 @@ def check_characterization_equivalence():
 
 @_check("intersect", "crossing-eigenvalue-formula")
 def check_f_formula():
-    worst = intersect.check_F_formula(50)
+    worst = max_crossing_residual(50)
     return worst, 1e-8
 
 
@@ -484,7 +510,7 @@ def check_beta_trend():
     correction = (2.0 * alpha * alpha + 1.0) / 6.0
     worst = 0.0
     for n in (100, 400, 1600, 6400):
-        deviation = intersect.beta_n(n) - alpha - correction / math.sqrt(n)
+        deviation = intersect.find_zn(n).beta_n - alpha - correction / math.sqrt(n)
         worst = max(worst, abs(deviation) * n)
     return worst, 5.0, "scaled by n"
 
@@ -519,22 +545,16 @@ def check_crossing_eigenvalue_asymptotic():
 def halfplane_argmin() -> float:
     """Minimizer of f1 on [0, 2], located without using its closed form.
 
-    A bracketing minimization gets within ~sqrt(eps) of the minimum; the
-    result is then polished as the zero of the finite-difference slope,
-    which pins the argmin to ~1e-10.  Independent of the alpha computed
-    from the cylinder-function root, so the two may be compared.
+    The finite-difference slope of f1 rises from -0.46 at 0 to +1.01 at 2,
+    so one Brent search on [0, 2] finds its zero; finite-difference noise
+    limits the argmin to ~1e-10.  Independent of the alpha computed from
+    the cylinder-function root, so the two may be compared.
     """
-    from scipy import optimize
-
-    f1 = models.halfplane_multiplier
-    coarse = optimize.minimize_scalar(
-        f1, bounds=(0.0, 2.0), method="bounded", options={"xatol": 1e-8}
-    ).x
 
     def slope(xi: float) -> float:
-        return central_diff(f1, xi)
+        return central_diff(models.halfplane_multiplier, xi)
 
-    return brent_root(slope, coarse - 1e-3, coarse + 1e-3, rel_tol=1e-11)
+    return brent_root(slope, 0.0, 2.0)
 
 
 def phi_from_integrals(beta: float) -> float:
@@ -610,7 +630,7 @@ _CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
     "halfplane-fixed-point": (1e-8, lambda c: abs(models.halfplane_multiplier(c.alpha) - c.alpha)),
     "phi-prime-alpha": (1e-6, lambda c: abs(central_diff(models.phi, c.alpha) - 0.5)),
     "delta-alpha-two-routes": (1e-6, lambda c: abs(models.delta(c.alpha) - c.delta_alpha)),
-    "f-formula-max-residual": (1e-8, lambda c: intersect.check_F_formula(20)),
+    "f-formula-max-residual": (1e-8, lambda c: max_crossing_residual(20)),
     "alpha-below-bound": (0.0, lambda c: max(0.0, c.alpha - c.alpha_upper_bound)),
 }
 
@@ -627,8 +647,8 @@ for _name, _spec in _CONSTANTS_CHECKS.items():
     _constants_check(_name, *_spec)
 
 
-def run_suite(only: str | None = None) -> list[CheckResult]:
-    """Run the named checks, all of them or those of one module.
+def run_suite(only: str | None) -> list[CheckResult]:
+    """Run the named checks: all of them for ``only=None``, else those of module ``only``.
 
     A check that raises (a quadrature, series or root that fails) is
     reported as a named failure rather than aborting the suite.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from magsteklov import disk, intersect, models, verify
-from magsteklov.numerics import central_diff
+from magsteklov.verify import central_diff
 
 ALPHA_REF = 0.7649508673
 THETA0_REF = 0.5901061249
@@ -62,7 +62,7 @@ def test_criterion_03_halfplane_model(alpha):
 def test_criterion_04_crossing_formula():
     intersect._find_zn_cached.cache_clear()  # time the real work, not a warm cache
     start = time.perf_counter()
-    worst = intersect.check_F_formula(200)
+    worst = verify.max_crossing_residual(200)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
     assert elapsed < 30.0
@@ -88,7 +88,7 @@ def test_criterion_05_large_field_expansion(alpha):
 def test_criterion_06_asymptotic_fit(alpha):
     ns = sorted({int(round(n)) for n in np.geomspace(1000, 10_000, 30)})
     records = [intersect.find_zn(n) for n in ns]
-    fit = intersect.fit_asymptotics(records, terms=4)
+    fit = intersect.fit_asymptotics(records)
     sqrt_err = abs(fit.coefficients[0] - alpha)
     const_err = abs(fit.coefficients[1] - (alpha * alpha + 2.0) / 3.0)
     assert sqrt_err <= 1e-3

@@ -273,7 +273,7 @@ class TestVerifyCommand:
 
         real = verify._result
         monkeypatch.setattr(verify, "_result", build_then_raise)
-        results = verify.run_suite()
+        results = verify.run_suite(None)
         assert len(results) == len(built) == 43
         assert [(r.module, r.name) for r in results] == built
         assert all(not r.passed and "forced failure" in r.detail for r in results)

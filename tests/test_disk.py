@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsteklov import disk, intersect, specfun, verify
-from magsteklov.numerics import DomainError, ScaledReal, central_diff
+from magsteklov.numerics import DomainError, ScaledReal
+from magsteklov.verify import central_diff
 
 # ----------------------------------------------------------------- oracles
 
@@ -317,15 +318,15 @@ class TestLambdaSecondAtPrev:
         fd2 = central_diff(lambda z: disk.lambda_n(1, z), Z0_ORACLE, order=2)
         assert verify.lambda_n_second_at_zprev(1, Z0_ORACLE) == pytest.approx(fd2, abs=1e-4)
 
-    def test_computes_crossing_when_missing(self):
-        implicit = verify.lambda_n_second_at_zprev(1)
-        assert implicit == pytest.approx((Z0_ORACLE - 1.0) / Z0_ORACLE, rel=1e-9)
+    def test_at_computed_crossing(self):
+        value = verify.lambda_n_second_at_zprev(1, intersect.find_zn(0).z_n)
+        assert value == pytest.approx((Z0_ORACLE - 1.0) / Z0_ORACLE, rel=1e-9)
 
     def test_large_mode_asymptotic_decay(self):
         from magsteklov import models
 
         alpha = models.compute_alpha()
-        value = verify.lambda_n_second_at_zprev(10_000)
+        value = verify.lambda_n_second_at_zprev(10_000, intersect.find_zn(9_999).z_n)
         assert value == pytest.approx(alpha * 10_000**-0.5, rel=0.05)
 
 

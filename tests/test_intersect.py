@@ -92,29 +92,28 @@ class TestFindZn:
 
 class TestCheckFFormula:
     def test_single_mode(self):
-        assert intersect.check_F_formula(0) <= 1e-8
+        assert verify.max_crossing_residual(0) <= 1e-8
 
     def test_through_fifty_modes(self):
-        assert intersect.check_F_formula(50) <= 1e-8
+        assert verify.max_crossing_residual(50) <= 1e-8
 
 
 class TestBetaN:
     def test_first_value(self):
         z1 = intersect.find_zn(1).z_n
-        assert intersect.beta_n(1) == pytest.approx(z1 - 1.5, rel=1e-14)
+        assert intersect.find_zn(1).beta_n == pytest.approx(z1 - 1.5, rel=1e-14)
 
     def test_tends_to_alpha(self):
         alpha = models.compute_alpha()
-        assert intersect.beta_n(10_000) == pytest.approx(alpha, abs=5e-3)
+        assert intersect.find_zn(10_000).beta_n == pytest.approx(alpha, abs=5e-3)
 
     def test_monotone_trend_toward_alpha(self):
         alpha = models.compute_alpha()
-        deviations = [abs(intersect.beta_n(n) - alpha) for n in (10, 100, 1000, 10_000)]
+        deviations = [abs(intersect.find_zn(n).beta_n - alpha) for n in (10, 100, 1000, 10_000)]
         assert all(a > b for a, b in zip(deviations, deviations[1:]))
 
     def test_needs_positive_mode(self):
-        with pytest.raises(DomainError):
-            intersect.beta_n(0)
+        assert intersect.find_zn(0).beta_n is None
 
 
 class TestGapZn:
@@ -171,28 +170,25 @@ class TestFitAsymptotics:
 
     def test_recovers_its_own_model(self):
         records = self.synthetic_records(0.7649508673, 0.86172, range(10, 200, 7))
-        fit = intersect.fit_asymptotics(records, terms=2)
+        fit = intersect.fit_asymptotics(records)
         assert fit.coefficients[0] == pytest.approx(0.7649508673, abs=1e-10)
         assert fit.coefficients[1] == pytest.approx(0.86172, abs=1e-10)
+        assert abs(fit.coefficients[2]) < 1e-10
+        assert abs(fit.coefficients[3]) < 1e-10
         assert fit.max_residual <= 1e-10
 
     def test_real_crossings_recover_constants(self):
         alpha = models.compute_alpha()
         ns = sorted({int(round(10 ** (2.0 + 0.1 * k))) for k in range(11)})  # 100..1000
         records = [intersect.find_zn(n) for n in ns]
-        fit = intersect.fit_asymptotics(records, terms=4)
+        fit = intersect.fit_asymptotics(records)
         assert fit.coefficients[0] == pytest.approx(alpha, abs=1e-3)
         assert fit.coefficients[1] == pytest.approx((alpha * alpha + 2.0) / 3.0, abs=1e-2)
 
     def test_narrow_range_rejected(self):
         records = self.synthetic_records(0.7, 0.9, range(100, 150))
         with pytest.raises(DomainError):
-            intersect.fit_asymptotics(records, terms=4)
-
-    def test_too_many_terms_rejected(self):
-        records = self.synthetic_records(0.7, 0.9, range(10, 200, 7))
-        with pytest.raises(DomainError):
-            intersect.fit_asymptotics(records, terms=5)
+            intersect.fit_asymptotics(records)
 
 
 # ------------------------------------------------- invariant suite delegates

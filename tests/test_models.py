@@ -5,8 +5,9 @@ import math
 import pytest
 
 from magsteklov import models, verify
-from magsteklov.numerics import DomainError, central_diff
+from magsteklov.numerics import DomainError
 from magsteklov.specfun import cylinder_d
+from magsteklov.verify import central_diff
 
 ALPHA_REF = 0.7649508673
 THETA0_REF = 0.5901061249

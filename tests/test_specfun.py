@@ -20,15 +20,14 @@ from magsteklov.numerics import (
     ConvergenceError,
     DomainError,
     ScaledReal,
-    central_diff,
 )
 from magsteklov.specfun import (
     cylinder_d,
     kummer_log_ratio,
     kummer_log_ratios,
     kummer_m,
-    kummer_m_prime,
 )
+from magsteklov.verify import central_diff, kummer_m_prime
 
 ALPHA_REF = 0.7649508673  # reference digits for the negative zero of D_{1/2}
 
@@ -82,11 +81,9 @@ class TestKummerM:
             euler_integral_oracle(0.5, 1.0, 2.0), rel=1e-9
         )
 
-    def test_negative_argument_transformation(self):
-        # small |z|, so the raw alternating series is still a usable oracle
-        for a, c, z in ((0.5, 4.0, -1.0), (1.5, 5.0, -3.0)):
-            raw = series_oracle(a, c, z, terms=80)
-            assert kummer_m(a, c, z).value.to_float() == pytest.approx(raw, rel=1e-11)
+    def test_negative_argument_rejected(self):
+        with pytest.raises(DomainError, match=r"z >= 0, got z=-1\.0"):
+            kummer_m(0.5, 1.0, -1.0)
 
     def test_negative_a_single_sign_flip(self):
         # M(-1/2, 1, z) = 1 - (positive series); assembled without cancellation
@@ -105,12 +102,10 @@ class TestKummerM:
             kummer_m(0.5, 1.0, 2e6)
 
     def test_non_convergence_flag_and_strict(self, monkeypatch):
-        # non-convergence raises on either sign of z; no result is returned to misread
+        # non-convergence raises; no result is returned to misread
         monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError):
             kummer_m(0.5, 1.0, 40.0)
-        with pytest.raises(ConvergenceError):
-            kummer_m(0.5, 1.0, -40.0)
 
     @given(
         st.floats(min_value=0.1, max_value=4.0),

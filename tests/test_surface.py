@@ -7,12 +7,14 @@ live function calls).  Routes that only cross-check the library belong in
 ``verify``, and helpers that only the tests use belong in the tests.
 
 A parameter with a default, on a top-level function of a library module or
-``verify``, is an option: some call in the package must pass it, or its
-default belongs in the body as a constant.
+``verify``, is an option: it needs two values in use, so some call in the
+package must pass it and some call must leave it at its default.  Otherwise
+the default belongs in the body as a constant, or the parameter is required.
 
-The package has one accuracy, ``numerics.REL_TOL``.  Only the quadrature,
-the root finder and ``cylinder_d`` (with its two private helpers) take it as
-a ``rel_tol`` float; no function anywhere takes a tolerance object.
+The package has one accuracy, ``numerics.REL_TOL``, which the kernels read
+themselves: no function anywhere takes a ``tol`` or ``rel_tol``.  No module
+but ``numerics`` imports scipy, so that one module stands between the
+package and scipy.
 """
 
 import ast
@@ -24,13 +26,7 @@ import magsteklov
 
 PACKAGE = Path(magsteklov.__file__).parent
 LIBRARY = ("numerics", "specfun", "disk", "intersect", "models")
-ACCURACY_KERNELS = {
-    ("numerics", "integrate_semi_infinite"),
-    ("numerics", "brent_root"),
-    ("specfun", "cylinder_d"),
-    ("specfun", "_cylinder_value"),
-    ("specfun", "_cylinder_from_integral"),
-}
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def _tree(module):
@@ -106,14 +102,16 @@ def _parameters(module):
             yield getattr(node, "name", "<lambda>"), names
 
 
-@pytest.mark.parametrize("module", LIBRARY + ("verify", "cli"))
+@pytest.mark.parametrize("module", MODULES)
 def test_only_the_kernels_take_an_accuracy(module):
-    with_rel_tol = set()
-    for name, params in _parameters(module):
-        assert "tol" not in params, f"{module}.{name} takes a tol parameter"
-        if "rel_tol" in params:
-            with_rel_tol.add((module, name))
-    assert with_rel_tol == {k for k in ACCURACY_KERNELS if k[0] == module}
+    # the kernels read REL_TOL themselves, so no function takes an accuracy
+    taking = [
+        f"{name}({param})"
+        for name, params in _parameters(module)
+        for param in params
+        if param in ("tol", "rel_tol")
+    ]
+    assert taking == [], f"{module} has functions that take an accuracy: {taking}"
 
 
 def _options(module):
@@ -151,12 +149,45 @@ def _passes(call, parameter, index):
     return index is not None and len(call.args) > index
 
 
+def _omits(call, parameter, index):
+    """Whether the call leaves the parameter at its default; a starred argument may."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None for kw in call.keywords):
+        return True
+    if any(kw.arg == parameter for kw in call.keywords):
+        return False
+    return index is None or len(call.args) <= index
+
+
 @pytest.mark.parametrize("module", LIBRARY + ("verify",))
 def test_every_option_is_passed_by_a_caller(module):
     calls = _calls_by_name()
-    unset = [
-        f"{function}({parameter})"
-        for function, parameter, index in _options(module)
-        if not any(_passes(call, parameter, index) for call in calls.get(function, []))
-    ]
+    unset, fixed = [], []
+    for function, parameter, index in _options(module):
+        callers = calls.get(function, [])
+        if not any(_passes(call, parameter, index) for call in callers):
+            unset.append(f"{function}({parameter})")
+        if not any(_omits(call, parameter, index) for call in callers):
+            fixed.append(f"{function}({parameter})")
     assert unset == [], f"{module} has options no call in the package sets: {unset}"
+    assert fixed == [], f"{module} has options every call in the package sets: {fixed}"
+
+
+def _scipy_imports(module):
+    """Line numbers of every scipy import in the module, function-level ones too."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "numerics"])
+def test_only_numerics_imports_scipy(module):
+    lines = list(_scipy_imports(module))
+    assert lines == [], f"{module} imports scipy at lines {lines}"
