@@ -26,6 +26,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import DomainError, brent_root, integrate_semi_infinite
 from .specfun import cylinder_d
 
@@ -120,8 +122,8 @@ def moment_integrals(beta: float) -> tuple[float, float, float, float]:
         raise DomainError(f"moment integrals exceed the double range for beta={beta}")
 
     def moment(power: float, with_poly: bool) -> float:
-        def f(s: float) -> float:
-            w = math.exp(beta * s - 0.5 * s * s) * s**power
+        def f(s: np.ndarray) -> np.ndarray:
+            w = np.exp(beta * s - 0.5 * s * s) * s**power
             return w * (s - s**3 / 3.0) if with_poly else w
 
         return integrate_semi_infinite(f, decay_scale=beta)
@@ -168,10 +170,11 @@ def comparison_bound() -> tuple[float, float]:
     nu = 0.5 * (xi0 * xi0 - 1.0)
     boundary = cylinder_d(nu, -_SQRT2 * xi0).value
 
-    def density(t: float) -> float:
-        if t > 12.0:  # decays like exp(-(t - xi0)^2); below 1e-100 out here
-            return 0.0
-        return cylinder_d(nu, _SQRT2 * (t - xi0)).value ** 2
+    def density(t: np.ndarray) -> np.ndarray:
+        # decays like exp(-(t - xi0)^2): below 1e-100 beyond t = 12
+        return np.array(
+            [cylinder_d(nu, _SQRT2 * (s - xi0)).value ** 2 if s <= 12.0 else 0.0 for s in t.tolist()]
+        )
 
     norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0)
     u0_sq = boundary * boundary / norm

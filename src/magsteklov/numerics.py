@@ -1,19 +1,20 @@
 """Shared numeric substrate.
 
-Scaled power-of-two floats for overflow-free series summation, adaptive
-quadrature on the half line and a bracketing root finder.  REL_TOL is the
-one relative accuracy the package asks of its iterative routines; both
-kernels here read it, and no function takes an accuracy argument.
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+Scaled power-of-two floats for overflow-free series summation,
+double-exponential quadrature on the half line and Brent's bracketing
+root finder.  REL_TOL is the one relative accuracy the package asks of its
+iterative routines; both kernels here read it, and no function takes an
+accuracy argument.  Everything here is a pure function of its inputs and
+safe to call concurrently.
 """
 
+import functools
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from scipy import integrate, optimize
+import numpy as np
 
 EPS = sys.float_info.epsilon
 
@@ -43,16 +44,31 @@ class ConvergenceError(ArithmeticError):
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature could not reach the requested accuracy."""
+    """Quadrature could not reach the accuracy REL_TOL."""
 
 
 # Relative accuracy of quadrature and root finding, the one accuracy of the package.
 REL_TOL = 1e-13
 
-# Absolute error floor, Brent iteration budget and QUADPACK subinterval cap.
+# Absolute error floor and iteration budget of Brent's method.
 _ABS_TOL = 1e-300
 _MAX_ITER = 200
-_QUAD_PANELS_MAX = 4096
+
+# Double-exponential quadrature (Takahasi & Mori 1974; DLMF 3.5(viii)): the
+# half line is split at max(decay_scale, 1), and both parts are sampled at
+# s = j h of a substitution whose nodes crowd double-exponentially to the
+# ends.  The split is at least 1 so that exp-sinh starts well away from an
+# endpoint singularity at 0, which a split near 0 would leave it to resolve
+# at a far finer step.  tanh-sinh maps s in [-6, 6] onto (0, split), where its abscissae
+# stay normal floats (> 1e-275) and the end term of a t**(-1/2) singularity
+# is ~1e-136; exp-sinh maps s in [-4.5, 2.25] onto split plus offsets from
+# 2e-31 to 1.6e3.  Level 0 has step _DE_STEP, each later level halves it,
+# and the cap bounds the finest step at _DE_STEP / 8.  The range ends are
+# multiples of 2 * _DE_STEP, so the even nodes of level 0 start each range.
+_DE_STEP = 1.0 / 32.0
+_DE_LEVELS = 4
+_TANH_SINH_S = 6.0
+_EXP_SINH_S = (-4.5, 2.25)
 
 # Cody-Waite split of ln 2; the high part has 31 trailing zero bits so that
 # k * _LN2_HI is exact for |k| < 2**31.
@@ -143,66 +159,136 @@ class ScaledReal:
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
 
-def integrate_semi_infinite(f: Callable[[float], float], decay_scale: float = 0.0) -> float:
+@functools.cache
+def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of one quadrature level, each range in increasing s.
+
+    Returns (x, x_weight, y, y_weight): tanh-sinh abscissae x in (0, 1)
+    with their weights on [0, 1], and exp-sinh offsets y > 0 with their
+    weights, so that the nodes are split * x and split + y.  Level 0 holds
+    every multiple of _DE_STEP; level k > 0 holds the odd multiples of
+    _DE_STEP / 2**k, the nodes that level k - 1 lacks.
+    """
+    h = _DE_STEP / 2**level
+
+    def grid(lo: float, hi: float) -> np.ndarray:
+        j = np.arange(round(lo / h), round(hi / h) + 1)
+        return h * (j if level == 0 else j[j % 2 == 1])
+
+    s = grid(-_TANH_SINH_S, _TANH_SINH_S)
+    u = 0.5 * math.pi * np.sinh(s)
+    # x = (1 + tanh u)/2 and its weight h (pi/2) cosh(s) / (2 cosh(u)**2),
+    # both written with e = exp(-2|u|): cosh(u)**2 overflows, and 1 + tanh(u)
+    # loses the abscissae near 0
+    e = np.exp(-2.0 * np.abs(u))
+    x = np.where(u < 0.0, e, 1.0) / (1.0 + e)
+    x_weight = h * math.pi * np.cosh(s) * e / (1.0 + e) ** 2
+    r = grid(*_EXP_SINH_S)
+    y = np.exp(0.5 * math.pi * np.sinh(r))
+    y_weight = h * 0.5 * math.pi * np.cosh(r) * y
+    tables = x, x_weight, y, y_weight
+    for table in tables:  # cached and shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def integrate_semi_infinite(
+    f: Callable[[np.ndarray], np.ndarray], decay_scale: float = 0.0
+) -> float:
     """Integral of f over (0, infinity) for Gaussian- or exponentially-decaying f.
 
-    ``f`` may carry an integrable endpoint singularity t**p with p > -1 and
-    must decay at least like exp(-t) beyond ``decay_scale``, e.g. any
-    integrand bounded by exp(b*t - t**2/2) * t**p with b <= decay_scale.
+    ``f`` maps an array of abscissae to the array of integrand values.  It
+    may carry an endpoint singularity t**p with p > -1 (from p ~ -0.97 on,
+    the nodes end too soon and QuadratureError is raised) and must decay
+    at least like exp(-t) beyond ``decay_scale``, e.g. any integrand bounded
+    by exp(b*t - t**2/2) * t**p with b <= decay_scale.
 
-    The half line is truncated at decay_scale + 48 (the discarded tail is
-    below 1e-20 relative for exp(-t) decay, far smaller for Gaussian decay)
-    and the remaining finite integral is handled by adaptive Gauss-Kronrod
-    panels with breakpoints seeded around the region that carries the mass,
-    to the relative accuracy REL_TOL.
+    Tanh-sinh on [0, max(decay_scale, 1)] and exp-sinh beyond it sample f
+    at one node array per level (see _de_level).  Level 0 also yields the
+    sum at twice its step from its even nodes; each later level adds only
+    the nodes the previous one lacks.  The first level that agrees with the
+    one before to REL_TOL of the integral of |f| is returned, and
+    QuadratureError is raised when no level up to the cap agrees.  An
+    integrand that is not negligible at the ends of the node ranges (too
+    slow a decay, too strong a singularity) never agrees: halving the step
+    halves the weight of each end node.
     """
-    peak = max(decay_scale, 0.0)
-    upper = peak + 48.0
-    seeds = sorted({0.25, 1.0, peak + 1.0, peak + 8.0, upper / 2.0})
-    seeds = [p for p in seeds if 0.0 < p < upper]
-    try:
-        out = integrate.quad(
-            f,
-            0.0,
-            upper,
-            points=seeds,
-            limit=_QUAD_PANELS_MAX,
-            epsabs=_ABS_TOL,
-            epsrel=REL_TOL,
-            full_output=True,
-        )
-    except ValueError as exc:  # requested tolerance tighter than QUADPACK allows
-        raise QuadratureError(str(exc)) from exc
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # quadpack gave up; accept only if the estimate is still good
-        if abserr > max(100.0 * REL_TOL * abs(value), _ABS_TOL):
-            raise QuadratureError(out[3])
-    return value
+    split = max(decay_scale, 1.0)
+    total = norm = 0.0
+    for level in range(_DE_LEVELS):
+        x, x_weight, y, y_weight = _de_level(level)
+        nodes = np.concatenate((split * x, split + y))
+        terms = f(nodes) * np.concatenate((split * x_weight, y_weight))
+        total = 0.5 * total + float(terms.sum())
+        norm = 0.5 * norm + float(np.abs(terms).sum())
+        if level == 0:
+            n = x.size
+            previous = 2.0 * float(terms[:n:2].sum() + terms[n::2].sum())
+        if abs(total - previous) <= REL_TOL * norm:
+            return total
+        previous = total
+    raise QuadratureError(f"quadrature levels disagree at step {_DE_STEP / 2 ** (_DE_LEVELS - 1)}")
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    fx = f(x)
+    if math.isnan(fx):
+        raise ConvergenceError(f"f is NaN at x={x}")
+    return fx
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi], which must bracket a sign change.
 
-    The root is located to the relative accuracy REL_TOL, which lies above
-    the 4 eps floor of scipy's brentq.  Raises BracketError when f(lo) and
-    f(hi) have the same sign and ConvergenceError if the iteration budget
-    is exhausted.
+    Brent's method (Brent 1973, ch. 4) in the form of scipy's brentq.c,
+    operation for operation, so the iterates are scipy's: interpolation or
+    extrapolation while it shrinks the bracket fast enough, bisection
+    otherwise.  The root is located to the relative accuracy REL_TOL (with
+    an absolute floor of 1e-300); an exact zero at an endpoint is returned
+    as it is.  Raises BracketError when f(lo) and f(hi) have the same sign,
+    and ConvergenceError when f is NaN or the iteration budget is exhausted.
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    try:
-        root, result = optimize.brentq(
-            f,
-            lo,
-            hi,
-            xtol=_ABS_TOL,
-            rtol=REL_TOL,
-            maxiter=_MAX_ITER,
-            full_output=True,
-            disp=False,
-        )
-    except ValueError as exc:
-        raise BracketError(str(exc)) from exc
-    if not result.converged:
-        raise ConvergenceError(f"no convergence in {_MAX_ITER} iterations")
-    return root
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketError(f"f({lo}) = {fpre} and f({hi}) = {fcur} have the same sign")
+    # xcur is the best estimate, xblk the contrapoint and xpre the previous
+    # iterate; scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ABS_TOL + REL_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise ConvergenceError(f"no convergence in {_MAX_ITER} iterations")

@@ -90,7 +90,7 @@ class TestFindZn:
         assert intersect.find_zn(7) == expected
 
 
-class TestCheckFFormula:
+class TestMaxCrossingResidual:
     def test_single_mode(self):
         assert verify.max_crossing_residual(0) <= 1e-8
 

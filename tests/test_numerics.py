@@ -1,17 +1,21 @@
 """Tests for the numeric substrate: scaled floats, quadrature, roots, derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsteklov import numerics
 from magsteklov.numerics import (
     EPS,
     REL_TOL,
     BracketError,
+    ConvergenceError,
     DomainError,
+    QuadratureError,
     ScaledReal,
     brent_root,
     integrate_semi_infinite,
@@ -127,7 +131,7 @@ class TestTolerances:
     def test_validation(self, kwargs):
         # rel_tol is no argument of any kernel, whatever its value
         with pytest.raises(TypeError):
-            integrate_semi_infinite(lambda t: math.exp(-t), **kwargs)
+            integrate_semi_infinite(lambda t: np.exp(-t), **kwargs)
         with pytest.raises(TypeError):
             brent_root(math.cos, 1.0, 2.0, **kwargs)
         with pytest.raises(TypeError):
@@ -138,7 +142,7 @@ class TestTolerances:
     )
     def test_removed_fields_rejected(self, kwargs):
         with pytest.raises(TypeError):
-            integrate_semi_infinite(lambda t: math.exp(-t), **kwargs)
+            integrate_semi_infinite(lambda t: np.exp(-t), **kwargs)
         with pytest.raises(TypeError):
             brent_root(math.cos, 1.0, 2.0, **kwargs)
 
@@ -169,34 +173,63 @@ class TestGamma:
 
 class TestSemiInfiniteQuadrature:
     def test_plain_exponential(self):
-        assert integrate_semi_infinite(lambda t: math.exp(-t)) == pytest.approx(1.0, rel=1e-13)
+        assert integrate_semi_infinite(lambda t: np.exp(-t)) == pytest.approx(1.0, rel=1e-13)
 
     def test_singular_gaussian(self):
         # int t^{-1/2} e^{-t^2/2} dt = 2^{-3/4} Gamma(1/4), by u = t^2/2
         exact = 2.0**-0.75 * math.gamma(0.25)
-        value = integrate_semi_infinite(lambda t: t**-0.5 * math.exp(-0.5 * t * t))
+        value = integrate_semi_infinite(lambda t: t**-0.5 * np.exp(-0.5 * t * t))
         assert value == pytest.approx(exact, rel=1e-12)
         crude = midpoint_integral(lambda t: t**-0.5 * np.exp(-0.5 * t * t), 12.0)
         assert value == pytest.approx(crude, rel=5e-3)
 
     def test_half_power_gaussian(self):
         exact = 2.0**-0.25 * math.gamma(0.75)
-        value = integrate_semi_infinite(lambda t: t**0.5 * math.exp(-0.5 * t * t))
+        value = integrate_semi_infinite(lambda t: t**0.5 * np.exp(-0.5 * t * t))
         assert value == pytest.approx(exact, rel=1e-12)
         crude = midpoint_integral(lambda t: t**0.5 * np.exp(-0.5 * t * t), 12.0)
         assert value == pytest.approx(crude, rel=1e-6)
 
     @pytest.mark.parametrize("k", [-0.5, 0.0, 0.5, 1.0, 2.0])
     def test_gamma_family_property(self, k):
-        value = integrate_semi_infinite(lambda t: t**k * math.exp(-t), decay_scale=1.0)
+        value = integrate_semi_infinite(lambda t: t**k * np.exp(-t), decay_scale=1.0)
         assert value == pytest.approx(math.gamma(k + 1.0), rel=1e-12)
 
     def test_shifted_gaussian_peak(self):
         # exp(b t - t^2/2) integrates to the shifted-Gaussian closed form
         b = 6.0
-        value = integrate_semi_infinite(lambda t: math.exp(b * t - 0.5 * t * t), decay_scale=b)
+        value = integrate_semi_infinite(lambda t: np.exp(b * t - 0.5 * t * t), decay_scale=b)
         exact = math.exp(0.5 * b * b) * math.sqrt(2.0 * math.pi) * _norm_cdf(b)
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+    @pytest.mark.parametrize("decay_scale", [0.0, 1e-6, 1e-3, 0.7649508673, 6.0, 37.0])
+    @pytest.mark.parametrize("power", [-0.5, 0.5, 4.0])
+    def test_peak_positions_against_mpmath(self, decay_scale, power):
+        # int t^p e^{bt - t^2/2} dt = Gamma(p+1) e^{b^2/4} D_{-p-1}(-b); the split point
+        # max(b, 1) runs from the unit floor to a peak at the edge of the double range
+        mpmath = pytest.importorskip("mpmath")
+        b = decay_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = integrate_semi_infinite(lambda t: t**power * np.exp(b * t - 0.5 * t * t), b)
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(power + 1) * mpmath.exp(b * b / 4) * mpmath.pcfd(-power - 1, -b)
+            assert abs(value - exact) <= REL_TOL * exact
+
+    def test_non_integrable_endpoint_raises(self):
+        # 1/t is not negligible at the end node near t = 0
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(lambda t: 1.0 / t)
+
+    def test_no_decay_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(lambda t: np.exp(-t / 1000.0))
+
+    def test_levels_that_never_agree_raise(self):
+        # a jump inside the range converges like the step, far too slowly for the level cap
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(lambda t: np.where(t < 2.5, np.exp(-t), 0.0))
 
 
 def _norm_cdf(x):
@@ -231,6 +264,39 @@ class TestBrentRoot:
         r1 = brent_root(f, 1.0, 2.0)
         r2 = brent_root(f, 0.25, 9.0)
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, root, evaluations",
+        [
+            (lambda x: x**3 - x - 2.0, 1.0, 2.0, 1.5213797068045676, 9),
+            (math.cos, 1.0, 2.0, 1.5707963267948966, 7),
+            (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 2.0, 0.29999999999999993, 13),
+        ],
+    )
+    def test_iterates_are_those_of_brentq(self, f, lo, hi, root, evaluations):
+        # root and evaluation count of scipy 1.17.1 optimize.brentq at
+        # xtol=1e-300, rtol=1e-13: the port repeats its float operations
+        xs = []
+
+        def counted(x):
+            xs.append(x)
+            return f(x)
+
+        assert brent_root(counted, lo, hi) == root
+        assert len(xs) == evaluations
+
+    def test_exact_zero_at_an_endpoint(self):
+        assert brent_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert brent_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            brent_root(lambda x: x**3 - x - 2.0, 1.0, 2.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(ConvergenceError):
+            brent_root(lambda x: math.nan if x > 1.2 else x - 1.5, 1.0, 2.0)
 
 
 # --------------------------------------------------------- finite difference

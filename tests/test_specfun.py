@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from magsteklov import models, specfun, verify
 from magsteklov.numerics import (
+    EPS,
     REL_TOL,
     ConvergenceError,
     DomainError,
@@ -45,14 +45,13 @@ def series_oracle(a, c, z, terms=60):
 
 def euler_integral_oracle(a, c, z):
     """Integral form Gamma(c)/(Gamma(c-a)Gamma(a)) int_0^1 e^{zt} t^{a-1}(1-t)^{c-a-1} dt."""
-    coeff = math.gamma(c) / (math.gamma(c - a) * math.gamma(a))
-    value, _ = integrate.quad(
-        lambda t: math.exp(z * t) * t ** (a - 1.0) * (1.0 - t) ** (c - a - 1.0),
-        0.0,
-        1.0,
-        limit=200,
-    )
-    return coeff * value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        coeff = mpmath.gamma(c) / (mpmath.gamma(c - a) * mpmath.gamma(a))
+        value = mpmath.quad(
+            lambda t: mpmath.exp(z * t) * t ** (a - 1) * (1 - t) ** (c - a - 1), [0, 1]
+        )
+        return float(coeff * value)
 
 
 def cylinder_zero_closed_form():
@@ -553,6 +552,20 @@ class TestCylinderD:
                 got = cylinder_d(nu, z)
                 err = max(abs(got.value - ref), abs(got.derivative - ref_prime)) / scale
             assert err <= 2e-13, (nu, z, float(err))
+
+    @pytest.mark.parametrize("nu", [-2.5, -0.5, 1e-6, 2.5])
+    def test_large_positive_z_prefactor(self, nu):
+        # exp(-z^2/4) from z^2 split exactly: rounding z*z alone would cost
+        # up to z^2/4 ulp, 6e-14 at z = 48
+        mpmath = pytest.importorskip("mpmath")
+        for z in (23.75, 47.9, 48.3):
+            with mpmath.workdps(40):
+                ref = mpmath.pcfd(nu, z)
+                ref_prime = nu * mpmath.pcfd(nu - 1.0, z) - 0.5 * z * ref
+                scale = max(abs(ref), abs(ref_prime))
+                got = cylinder_d(nu, z)
+                err = max(abs(got.value - ref), abs(got.derivative - ref_prime)) / scale
+            assert err <= 4.0 * EPS, (nu, z, float(err))
 
     def test_lifted_orders_against_integral_anchors(self):
         # lift D_{3/2} by recurrence, compare with z D_{1/2} - (1/2) D_{-1/2}

@@ -12,12 +12,15 @@ package must pass it and some call must leave it at its default.  Otherwise
 the default belongs in the body as a constant, or the parameter is required.
 
 The package has one accuracy, ``numerics.REL_TOL``, which the kernels read
-themselves: no function anywhere takes a ``tol`` or ``rel_tol``.  No module
-but ``numerics`` imports scipy, so that one module stands between the
-package and scipy.
+themselves: no function anywhere takes a ``tol`` or ``rel_tol``.  The package
+depends on numpy alone: no module imports scipy, and importing the CLI
+loads none.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,7 +106,7 @@ def _parameters(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_only_the_kernels_take_an_accuracy(module):
+def test_no_function_takes_an_accuracy(module):
     # the kernels read REL_TOL themselves, so no function takes an accuracy
     taking = [
         f"{name}({param})"
@@ -187,7 +190,21 @@ def _scipy_imports(module):
             yield node.lineno
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "numerics"])
-def test_only_numerics_imports_scipy(module):
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
     lines = list(_scipy_imports(module))
     assert lines == [], f"{module} imports scipy at lines {lines}"
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports are in sys.modules
+    code = "import sys, magsteklov.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
