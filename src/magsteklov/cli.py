@@ -134,8 +134,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     n_hi = args.n_max
     if n_hi / max(n_lo, 1) < 4:
         raise ConfigError("asymptotics needs n_max/n_min >= 4 for a stable fit")
-    count = min(40, n_hi - n_lo + 1)
-    ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, count)})
+    ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, 40)})
     records = [intersect.find_zn(n) for n in ns]
     fit = intersect.fit_asymptotics(records)
     alpha = models._alpha_cached()

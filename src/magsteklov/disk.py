@@ -31,7 +31,7 @@ A search starts from one fresh ratio at a guess of the mode, which is the
 mode or one above.  ``envelope`` is the one search: it checks its whole grid
 first and then takes the start ratios of all its points from one
 ``specfun.kummer_log_ratios`` call, the Kummer series quotient on every lane.
-Each start has c = n + 1 >= 2 and b <= c + sqrt(c) + 1, where the scalar
+Each start has c = n + 1 >= 1 and b <= c + sqrt(c) + 1, where the scalar
 ``kummer_log_ratio`` refuses the expansion and sums the same series, so each
 point's lambda_dn is bit for bit lambda_n of its active mode.
 """
@@ -92,8 +92,6 @@ def lambda_n(n: int, b: float) -> float:
     """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
     n = _check_mode(n)
     _check_field(b)
-    if b == 0.0:
-        return float(n)
     return _branch(n, b, kummer_log_ratio(0.5, n + 1.0, b))
 
 
@@ -113,13 +111,15 @@ _OFFSET_GUESS = (_ALPHA_GUESS * _ALPHA_GUESS + 2.0) / 3.0
 
 
 def _start_mode(b: float) -> int:
-    """Smallest n with n + alpha sqrt(n) + (alpha^2+2)/3 >= b, for b > 1."""
+    """Smallest n >= 0 with n + alpha sqrt(n) + (alpha^2+2)/3 >= b, for b >= 0."""
+    if b <= _OFFSET_GUESS:
+        return 0
     x = 0.5 * (-_ALPHA_GUESS + math.sqrt(_ALPHA_GUESS * _ALPHA_GUESS + 4.0 * (b - _OFFSET_GUESS)))
     return math.ceil(x * x)
 
 
 def _search(b: float, mode: int, ratio: float) -> tuple[int, float]:
-    """(active mode, lambda_DN) at b > 1, searched from mode and its fresh ratio R_mode.
+    """(active mode, lambda_DN) at b >= 0, searched from mode and its fresh ratio R_mode.
 
     If b <= z_mode, lower modes are tested with ratios stepped down in c;
     otherwise the mode moves up with a fresh ratio at each step, since
@@ -155,10 +155,9 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     lambda_dn = lambda_{active}(b); the active mode is non-decreasing along
     the grid and increases by exactly one at each crossing point.
 
-    The whole grid is checked before any series is summed.  Points with
-    b <= 1 lie below z_0 ~ 1.58 and take mode 0; the start ratios of all
-    others, at their guesses, come from one ``kummer_log_ratios`` call, and
-    each point runs ``_search`` from there.
+    The whole grid is checked before any series is summed.  Every point is
+    a lane of one ``kummer_log_ratios`` call, which gives the ratio at its
+    start mode, and runs ``_search`` from there.
     """
     grid = list(b_grid)
     prev_b = -math.inf
@@ -167,15 +166,8 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
             raise DomainError("envelope grid must be sorted ascending")
         prev_b = b
         _check_field(b, nonnegative=True)
-    fields = [b for b in grid if b > 1.0]
-    starts = [_start_mode(b) for b in fields]
-    ratios = kummer_log_ratios(0.5, np.add(starts, 1.0), np.array(fields, dtype=float)).tolist()
-    guesses = iter(zip(starts, ratios))
-    points: list[EnvelopePoint] = []
-    for b in grid:
-        if b > 1.0:
-            mode, lambda_dn = _search(b, *next(guesses))
-        else:
-            mode, lambda_dn = 0, lambda_n(0, b)
-        points.append(EnvelopePoint(b=b, active_mode=mode, lambda_dn=lambda_dn))
-    return points
+    starts = [_start_mode(b) for b in grid]
+    ratios = kummer_log_ratios(0.5, np.add(starts, 1.0), np.array(grid, dtype=float)).tolist()
+    return [
+        EnvelopePoint(b, *_search(b, mode, ratio)) for b, mode, ratio in zip(grid, starts, ratios)
+    ]

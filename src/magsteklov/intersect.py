@@ -62,36 +62,25 @@ class AsymptoticFit:
     max_residual: float
 
 
-def _crossing_function(n: int):
-    """z -> M(-1/2, n+1, z) as a plain float: positive iff z < z_n.
-
-    Near z_n the positive-part sum of the series is ~1, so the float value
-    is itself the natural residual scale.  On the bracket used below the
-    magnitude never exceeds ~e^17, so no scaling is needed.
-    """
-
-    def f(z: float) -> float:
-        return kummer_m(-0.5, n + 1.0, z).value.to_float()
-
-    return f
-
-
 @functools.cache
 def _find_zn_cached(n: int) -> IntersectionRecord:
     alpha = models._alpha_cached()
     sqrt_n = math.sqrt(n)
     lo = n + 1.0
     hi = n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 5.0 * math.sqrt(n + 1.0)
-    f = _crossing_function(n)
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo > 0.0 > f_hi):
-        # the crossing is provably unique and provably past n+1; a failed
-        # bracket means the evaluation itself broke, so abort rather than
-        # widen the search
-        raise BracketError(
-            f"no sign change for mode {n} on [{lo}, {hi}] (f={f_lo:.3e}, {f_hi:.3e})"
-        )
-    z = brent_root(f, lo, hi)
+    # z -> M(-1/2, n+1, z), positive iff z < z_n.  Near z_n the positive-part
+    # sum of the series is ~1, so the float value is itself the natural
+    # residual scale.  On [lo, hi] the magnitude never exceeds ~e^17, so no
+    # scaling is needed.
+    def f(z: float) -> float:
+        return kummer_m(-0.5, n + 1.0, z).value.to_float()
+
+    try:
+        z = brent_root(f, lo, hi)
+    except BracketError as exc:
+        # z_n is the unique zero past n+1, inside [lo, hi]: a failed bracket
+        # means the evaluation broke, so abort rather than widen the search
+        raise BracketError(f"no sign change for mode {n}: {exc}") from exc
     lam = disk.lambda_n(n, z)
     return IntersectionRecord(
         n=n,

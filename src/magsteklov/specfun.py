@@ -22,7 +22,7 @@ c and z >= 0 with one a, for callers that need many at once (the envelope's
 grid).  Its contract is bitwise: each lane is the float the scalar series
 route returns, because it runs the same float operations in the same order,
 lane by lane, in numpy.  It never tries the expansion, which refuses every
-lane the envelope asks for (z <= c + sqrt(c) + 1).  The scalar loop is not
+envelope lane (c >= 1, z <= c + sqrt(c) + 1).  The scalar loop is not
 written as a batch of one, which would cost ~20 us per term against ~0.5 us.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
@@ -283,7 +283,7 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     both series are summed in numpy loops that run the float operations of
     _series_parts, and their quotient is the one ScaledReal division forms.
     The expansion is never tried, so a lane equals ``kummer_log_ratio``
-    wherever the scalar refuses it, as for a = 1/2 at every c >= 2 with
+    wherever the scalar refuses it, as for a = 1/2 at every c >= 1 with
     z <= c + sqrt(c) + 1.
     """
     c = np.asarray(c, dtype=float)

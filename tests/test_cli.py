@@ -357,6 +357,19 @@ class TestFlags:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_every_command_runs_at_its_defaults(command, tmp_path, capsys):
+    _, flags = cli._SUBCOMMANDS[command]
+    argv = [command, "--out", str(tmp_path / "out")] if "out" in flags else [command]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_asymptotics_defaults_fit_five_modes(tmp_path):
+    code, out = run(tmp_path, "asymptotics", name="fit.json")
+    assert code == 0
+    assert json.loads(out.read_text())["modes_used"] == [1, 2, 3, 4, 5]
+
+
 class TestStdout:
     def test_dash_writes_to_stdout(self, capsys):
         assert cli.main(["curves", "--n-max", "0", "--b-max", "1", "--steps", "2"]) == 0

@@ -82,6 +82,23 @@ class TestLambdaN:
         for n in (0, 1, 5, 40):
             assert disk.lambda_n(n, 0.0) == float(n)
 
+    def test_zero_field_takes_the_ratio_route(self, monkeypatch):
+        # n - b + 2b R is float(n) at b = +-0.0, so there is no shortcut
+        calls = []
+        ratio = disk.kummer_log_ratio
+
+        def counted_ratio(a, c, z):
+            calls.append(z)
+            return ratio(a, c, z)
+
+        monkeypatch.setattr(disk, "kummer_log_ratio", counted_ratio)
+        for n in (0, 1, 5, 40):
+            for b in (0.0, -0.0):
+                value = disk.lambda_n(n, b)
+                assert value.hex() == float(n).hex()
+        assert len(calls) == 8
+        assert disk.lambda_minus_n(3, 0.0).hex() == (3.0).hex()
+
     def test_zero_iff_origin(self):
         assert disk.lambda_n(0, 0.0) == 0.0
         assert disk.lambda_n(0, 1e-3) > 0.0
@@ -347,6 +364,19 @@ class TestEnvelope:
         assert point.active_mode == 0
         assert point.lambda_dn == 0.0
 
+    def test_below_the_first_crossing_every_point_is_lambda_0(self):
+        # b <= 1 takes the same batch lane and search as every other point
+        grid = [float(b) for b in np.linspace(0.0, 1.0, 1001)]
+        pairs = [(p.active_mode, p.lambda_dn.hex()) for p in disk.envelope(grid)]
+        assert pairs == [(0, disk.lambda_n(0, b).hex()) for b in grid]
+        assert pairs[0] == (0, (0.0).hex())
+
+    def test_start_mode_is_zero_up_to_the_estimate_of_z0(self):
+        offset = disk._OFFSET_GUESS
+        assert [disk._start_mode(b) for b in (0.0, 0.5, offset)] == [0, 0, 0]
+        assert disk._start_mode(math.nextafter(offset, 2.0)) == 1
+        assert disk._start_mode(1.0) == 1
+
     def test_small_field_is_mode_zero(self):
         point = disk.envelope([1.0])[0]
         assert point.active_mode == 0
@@ -496,10 +526,10 @@ class TestGroundStateSearch:
     def test_agrees_with_the_crossing_function(self):
         for n in range(0, 2001, 37):
             z = intersect.find_zn(n).z_n
-            f = intersect._crossing_function(n)
             for point in disk.envelope([z - 1e-9 * z, z + 1e-9 * z]):
                 b, mode = point.b, point.active_mode
-                assert mode == (n if f(b) > 0.0 else n + 1)
+                below = specfun.kummer_m(-0.5, n + 1.0, b).value.to_float() > 0.0
+                assert mode == (n if below else n + 1)
                 assert point.lambda_dn == disk.lambda_n(mode, b)
 
     def test_low_start_moves_up_with_fresh_ratios(self, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from magsteklov import disk, intersect, models, verify
 from magsteklov.intersect import IntersectionRecord
-from magsteklov.numerics import DomainError
+from magsteklov.numerics import BracketError, DomainError, ScaledReal
+from magsteklov.specfun import KummerValue
 
 # ----------------------------------------------------------------- oracles
 
@@ -88,6 +89,66 @@ class TestFindZn:
 
         monkeypatch.setattr(models, "compute_alpha", fail)
         assert intersect.find_zn(7) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 42, 500])
+    def test_bracket_is_evaluated_by_brent_alone(self, monkeypatch, n):
+        # a cold search sums M(-1/2, n+1, .) at Brent's points and once more
+        # for residual_M, and nowhere else
+        series = []
+        brent_evals = []
+        kummer_m, brent_root = intersect.kummer_m, intersect.brent_root
+
+        def counted_kummer_m(a, c, z):
+            series.append((a, c))
+            return kummer_m(a, c, z)
+
+        def counted_brent_root(f, lo, hi):
+            def g(z):
+                brent_evals.append(z)
+                return f(z)
+
+            return brent_root(g, lo, hi)
+
+        monkeypatch.setattr(intersect, "kummer_m", counted_kummer_m)
+        monkeypatch.setattr(intersect, "brent_root", counted_brent_root)
+        intersect._find_zn_cached.cache_clear()
+        intersect.find_zn(n)
+        assert len(brent_evals) >= 3
+        assert series == [(-0.5, n + 1.0)] * (len(brent_evals) + 1)
+
+    def test_broken_evaluation_raises_naming_the_mode(self, monkeypatch):
+        def positive(a, c, z):
+            return KummerValue(value=ScaledReal.from_float(1.0), terms_used=1)
+
+        monkeypatch.setattr(intersect, "kummer_m", positive)
+        intersect._find_zn_cached.cache_clear()
+        with pytest.raises(BracketError, match=r"mode 12: f\(13\.0\) = 1\.0 and f\(3"):
+            intersect.find_zn(12)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            0,
+            pytest.param(
+                1,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="Brent's last step is its minimum step delta = REL_TOL z / 2, "
+                    "which leaves z_1 5.8e-15 off",
+                ),
+            ),
+            7, 42, 84, 85, 86, 87, 88, 500, 1000,
+        ],
+    )
+    def test_against_mpmath_to_the_last_ulps(self, n):
+        # on modes 0..300 but 1 the worst error is 4.1e-16 (n = 229); a
+        # bracket that lets Brent's REL_TOL stop come early costs ~60 times that
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        z = intersect.find_zn(n).z_n
+        exact = mp.findroot(lambda x: mp.hyp1f1(-0.5, n + 1, x), mp.mpf(z))
+        assert abs(z - exact) <= 2e-15 * exact
 
 
 class TestMaxCrossingResidual:

@@ -416,14 +416,27 @@ class TestKummerLogRatios:
         envelope's starts have c = n + 1 >= 2 and b <= c + 0.765 sqrt(c),
         so its batch lanes are the scalar's floats.
         """
-        c = 2.0
+        strips = self.refused_strips(2.0, 1e6 + 2.0)
+        assert strips == 847
+
+    def test_expansion_refuses_the_mode_zero_lanes(self):
+        """The covering argument above, on c in [1, 2]: the envelope's mode-0 starts.
+
+        A start at mode 0 has c = 1 and b <= (alpha^2 + 2)/3 ~ 0.86, well
+        inside the refused band.
+        """
+        assert self.refused_strips(1.0, 2.0) == 45
+
+    @staticmethod
+    def refused_strips(c, c_end):
+        """Strips [c_i, c_i (1 + 1/64)] from c past c_end, each refused at its top corner."""
         strips = 0
-        while c < 1e6 + 2.0:
+        while c < c_end:
             top = c * (1.0 + 1.0 / 64.0)
             assert specfun._large_z_sum(0.5, c, top + math.sqrt(top) + 1.0) is None, c
             c = top
             strips += 1
-        assert strips == 847
+        return strips
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 5)

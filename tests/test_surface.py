@@ -106,7 +106,7 @@ def _parameters(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_only_the_kernels_take_an_accuracy(module):
+def test_no_function_takes_an_accuracy(module):
     # the kernels read REL_TOL themselves, so no function takes an accuracy
     taking = [
         f"{name}({param})"
