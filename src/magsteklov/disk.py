@@ -27,13 +27,13 @@ a = 1/2 and R_n = R(n+1),
 which is the stable direction: M(a, c, b) is the minimal solution of its
 recurrence as c grows.
 
-A search starts from one fresh ratio at a guess of the mode, which is the
-mode or one above.  ``envelope`` is the one search: it checks its whole grid
-first and then takes the start ratios of all its points from one
-``specfun.kummer_log_ratios`` call, the Kummer series quotient on every lane.
-Each start has c = n + 1 >= 1 and b <= c + sqrt(c) + 1, where the scalar
-``kummer_log_ratio`` refuses the expansion and sums the same series, so each
-point's lambda_dn is bit for bit lambda_n of its active mode.
+``envelope`` takes each point's ratio at a start estimate of its mode from
+one ``specfun.kummer_log_ratios`` call, the Kummer series quotient on every
+lane.  The estimate is the mode or one above, which ``envelope`` certifies
+at every point and never searches past.  Each start has c = n + 1 >= 1 and
+b <= c + sqrt(c) + 1, where the scalar ``kummer_log_ratio`` refuses the
+expansion and sums the same series, so each point's lambda_dn is bit for
+bit lambda_n of its active mode.
 """
 
 import math
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import ConvergenceError, DomainError
 from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios
 
 __all__ = [
@@ -101,11 +101,11 @@ def lambda_minus_n(n: int, b: float) -> float:
 
 
 # Must not exceed alpha = 0.76495... of z_n = n + alpha sqrt(n) + (alpha^2+2)/3
-# + ~0.311/sqrt(n): then the guess stays below every z_n, and its smallest n at
-# or above b is the mode or one above (it stays above z_{n-1} while the
-# ~5e-5 sqrt(n) it gives away is below 1, far past |b| <= 1e6).  A literal
-# above alpha, such as 0.765, passes z_n from n ~ 6e3 on, and the start can
-# fall one below the mode.
+# + ~0.311/sqrt(n): then the estimate stays below every z_n, and its smallest n
+# at or above b is the mode or one above (it stays above z_{n-1} while the
+# ~5e-5 sqrt(n) it gives away is below 1, far past |b| <= 1e6).  ``envelope``
+# certifies this at every point and never searches past it.  A literal above
+# alpha, such as 0.765, passes z_n from n ~ 6e3 on.
 _ALPHA_GUESS = 0.7649
 _OFFSET_GUESS = (_ALPHA_GUESS * _ALPHA_GUESS + 2.0) / 3.0
 
@@ -118,35 +118,6 @@ def _start_mode(b: float) -> int:
     return math.ceil(x * x)
 
 
-def _search(b: float, mode: int, ratio: float) -> tuple[int, float]:
-    """(active mode, lambda_DN) at b >= 0, searched from mode and its fresh ratio R_mode.
-
-    If b <= z_mode, lower modes are tested with ratios stepped down in c;
-    otherwise the mode moves up with a fresh ratio at each step, since
-    stepping R up in c is unstable.  lambda is the branch of the last fresh
-    ratio when the search ends at that ratio's mode, and lambda_n of the
-    mode otherwise: a stepped ratio loses digits to the cancellation in
-    1 - (c-1-a)/(c-1 + b R).
-    """
-    if mode + 0.5 - b + b * ratio >= 0.0:  # b <= z_mode: the active mode is mode or below
-        start = mode
-        stepped = ratio
-        while mode > 0:
-            stepped = 1.0 - (mode - 0.5) / (mode + b * stepped)  # R_{mode-1} from R_mode
-            if mode - 0.5 - b + b * stepped <= 0.0:  # b >= z_{mode-1}
-                break
-            mode -= 1
-        if mode < start:
-            return mode, lambda_n(mode, b)
-    else:
-        while True:  # b > z_mode: the active mode is above
-            mode += 1
-            ratio = kummer_log_ratio(0.5, mode + 1.0, b)
-            if mode + 0.5 - b + b * ratio >= 0.0:
-                break
-    return mode, _branch(mode, b, ratio)
-
-
 def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     """Ground state energy along an ascending grid of field parameters.
 
@@ -156,8 +127,10 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     the grid and increases by exactly one at each crossing point.
 
     The whole grid is checked before any series is summed.  Every point is
-    a lane of one ``kummer_log_ratios`` call, which gives the ratio at its
-    start mode, and runs ``_search`` from there.
+    a lane of one ``kummer_log_ratios`` call at its start mode s; ratios
+    stepped down in c decide between s and s - 1 and certify that it is
+    one of them, or raise ConvergenceError.  lambda at s - 1 is ``lambda_n``,
+    since a stepped ratio loses digits in 1 - (c-1-a)/(c-1 + b R).
     """
     grid = list(b_grid)
     prev_b = -math.inf
@@ -166,8 +139,23 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
             raise DomainError("envelope grid must be sorted ascending")
         prev_b = b
         _check_field(b, nonnegative=True)
-    starts = [_start_mode(b) for b in grid]
-    ratios = kummer_log_ratios(0.5, np.add(starts, 1.0), np.array(grid, dtype=float)).tolist()
+    s = np.array([_start_mode(b) for b in grid], dtype=float)
+    field = np.array(grid, dtype=float)
+    ratio = kummer_log_ratios(0.5, s + 1.0, field)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the unread lane s = b = 0
+        r1 = 1.0 - (s - 0.5) / (s + field * ratio)  # R_{s-1}
+        down = (s > 0.0) & (s - 0.5 - field + field * r1 > 0.0)  # b < z_{s-1}
+        r2 = 1.0 - (s - 1.5) / (s - 1.0 + field * r1)  # R_{s-2}
+    certified = (s + 0.5 - field + field * ratio >= 0.0) & (  # b <= z_s
+        ~down | (s < 2.0) | (s - 1.5 - field + field * r2 <= 0.0)  # and b >= z_{s-2}
+    )
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise ConvergenceError(
+            f"start mode {int(s[i])} is not the active mode or one above at b={grid[i]}"
+        )
+    modes = (s - down).astype(int).tolist()
     return [
-        EnvelopePoint(b, *_search(b, mode, ratio)) for b, mode, ratio in zip(grid, starts, ratios)
+        EnvelopePoint(b, n, lambda_n(n, b) if d else lam)
+        for b, n, d, lam in zip(grid, modes, down.tolist(), _branch(s, field, ratio).tolist())
     ]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsteklov import disk, intersect, specfun, verify
-from magsteklov.numerics import DomainError, ScaledReal
+from magsteklov.numerics import ConvergenceError, DomainError, ScaledReal
 from magsteklov.verify import central_diff
 
 # ----------------------------------------------------------------- oracles
@@ -467,44 +468,55 @@ class TestEnvelope:
         mismatched = [p for p, lam in zip(points, branch) if p.lambda_dn.hex() != lam.hex()]
         assert mismatched == []
 
-    def test_matches_the_per_point_search_from_a_low_start(self, monkeypatch):
-        # one below the guess, the start is mostly one below the mode, and
-        # the search climbs to it with a fresh scalar ratio
+    @pytest.mark.parametrize("shift", [-1, 2])
+    def test_a_start_outside_the_mode_or_one_above_raises(self, monkeypatch, shift):
+        # one below the estimate, the start falls below the mode wherever the
+        # estimate was exact; two above, it is at least two above everywhere
         grid = [float(b) for b in np.linspace(0.0, 2000.0, 801)]
-        expected = envelope_pairs(grid)
+        first = next(
+            p.b
+            for p in disk.envelope(grid)
+            if shift > 0 or 0 < disk._start_mode(p.b) == p.active_mode
+        )
         start_mode = disk._start_mode
-        monkeypatch.setattr(disk, "_start_mode", lambda b: max(0, start_mode(b) - 1))
+        monkeypatch.setattr(disk, "_start_mode", lambda b: max(0, start_mode(b) + shift))
+        with pytest.raises(ConvergenceError, match=re.escape(f"at b={first}")):
+            disk.envelope(grid)
+
+    def test_one_batch_and_lambda_n_only_where_the_start_is_one_above(self, monkeypatch):
+        grid = [float(b) for b in bench_grid(7)]
         spy = RatioSpy(monkeypatch)
-        pairs = envelope_pairs(grid)
-        assert len(spy.ratio_modes) > 700
-        assert pairs == expected
+        points = disk.envelope(grid)
+        down = sum(p.active_mode < disk._start_mode(p.b) for p in points)
+        assert down > 0
+        assert (spy.batches, spy.lambda_calls, spy.scalar_ratios) == (1, down, down)
 
 
-def envelope_pairs(grid):
-    return [(p.active_mode, p.lambda_dn.hex()) for p in disk.envelope(grid)]
-
-
-# ----------------------------------------------- active-mode search by ratio
+# ------------------------------------------ active mode from the branch ratio
 
 IDENTITY_MODES = (0, 1, 5, 50, 500)
 
 
 class RatioSpy:
-    """Counts the branch ratios the search computes fresh and the lambda_n calls it makes."""
+    """Counts the batch and scalar branch ratios disk computes and its lambda_n calls."""
 
     def __init__(self, monkeypatch):
-        self.ratio_modes = []
-        self.lambda_calls = 0
-        ratio, lam = disk.kummer_log_ratio, disk.lambda_n
+        self.batches = self.scalar_ratios = self.lambda_calls = 0
+        ratios, ratio, lam = disk.kummer_log_ratios, disk.kummer_log_ratio, disk.lambda_n
+
+        def counted_ratios(a, c, z):
+            self.batches += 1
+            return ratios(a, c, z)
 
         def counted_ratio(a, c, z):
-            self.ratio_modes.append(int(c) - 1)
+            self.scalar_ratios += 1
             return ratio(a, c, z)
 
         def counted_lambda(n, b):
             self.lambda_calls += 1
             return lam(n, b)
 
+        monkeypatch.setattr(disk, "kummer_log_ratios", counted_ratios)
         monkeypatch.setattr(disk, "kummer_log_ratio", counted_ratio)
         monkeypatch.setattr(disk, "lambda_n", counted_lambda)
 
@@ -532,15 +544,22 @@ class TestGroundStateSearch:
                 assert mode == (n if below else n + 1)
                 assert point.lambda_dn == disk.lambda_n(mode, b)
 
-    def test_low_start_moves_up_with_fresh_ratios(self, monkeypatch):
-        grid = [1.5, 7.3, 50.0, 400.0]
-        expected = [(p.active_mode, p.lambda_dn) for p in disk.envelope(grid)]
-        spy = RatioSpy(monkeypatch)
-        for b, (mode, lam) in zip(grid, expected):
-            spy.ratio_modes.clear()
-            assert disk._search(b, 0, disk.kummer_log_ratio(0.5, 1.0, b)) == (mode, lam)
-            assert spy.ratio_modes == list(range(mode + 1))
-        assert spy.lambda_calls == 0
+    def test_estimate_lies_between_consecutive_crossings(self):
+        # z_{m-1} < est(m) < z_m, read off the signs of M(-1/2, ., est(m)), is
+        # what keeps every start on 0 <= b <= 1e6 at the mode or one above
+        def est(m):
+            return m + disk._ALPHA_GUESS * math.sqrt(m) + disk._OFFSET_GUESS
+
+        top = disk._start_mode(1e6)
+        top -= est(top) > 1e6  # the largest m with est(m) <= 1e6
+        sample = set(range(2001)) | set(np.geomspace(2001, top, 200).round().astype(int).tolist())
+        assert top in sample and len(sample) > 2190
+        for m in sorted(sample):
+            assert specfun.kummer_m(-0.5, m + 1.0, est(m)).value.sign == 1, m
+            if m > 0:
+                assert specfun.kummer_m(-0.5, float(m), est(m)).value.sign == -1, m
+        # past est(top) the start is top + 1, and z_{top+1} lies beyond 1e6
+        assert specfun.kummer_m(-0.5, top + 2.0, 1e6).value.sign == 1
 
     def test_start_guess_is_exact_or_one_above(self):
         # a guess above alpha passes z_n at large n: 0.765 started one below
