@@ -121,10 +121,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_intersections(args: argparse.Namespace) -> int:
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        r = intersect.find_zn(n)
-        rows.append((r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F))
+    rows = [
+        (r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F)
+        for r in intersect.crossings(range(args.n_min, args.n_max + 1))
+    ]
     _emit(args, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
     return 0
 
@@ -135,7 +135,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     if n_hi / max(n_lo, 1) < 4:
         raise ConfigError("asymptotics needs n_max/n_min >= 4 for a stable fit")
     ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, 40)})
-    records = [intersect.find_zn(n) for n in ns]
+    records = intersect.crossings(ns)
     fit = intersect.fit_asymptotics(records)
     alpha = models._alpha_cached()
     gap = intersect.gap_zn(n_hi)

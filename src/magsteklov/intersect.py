@@ -13,36 +13,61 @@ lambda_n(z_n) = z_n - n - 1, and for large n
 with the rescaled offset beta_n = (z_n - n - 1/2)/sqrt(n) tending to alpha.
 This module locates the z_n, records the residuals of their
 characterizations, and extracts the expansion coefficients by least squares.
+
+z_n is found by Newton's method on the branch ratio R = M'/M(1/2, n+1, z).
+By DLMF 13.3.1 and 13.3 with a = 1/2 (as in ``disk``),
+
+    g(z) = n + 1/2 - z + z R = (n + 1/2) M(-1/2, n+1, z) / M(1/2, n+1, z),
+
+positive below z_n and negative above, and Kummer's equation (DLMF 13.2.1)
+gives R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the
+same ratio.  ``crossings`` takes each step on all modes at once, one
+``specfun.kummer_log_ratios`` call per step; ``find_zn`` takes the same
+steps on one mode with the scalar ``kummer_log_ratio``.  Every ratio is
+taken at c = n + 1 >= 1 and 0 <= z <= c + sqrt(c) + 1, or the search
+raises: there the scalar refuses the large-z expansion and sums the series
+the batch sums, so each batch record is bit for bit the scalar one.  Each
+root is certified by a sign change of g across z (1 -+ REL_TOL).
 """
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import disk, models
-from .numerics import BracketError, DomainError, brent_root
-from .specfun import kummer_m
+from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError
+from .specfun import kummer_log_ratio, kummer_log_ratios, kummer_m
 
 __all__ = [
     "AsymptoticFit",
     "IntersectionRecord",
+    "crossings",
     "find_zn",
     "fit_asymptotics",
     "gap_zn",
 ]
+
+# Newton's method takes at most 4 steps from _start (every mode to 2,000 and
+# a sample to 1e6); a mode still moving after this many has gone wrong.
+_MAX_STEPS = 8
+# Start of mode 0, where the expansion of z_n has no sqrt(n); z_0 = 1.57996...
+_Z0_GUESS = 1.58
 
 
 @dataclass(frozen=True)
 class IntersectionRecord:
     """One branch crossing with the residuals of its characterizations.
 
-    ``beta_n`` is None for n = 0 (the rescaling divides by sqrt(n)).
-    residual_M is |M(-1/2, n+1, z_n)| on the natural O(1) scale of that
-    series near its zero; residual_F is |lambda - (z_n - n - 1)|.  The
-    residual of the first-order characterization is a cross-check and
-    lives in ``verify``.
+    z_n is the Newton root of g, certified by a sign change of g within
+    REL_TOL z_n of it, and lambda_at_zn is lambda_n(z_n) from the ratio at
+    the root.  ``beta_n`` is None for n = 0 (the rescaling divides by
+    sqrt(n)).  residual_M is |M(-1/2, n+1, z_n)| from its own series, which
+    the search never sums, on the natural O(1) scale of that series near its
+    zero; residual_F is |lambda - (z_n - n - 1)|.  The residual of the
+    first-order characterization is a cross-check and lives in ``verify``.
     """
 
     n: int
@@ -62,34 +87,90 @@ class AsymptoticFit:
     max_residual: float
 
 
-@functools.cache
-def _find_zn_cached(n: int) -> IntersectionRecord:
+def _start(n: int) -> float:
+    """z_n ~ n + alpha sqrt(n) + (alpha^2 + 2)/3 + 0.31/sqrt(n): 0.03 off at n = 1, closer above."""
+    if n == 0:
+        return _Z0_GUESS
     alpha = models._alpha_cached()
     sqrt_n = math.sqrt(n)
-    lo = n + 1.0
-    hi = n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 5.0 * math.sqrt(n + 1.0)
-    # z -> M(-1/2, n+1, z), positive iff z < z_n.  Near z_n the positive-part
-    # sum of the series is ~1, so the float value is itself the natural
-    # residual scale.  On [lo, hi] the magnitude never exceeds ~e^17, so no
-    # scaling is needed.
-    def f(z: float) -> float:
-        return kummer_m(-0.5, n + 1.0, z).value.to_float()
+    return n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 0.31 / sqrt_n
 
-    try:
-        z = brent_root(f, lo, hi)
-    except BracketError as exc:
-        # z_n is the unique zero past n+1, inside [lo, hi]: a failed bracket
-        # means the evaluation broke, so abort rather than widen the search
-        raise BracketError(f"no sign change for mode {n}: {exc}") from exc
-    lam = disk.lambda_n(n, z)
+
+# The helpers below take floats (one mode) or equal-length arrays (many).
+
+
+def _require(ok, error: type[Exception], message: str, **lanes) -> None:
+    """Raise error with message formatted from the lanes' values where ok first fails."""
+    if not np.all(ok):
+        i = int(np.argmin(np.atleast_1d(ok)))
+        raise error(message.format(**{k: np.atleast_1d(v)[i].item() for k, v in lanes.items()}))
+
+
+def _ratio(n, z, kernel):
+    """R_n(z) from ``kummer_log_ratio`` or ``kummer_log_ratios``, where both sum one series."""
+    in_band = (z >= 0.0) & (z <= n + 2.0 + np.sqrt(n + 1.0))
+    message = "mode {n:.0f}: iterate z = {z!r} left the series band"
+    _require(in_band, ConvergenceError, message, n=n, z=z)
+    return kernel(0.5, n + 1.0, z)
+
+
+def _crossing_function(n, z, ratio):
+    """g(z) = n + 1/2 - z + z R = (n + 1/2) M(-1/2, n+1, z) / M(1/2, n+1, z), from R = R_n(z)."""
+    return n + 0.5 - z + z * ratio
+
+
+def _newton_step(n, z, ratio):
+    """The iterate after z, from R = R_n(z), and whether it is the last.
+
+    g' = -1 + R + z R' = -1/2 - (n - z) R - z R^2.  A step below REL_TOL z
+    leaves an error of order its square, so the iterate it gives is the root.
+    """
+    step = _crossing_function(n, z, ratio) / (-0.5 - (n - z) * ratio - z * ratio * ratio)
+    return z - step, abs(step) <= REL_TOL * z
+
+
+def _certify(n, lo, hi, ratio_lo, ratio_hi) -> None:
+    """BracketError unless g changes sign from lo = z (1 - REL_TOL) to hi = z (1 + REL_TOL).
+
+    g carries ~2e-16 of absolute noise near its zero, which a window of a
+    few ulp of z would not clear at small n.
+    """
+    g_lo, g_hi = _crossing_function(n, lo, ratio_lo), _crossing_function(n, hi, ratio_hi)
+    _require(
+        (g_lo > 0.0) & (g_hi < 0.0),
+        BracketError,
+        "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
+        n=n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
+    )
+
+
+def _record(n: int, z: float, ratio: float) -> IntersectionRecord:
+    """The record of root z of mode n, from R = R_n(z)."""
+    lam = disk._branch(n, z, ratio)  # lambda_n(n, z) bit for bit: the ratio is the scalar's
+    # |M(-1/2, n+1, z)| by its own series, a check independent of the ratio
+    residual = abs(kummer_m(-0.5, n + 1.0, z).value.to_float())
     return IntersectionRecord(
         n=n,
         z_n=z,
         lambda_at_zn=lam,
-        beta_n=(z - n - 0.5) / sqrt_n if n >= 1 else None,
-        residual_M=abs(f(z)),
+        beta_n=(z - n - 0.5) / math.sqrt(n) if n >= 1 else None,
+        residual_M=residual,
         residual_F=abs(lam - (z - n - 1.0)),
     )
+
+
+@functools.cache
+def _find_zn_cached(n: int) -> IntersectionRecord:
+    z = _start(n)
+    for _ in range(_MAX_STEPS):
+        z, done = _newton_step(n, z, _ratio(n, z, kummer_log_ratio))
+        if done:
+            break
+    _require(done, ConvergenceError, "mode {n:.0f}: Newton's method did not converge", n=n)
+    lo, hi = z * (1.0 - REL_TOL), z * (1.0 + REL_TOL)
+    ratio_lo, ratio, ratio_hi = (_ratio(n, x, kummer_log_ratio) for x in (lo, z, hi))
+    _certify(n, lo, hi, ratio_lo, ratio_hi)
+    return _record(n, z, ratio)
 
 
 def find_zn(n: int) -> IntersectionRecord:
@@ -100,6 +181,33 @@ def find_zn(n: int) -> IntersectionRecord:
     cache, where True would otherwise hit the entry of 1.
     """
     return _find_zn_cached(disk._check_mode(n))
+
+
+def crossings(modes: Iterable[int]) -> list[IntersectionRecord]:
+    """``find_zn(n)`` for each n in ``modes``, in order, from one batched Newton solve.
+
+    Each step is one ``kummer_log_ratios`` call on the modes still moving,
+    and a mode leaves at the step where ``find_zn`` stops, so each record is
+    bit for bit ``find_zn``'s.  The records are not cached.
+    """
+    ints = [disk._check_mode(m) for m in modes]
+    n = all_n = np.array(ints, dtype=float)
+    z = np.array([_start(m) for m in ints])
+    roots = np.empty(n.size)
+    lane = np.arange(n.size)
+    for _ in range(_MAX_STEPS):
+        z, done = _newton_step(n, z, _ratio(n, z, kummer_log_ratios))
+        roots[lane[done]] = z[done]
+        lane, n, z = lane[~done], n[~done], z[~done]
+        if not lane.size:
+            break
+    message = "mode {n:.0f}: Newton's method did not converge"
+    _require(lane.size == 0, ConvergenceError, message, n=n)
+    lo, hi = roots * (1.0 - REL_TOL), roots * (1.0 + REL_TOL)
+    points = np.concatenate([lo, roots, hi])  # one call: much of its cost is per term, not per lane
+    ratio_lo, ratio, ratio_hi = np.split(_ratio(np.tile(all_n, 3), points, kummer_log_ratios), 3)
+    _certify(all_n, lo, hi, ratio_lo, ratio_hi)
+    return [_record(m, x, r) for m, x, r in zip(ints, roots.tolist(), ratio.tolist())]
 
 
 def gap_zn(n: int) -> float:

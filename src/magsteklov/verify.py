@@ -466,7 +466,7 @@ def max_crossing_residual(n_max: int) -> float:
     """Max over n <= n_max of |lambda_n(z_n) - (z_n - n - 1)|."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    return max(intersect.find_zn(n).residual_F for n in range(n_max + 1))
+    return max(r.residual_F for r in intersect.crossings(range(n_max + 1)))
 
 
 @_check("intersect", "characterization-equivalence")
@@ -485,7 +485,7 @@ def check_f_formula():
 
 @_check("intersect", "crossing-ordering-and-lower-bound")
 def check_crossing_ordering():
-    zs = [intersect.find_zn(n).z_n for n in range(51)]
+    zs = [r.z_n for r in intersect.crossings(range(51))]
     gaps = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     lower = [zs[i] - (i + 1.0) for i in range(len(zs))]
     worst = -min(min(gaps), min(lower))

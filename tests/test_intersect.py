@@ -1,14 +1,14 @@
 """Tests for the branch crossing points and their asymptotics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from magsteklov import disk, intersect, models, verify
+from magsteklov import disk, intersect, models, specfun, verify
 from magsteklov.intersect import IntersectionRecord
-from magsteklov.numerics import BracketError, DomainError, ScaledReal
-from magsteklov.specfun import KummerValue
+from magsteklov.numerics import BracketError, ConvergenceError, DomainError
 
 # ----------------------------------------------------------------- oracles
 
@@ -91,64 +91,120 @@ class TestFindZn:
         assert intersect.find_zn(7) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 7, 42, 500])
-    def test_bracket_is_evaluated_by_brent_alone(self, monkeypatch, n):
-        # a cold search sums M(-1/2, n+1, .) at Brent's points and once more
-        # for residual_M, and nowhere else
+    def test_residual_is_the_one_crossing_series(self, monkeypatch, n):
+        # a cold search takes every value from the branch ratio and sums
+        # M(-1/2, n+1, .) once, for residual_M
         series = []
-        brent_evals = []
-        kummer_m, brent_root = intersect.kummer_m, intersect.brent_root
+        kummer_m = specfun.kummer_m
 
         def counted_kummer_m(a, c, z):
             series.append((a, c))
             return kummer_m(a, c, z)
 
-        def counted_brent_root(f, lo, hi):
-            def g(z):
-                brent_evals.append(z)
-                return f(z)
-
-            return brent_root(g, lo, hi)
-
+        monkeypatch.setattr(specfun, "kummer_m", counted_kummer_m)
         monkeypatch.setattr(intersect, "kummer_m", counted_kummer_m)
-        monkeypatch.setattr(intersect, "brent_root", counted_brent_root)
         intersect._find_zn_cached.cache_clear()
         intersect.find_zn(n)
-        assert len(brent_evals) >= 3
-        assert series == [(-0.5, n + 1.0)] * (len(brent_evals) + 1)
+        assert [call for call in series if call[0] < 0.0] == [(-0.5, n + 1.0)]
+        assert len(series) >= 8  # the ratio's two series at >= 4 points
 
     def test_broken_evaluation_raises_naming_the_mode(self, monkeypatch):
-        def positive(a, c, z):
-            return KummerValue(value=ScaledReal.from_float(1.0), terms_used=1)
+        # a ratio whose g = -|z - start| touches zero at the start without
+        # changing sign: Newton stops there, and the certificate refuses it
+        def tangent(a, c, z):
+            n = c - 1.0
+            start = np.array([intersect._start(int(m)) for m in np.atleast_1d(n)])
+            return (z - n - 0.5 - abs(z - start.reshape(np.shape(z)))) / z
 
-        monkeypatch.setattr(intersect, "kummer_m", positive)
+        monkeypatch.setattr(intersect, "kummer_log_ratio", lambda a, c, z: float(tangent(a, c, z)))
+        monkeypatch.setattr(intersect, "kummer_log_ratios", tangent)
         intersect._find_zn_cached.cache_clear()
-        with pytest.raises(BracketError, match=r"mode 12: f\(13\.0\) = 1\.0 and f\(3"):
+        message = r"no sign change for mode 12: g\(15\.\d+\) = -\d\.\d+e-12 and g\("
+        with pytest.raises(BracketError, match=message):
             intersect.find_zn(12)
+        with pytest.raises(BracketError, match=message):
+            intersect.crossings([12, 40])
+
+    def test_non_convergence_raises_naming_the_mode(self, monkeypatch):
+        monkeypatch.setattr(intersect, "_MAX_STEPS", 1)
+        intersect._find_zn_cached.cache_clear()
+        message = "mode 12: Newton's method did not converge"
+        with pytest.raises(ConvergenceError, match=message):
+            intersect.find_zn(12)
+        with pytest.raises(ConvergenceError, match=message):
+            intersect.crossings([12, 40])
+
+    def test_iterate_outside_the_series_band_raises_naming_the_mode(self, monkeypatch):
+        # R = 1 makes g = n + 1/2 and g' = -(n + 1/2): every step is +1
+        monkeypatch.setattr(intersect, "kummer_log_ratio", lambda a, c, z: 1.0)
+        monkeypatch.setattr(intersect, "kummer_log_ratios", lambda a, c, z: np.ones_like(z))
+        intersect._find_zn_cached.cache_clear()
+        message = r"mode 12: iterate z = 18\.60\d+ left the series band"  # band ends at 17.61
+        with pytest.raises(ConvergenceError, match=message):
+            intersect.find_zn(12)
+        with pytest.raises(ConvergenceError, match=message):
+            intersect.crossings([12, 40])
 
     @pytest.mark.parametrize(
         "n",
-        [
-            0,
-            pytest.param(
-                1,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="Brent's last step is its minimum step delta = REL_TOL z / 2, "
-                    "which leaves z_1 5.8e-15 off",
-                ),
-            ),
-            7, 42, 84, 85, 86, 87, 88, 500, 1000,
-        ],
+        [0, 1, 7, 42, 84, 85, 86, 87, 88, 500, 1000],
     )
     def test_against_mpmath_to_the_last_ulps(self, n):
-        # on modes 0..300 but 1 the worst error is 4.1e-16 (n = 229); a
-        # bracket that lets Brent's REL_TOL stop come early costs ~60 times that
+        # on modes 0..300 the worst error is 7.2e-16 (n = 18, where the branch
+        # ratio itself is ~8 eps off); a Brent bracket that let its REL_TOL
+        # stop come early cost 2.5e-14 at n = 84..88
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40
         z = intersect.find_zn(n).z_n
         exact = mp.findroot(lambda x: mp.hyp1f1(-0.5, n + 1, x), mp.mpf(z))
         assert abs(z - exact) <= 2e-15 * exact
+
+
+class TestCrossings:
+    """The batch gives find_zn's records bit for bit, from series the scalar also sums."""
+
+    @staticmethod
+    def bits(record):
+        return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(record))
+
+    # the mode ranges of the crossing_points benchmark at seeds 7, 21 and 23,
+    # and every mode up to 2,000
+    @pytest.mark.parametrize(
+        "n_min, n_max",
+        [(2, 1002), (1, 1001), (2, 1002), (0, 2000)],
+        ids=["seed7", "seed21", "seed23", "modes-0-2000"],
+    )
+    def test_records_are_find_zn_records(self, n_min, n_max):
+        modes = range(n_min, n_max + 1)
+        batch = [self.bits(r) for r in intersect.crossings(modes)]
+        assert batch == [self.bits(intersect.find_zn(n)) for n in modes]
+
+    def test_every_ratio_is_taken_where_the_scalar_sums_the_series(self, monkeypatch):
+        """Each Newton iterate and certificate point on modes 0..2000 lies in
+        c >= 1, 0 <= z <= c + sqrt(c) + 1, the band in which
+        tests/test_specfun.py's covering argument has kummer_log_ratio refuse
+        the expansion, and the scalar refuses it at each of them."""
+        lanes = []
+        kummer_log_ratios = intersect.kummer_log_ratios
+
+        def recorded(a, c, z):
+            lanes.extend(zip(c.tolist(), z.tolist()))
+            return kummer_log_ratios(a, c, z)
+
+        monkeypatch.setattr(intersect, "kummer_log_ratios", recorded)
+        intersect.crossings(range(2001))
+        assert len(lanes) >= 5 * 2001  # at least 2 steps and 3 final points per mode
+        assert all(c >= 1.0 and 0.0 <= z <= c + math.sqrt(c) + 1.0 for c, z in lanes)
+        assert all(specfun._large_z_sum(0.5, c, z) is None for c, z in lanes)
+
+    def test_any_order_repeats_and_no_modes(self):
+        assert intersect.crossings([5, np.int64(0), 5]) == [intersect.find_zn(n) for n in (5, 0, 5)]
+        assert intersect.crossings([]) == []
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            intersect.crossings([3, -1])
 
 
 class TestMaxCrossingResidual:
