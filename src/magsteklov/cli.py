@@ -130,15 +130,19 @@ def cmd_intersections(args: argparse.Namespace) -> int:
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    n_lo = max(args.n_min, 1)
-    n_hi = args.n_max
-    if n_hi / max(n_lo, 1) < 4:
-        raise ConfigError("asymptotics needs n_max/n_min >= 4 for a stable fit")
-    ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, 40)})
-    records = intersect.crossings(ns)
+    n_lo, n_hi = max(args.n_min, 1), args.n_max
+    # the range gate first: geomspace refuses n_hi = 0
+    ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, 40)}) if n_hi >= 4 * n_lo else []
+    if len(ns) < 5:
+        raise ConfigError(
+            "asymptotics needs --n-max >= 4 --n-min and 5 modes for a stable fit,"
+            f" got --n-min {args.n_min} --n-max {n_hi}"
+        )
+    # z_{n_max - 1} rides along for the gap and stays out of the fit
+    *records, below_top = intersect.crossings([*ns, n_hi - 1])
     fit = intersect.fit_asymptotics(records)
     alpha = models._alpha_cached()
-    gap = intersect.gap_zn(n_hi)
+    gap = records[-1].z_n - below_top.z_n
     gap_model = 1.0 + 0.5 * alpha / math.sqrt(n_hi)
     names = ["sqrt_n", "const", "inv_sqrt_n", "inv_n"]
     if args.format == "csv":

@@ -18,9 +18,14 @@ off the same ratio: DLMF 13.3.1 with a = 1/2 and z M' = a (M(a+1) - M(a))
 
     M(-1/2, n+1, b) / M(1/2, n+1, b) = (lambda_n(b) + n + 1 - b) / (2n + 1),
 
-so b <= z_n iff n + 1/2 - b + b R_n >= 0.  The ratios of lower modes follow
-from the down-step in c of the same section, with R(c) = M'/M(a, c, b),
-a = 1/2 and R_n = R(n+1),
+so the crossing function
+
+    g = n + 1/2 - b + b R_n = (n + 1/2) M(-1/2, n+1, b) / M(1/2, n+1, b)
+
+is positive below z_n and negative above.  ``envelope`` reads the active
+mode off its sign, and ``intersect`` finds each z_n as its root.  The
+ratios of lower modes follow from the down-step in c of the same section,
+with R(c) = M'/M(a, c, b), a = 1/2 and R_n = R(n+1),
 
     R(c-1) = 1 - (c-1-a) / (c-1 + b R(c)),
 
@@ -76,6 +81,11 @@ def _check_mode(n: int, minimum: int = 0) -> int:
 def _branch(n: int, b: float, ratio: float) -> float:
     """lambda_n(b) from the ratio R_n(b) = M'/M(1/2, n+1, b)."""
     return n - b + 2.0 * b * ratio
+
+
+def _crossing_function(n: np.ndarray, b: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """g = n + 1/2 - b + b R_n(b), positive for b < z_n and negative above, from R_n(b)."""
+    return n + 0.5 - b + b * ratio
 
 
 def _check_field(b: float, nonnegative: bool = False) -> None:
@@ -144,10 +154,10 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     ratio = kummer_log_ratios(0.5, s + 1.0, field)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the unread lane s = b = 0
         r1 = 1.0 - (s - 0.5) / (s + field * ratio)  # R_{s-1}
-        down = (s > 0.0) & (s - 0.5 - field + field * r1 > 0.0)  # b < z_{s-1}
+        down = (s > 0.0) & (_crossing_function(s - 1.0, field, r1) > 0.0)  # b < z_{s-1}
         r2 = 1.0 - (s - 1.5) / (s - 1.0 + field * r1)  # R_{s-2}
-    certified = (s + 0.5 - field + field * ratio >= 0.0) & (  # b <= z_s
-        ~down | (s < 2.0) | (s - 1.5 - field + field * r2 <= 0.0)  # and b >= z_{s-2}
+    certified = (_crossing_function(s, field, ratio) >= 0.0) & (  # b <= z_s
+        ~down | (s < 2.0) | (_crossing_function(s - 2.0, field, r2) <= 0.0)  # and b >= z_{s-2}
     )
     if not certified.all():
         i = int(np.argmin(certified))

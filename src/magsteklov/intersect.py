@@ -14,20 +14,18 @@ with the rescaled offset beta_n = (z_n - n - 1/2)/sqrt(n) tending to alpha.
 This module locates the z_n, records the residuals of their
 characterizations, and extracts the expansion coefficients by least squares.
 
-z_n is found by Newton's method on the branch ratio R = M'/M(1/2, n+1, z).
-By DLMF 13.3.1 and 13.3 with a = 1/2 (as in ``disk``),
-
-    g(z) = n + 1/2 - z + z R = (n + 1/2) M(-1/2, n+1, z) / M(1/2, n+1, z),
-
-positive below z_n and negative above, and Kummer's equation (DLMF 13.2.1)
-gives R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the
-same ratio.  ``crossings`` takes each step on all modes at once, one
-``specfun.kummer_log_ratios`` call per step; ``find_zn`` takes the same
-steps on one mode with the scalar ``kummer_log_ratio``.  Every ratio is
-taken at c = n + 1 >= 1 and 0 <= z <= c + sqrt(c) + 1, or the search
-raises: there the scalar refuses the large-z expansion and sums the series
-the batch sums, so each batch record is bit for bit the scalar one.  Each
-root is certified by a sign change of g across z (1 -+ REL_TOL).
+z_n is found by Newton's method on the branch ratio R = M'/M(1/2, n+1, z)
+and the crossing function g(z) = n + 1/2 - z + z R of ``disk``, positive
+below z_n and negative above.  Kummer's equation (DLMF 13.2.1) gives
+R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the same
+ratio.  One solve serves both entry points and takes each step on all its
+modes at once: ``crossings`` takes the ratios from one
+``specfun.kummer_log_ratios`` call per step, and ``find_zn`` runs it on one
+mode with the scalar ``kummer_log_ratio``.  Every ratio is taken at
+c = n + 1 >= 1 and 0 <= z <= c + sqrt(c) + 1, or the solve raises: there
+the scalar refuses the large-z expansion and sums the series the batch
+sums, so each batch record is bit for bit the scalar one.  Each root is
+certified by a sign change of g across z (1 -+ REL_TOL).
 """
 
 import functools
@@ -47,7 +45,6 @@ __all__ = [
     "crossings",
     "find_zn",
     "fit_asymptotics",
-    "gap_zn",
 ]
 
 # Newton's method takes at most 4 steps from _start (every mode to 2,000 and
@@ -96,52 +93,34 @@ def _start(n: int) -> float:
     return n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 0.31 / sqrt_n
 
 
-# The helpers below take floats (one mode) or equal-length arrays (many).
-
-
-def _require(ok, error: type[Exception], message: str, **lanes) -> None:
+def _require(ok: np.ndarray, error: type[Exception], message: str, **lanes: np.ndarray) -> None:
     """Raise error with message formatted from the lanes' values where ok first fails."""
-    if not np.all(ok):
-        i = int(np.argmin(np.atleast_1d(ok)))
-        raise error(message.format(**{k: np.atleast_1d(v)[i].item() for k, v in lanes.items()}))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(message.format(**{k: v[i].item() for k, v in lanes.items()}))
 
 
-def _ratio(n, z, kernel):
-    """R_n(z) from ``kummer_log_ratio`` or ``kummer_log_ratios``, where both sum one series."""
+def _ratio(n: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
+    """R_n(z) from ``kummer_log_ratios`` or ``_scalar_ratios``, where both sum one series."""
     in_band = (z >= 0.0) & (z <= n + 2.0 + np.sqrt(n + 1.0))
     message = "mode {n:.0f}: iterate z = {z!r} left the series band"
     _require(in_band, ConvergenceError, message, n=n, z=z)
     return kernel(0.5, n + 1.0, z)
 
 
-def _crossing_function(n, z, ratio):
-    """g(z) = n + 1/2 - z + z R = (n + 1/2) M(-1/2, n+1, z) / M(1/2, n+1, z), from R = R_n(z)."""
-    return n + 0.5 - z + z * ratio
+def _scalar_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``kummer_log_ratio`` on each lane, fed Python floats: numpy scalars slow its series ~2.4x."""
+    return np.array([kummer_log_ratio(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())])
 
 
-def _newton_step(n, z, ratio):
-    """The iterate after z, from R = R_n(z), and whether it is the last.
+def _newton_step(n: np.ndarray, z: np.ndarray, ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The iterates after z, from R = R_n(z), and which of them are the last.
 
     g' = -1 + R + z R' = -1/2 - (n - z) R - z R^2.  A step below REL_TOL z
     leaves an error of order its square, so the iterate it gives is the root.
     """
-    step = _crossing_function(n, z, ratio) / (-0.5 - (n - z) * ratio - z * ratio * ratio)
+    step = disk._crossing_function(n, z, ratio) / (-0.5 - (n - z) * ratio - z * ratio * ratio)
     return z - step, abs(step) <= REL_TOL * z
-
-
-def _certify(n, lo, hi, ratio_lo, ratio_hi) -> None:
-    """BracketError unless g changes sign from lo = z (1 - REL_TOL) to hi = z (1 + REL_TOL).
-
-    g carries ~2e-16 of absolute noise near its zero, which a window of a
-    few ulp of z would not clear at small n.
-    """
-    g_lo, g_hi = _crossing_function(n, lo, ratio_lo), _crossing_function(n, hi, ratio_hi)
-    _require(
-        (g_lo > 0.0) & (g_hi < 0.0),
-        BracketError,
-        "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
-        n=n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
-    )
 
 
 def _record(n: int, z: float, ratio: float) -> IntersectionRecord:
@@ -159,18 +138,43 @@ def _record(n: int, z: float, ratio: float) -> IntersectionRecord:
     )
 
 
+def _solve(modes: list[int], kernel) -> list[IntersectionRecord]:
+    """The records of ``modes`` from Newton steps on all of them at once, R from ``kernel``.
+
+    A mode leaves at the step below REL_TOL z, and its root is certified
+    by the sign of g at lo = z (1 - REL_TOL) and hi = z (1 + REL_TOL), or
+    BracketError names it: g carries ~2e-16 of absolute noise near its
+    zero, which a window of a few ulp of z would not clear at small n.
+    """
+    n = all_n = np.array(modes, dtype=float)
+    z = np.array([_start(m) for m in modes])
+    roots = np.empty(n.size)
+    lane = np.arange(n.size)
+    for _ in range(_MAX_STEPS):
+        z, done = _newton_step(n, z, _ratio(n, z, kernel))
+        roots[lane[done]] = z[done]
+        lane, n, z = lane[~done], n[~done], z[~done]
+        if not lane.size:
+            break
+    if lane.size:
+        raise ConvergenceError(f"mode {n[0]:.0f}: Newton's method did not converge")
+    lo, hi = roots * (1.0 - REL_TOL), roots * (1.0 + REL_TOL)
+    points = np.concatenate([lo, roots, hi])  # one call: much of its cost is per term, not per lane
+    ratio_lo, ratio, ratio_hi = np.split(_ratio(np.tile(all_n, 3), points, kernel), 3)
+    g_lo = disk._crossing_function(all_n, lo, ratio_lo)
+    g_hi = disk._crossing_function(all_n, hi, ratio_hi)
+    _require(
+        (g_lo > 0.0) & (g_hi < 0.0),
+        BracketError,
+        "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
+        n=all_n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
+    )
+    return [_record(m, x, r) for m, x, r in zip(modes, roots.tolist(), ratio.tolist())]
+
+
 @functools.cache
 def _find_zn_cached(n: int) -> IntersectionRecord:
-    z = _start(n)
-    for _ in range(_MAX_STEPS):
-        z, done = _newton_step(n, z, _ratio(n, z, kummer_log_ratio))
-        if done:
-            break
-    _require(done, ConvergenceError, "mode {n:.0f}: Newton's method did not converge", n=n)
-    lo, hi = z * (1.0 - REL_TOL), z * (1.0 + REL_TOL)
-    ratio_lo, ratio, ratio_hi = (_ratio(n, x, kummer_log_ratio) for x in (lo, z, hi))
-    _certify(n, lo, hi, ratio_lo, ratio_hi)
-    return _record(n, z, ratio)
+    return _solve([n], _scalar_ratios)[0]
 
 
 def find_zn(n: int) -> IntersectionRecord:
@@ -184,37 +188,13 @@ def find_zn(n: int) -> IntersectionRecord:
 
 
 def crossings(modes: Iterable[int]) -> list[IntersectionRecord]:
-    """``find_zn(n)`` for each n in ``modes``, in order, from one batched Newton solve.
+    """``find_zn(n)`` for each n in ``modes``, in order, from one solve on the batch kernel.
 
-    Each step is one ``kummer_log_ratios`` call on the modes still moving,
-    and a mode leaves at the step where ``find_zn`` stops, so each record is
-    bit for bit ``find_zn``'s.  The records are not cached.
+    Each step is one ``kummer_log_ratios`` call on the modes still moving.
+    The solve is ``find_zn``'s, and each lane's ratio is the scalar one, so
+    each record is bit for bit ``find_zn``'s.  The records are not cached.
     """
-    ints = [disk._check_mode(m) for m in modes]
-    n = all_n = np.array(ints, dtype=float)
-    z = np.array([_start(m) for m in ints])
-    roots = np.empty(n.size)
-    lane = np.arange(n.size)
-    for _ in range(_MAX_STEPS):
-        z, done = _newton_step(n, z, _ratio(n, z, kummer_log_ratios))
-        roots[lane[done]] = z[done]
-        lane, n, z = lane[~done], n[~done], z[~done]
-        if not lane.size:
-            break
-    message = "mode {n:.0f}: Newton's method did not converge"
-    _require(lane.size == 0, ConvergenceError, message, n=n)
-    lo, hi = roots * (1.0 - REL_TOL), roots * (1.0 + REL_TOL)
-    points = np.concatenate([lo, roots, hi])  # one call: much of its cost is per term, not per lane
-    ratio_lo, ratio, ratio_hi = np.split(_ratio(np.tile(all_n, 3), points, kummer_log_ratios), 3)
-    _certify(all_n, lo, hi, ratio_lo, ratio_hi)
-    return [_record(m, x, r) for m, x, r in zip(ints, roots.tolist(), ratio.tolist())]
-
-
-def gap_zn(n: int) -> float:
-    """Spacing z_n - z_{n-1}; approaches 1 + (alpha/2) n^{-1/2} for large n."""
-    if n < 1:
-        raise DomainError(f"gap_zn needs n >= 1, got {n}")
-    return find_zn(n).z_n - find_zn(n - 1).z_n
+    return _solve([disk._check_mode(m) for m in modes], kummer_log_ratios)
 
 
 def fit_asymptotics(records: list[IntersectionRecord]) -> AsymptoticFit:

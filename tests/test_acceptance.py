@@ -93,7 +93,9 @@ def test_criterion_06_asymptotic_fit(alpha):
     const_err = abs(fit.coefficients[1] - (alpha * alpha + 2.0) / 3.0)
     assert sqrt_err <= 1e-3
     assert const_err <= 1e-2
-    gap_err = abs(intersect.gap_zn(10_000) - (1.0 + 0.5 * alpha / 100.0))
+    gap_err = abs(
+        intersect.find_zn(10_000).z_n - intersect.find_zn(9_999).z_n - (1.0 + 0.5 * alpha / 100.0)
+    )
     assert gap_err <= 2e-3
     report(
         "6 crossing asymptotics",

@@ -228,6 +228,59 @@ class TestAsymptoticsCommand:
         code, _ = run(tmp_path, "asymptotics", "--n-min", "100", "--n-max", "300")
         assert code == 2
 
+    def test_too_few_modes_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # 1..4 passes the ratio check but samples only 4 modes for 4 fit terms
+        from magsteklov import intersect
+
+        def refuse(modes):
+            raise AssertionError("solved a range the fit cannot use")
+
+        monkeypatch.setattr(intersect, "crossings", refuse)
+        code, _ = run(tmp_path, "asymptotics", "--n-min", "1", "--n-max", "4")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--n-min" in err and "--n-max" in err
+
+    def test_one_batch_solve_and_no_single_mode_solve(self, tmp_path, monkeypatch):
+        from magsteklov import intersect
+
+        calls = []
+        crossings = intersect.crossings
+
+        def counted(modes):
+            calls.append(list(modes))
+            return crossings(calls[-1])
+
+        def refuse(n):
+            raise AssertionError("asymptotics solved a single mode")
+
+        monkeypatch.setattr(intersect, "crossings", counted)
+        monkeypatch.setattr(intersect, "find_zn", refuse)
+        monkeypatch.setattr(intersect, "_find_zn_cached", refuse)
+        code, out = run(tmp_path, "asymptotics", "--n-min", "10", "--n-max", "40", name="fit.json")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["modes_used"] == calls[0][:-1]
+
+    @pytest.mark.parametrize(
+        "bounds", [(), ("--n-min", "100", "--n-max", "1000")], ids=["defaults", "100-1000"]
+    )
+    def test_gap_is_the_difference_of_the_top_two_records(self, tmp_path, bounds):
+        # at the defaults (modes 1..5) n_max - 1 is a fitted mode; on 100..1000 it is not
+        from magsteklov import intersect
+
+        code, out = run(tmp_path, "asymptotics", *bounds, name="fit.json")
+        assert code == 0
+        payload = json.loads(out.read_text())
+        n_max = payload["n_range"][1]
+        assert (n_max - 1 in payload["modes_used"]) == (not bounds)
+        expected = intersect.find_zn(n_max).z_n - intersect.find_zn(n_max - 1).z_n
+        assert payload["gap_at_n_max"].hex() == expected.hex()
+        code, out = run(tmp_path, "asymptotics", *bounds, "--format", "csv")
+        assert code == 0
+        rows = {row["quantity"]: row["value"] for row in read_rows(out)}
+        assert float(rows["gap_at_n_max"]).hex() == expected.hex()
+
 
 class TestVerifyCommand:
     def test_default_run_passes(self, capsys):

@@ -108,6 +108,31 @@ class TestFindZn:
         assert [call for call in series if call[0] < 0.0] == [(-0.5, n + 1.0)]
         assert len(series) >= 8  # the ratio's two series at >= 4 points
 
+    @pytest.mark.parametrize("n", [0, 100, 10_000])
+    def test_takes_every_ratio_from_the_scalar_kernel(self, monkeypatch, n):
+        # one mode runs the solve on the scalar series loop, ~20x cheaper per
+        # term than a numpy batch of one
+        calls = []
+        kummer_log_ratio = intersect.kummer_log_ratio
+
+        def counted(a, c, z):
+            assert type(c) is float and type(z) is float
+            calls.append(1)
+            return kummer_log_ratio(a, c, z)
+
+        def refuse(a, c, z):
+            raise AssertionError("find_zn called the batch kernel")
+
+        monkeypatch.setattr(intersect, "kummer_log_ratio", counted)
+        monkeypatch.setattr(intersect, "kummer_log_ratios", refuse)
+        monkeypatch.setattr(specfun, "kummer_log_ratios", refuse)
+        intersect._find_zn_cached.cache_clear()
+        record = intersect.find_zn(n)
+        assert len(calls) >= 5  # at least 2 steps and 3 final points
+        intersect._find_zn_cached.cache_clear()
+        monkeypatch.undo()
+        assert record == intersect.find_zn(n)
+
     def test_broken_evaluation_raises_naming_the_mode(self, monkeypatch):
         # a ratio whose g = -|z - start| touches zero at the start without
         # changing sign: Newton stops there, and the certificate refuses it
@@ -234,15 +259,21 @@ class TestBetaN:
 
 
 class TestGapZn:
+    """The spacing z_n - z_{n-1}, from the records of the two modes."""
+
+    @staticmethod
+    def gap(n):
+        return intersect.find_zn(n).z_n - intersect.find_zn(n - 1).z_n
+
     def test_positive_at_small_modes(self):
-        assert intersect.gap_zn(1) > 0.0
+        assert self.gap(1) > 0.0
 
     def test_large_mode_gap_law(self):
         alpha = models.compute_alpha()
-        assert intersect.gap_zn(10_000) == pytest.approx(1.0 + 0.5 * alpha * 0.01, abs=2e-3)
+        assert self.gap(10_000) == pytest.approx(1.0 + 0.5 * alpha * 0.01, abs=2e-3)
 
     def test_approaches_one(self):
-        assert intersect.gap_zn(10_000) == pytest.approx(1.0, abs=0.005)
+        assert self.gap(10_000) == pytest.approx(1.0, abs=0.005)
 
 
 class TestLambdaAtZnAsymptotic:
