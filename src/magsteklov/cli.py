@@ -27,7 +27,7 @@ from .numerics import (
     DomainError,
     QuadratureError,
 )
-from .specfun import cylinder_d
+from .specfun import cylinder_ds
 
 SCHEMA_VERSION = 1
 
@@ -189,10 +189,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_halfplane(args: argparse.Namespace) -> int:
-    rows = []
-    for xi in _b_grid(args):
-        rows.append((xi, models.halfplane_multiplier(xi), cylinder_d(0.5, xi).value))
-    _emit(args, ["xi", "f1", "d_half"], rows)
+    grid = _b_grid(args)
+    xi = np.array(grid)
+    f1 = models._halfplane_multipliers(xi).tolist()
+    d_half = cylinder_ds(0.5, xi)[0].tolist()
+    _emit(args, ["xi", "f1", "d_half"], list(zip(grid, f1, d_half)))
     return 0
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import disk, models
 from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError
-from .specfun import kummer_log_ratio, kummer_log_ratios, kummer_m
+from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios, kummer_m
 
 __all__ = [
     "AsymptoticFit",
@@ -101,10 +101,19 @@ def _require(ok: np.ndarray, error: type[Exception], message: str, **lanes: np.n
 
 
 def _ratio(n: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
-    """R_n(z) from ``kummer_log_ratios`` or ``_scalar_ratios``, where both sum one series."""
+    """R_n(z) from ``kummer_log_ratios`` or ``_scalar_ratios``, where both sum one series.
+
+    An iterate inside the band but past |z| <= 1e6 raises a DomainError that
+    names its mode: only the modes from 999,235 on, whose z_n lies past the
+    bound too, reach one.
+    """
     in_band = (z >= 0.0) & (z <= n + 2.0 + np.sqrt(n + 1.0))
     message = "mode {n:.0f}: iterate z = {z!r} left the series band"
     _require(in_band, ConvergenceError, message, n=n, z=z)
+    message = (
+        f"mode {{n:.0f}}: z_n lies past the field bound |z| <= {_MAX_ABS_Z:g} (iterate z = {{z!r}})"
+    )
+    _require(z <= _MAX_ABS_Z, DomainError, message, n=n, z=z)
     return kernel(0.5, n + 1.0, z)
 
 

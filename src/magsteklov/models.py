@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, brent_root, integrate_semi_infinite
-from .specfun import cylinder_d
+from .specfun import cylinder_d, cylinder_ds
 
 __all__ = [
     "ModelConstants",
@@ -78,7 +78,17 @@ def halfplane_multiplier(xi: float) -> float:
     positive), so f1 is defined for every real xi.
     """
     cd = cylinder_d(-0.5, -xi)
-    return -2.0 * cd.derivative / cd.value
+    return _symbol(cd.value, cd.derivative)
+
+
+def _halfplane_multipliers(xi: np.ndarray) -> np.ndarray:
+    """``halfplane_multiplier`` on every lane of xi, bit for bit, from one ``cylinder_ds`` call."""
+    return _symbol(*cylinder_ds(-0.5, -xi))
+
+
+def _symbol(value, derivative):
+    """f1 from D = D_{-1/2}(-xi) and D' = D'_{-1/2}(-xi): -2 D'/D."""
+    return -2.0 * derivative / value
 
 
 def halfplane_bottom(b: float) -> float:
@@ -172,9 +182,10 @@ def comparison_bound() -> tuple[float, float]:
 
     def density(t: np.ndarray) -> np.ndarray:
         # decays like exp(-(t - xi0)^2): below 1e-100 beyond t = 12
-        return np.array(
-            [cylinder_d(nu, _SQRT2 * (s - xi0)).value ** 2 if s <= 12.0 else 0.0 for s in t.tolist()]
-        )
+        near = t <= 12.0
+        values = np.zeros(t.shape)
+        values[near] = cylinder_ds(nu, _SQRT2 * (t[near] - xi0))[0] ** 2
+        return values
 
     norm = integrate_semi_infinite(density, decay_scale=2.0 * xi0)
     u0_sq = boundary * boundary / norm

@@ -1,8 +1,10 @@
 """Shared numeric substrate.
 
-Scaled power-of-two floats for overflow-free series summation,
-double-exponential quadrature on the half line and Brent's bracketing
-root finder.  REL_TOL is the one relative accuracy the package asks of its
+Scaled power-of-two floats for overflow-free series summation, and their
+arithmetic on arrays of lanes, bit for bit the scalar's; double-exponential
+quadrature on the half line, of one integrand or of the rows of one array
+at once, each row the one-integrand result; and Brent's bracketing root
+finder.  REL_TOL is the one relative accuracy the package asks of its
 iterative routines; both kernels here read it, and no function takes an
 accuracy argument.  Everything here is a pure function of its inputs and
 safe to call concurrently.
@@ -159,6 +161,47 @@ class ScaledReal:
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
 
+# ScaledReal on lanes: a (mantissa, exponent) pair of arrays.  Each function
+# runs the float operations of its ScaledReal namesake in the same order, so
+# every lane is the ScaledReal the scalar operation forms, bit for bit.
+_Lanes = tuple[np.ndarray, np.ndarray]
+
+
+def _scaled(mantissa: np.ndarray, exponent: np.ndarray) -> _Lanes:
+    """ScaledReal(mantissa_i, exponent_i) on every lane."""
+    frac, e = np.frexp(mantissa)
+    return 2.0 * frac, np.where(mantissa == 0.0, 0, exponent + e - 1)
+
+
+def _scaled_mul(x: _Lanes, y: _Lanes) -> _Lanes:
+    return _scaled(x[0] * y[0], x[1] + y[1])
+
+
+def _scaled_add(x: _Lanes, y: _Lanes) -> _Lanes:
+    """x + y on every lane.
+
+    The operand with the larger exponent is shifted by 0, which is exact, and
+    a shift below -1100 needs no test: ldexp returns 0 there.
+    """
+    hi_e = np.maximum(x[1], y[1])
+    m, e = _scaled(np.ldexp(x[0], x[1] - hi_e) + np.ldexp(y[0], y[1] - hi_e), hi_e)
+    # an exact zero returns the other operand as it is
+    m = np.where(x[0] == 0.0, y[0], np.where(y[0] == 0.0, x[0], m))
+    e = np.where(x[0] == 0.0, y[1], np.where(y[0] == 0.0, x[1], e))
+    return m, e
+
+
+def _scaled_exp(x: np.ndarray) -> _Lanes:
+    """ScaledReal.exp(x_i) on every lane.
+
+    The reduced argument goes through math.exp lane by lane: np.exp differs
+    from the libm exp in the last bit on some arguments.
+    """
+    k = np.rint(x * _LOG2E)  # round half to even, as round() does
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    return _scaled(np.array([math.exp(v) for v in r.tolist()]), k.astype(np.int64))
+
+
 @functools.cache
 def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights of one quadrature level, each range in increasing s.
@@ -194,38 +237,45 @@ def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], np.ndarray], decay_scale: float = 0.0
-) -> float:
+) -> float | np.ndarray:
     """Integral of f over (0, infinity) for Gaussian- or exponentially-decaying f.
 
-    ``f`` maps an array of abscissae to the array of integrand values.  It
-    may carry an endpoint singularity t**p with p > -1 (from p ~ -0.97 on,
-    the nodes end too soon and QuadratureError is raised) and must decay
-    at least like exp(-t) beyond ``decay_scale``, e.g. any integrand bounded
-    by exp(b*t - t**2/2) * t**p with b <= decay_scale.
+    ``f`` maps an array of abscissae to the array of integrand values, or
+    to a (lanes, nodes) array of several integrands at once; the result is
+    then one integral per lane, each the float a one-lane call returns.
+    An integrand may carry an endpoint singularity t**p with p > -1 (from
+    p ~ -0.97 on, the nodes end too soon and QuadratureError is raised)
+    and must decay at least like exp(-t) beyond ``decay_scale``, e.g. any
+    integrand bounded by exp(b*t - t**2/2) * t**p with b <= decay_scale.
 
     Tanh-sinh on [0, max(decay_scale, 1)] and exp-sinh beyond it sample f
     at one node array per level (see _de_level).  Level 0 also yields the
     sum at twice its step from its even nodes; each later level adds only
-    the nodes the previous one lacks.  The first level that agrees with the
-    one before to REL_TOL of the integral of |f| is returned, and
-    QuadratureError is raised when no level up to the cap agrees.  An
-    integrand that is not negligible at the ends of the node ranges (too
-    slow a decay, too strong a singularity) never agrees: halving the step
-    halves the weight of each end node.
+    the nodes the previous one lacks.  Each lane returns its sum at the
+    first level that agrees with the one before to REL_TOL of the integral
+    of |f|, and QuadratureError is raised when some lane agrees at no level
+    up to the cap.  An integrand that is not negligible at the ends of the
+    node ranges (too slow a decay, too strong a singularity) never agrees:
+    halving the step halves the weight of each end node.  numpy sums each
+    row of a C-contiguous array, strided halves included, as it sums the
+    same values in a 1-d array, so each lane's float is a one-lane call's.
     """
     split = max(decay_scale, 1.0)
-    total = norm = 0.0
+    total = norm = result = 0.0
+    pending = True  # the lanes that agreed at no level yet
     for level in range(_DE_LEVELS):
         x, x_weight, y, y_weight = _de_level(level)
         nodes = np.concatenate((split * x, split + y))
         terms = f(nodes) * np.concatenate((split * x_weight, y_weight))
-        total = 0.5 * total + float(terms.sum())
-        norm = 0.5 * norm + float(np.abs(terms).sum())
+        total = 0.5 * total + terms.sum(axis=-1)
+        norm = 0.5 * norm + np.abs(terms).sum(axis=-1)
         if level == 0:
             n = x.size
-            previous = 2.0 * float(terms[:n:2].sum() + terms[n::2].sum())
-        if abs(total - previous) <= REL_TOL * norm:
-            return total
+            previous = 2.0 * (terms[..., :n:2].sum(axis=-1) + terms[..., n::2].sum(axis=-1))
+        result = np.where(pending, total, result)
+        pending = pending & ~(abs(total - previous) <= REL_TOL * norm)
+        if not pending.any():
+            return float(result) if terms.ndim == 1 else result
         previous = total
     raise QuadratureError(f"quadrature levels disagree at step {_DE_STEP / 2 ** (_DE_LEVELS - 1)}")
 

@@ -39,6 +39,18 @@ the companion recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never
 from numerical differentiation.  (For half-integer orders D_nu is
 expressible through modified Bessel functions K_{1/4}, K_{3/4}; that form
 carries no extra information and is not provided.)
+
+``cylinder_ds(nu, z)`` is ``cylinder_d`` on the lanes of a 1-d array z with
+one nu, for graphs and quadrature nodes.  Its contract is bitwise too, and
+each lane takes the scalar's route.  Lanes with z <= 0 sum their Kummer
+series together in the batch series loop, which also serves
+``kummer_log_ratios``; its negative accumulator takes the terms of a < 0
+(the even piece of D_{1/2}).  The pieces are assembled in ScaledReal
+arithmetic on (mantissa, exponent) arrays.  Lanes with z > 0 share one
+quadrature per block of _LANE_BLOCK lanes: ``integrate_semi_infinite``
+takes the (lanes, nodes) array of their integrands, and the scalar z > 0
+route is the same code on one point.  A single point stays with the
+scalar, whose even/odd route is 15-35x faster than a one-lane batch.
 """
 
 import math
@@ -46,12 +58,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, DomainError, ScaledReal, integrate_semi_infinite
+from .numerics import (
+    ConvergenceError,
+    DomainError,
+    ScaledReal,
+    _Lanes,
+    _scaled,
+    _scaled_add,
+    _scaled_exp,
+    _scaled_mul,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "CylinderValue",
     "KummerValue",
     "cylinder_d",
+    "cylinder_ds",
     "kummer_log_ratio",
     "kummer_log_ratios",
     "kummer_m",
@@ -64,6 +87,11 @@ _RESCALE_INV = 2.0**-512
 _MAX_ABS_Z = 1e6
 _LARGE_Z_STOP_REL = 1e-17
 _LARGE_Z_MAX_TERMS = 1000
+# Lanes per quadrature on the z > 0 route of cylinder_ds.  Each level of one
+# quadrature holds a few (lanes x ~600 nodes) float arrays, 150 KB each at
+# 32 lanes, so a 2,001-point sweep peaks within ~1 MB of the scalar route's
+# memory; unblocked, the same sweep took ~14 MB more.
+_LANE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -233,46 +261,62 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     return (a / c) * float(num / den)
 
 
-def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, offset) of _series_parts(a, c_i, z_i) on every lane, for a > 0 and z >= 0.
+def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pos, offset, neg) of _series_parts(a, c_i, z_i) on every lane, for z >= 0.
 
-    All terms are positive, so there is no negative accumulator.  Every lane
-    keeps its own k_peak, stopping test, rescale and offset; the term index
-    k is shared, and a lane leaves the live set at the term where its scalar
+    a is shared and z >= 0, so at each k the term of every lane has the sign
+    of the Pochhammer symbol (a)_k: all lanes add it to pos, or all to neg.
+    For a >= 0 neg stays zero and is never touched.  Every lane keeps its
+    own k_peak, stopping test, rescale and offset; the term index k is
+    shared, and a lane leaves the live set at the term where its scalar
     loop would break.
     """
+    signed = a < 0.0
     half_b = 0.5 * (c + 1.0 - z)  # _term_peak_bound, lane by lane
     disc = half_b * half_b - (c - abs(a) * z)
     root = -half_b + np.sqrt(np.maximum(disc, 0.0))
     k_peak = np.where(disc <= 0.0, 0.0, np.maximum(0.0, root))
     sums = np.empty(z.shape)
+    negs = np.zeros(z.shape)
     offsets = np.zeros(z.shape, dtype=np.int64)
     lane = np.arange(z.size)
     term = np.ones(z.shape)
     pos = np.ones(z.shape)
+    neg = np.zeros(z.shape)
     offset = np.zeros(z.shape, dtype=np.int64)
+    negative = False
     k = 0
     while lane.size:
         if k >= _MAX_TERMS:
             raise ConvergenceError(
                 f"Kummer series M({a}, {c[0]}, {z[0]}) did not converge in {k} terms"
             )
+        negative ^= a + k < 0.0
         term = term * ((a + k) * z / ((c + k) * (k + 1.0)))
         k += 1
-        pos = pos + term
-        done = (term == 0.0) | ((np.abs(term) < _STOP_REL * pos) & (k > k_peak))
+        if negative:
+            neg = neg - term
+        else:
+            pos = pos + term
+        scale = np.maximum(pos, neg) if signed else pos
+        done = (term == 0.0) | ((np.abs(term) < _STOP_REL * scale) & (k > k_peak))
         if done.any():
             sums[lane[done]] = pos[done]
             offsets[lane[done]] = offset[done]
             going = ~done
+            if signed:
+                negs[lane[done]] = neg[done]
+                neg = neg[going]
             lane, c, z, k_peak = lane[going], c[going], z[going], k_peak[going]
             term, pos, offset = term[going], pos[going], offset[going]
-        big = pos > _RESCALE
+        big = (np.maximum(pos, neg) if signed else pos) > _RESCALE
         if big.any():
             pos[big] *= _RESCALE_INV
             term[big] *= _RESCALE_INV
             offset[big] += 512
-    return sums, offsets
+            if signed:
+                neg[big] *= _RESCALE_INV
+    return sums, offsets, negs
 
 
 def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -294,19 +338,23 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise DomainError("kummer_log_ratios requires finite a, c and z")
     if not (a > 0.0 and (c > 0.0).all() and (z >= 0.0).all() and (z <= _MAX_ABS_Z).all()):
         raise DomainError(f"kummer_log_ratios requires a > 0, c > 0 and 0 <= z <= {_MAX_ABS_Z:g}")
-    num, num_offset = _series_sums(a + 1.0, c + 1.0, z)
-    den, den_offset = _series_sums(a, c, z)
+    num, num_offset, _ = _series_sums(a + 1.0, c + 1.0, z)
+    den, den_offset, _ = _series_sums(a, c, z)
     # ScaledReal normalizes by powers of two only, so its quotient rounds
     # to this one: both sums lie in [1, 2**513], far from under- and overflow
     return (a / c) * np.ldexp(num / den, num_offset - den_offset)
 
 
-def _cylinder_from_integral(nu: float, z: float) -> float:
-    """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation."""
+def _cylinder_from_integral(nu: float, z: float | np.ndarray) -> float | np.ndarray:
+    """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation.
+
+    z is one point, or a 1-d array of lanes that share one quadrature; each
+    lane is then the float of a one-point call.
+    """
     power = -nu - 1.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return t**power * np.exp(-0.5 * t * t - z * t)
+        return t**power * np.exp(-0.5 * t * t - np.multiply.outer(z, t))
 
     integral = integrate_semi_infinite(integrand)
     # exp(-z^2/4) from z^2 = hi + lo split exactly (Dekker): the rounding of
@@ -316,7 +364,30 @@ def _cylinder_from_integral(nu: float, z: float) -> float:
     z_hi = split - (split - z)
     z_lo = z - z_hi
     lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
-    return math.exp(-0.25 * hi) * (1.0 - 0.25 * lo) * integral / math.gamma(-nu)
+    # libm's exp on lanes too: np.exp differs from it in the last bit on some arguments
+    if np.ndim(z) == 0:
+        gauss = math.exp(-0.25 * hi)
+    else:
+        gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()])
+    return gauss * (1.0 - 0.25 * lo) * integral / math.gamma(-nu)
+
+
+def _cylinder_lifted(nu: float, z: float | np.ndarray) -> tuple:
+    """(D_nu(z), D_{nu-1}(z)) for z > 0, at one point or on a block of lanes.
+
+    Half-line integrals at mu and mu-1, where mu = nu - max(0, floor(nu) + 2)
+    < -1, lifted to nu by D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  While
+    mu < 0 both terms are positive; above that the subtracted term is
+    smaller by ~mu/z^2 at large z.  The lift ends holding D_{nu-1} as well.
+    """
+    lifts = max(0, int(math.floor(nu)) + 2)
+    mu = nu - lifts
+    below = _cylinder_from_integral(mu - 1.0, z)
+    value = _cylinder_from_integral(mu, z)
+    for _ in range(lifts):
+        below, value = value, z * value - mu * below
+        mu += 1.0
+    return value, below
 
 
 def _reciprocal_gamma(x: float) -> float:
@@ -354,23 +425,38 @@ def _cylinder_value(nu: float, z: float) -> tuple[float, float]:
     """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the sign of z.
 
     z <= 0: even/odd Kummer decomposition for both orders; its pieces
-    reinforce there (for nu < 0 both are positive).
-    z > 0: half-line integrals at mu and mu-1, where
-    mu = nu - max(0, floor(nu) + 2) < -1, lifted to nu by
-    D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  While mu < 0 both terms are
-    positive; above that the subtracted term is smaller by ~mu/z^2 at large
-    z.  The lift ends holding D_{nu-1} as well.
+    reinforce there (for nu < 0 both are positive).  z > 0: the lifted
+    half-line integrals.
     """
     if z <= 0.0:
         return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
-    lifts = max(0, int(math.floor(nu)) + 2)
-    mu = nu - lifts
-    below = _cylinder_from_integral(mu - 1.0, z)
-    value = _cylinder_from_integral(mu, z)
-    for _ in range(lifts):
-        below, value = value, z * value - mu * below
-        mu += 1.0
-    return value, below
+    return _cylinder_lifted(nu, z)
+
+
+def _kummer_lanes(a: float, c: float, w: np.ndarray) -> _Lanes:
+    """kummer_m(a, c, w_i).value on every lane, as (mantissa, exponent) arrays."""
+    pos, offset, neg = _series_sums(a, np.full(w.shape, c), w)
+    return _scaled_add(_scaled(pos, offset), _scaled(-neg, offset))
+
+
+def _cylinder_even_odd_lanes(nu: float, z: np.ndarray) -> np.ndarray:
+    """_cylinder_even_odd(nu, z_i) on every lane, bit for bit.
+
+    Both Kummer pieces come from _series_sums and are assembled in the
+    lane form of ScaledReal, operation for operation as the scalar does.
+    """
+    w = 0.5 * z * z
+    even = _scaled_mul(
+        _scaled(_reciprocal_gamma(0.5 * (1.0 - nu)), 0), _kummer_lanes(-0.5 * nu, 0.5, w)
+    )
+    odd = _scaled_mul(
+        _scaled(-math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu), 0),
+        _kummer_lanes(0.5 * (1.0 - nu), 1.5, w),
+    )
+    prefactor = _scaled_mul(
+        _scaled_exp(-0.25 * z * z), _scaled(2.0 ** (0.5 * nu) * math.sqrt(math.pi), 0)
+    )
+    return np.ldexp(*_scaled_mul(prefactor, _scaled_add(even, odd)))
 
 
 def cylinder_d(nu: float, z: float) -> CylinderValue:
@@ -387,3 +473,33 @@ def cylinder_d(nu: float, z: float) -> CylinderValue:
     value, below = _cylinder_value(nu, z)
     derivative = nu * below - 0.5 * z * value
     return CylinderValue(value=value, derivative=derivative)
+
+
+def cylinder_ds(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_nu(z_i) and D'_nu(z_i) on every lane of a 1-d array z, for nu in [-4, 4] and |z_i| <= 50.
+
+    Each lane is ``cylinder_d(nu, z_i)``'s value and derivative, bit for bit,
+    by the same route: lanes with z <= 0 sum their Kummer series together in
+    _series_sums, and lanes with z > 0 share quadratures, _LANE_BLOCK lanes
+    at a time.  For one point the scalar is the faster call: at z = -0.7 a
+    one-lane batch costs ~1.9 ms and the scalar ~0.1 ms (2-vCPU KVM host).
+    """
+    if not -4.0 <= nu <= 4.0:
+        raise DomainError(f"cylinder_ds supports nu in [-4, 4], got nu={nu}")
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise DomainError(f"z must be a 1-d array, got shape {z.shape}")
+    outside = ~(np.abs(z) <= 50.0)  # NaN included
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DomainError(f"cylinder_ds supports finite |z| <= 50, got z[{i}]={z[i].item()!r}")
+    value = np.empty(z.shape)
+    below = np.empty(z.shape)
+    left = z <= 0.0
+    value[left] = _cylinder_even_odd_lanes(nu, z[left])
+    below[left] = _cylinder_even_odd_lanes(nu - 1.0, z[left])
+    right = np.flatnonzero(~left)
+    for start in range(0, right.size, _LANE_BLOCK):
+        block = right[start : start + _LANE_BLOCK]
+        value[block], below[block] = _cylinder_lifted(nu, z[block])
+    return value, nu * below - 0.5 * z * value

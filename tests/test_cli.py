@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from magsteklov import cli, models, verify
+from magsteklov import cli, models, specfun, verify
 from magsteklov.numerics import QuadratureError
 
 
@@ -178,6 +178,29 @@ class TestHalfplaneCommand:
         assert min(d) < 0.0 < max(d)  # the sweep straddles the zero at -alpha
         f1 = {float(r["xi"]): float(r["f1"]) for r in rows}
         assert f1[0.75] < f1[0.0] and f1[0.75] < f1[2.0]
+
+    def test_one_batch_call_per_column_and_no_scalar_call(self, tmp_path, monkeypatch):
+        calls = []
+        batch = cli.cylinder_ds
+
+        def counted(nu, z):
+            calls.append((nu, z.size))
+            return batch(nu, z)
+
+        def refuse(*args):
+            raise AssertionError("scalar cylinder_d called")
+
+        expected = [models.halfplane_multiplier(xi) for xi in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        monkeypatch.setattr(cli, "cylinder_ds", counted)
+        monkeypatch.setattr(models, "cylinder_ds", counted)
+        monkeypatch.setattr(models, "cylinder_d", refuse)
+        monkeypatch.setattr(specfun, "cylinder_d", refuse)
+        code, out = run(tmp_path, "halfplane", "--steps", "41")
+        assert code == 0
+        assert sorted(calls) == [(-0.5, 41), (0.5, 41)]
+        rows = read_rows(out)
+        assert len(rows) == 41
+        assert [float(r["f1"]) for r in rows[::10]] == expected
 
 
 class TestDegennesCommand:

@@ -170,6 +170,17 @@ class TestFindZn:
         with pytest.raises(ConvergenceError, match=message):
             intersect.crossings([12, 40])
 
+    def test_crossing_past_the_field_bound_raises_naming_the_mode(self):
+        # z_999234 = 999,999.52 is the last crossing inside |z| <= 1e6
+        assert intersect.find_zn(999_234).z_n < 1e6
+        message = r"mode 999999: z_n lies past the field bound \|z\| <= 1e\+06"
+        with pytest.raises(DomainError, match=message):
+            intersect.find_zn(999_999)
+        with pytest.raises(DomainError, match=message):
+            intersect.crossings([5, 999_999])
+        with pytest.raises(DomainError, match="mode 999235: z_n lies past the field bound"):
+            intersect.find_zn(999_235)
+
     @pytest.mark.parametrize(
         "n",
         [0, 1, 7, 42, 84, 85, 86, 87, 88, 500, 1000],

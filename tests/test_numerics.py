@@ -231,6 +231,27 @@ class TestSemiInfiniteQuadrature:
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(lambda t: np.where(t < 2.5, np.exp(-t), 0.0))
 
+    def test_lanes_equal_one_lane_calls(self):
+        # e^-t cos(w t) agrees at level 0, 1, 2 and 3 for w = 0, 1, 2 and 4
+        def lane(w):
+            return lambda t: np.exp(-t) * np.cos(w * t)
+
+        levels = []
+        singles = []
+        for w in (0.0, 1.0, 2.0, 4.0):
+            calls = []
+            f = lane(w)
+            singles.append(integrate_semi_infinite(lambda t, f=f: calls.append(t) or f(t)))
+            levels.append(len(calls))
+        assert levels == [1, 2, 3, 4]
+        assert all(type(x) is float for x in singles)
+        rows = integrate_semi_infinite(lambda t: np.stack([lane(w)(t) for w in (0.0, 1.0, 2.0, 4.0)]))
+        assert [x.hex() for x in rows.tolist()] == [x.hex() for x in singles]
+
+    def test_one_lane_that_never_agrees_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(lambda t: np.stack([np.exp(-t), np.exp(-t) * np.cos(8.0 * t)]))
+
 
 def _norm_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))

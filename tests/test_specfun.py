@@ -23,6 +23,7 @@ from magsteklov.numerics import (
 )
 from magsteklov.specfun import (
     cylinder_d,
+    cylinder_ds,
     kummer_log_ratio,
     kummer_log_ratios,
     kummer_m,
@@ -621,6 +622,59 @@ class TestCylinderD:
             cylinder_d(4.5, 0.0)
         with pytest.raises(DomainError):
             cylinder_d(0.5, 60.0)
+
+
+class TestCylinderDs:
+    """cylinder_ds is cylinder_d on every lane, value and derivative, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "nu", [-4.0, -3.5, -2.0, -1.0, -0.5, -1e-6, 0.5, 0.999, 1.0, 2.0, 3.9999, 4.0]
+    )
+    def test_lanes_equal_the_scalar(self, nu):
+        rng = np.random.default_rng(20261019)
+        z = np.concatenate([[-50.0, -0.0, 0.0, 5e-324, 50.0], rng.uniform(-50.0, 50.0, 302)])
+        value, derivative = cylinder_ds(nu, z)
+        scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
+        assert [x.hex() for x in value.tolist()] == [d.value.hex() for d in scalar]
+        assert [x.hex() for x in derivative.tolist()] == [d.derivative.hex() for d in scalar]
+
+    def test_no_lanes(self):
+        value, derivative = cylinder_ds(0.5, np.array([]))
+        assert value.shape == derivative.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "nu, z, message",
+        [
+            (4.5, [0.0], r"nu in \[-4, 4\], got nu=4\.5"),
+            (math.nan, [0.0], "got nu=nan"),
+            (0.5, [1.0, 50.5], r"\|z\| <= 50, got z\[1\]=50\.5"),
+            (0.5, [1.0, -2.0, math.nan], r"z\[2\]=nan"),
+            (0.5, [-math.inf], r"z\[0\]=-inf"),
+            (0.5, [[1.0]], "1-d array"),
+        ],
+    )
+    def test_domain_names_the_argument(self, nu, z, message):
+        with pytest.raises(DomainError, match=message):
+            cylinder_ds(nu, np.array(z))
+
+
+class TestSeriesSums:
+    """The batch series gives _series_parts' pos, neg and offset on every lane."""
+
+    @pytest.mark.parametrize("a", [-0.25, 0.0, -1.0, -2.0, 0.75])
+    def test_lanes_equal_the_scalar_parts(self, a):
+        rng = np.random.default_rng(17)
+        w = np.concatenate([[0.0, 5e-324, 1e-300], rng.uniform(0.0, 50.0, 60), rng.uniform(400.0, 1250.0, 40)])
+        c = np.where(rng.uniform(size=w.size) < 0.5, 0.5, 1.5)
+        pos, offset, neg = specfun._series_sums(a, c, w)
+        if a % 1.0:  # a terminating polynomial never rescales
+            assert (offset > 0).sum() >= 20
+        for i, (c_i, w_i) in enumerate(zip(c.tolist(), w.tolist())):
+            pos_i, neg_i, _ = specfun._series_parts(a, c_i, w_i)
+            got = ScaledReal(pos[i].item(), offset[i].item()), ScaledReal(neg[i].item(), offset[i].item())
+            assert [(x.mantissa.hex(), x.exponent) for x in got] == [
+                (x.mantissa.hex(), x.exponent) for x in (pos_i, neg_i)
+            ]
 
 
 # ------------------------------------------------- invariant suite delegates
