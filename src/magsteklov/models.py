@@ -71,12 +71,19 @@ def compute_alpha() -> float:
     return brent_root(lambda x: cylinder_d(0.5, -x).value, 0.5, 1.0)
 
 
+def _require_in_cylinder_range(name: str, value: float) -> None:
+    """Refuse a NaN, an infinity or |value| > 50, the range of cylinder_d, naming the argument."""
+    if not abs(value) <= 50.0:
+        raise DomainError(f"{name} must be finite with |{name}| <= 50, got {name}={value!r}")
+
+
 def halfplane_multiplier(xi: float) -> float:
-    """Boundary-map symbol f1(xi) = -2 D'_{-1/2}(-xi) / D_{-1/2}(-xi).
+    """Boundary-map symbol f1(xi) = -2 D'_{-1/2}(-xi) / D_{-1/2}(-xi), for |xi| <= 50.
 
     The denominator never vanishes (negative-order cylinder functions are
     positive), so f1 is defined for every real xi.
     """
+    _require_in_cylinder_range("xi", xi)
     cd = cylinder_d(-0.5, -xi)
     return _symbol(cd.value, cd.derivative)
 
@@ -147,10 +154,11 @@ def moment_integrals(beta: float) -> tuple[float, float, float, float]:
 
 
 def phi(beta: float) -> float:
-    """Limit fixed-point map Phi(beta) = beta + D_{1/2}(-beta)/D_{-1/2}(-beta).
+    """Limit fixed-point map Phi(beta) = beta + D_{1/2}(-beta)/D_{-1/2}(-beta), for |beta| <= 50.
 
     Phi(alpha) = alpha and Phi'(alpha) = 1/2.
     """
+    _require_in_cylinder_range("beta", beta)
     half = cylinder_d(0.5, -beta)
     minus_half = cylinder_d(-0.5, -beta)
     return beta + half.value / minus_half.value

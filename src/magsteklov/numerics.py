@@ -1,7 +1,7 @@
 """Shared numeric substrate.
 
-Scaled power-of-two floats for overflow-free series summation, and their
-arithmetic on arrays of lanes, bit for bit the scalar's; double-exponential
+Scaled power-of-two floats for overflow-free series summation, and the
+Cody-Waite exp they use, on a float or on lanes; double-exponential
 quadrature on the half line, of one integrand or of the rows of one array
 at once, each row the one-integrand result; and Brent's bracketing root
 finder.  REL_TOL is the one relative accuracy the package asks of its
@@ -79,6 +79,21 @@ _LN2_LO = 4.7493250390316726e-07
 _LOG2E = 1.4426950408889634
 
 
+def _exp_split(x: float | np.ndarray) -> tuple:
+    """(exp(r), k) with exp(x) = exp(r) * 2**k, for a float x or a 1-d array of lanes.
+
+    Cody-Waite reduction with k = x / ln 2 rounded half to even, so that
+    |r| <= ln(2)/2; k is an int for a float x and int64 on lanes.  exp(r) is
+    libm's on lanes too: np.exp differs from it in the last bit on some
+    arguments.
+    """
+    k = np.rint(x * _LOG2E)
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    if np.ndim(x) == 0:
+        return math.exp(r), int(k)
+    return np.array([math.exp(v) for v in r.tolist()]), k.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ScaledReal:
     """A real number stored as mantissa * 2**exponent.
@@ -110,11 +125,7 @@ class ScaledReal:
     @classmethod
     def exp(cls, x: float) -> "ScaledReal":
         """exp(x) for any |x| <~ 1e9, without float overflow or underflow."""
-        if x == 0.0:
-            return cls(1.0, 0)
-        k = round(x * _LOG2E)
-        r = (x - k * _LN2_HI) - k * _LN2_LO
-        return cls(math.exp(r), k)
+        return cls(*_exp_split(x))
 
     def to_float(self) -> float:
         try:
@@ -159,47 +170,6 @@ class ScaledReal:
         if other.mantissa == 0.0:
             raise ZeroDivisionError("division by zero ScaledReal")
         return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
-
-
-# ScaledReal on lanes: a (mantissa, exponent) pair of arrays.  Each function
-# runs the float operations of its ScaledReal namesake in the same order, so
-# every lane is the ScaledReal the scalar operation forms, bit for bit.
-_Lanes = tuple[np.ndarray, np.ndarray]
-
-
-def _scaled(mantissa: np.ndarray, exponent: np.ndarray) -> _Lanes:
-    """ScaledReal(mantissa_i, exponent_i) on every lane."""
-    frac, e = np.frexp(mantissa)
-    return 2.0 * frac, np.where(mantissa == 0.0, 0, exponent + e - 1)
-
-
-def _scaled_mul(x: _Lanes, y: _Lanes) -> _Lanes:
-    return _scaled(x[0] * y[0], x[1] + y[1])
-
-
-def _scaled_add(x: _Lanes, y: _Lanes) -> _Lanes:
-    """x + y on every lane.
-
-    The operand with the larger exponent is shifted by 0, which is exact, and
-    a shift below -1100 needs no test: ldexp returns 0 there.
-    """
-    hi_e = np.maximum(x[1], y[1])
-    m, e = _scaled(np.ldexp(x[0], x[1] - hi_e) + np.ldexp(y[0], y[1] - hi_e), hi_e)
-    # an exact zero returns the other operand as it is
-    m = np.where(x[0] == 0.0, y[0], np.where(y[0] == 0.0, x[0], m))
-    e = np.where(x[0] == 0.0, y[1], np.where(y[0] == 0.0, x[1], e))
-    return m, e
-
-
-def _scaled_exp(x: np.ndarray) -> _Lanes:
-    """ScaledReal.exp(x_i) on every lane.
-
-    The reduced argument goes through math.exp lane by lane: np.exp differs
-    from the libm exp in the last bit on some arguments.
-    """
-    k = np.rint(x * _LOG2E)  # round half to even, as round() does
-    r = (x - k * _LN2_HI) - k * _LN2_LO
-    return _scaled(np.array([math.exp(v) for v in r.tolist()]), k.astype(np.int64))
 
 
 @functools.cache

@@ -4,9 +4,9 @@ This module alone decides how each function is evaluated; callers name the
 function and its arguments, never a route.
 
 The Kummer function M(a, c, z) = sum_k (a)_k/(c)_k z^k/k! is summed termwise
-in ScaledReal arithmetic for z >= 0, so values of size exp(z) for z up to
-~1e6 stay representable.  That series needs O(z) terms.  The
-log-derivative M'/M has a second route: by the large-z expansion of
+for z >= 0 in floats that share one power-of-two offset, so values of size
+exp(z) for z up to ~1e6 stay representable.  That series needs O(z) terms.
+The log-derivative M'/M has a second route: by the large-z expansion of
 DLMF 13.7.2,
 
     M(a, c, z) = Gamma(c)/Gamma(a) e^z z^(a-c) [S(a, c, z) + O(e^-z)],
@@ -42,15 +42,16 @@ carries no extra information and is not provided.)
 
 ``cylinder_ds(nu, z)`` is ``cylinder_d`` on the lanes of a 1-d array z with
 one nu, for graphs and quadrature nodes.  Its contract is bitwise too, and
-each lane takes the scalar's route.  Lanes with z <= 0 sum their Kummer
-series together in the batch series loop, which also serves
-``kummer_log_ratios``; its negative accumulator takes the terms of a < 0
-(the even piece of D_{1/2}).  The pieces are assembled in ScaledReal
-arithmetic on (mantissa, exponent) arrays.  Lanes with z > 0 share one
-quadrature per block of _LANE_BLOCK lanes: ``integrate_semi_infinite``
-takes the (lanes, nodes) array of their integrands, and the scalar z > 0
-route is the same code on one point.  A single point stays with the
-scalar, whose even/odd route is 15-35x faster than a one-lane batch.
+each lane takes the scalar's route through the same code: each route is
+written once, for a float z or for lanes.  On z <= 0 a point sums its
+Kummer series in the scalar loop, and lanes sum theirs together in the
+batch series loop, which also serves ``kummer_log_ratios``; its negative
+accumulator takes the terms of a < 0 (the even piece of D_{1/2}).  One
+assembly then combines the pieces for both, in floats at power-of-two
+offsets.  Lanes with z > 0 share one quadrature per block of _LANE_BLOCK
+lanes: ``integrate_semi_infinite`` takes the (lanes, nodes) array of their
+integrands.  A single point keeps the scalar series loop, for the cost
+given above.
 """
 
 import math
@@ -62,11 +63,7 @@ from .numerics import (
     ConvergenceError,
     DomainError,
     ScaledReal,
-    _Lanes,
-    _scaled,
-    _scaled_add,
-    _scaled_exp,
-    _scaled_mul,
+    _exp_split,
     integrate_semi_infinite,
 )
 
@@ -136,15 +133,15 @@ def _term_peak_bound(a: float, c: float, z: float) -> float:
     return max(0.0, -half_b + math.sqrt(disc))
 
 
-def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal, int]:
-    """Termwise sum of the Kummer series for z >= 0.
+def _series_parts(a: float, c: float, z: float) -> tuple[float, int, float, int]:
+    """Termwise sum of the Kummer series for z >= 0, as (pos, offset, neg, terms).
 
-    Positive and negative terms go to separate accumulators so the only
-    cancellation is the single final subtraction; for a > 0 the negative
-    accumulator stays empty.  Term and accumulators share one power-of-two
-    offset that is rescaled whenever the running sum outgrows 2**512; the
-    stopping test runs before any rescale so it always compares the term
-    and the sum in the same scaling.  Raises ConvergenceError when the
+    M(a, c, z) = (pos - neg) * 2**offset.  Positive and negative terms go to
+    separate accumulators so the only cancellation is the single final
+    subtraction; for a > 0 the negative accumulator stays empty.  Term and
+    accumulators share the offset, which grows by 512 whenever the running
+    sum outgrows 2**512; the stopping test runs before any rescale so it
+    always compares the term and the sum in the same scaling.  Raises ConvergenceError when the
     term budget runs out first.
     """
     term = 1.0
@@ -172,7 +169,7 @@ def _series_parts(a: float, c: float, z: float) -> tuple[ScaledReal, ScaledReal,
             offset += 512
     else:
         raise ConvergenceError(f"Kummer series M({a}, {c}, {z}) did not converge in {k} terms")
-    return ScaledReal(pos, offset), ScaledReal(neg, offset), k + 1
+    return pos, offset, neg, k + 1
 
 
 def kummer_m(a: float, c: float, z: float) -> KummerValue:
@@ -189,8 +186,8 @@ def kummer_m(a: float, c: float, z: float) -> KummerValue:
     if z < 0.0:
         raise DomainError(f"kummer_m requires z >= 0, got z={z}")
     _check_range(z)
-    pos, neg, terms = _series_parts(a, c, z)
-    return KummerValue(value=pos - neg, terms_used=terms)
+    pos, offset, neg, terms = _series_parts(a, c, z)
+    return KummerValue(value=ScaledReal(pos - neg, offset), terms_used=terms)
 
 
 def _large_z_sum(a: float, c: float, z: float) -> float | None:
@@ -397,28 +394,45 @@ def _reciprocal_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _cylinder_even_odd(nu: float, z: float) -> float:
-    """D_nu(z) from its even/odd Kummer decomposition,
+def _kummer_piece(coef: float | np.ndarray, a: float, c: float, w: float | np.ndarray) -> tuple:
+    """coef * M(a, c, w) as (float, offset) with the value float * 2**offset, for w >= 0.
+
+    A float w takes the scalar series loop, lanes take the batch loop.
+    """
+    if np.ndim(w) == 0:
+        pos, offset, neg, _ = _series_parts(a, c, w)
+    else:
+        pos, offset, neg = _series_sums(a, np.full(w.shape, c), w)
+    return coef * (pos - neg), offset
+
+
+def _cylinder_even_odd(nu: float, z: float | np.ndarray) -> float | np.ndarray:
+    """D_nu(z) from its even/odd Kummer decomposition, at one point or on lanes,
 
         2^{nu/2} sqrt(pi) e^{-z^2/4} [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
                                        - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ].
 
-    Assembled in ScaledReal because the Kummer factors reach exp(z^2/2).
+    The Kummer factors reach exp(z^2/2), so each piece is a float at its
+    series' power-of-two offset, e^{-z^2/4} is e^r 2^k, and one final ldexp
+    applies offset and k.  Scaling by powers of two is exact, so each value
+    is the float that ScaledReal arithmetic on the same pieces forms.
     Accurate for z <= 0, where the two pieces reinforce the dominant
     exp(+z^2/4) branch; useless for large z > 0, where they cancel to the
     recessive solution.
     """
     w = 0.5 * z * z
-    even = ScaledReal.from_float(_reciprocal_gamma(0.5 * (1.0 - nu))) * kummer_m(
-        -0.5 * nu, 0.5, w
-    ).value
-    odd = ScaledReal.from_float(
-        -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu)
-    ) * kummer_m(0.5 * (1.0 - nu), 1.5, w).value
-    prefactor = ScaledReal.exp(-0.25 * z * z) * ScaledReal.from_float(
-        2.0 ** (0.5 * nu) * math.sqrt(math.pi)
+    even, even_offset = _kummer_piece(_reciprocal_gamma(0.5 * (1.0 - nu)), -0.5 * nu, 0.5, w)
+    odd, odd_offset = _kummer_piece(
+        -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu), 0.5 * (1.0 - nu), 1.5, w
     )
-    return float(prefactor * (even + odd))
+    offset = np.maximum(even_offset, odd_offset)
+    pieces = np.ldexp(even, even_offset - offset) + np.ldexp(odd, odd_offset - offset)
+    # as in ScaledReal's sum, an exact-zero piece leaves the other as it is, at its own offset
+    pieces = np.where(even == 0.0, odd, np.where(odd == 0.0, even, pieces))
+    offset = np.where(even == 0.0, odd_offset, np.where(odd == 0.0, even_offset, offset))
+    gauss, k = _exp_split(-0.25 * z * z)
+    prefactor = gauss * (2.0 ** (0.5 * nu) * math.sqrt(math.pi))
+    return np.ldexp(prefactor * pieces, offset + k)
 
 
 def _cylinder_value(nu: float, z: float) -> tuple[float, float]:
@@ -429,34 +443,8 @@ def _cylinder_value(nu: float, z: float) -> tuple[float, float]:
     half-line integrals.
     """
     if z <= 0.0:
-        return _cylinder_even_odd(nu, z), _cylinder_even_odd(nu - 1.0, z)
+        return float(_cylinder_even_odd(nu, z)), float(_cylinder_even_odd(nu - 1.0, z))
     return _cylinder_lifted(nu, z)
-
-
-def _kummer_lanes(a: float, c: float, w: np.ndarray) -> _Lanes:
-    """kummer_m(a, c, w_i).value on every lane, as (mantissa, exponent) arrays."""
-    pos, offset, neg = _series_sums(a, np.full(w.shape, c), w)
-    return _scaled_add(_scaled(pos, offset), _scaled(-neg, offset))
-
-
-def _cylinder_even_odd_lanes(nu: float, z: np.ndarray) -> np.ndarray:
-    """_cylinder_even_odd(nu, z_i) on every lane, bit for bit.
-
-    Both Kummer pieces come from _series_sums and are assembled in the
-    lane form of ScaledReal, operation for operation as the scalar does.
-    """
-    w = 0.5 * z * z
-    even = _scaled_mul(
-        _scaled(_reciprocal_gamma(0.5 * (1.0 - nu)), 0), _kummer_lanes(-0.5 * nu, 0.5, w)
-    )
-    odd = _scaled_mul(
-        _scaled(-math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu), 0),
-        _kummer_lanes(0.5 * (1.0 - nu), 1.5, w),
-    )
-    prefactor = _scaled_mul(
-        _scaled_exp(-0.25 * z * z), _scaled(2.0 ** (0.5 * nu) * math.sqrt(math.pi), 0)
-    )
-    return np.ldexp(*_scaled_mul(prefactor, _scaled_add(even, odd)))
 
 
 def cylinder_d(nu: float, z: float) -> CylinderValue:
@@ -496,8 +484,8 @@ def cylinder_ds(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value = np.empty(z.shape)
     below = np.empty(z.shape)
     left = z <= 0.0
-    value[left] = _cylinder_even_odd_lanes(nu, z[left])
-    below[left] = _cylinder_even_odd_lanes(nu - 1.0, z[left])
+    value[left] = _cylinder_even_odd(nu, z[left])
+    below[left] = _cylinder_even_odd(nu - 1.0, z[left])
     right = np.flatnonzero(~left)
     for start in range(0, right.size, _LANE_BLOCK):
         block = right[start : start + _LANE_BLOCK]

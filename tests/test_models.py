@@ -134,6 +134,24 @@ class TestDelta:
             models.delta(beta)
 
 
+@pytest.mark.parametrize(
+    "function, name, value",
+    [
+        (models.halfplane_multiplier, "xi", math.nan),
+        (models.halfplane_multiplier, "xi", math.inf),
+        (models.halfplane_multiplier, "xi", 60.0),
+        (models.halfplane_multiplier, "xi", -50.5),
+        (models.phi, "beta", math.nan),
+        (models.phi, "beta", math.inf),
+        (models.phi, "beta", 51.0),
+    ],
+)
+def test_cylinder_argument_checked_as_given(function, name, value):
+    message = rf"^{name} must be finite with \|{name}\| <= 50, got {name}={value!r}$"
+    with pytest.raises(DomainError, match=message):
+        function(value)
+
+
 # ------------------------------------------------------------ comparison 6.3
 
 

@@ -55,6 +55,23 @@ def euler_integral_oracle(a, c, z):
         return float(coeff * value)
 
 
+def scaled_even_odd(nu, z):
+    """D_nu(z) for z <= 0 from the even/odd Kummer decomposition, assembled in ScaledReal."""
+
+    def rgamma(x):
+        return 0.0 if x <= 0.0 and x == math.floor(x) else 1.0 / math.gamma(x)
+
+    w = 0.5 * z * z
+    even = ScaledReal.from_float(rgamma(0.5 * (1.0 - nu))) * kummer_m(-0.5 * nu, 0.5, w).value
+    odd = ScaledReal.from_float(-math.sqrt(2.0) * z * rgamma(-0.5 * nu)) * kummer_m(
+        0.5 * (1.0 - nu), 1.5, w
+    ).value
+    prefactor = ScaledReal.exp(-0.25 * z * z) * ScaledReal.from_float(
+        2.0 ** (0.5 * nu) * math.sqrt(math.pi)
+    )
+    return float(prefactor * (even + odd))
+
+
 def cylinder_zero_closed_form():
     """D_{-1/2}(0) = 2^{-3/4} Gamma(1/4) / Gamma(1/2)."""
     return 2.0**-0.75 * math.gamma(0.25) / math.gamma(0.5)
@@ -233,7 +250,7 @@ class TestNonFiniteInput:
     def test_cylinder_d_rejects_non_finite_z(self, bad):
         with pytest.raises(DomainError, match="z must be finite"):
             cylinder_d(0.5, bad)
-        with pytest.raises(DomainError, match="z must be finite"):
+        with pytest.raises(DomainError, match="^xi must be finite"):
             models.halfplane_multiplier(bad)
 
     def test_nan_rejected_fast(self):
@@ -624,19 +641,38 @@ class TestCylinderD:
             cylinder_d(0.5, 60.0)
 
 
+CYLINDER_DS_ORDERS = [-4.0, -3.5, -2.0, -1.0, -0.5, -1e-6, 0.0, 0.5, 0.999, 1.0, 2.0, 3.0, 3.9999, 4.0]
+
+
+def cylinder_ds_grid():
+    rng = np.random.default_rng(20261019)
+    return np.concatenate([[-50.0, -0.0, 0.0, 5e-324, 50.0], rng.uniform(-50.0, 50.0, 302)])
+
+
 class TestCylinderDs:
     """cylinder_ds is cylinder_d on every lane, value and derivative, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "nu", [-4.0, -3.5, -2.0, -1.0, -0.5, -1e-6, 0.5, 0.999, 1.0, 2.0, 3.9999, 4.0]
-    )
+    @pytest.mark.parametrize("nu", CYLINDER_DS_ORDERS)
     def test_lanes_equal_the_scalar(self, nu):
-        rng = np.random.default_rng(20261019)
-        z = np.concatenate([[-50.0, -0.0, 0.0, 5e-324, 50.0], rng.uniform(-50.0, 50.0, 302)])
+        z = cylinder_ds_grid()
         value, derivative = cylinder_ds(nu, z)
         scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
         assert [x.hex() for x in value.tolist()] == [d.value.hex() for d in scalar]
         assert [x.hex() for x in derivative.tolist()] == [d.derivative.hex() for d in scalar]
+
+    @pytest.mark.parametrize("nu", CYLINDER_DS_ORDERS)
+    def test_nonpositive_z_equals_the_scaled_real_assembly(self, nu):
+        # the float assembly of the pieces forms the ScaledReal sums and products bit for bit
+        z = cylinder_ds_grid()
+        z = z[z <= 0.0]
+        expected = []
+        for z_i in z.tolist():
+            value, below = scaled_even_odd(nu, z_i), scaled_even_odd(nu - 1.0, z_i)
+            expected.append((value.hex(), (nu * below - 0.5 * z_i * value).hex()))
+        value, derivative = cylinder_ds(nu, z)
+        assert [(v.hex(), d.hex()) for v, d in zip(value.tolist(), derivative.tolist())] == expected
+        scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
+        assert [(d.value.hex(), d.derivative.hex()) for d in scalar] == expected
 
     def test_no_lanes(self):
         value, derivative = cylinder_ds(0.5, np.array([]))
@@ -659,7 +695,7 @@ class TestCylinderDs:
 
 
 class TestSeriesSums:
-    """The batch series gives _series_parts' pos, neg and offset on every lane."""
+    """The batch series gives _series_parts' pos, offset and neg on every lane."""
 
     @pytest.mark.parametrize("a", [-0.25, 0.0, -1.0, -2.0, 0.75])
     def test_lanes_equal_the_scalar_parts(self, a):
@@ -670,11 +706,12 @@ class TestSeriesSums:
         if a % 1.0:  # a terminating polynomial never rescales
             assert (offset > 0).sum() >= 20
         for i, (c_i, w_i) in enumerate(zip(c.tolist(), w.tolist())):
-            pos_i, neg_i, _ = specfun._series_parts(a, c_i, w_i)
-            got = ScaledReal(pos[i].item(), offset[i].item()), ScaledReal(neg[i].item(), offset[i].item())
-            assert [(x.mantissa.hex(), x.exponent) for x in got] == [
-                (x.mantissa.hex(), x.exponent) for x in (pos_i, neg_i)
-            ]
+            pos_i, offset_i, neg_i, _ = specfun._series_parts(a, c_i, w_i)
+            assert (pos[i].item().hex(), offset[i].item(), neg[i].item().hex()) == (
+                pos_i.hex(),
+                offset_i,
+                neg_i.hex(),
+            )
 
 
 # ------------------------------------------------- invariant suite delegates
