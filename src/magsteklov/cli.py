@@ -189,6 +189,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_halfplane(args: argparse.Namespace) -> int:
+    if args.b_min < -50.0 or args.b_max > 50.0:
+        raise ConfigError(
+            "halfplane needs the grid inside [-50, 50], the range of the cylinder functions,"
+            f" got --b-min {args.b_min} --b-max {args.b_max}"
+        )
     grid = _b_grid(args)
     xi = np.array(grid)
     f1 = models._halfplane_multipliers(xi).tolist()

@@ -130,27 +130,23 @@ def moment_integrals(beta: float) -> tuple[float, float, float, float]:
 
     All integrands carry the weight exp(beta s - s^2/2); A and B use the
     power s^{1/2}, C and D the power s^{-1/2}, and B, D carry the extra
-    polynomial factor (s - s^3/3).  The moments grow like exp(beta^2/2),
-    so beta beyond ~37 would overflow the double range.
+    polynomial factor (s - s^3/3).  They are the four rows of one
+    quadrature, each returned at its own first agreeing level.  The moments
+    grow like exp(beta^2/2), so beta beyond ~37 would overflow the double
+    range.
     """
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got beta={beta!r}")
     if beta > 37.0:
         raise DomainError(f"moment integrals exceed the double range for beta={beta}")
 
-    def moment(power: float, with_poly: bool) -> float:
-        def f(s: np.ndarray) -> np.ndarray:
-            w = np.exp(beta * s - 0.5 * s * s) * s**power
-            return w * (s - s**3 / 3.0) if with_poly else w
+    def rows(s: np.ndarray) -> np.ndarray:
+        weight = np.exp(beta * s - 0.5 * s * s)
+        half, minus_half = weight * s**0.5, weight * s**-0.5
+        poly = s - s**3 / 3.0
+        return np.stack((half, half * poly, minus_half, minus_half * poly))
 
-        return integrate_semi_infinite(f, decay_scale=beta)
-
-    return (
-        moment(0.5, False),
-        moment(0.5, True),
-        moment(-0.5, False),
-        moment(-0.5, True),
-    )
+    return tuple(integrate_semi_infinite(rows, decay_scale=beta).tolist())
 
 
 def phi(beta: float) -> float:

@@ -4,9 +4,10 @@ Each check re-derives one mathematical property on a fixed default grid and
 reports a pass/fail with the measured residual and its limit, so a broken
 build fails loudly and by name.  A check is registered once, with its
 module and name, and reports under that name whether it passes, fails or
-raises.  The CLI ``verify`` command prints the table; the ``constants``
-command reports the ``constants`` group as JSON; the test suite calls the
-same functions.
+raises.  Many checks are one residual formula over a grid; every check
+reduces its residuals through ``_worst``, so a NaN residual fails it.  The
+CLI ``verify`` command prints the table; the ``constants`` command reports
+the ``constants`` group as JSON; the test suite calls the same functions.
 
 The independent routes that only cross-check the library live here, off
 its fast path: central finite differences, the shift identity for M', the
@@ -20,6 +21,7 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -62,9 +64,10 @@ def _check(module: str, name: str):
     """Register the decorated body as the check ``name`` of ``module``.
 
     The body returns (measured, limit) or (measured, limit, note); the
-    check wraps that into a CheckResult.  ``run_suite`` reports a check
-    that raises under the same ``module`` and ``name`` attributes, so a
-    check has one name whether it passes, fails or raises.
+    check wraps that into a CheckResult, which fails when measured is NaN.
+    ``run_suite`` reports a check that raises under the same ``module`` and
+    ``name`` attributes, so a check has one name whether it passes, fails
+    or raises.
     """
 
     def register(body):
@@ -78,6 +81,47 @@ def _check(module: str, name: str):
         return check
 
     return register
+
+
+def _worst(residuals) -> float:
+    """The largest residual as a float, NaN if any residual is NaN, -inf if there is none.
+
+    ``max`` keeps its current value when the next one is NaN, so every
+    reduction of a check comes here, and a NaN residual fails its check.
+    """
+    worst = -math.inf
+    for residual in residuals:
+        residual = float(residual)
+        if math.isnan(residual):
+            return math.nan
+        if residual > worst:
+            worst = residual
+    return worst
+
+
+def _grid_check(module: str, name: str, limit: float, points):
+    """Register the decorated residual at one point as the check ``name`` of ``module``.
+
+    The check measures the worst residual over ``points``, the tuples of
+    the residual's arguments.  The grid is built at import, so it holds no
+    value that takes a computation, such as alpha.
+    """
+    points = list(points)
+
+    def register(residual):
+        @functools.wraps(residual)
+        def body():
+            return _worst(residual(*point) for point in points), limit
+
+        return _check(module, name)(body)
+
+    return register
+
+
+def _relative(terms) -> float:
+    """Relative residual |sum t| / sum |t| of an identity sum t = 0."""
+    scale = sum(abs(t) for t in terms)
+    return abs(sum(terms)) / scale if scale else 0.0
 
 
 # ----------------------------------------------------------------- numerics
@@ -112,8 +156,8 @@ def check_scaled_round_trip():
 @_check("numerics", "scaled-sum-grouping")
 def check_scaled_sum_grouping():
     rng = random.Random(7)
-    worst = 0.0
-    for _ in range(20):
+
+    def regrouping_error():
         terms = [ScaledReal.from_float(10.0 ** rng.uniform(-250, 250)) for _ in range(400)]
         ordered = terms[0]
         for t in terms[1:]:
@@ -123,49 +167,35 @@ def check_scaled_sum_grouping():
         alt = shuffled[0]
         for t in shuffled[1:]:
             alt = alt + t
-        rel = float(abs(ordered - alt) / abs(ordered))
-        worst = max(worst, rel)
+        return float(abs(ordered - alt) / abs(ordered))
+
     limit = 2.0 * 400 * np.finfo(float).eps
-    return worst, limit
+    return _worst(regrouping_error() for _ in range(20)), limit
 
 
-@_check("numerics", "quadrature-gamma-family")
-def check_quadrature_gamma_family():
-    worst = 0.0
-    for k in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        value = integrate_semi_infinite(lambda t, k=k: t**k * np.exp(-t), 1.0)
-        worst = max(worst, abs(value - math.gamma(k + 1.0)) / math.gamma(k + 1.0))
-    return worst, 5.0 * REL_TOL
+@_grid_check(
+    "numerics", "quadrature-gamma-family", 5.0 * REL_TOL, product((-0.5, 0.0, 0.5, 1.0, 2.0))
+)
+def check_quadrature_gamma_family(k):
+    value = integrate_semi_infinite(lambda t: t**k * np.exp(-t), 1.0)
+    return abs(value - math.gamma(k + 1.0)) / math.gamma(k + 1.0)
 
 
 @_check("numerics", "brent-bracket-invariance")
 def check_brent_bracket_invariance():
     f = math.cos
     roots = [brent_root(f, lo, hi) for lo, hi in ((1.0, 2.0), (0.5, 3.0), (1.4, 1.8))]
-    worst = max(abs(r - roots[0]) for r in roots)
-    return worst, 1e-12
+    return _worst(abs(r - roots[0]) for r in roots), 1e-12
 
 
 # ------------------------------------------------------------------ specfun
 
+# M(a, c, z) fits a float here, so each identity is summed in floats
 _KUMMER_GRID = [(a, c, z) for a in (0.5, 1.5) for c in (2.0, 5.0, 11.0) for z in (0.1, 1.0, 10.0, 50.0)]
 
 
-def _rel_combo(parts):
-    """Relative residual of a linear combination given as (coeff, ScaledReal)."""
-    total = ScaledReal.from_float(0.0)
-    scale = ScaledReal.from_float(0.0)
-    for coeff, value in parts:
-        term = ScaledReal.from_float(coeff) * value
-        total = total + term
-        scale = scale + abs(term)
-    if scale.sign == 0:
-        return 0.0
-    return float(abs(total) / scale)
-
-
 def _mval(a, c, z):
-    return kummer_m(a, c, z).value
+    return float(kummer_m(a, c, z).value)
 
 
 def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
@@ -173,154 +203,91 @@ def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
     return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z).value
 
 
-@_check("specfun", "kummer-contiguous-c-shift")
-def check_contiguous_c_shift():
-    worst = 0.0
-    for a, c, z in _KUMMER_GRID:
-        worst = max(
-            worst,
-            _rel_combo(
-                [
-                    (c - 1.0, _mval(a, c - 1.0, z)),
-                    (a + 1.0 - c, _mval(a, c, z)),
-                    (-a, _mval(a + 1.0, c, z)),
-                ]
-            ),
-        )
-    return worst, 1e-10
+@_grid_check("specfun", "kummer-contiguous-c-shift", 1e-10, _KUMMER_GRID)
+def check_contiguous_c_shift(a, c, z):
+    return _relative(
+        [
+            (c - 1.0) * _mval(a, c - 1.0, z),
+            (a + 1.0 - c) * _mval(a, c, z),
+            -a * _mval(a + 1.0, c, z),
+        ]
+    )
 
 
-@_check("specfun", "kummer-contiguous-a-shift")
-def check_contiguous_a_shift():
-    worst = 0.0
-    for a, c, z in _KUMMER_GRID:
-        worst = max(
-            worst,
-            _rel_combo(
-                [
-                    (c, _mval(a, c, z)),
-                    (-c, _mval(a - 1.0, c, z)),
-                    (-z, _mval(a, c + 1.0, z)),
-                ]
-            ),
-        )
-    return worst, 1e-10
+@_grid_check("specfun", "kummer-contiguous-a-shift", 1e-10, _KUMMER_GRID)
+def check_contiguous_a_shift(a, c, z):
+    return _relative([c * _mval(a, c, z), -c * _mval(a - 1.0, c, z), -z * _mval(a, c + 1.0, z)])
 
 
-@_check("specfun", "kummer-contiguous-derivative-a")
-def check_contiguous_derivative_a():
-    worst = 0.0
-    for a, c, z in _KUMMER_GRID:
-        worst = max(
-            worst,
-            _rel_combo(
-                [
-                    (a, _mval(a + 1.0, c, z)),
-                    (-a, _mval(a, c, z)),
-                    (-z, kummer_m_prime(a, c, z)),
-                ]
-            ),
-        )
-    return worst, 1e-10
+@_grid_check("specfun", "kummer-contiguous-derivative-a", 1e-10, _KUMMER_GRID)
+def check_contiguous_derivative_a(a, c, z):
+    return _relative(
+        [a * _mval(a + 1.0, c, z), -a * _mval(a, c, z), -z * float(kummer_m_prime(a, c, z))]
+    )
 
 
-@_check("specfun", "kummer-contiguous-derivative-ac")
-def check_contiguous_derivative_ac():
-    worst = 0.0
-    for a, c, z in _KUMMER_GRID:
-        worst = max(
-            worst,
-            _rel_combo(
-                [
-                    (c - a, _mval(a - 1.0, c, z)),
-                    (z + a - c, _mval(a, c, z)),
-                    (-z, kummer_m_prime(a, c, z)),
-                ]
-            ),
-        )
-    return worst, 1e-10
+@_grid_check("specfun", "kummer-contiguous-derivative-ac", 1e-10, _KUMMER_GRID)
+def check_contiguous_derivative_ac(a, c, z):
+    return _relative(
+        [
+            (c - a) * _mval(a - 1.0, c, z),
+            (z + a - c) * _mval(a, c, z),
+            -z * float(kummer_m_prime(a, c, z)),
+        ]
+    )
 
 
-@_check("specfun", "kummer-derivative-vs-fd")
-def check_kummer_derivative_fd():
-    worst = 0.0
-    for a, c, z in _KUMMER_GRID:
-        if z > 10.0:
-            continue  # FD noise scales with exp(z); the shift identity is exact either way
-        exact = float(kummer_m_prime(a, c, z))
-        fd = central_diff(lambda x: float(_mval(a, c, x)), z)
-        worst = max(worst, abs(fd - exact) / max(abs(exact), 1.0))
-    return worst, 1e-6
+# FD noise scales with exp(z) past z = 10; the shift identity is exact either way
+@_grid_check(
+    "specfun", "kummer-derivative-vs-fd", 1e-6, [(a, c, z) for a, c, z in _KUMMER_GRID if z <= 10.0]
+)
+def check_kummer_derivative_fd(a, c, z):
+    exact = float(kummer_m_prime(a, c, z))
+    fd = central_diff(lambda x: _mval(a, c, x), z)
+    return abs(fd - exact) / max(abs(exact), 1.0)
 
 
 _CYL_GRID = [(nu, z) for nu in (-1.5, -0.5, 0.5) for z in (-2.0, -0.5, 0.0, 1.0, 3.0)]
 
 
-def _cyl_rel(parts):
-    total = sum(value for value in parts)
-    scale = sum(abs(value) for value in parts)
-    return abs(total) / scale if scale else 0.0
+@_grid_check("specfun", "cylinder-recurrence-derivative-up", 1e-9, _CYL_GRID)
+def check_cylinder_recurrence_derivative_up(nu, z):
+    d = cylinder_d(nu, z)
+    return _relative([d.derivative, -0.5 * z * d.value, cylinder_d(nu + 1.0, z).value])
 
 
-@_check("specfun", "cylinder-recurrence-derivative-up")
-def check_cylinder_recurrence_derivative_up():
-    worst = 0.0
-    for nu, z in _CYL_GRID:
-        d = cylinder_d(nu, z)
-        up = cylinder_d(nu + 1.0, z)
-        worst = max(worst, _cyl_rel([d.derivative, -0.5 * z * d.value, up.value]))
-    return worst, 1e-9
+@_grid_check("specfun", "cylinder-recurrence-three-term", 1e-9, _CYL_GRID)
+def check_cylinder_recurrence_three_term(nu, z):
+    up = cylinder_d(nu + 1.0, z).value
+    return _relative([up, -z * cylinder_d(nu, z).value, nu * cylinder_d(nu - 1.0, z).value])
 
 
-@_check("specfun", "cylinder-recurrence-three-term")
-def check_cylinder_recurrence_three_term():
-    worst = 0.0
-    for nu, z in _CYL_GRID:
-        d = cylinder_d(nu, z)
-        up = cylinder_d(nu + 1.0, z)
-        down = cylinder_d(nu - 1.0, z)
-        worst = max(worst, _cyl_rel([up.value, -z * d.value, nu * down.value]))
-    return worst, 1e-9
+@_grid_check("specfun", "cylinder-recurrence-derivative-down", 1e-9, _CYL_GRID)
+def check_cylinder_recurrence_derivative_down(nu, z):
+    d = cylinder_d(nu, z)
+    return _relative([d.derivative, 0.5 * z * d.value, -nu * cylinder_d(nu - 1.0, z).value])
 
 
-@_check("specfun", "cylinder-recurrence-derivative-down")
-def check_cylinder_recurrence_derivative_down():
-    worst = 0.0
-    for nu, z in _CYL_GRID:
-        d = cylinder_d(nu, z)
-        down = cylinder_d(nu - 1.0, z)
-        worst = max(worst, _cyl_rel([d.derivative, 0.5 * z * d.value, -nu * down.value]))
-    return worst, 1e-9
+@_grid_check("specfun", "cylinder-ode-residual", 1e-5, product((-1.5, -0.5, 0.5), (0.7, 1.3, 2.6)))
+def check_cylinder_ode(nu, z):
+    second = central_diff(lambda x: cylinder_d(nu, x).value, z, order=2)
+    expected = (0.25 * z * z - nu - 0.5) * cylinder_d(nu, z).value
+    return abs(second - expected) / max(abs(expected), 1e-30)
 
 
-@_check("specfun", "cylinder-ode-residual")
-def check_cylinder_ode():
-    worst = 0.0
-    for nu in (-1.5, -0.5, 0.5):
-        for z in (0.7, 1.3, 2.6):
-            second = central_diff(lambda x: cylinder_d(nu, x).value, z, order=2)
-            expected = (0.25 * z * z - nu - 0.5) * cylinder_d(nu, z).value
-            worst = max(worst, abs(second - expected) / max(abs(expected), 1e-30))
-    return worst, 1e-5
-
-
-@_check("specfun", "cylinder-large-z-asymptotic")
-def check_cylinder_asymptotic():
-    worst = 0.0
+@_grid_check("specfun", "cylinder-large-z-asymptotic", 0.02, product((-1.5, -0.5)))
+def check_cylinder_asymptotic(nu):
     z = 12.0
-    for nu in (-1.5, -0.5):
-        value = cylinder_d(nu, z).value
-        worst = max(worst, abs(value * math.exp(0.25 * z * z) * z ** (-nu) - 1.0))
-    return worst, 0.02
+    return abs(cylinder_d(nu, z).value * math.exp(0.25 * z * z) * z ** (-nu) - 1.0)
 
 
 @_check("specfun", "cylinder-negative-order-positivity")
 def check_cylinder_positivity():
-    bad = 0
-    for nu in (-3.5, -1.5, -0.5, -0.05):
-        for z in np.linspace(-10.0, 10.0, 41):
-            if cylinder_d(nu, float(z)).value <= 0.0:
-                bad += 1
+    bad = sum(
+        not cylinder_d(nu, float(z)).value > 0.0  # a NaN value counts as a failure
+        for nu in (-3.5, -1.5, -0.5, -0.05)
+        for z in np.linspace(-10.0, 10.0, 41)
+    )
     return float(bad), 0.0
 
 
@@ -359,70 +326,52 @@ def lambda_n_prime_alt(n: int, z: float) -> float:
 
 
 _BRANCH_B = [0.5, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
+_LAMBDA_PRIME_GRID = list(product((1, 3, 10), (1.0, 5.0, 20.0)))
 
 
-@_check("disk", "branch-diamagnetic-inequality")
-def check_branch_inequality():
-    worst = -math.inf
-    for n in range(1, 21):
-        for b in _BRANCH_B:
-            worst = max(worst, disk.lambda_n(n, b) - disk.lambda_minus_n(n, b))
-    return worst, 1e-12
+@_grid_check("disk", "branch-diamagnetic-inequality", 1e-12, product(range(1, 21), _BRANCH_B))
+def check_branch_inequality(n, b):
+    return disk.lambda_n(n, b) - disk.lambda_minus_n(n, b)
 
 
-@_check("disk", "branch-positivity")
-def check_branch_positivity():
-    worst = -math.inf
-    for n in range(0, 21):
-        for b in _BRANCH_B + [0.0]:
-            worst = max(worst, -disk.lambda_n(n, b))
-    return worst, 1e-12
+@_grid_check("disk", "branch-positivity", 1e-12, product(range(0, 21), _BRANCH_B + [0.0]))
+def check_branch_positivity(n, b):
+    return -disk.lambda_n(n, b)
 
 
-@_check("disk", "lambda-prime-vs-finite-difference")
-def check_lambda_prime_vs_fd():
-    worst = 0.0
-    for n in (1, 3, 10):
-        for z in (1.0, 5.0, 20.0):
-            closed = lambda_n_prime(n, z)
-            fd = central_diff(lambda x: disk.lambda_n(n, x), z)
-            worst = max(worst, abs(closed - fd) / max(abs(closed), 1.0))
-    return worst, 1e-6
+@_grid_check("disk", "lambda-prime-vs-finite-difference", 1e-6, _LAMBDA_PRIME_GRID)
+def check_lambda_prime_vs_fd(n, z):
+    closed = lambda_n_prime(n, z)
+    fd = central_diff(lambda x: disk.lambda_n(n, x), z)
+    return abs(closed - fd) / max(abs(closed), 1.0)
 
 
-@_check("disk", "lambda-prime-two-closed-forms")
-def check_lambda_prime_two_forms():
-    worst = 0.0
-    for n in (1, 3, 10):
-        for z in (1.0, 5.0, 20.0):
-            a = lambda_n_prime(n, z)
-            b = lambda_n_prime_alt(n, z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-30))
-    return worst, 1e-10
+@_grid_check("disk", "lambda-prime-two-closed-forms", 1e-10, _LAMBDA_PRIME_GRID)
+def check_lambda_prime_two_forms(n, z):
+    a = lambda_n_prime(n, z)
+    b = lambda_n_prime_alt(n, z)
+    return abs(a - b) / max(abs(a), abs(b), 1e-30)
 
 
 @_check("disk", "envelope-strictly-increasing")
 def check_envelope_monotone():
     grid = np.linspace(0.01, 100.0, 10_000)
     values = [p.lambda_dn for p in disk.envelope(list(grid))]
-    worst = max(
-        (values[i] - values[i + 1] for i in range(len(values) - 1)),
-        default=-math.inf,
-    )
-    return worst, -1e-15, "10000-point grid"
+    return _worst(a - b for a, b in zip(values, values[1:])), -1e-15, "10000-point grid"
 
 
 @_check("disk", "envelope-mode-is-window-argmin")
 def check_envelope_window_argmin():
     # the active mode's branch is the lowest of every branch in a window of
     # modes around b, found without the crossing-sign search
-    worst = 0.0
-    for point in disk.envelope([float(b) for b in np.linspace(0.5, 100.0, 50)]):
+    def excess(point):
         b = point.b
         lo = max(0, int(b - 3.0 * math.sqrt(b)) - 2)
-        best = min(disk.lambda_n(m, b) for m in range(lo, math.ceil(b) + 3))
-        worst = max(worst, (point.lambda_dn - best) / max(abs(best), 1.0))
-    return worst, 1e-10, "50-point grid"
+        best = -_worst(-disk.lambda_n(m, b) for m in range(lo, math.ceil(b) + 3))
+        return (point.lambda_dn - best) / max(abs(best), 1.0)
+
+    points = disk.envelope([float(b) for b in np.linspace(0.5, 100.0, 50)])
+    return _worst(map(excess, points)), 1e-10, "50-point grid"
 
 
 @_check("disk", "mode-switch-at-crossings")
@@ -466,21 +415,17 @@ def max_crossing_residual(n_max: int) -> float:
     """Max over n <= n_max of |lambda_n(z_n) - (z_n - n - 1)|."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    return max(r.residual_F for r in intersect.crossings(range(n_max + 1)))
+    return _worst(r.residual_F for r in intersect.crossings(range(n_max + 1)))
 
 
-@_check("intersect", "characterization-equivalence")
-def check_characterization_equivalence():
-    worst = 0.0
-    for n in (0, 1, 5, 20, 100):
-        worst = max(worst, characterization_residual(n, intersect.find_zn(n).z_n))
-    return worst, 1e-9
+@_grid_check("intersect", "characterization-equivalence", 1e-9, product((0, 1, 5, 20, 100)))
+def check_characterization_equivalence(n):
+    return characterization_residual(n, intersect.find_zn(n).z_n)
 
 
 @_check("intersect", "crossing-eigenvalue-formula")
 def check_f_formula():
-    worst = max_crossing_residual(50)
-    return worst, 1e-8
+    return max_crossing_residual(50), 1e-8
 
 
 @_check("intersect", "crossing-ordering-and-lower-bound")
@@ -488,55 +433,47 @@ def check_crossing_ordering():
     zs = [r.z_n for r in intersect.crossings(range(51))]
     gaps = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     lower = [zs[i] - (i + 1.0) for i in range(len(zs))]
-    worst = -min(min(gaps), min(lower))
-    return worst, 0.0
+    return _worst(-v for v in gaps + lower), 0.0
 
 
-@_check("intersect", "stationarity-at-previous-crossing")
-def check_stationary_at_previous_crossing():
-    worst = 0.0
-    for n in (1, 2, 5):
-        z_prev = intersect.find_zn(n - 1).z_n
-        slope = lambda_n_prime(n, z_prev)
-        second_fd = central_diff(lambda z: lambda_n_prime(n, z), z_prev)
-        second = lambda_n_second_at_zprev(n, z_prev)
-        worst = max(worst, abs(slope), abs(second_fd - second))
-    return worst, 1e-6
+@_grid_check("intersect", "stationarity-at-previous-crossing", 1e-6, product((1, 2, 5)))
+def check_stationary_at_previous_crossing(n):
+    z_prev = intersect.find_zn(n - 1).z_n
+    slope = lambda_n_prime(n, z_prev)
+    second_fd = central_diff(lambda z: lambda_n_prime(n, z), z_prev)
+    second = lambda_n_second_at_zprev(n, z_prev)
+    return _worst([abs(slope), abs(second_fd - second)])
 
 
 @_check("intersect", "beta-second-order-trend")
 def check_beta_trend():
     alpha = models._alpha_cached()
     correction = (2.0 * alpha * alpha + 1.0) / 6.0
-    worst = 0.0
-    for n in (100, 400, 1600, 6400):
-        deviation = intersect.find_zn(n).beta_n - alpha - correction / math.sqrt(n)
-        worst = max(worst, abs(deviation) * n)
-    return worst, 5.0, "scaled by n"
+
+    def scaled_deviation(n):
+        return abs(intersect.find_zn(n).beta_n - alpha - correction / math.sqrt(n)) * n
+
+    return _worst(map(scaled_deviation, (100, 400, 1600, 6400))), 5.0, "scaled by n"
 
 
-@_check("intersect", "envelope-sandwich-bounds")
-def check_envelope_sandwich():
-    worst = -math.inf
-    for n in (2, 5, 10):
-        z_lo = intersect.find_zn(n - 1).z_n
-        z_hi = intersect.find_zn(n).z_n
-        for z in np.linspace(z_lo, z_hi, 5):
-            lam = disk.lambda_n(n, float(z))
-            worst = max(worst, (z_lo - n) - lam, lam - (z_hi - n - 1.0))
-    return worst, 1e-9
+@_grid_check("intersect", "envelope-sandwich-bounds", 1e-9, product((2, 5, 10)))
+def check_envelope_sandwich(n):
+    z_lo = intersect.find_zn(n - 1).z_n
+    z_hi = intersect.find_zn(n).z_n
+    lams = [disk.lambda_n(n, float(z)) for z in np.linspace(z_lo, z_hi, 5)]
+    return _worst(r for lam in lams for r in ((z_lo - n) - lam, lam - (z_hi - n - 1.0)))
 
 
 @_check("intersect", "crossing-eigenvalue-asymptotic")
 def check_crossing_eigenvalue_asymptotic():
     # lambda_n(z_n) = alpha sqrt(n) + (alpha^2 - 1)/3 + O(n^{-1/2})
     alpha = models._alpha_cached()
-    worst = 0.0
-    for n in (100, 10_000):
+
+    def scaled_deviation(n):
         predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
-        deviation = intersect.find_zn(n).lambda_at_zn - predicted
-        worst = max(worst, abs(deviation) * math.sqrt(n))
-    return worst, 5.0, "scaled by sqrt(n)"
+        return abs(intersect.find_zn(n).lambda_at_zn - predicted) * math.sqrt(n)
+
+    return _worst(map(scaled_deviation, (100, 10_000))), 5.0, "scaled by sqrt(n)"
 
 
 # ------------------------------------------------------------------- models
@@ -581,41 +518,31 @@ def check_neumann_condition():
 
 @_check("models", "moment-ode-residual")
 def check_moment_ode():
-    worst = 0.0
-    for beta in (0.0, 0.5, models._alpha_cached(), 1.0):
-        def c_of(b):
-            return models.moment_integrals(b)[2]
+    def c_of(b):
+        return models.moment_integrals(b)[2]
 
+    def residual(beta):
         second = central_diff(c_of, beta, order=2)
         first = central_diff(c_of, beta, order=1)
         value = c_of(beta)
-        worst = max(worst, abs(second - beta * first - 0.5 * value) / abs(value))
-    return worst, 1e-5
+        return abs(second - beta * first - 0.5 * value) / abs(value)
+
+    return _worst(map(residual, (0.0, 0.5, models._alpha_cached(), 1.0))), 1e-5
 
 
-@_check("models", "phi-denominator-positive")
-def check_phi_no_pole():
-    worst = -math.inf
-    for beta in np.linspace(-2.0, 2.0, 33):
-        worst = max(worst, -cylinder_d(-0.5, -float(beta)).value)
-    return worst, 0.0
+@_grid_check("models", "phi-denominator-positive", 0.0, product(np.linspace(-2.0, 2.0, 33)))
+def check_phi_no_pole(beta):
+    return -cylinder_d(-0.5, -float(beta)).value
 
 
-@_check("models", "halfplane-sqrt-scaling")
-def check_halfplane_scaling():
-    alpha = models._alpha_cached()
-    worst = 0.0
-    for b in (1.0, 2.0, 10.0, 100.0):
-        worst = max(worst, abs(models.halfplane_bottom(b) / math.sqrt(b) - alpha))
-    return worst, 1e-14
+@_grid_check("models", "halfplane-sqrt-scaling", 1e-14, product((1.0, 2.0, 10.0, 100.0)))
+def check_halfplane_scaling(b):
+    return abs(models.halfplane_bottom(b) / math.sqrt(b) - models._alpha_cached())
 
 
-@_check("models", "phi-cylinder-vs-quadrature")
-def check_phi_two_routes():
-    worst = 0.0
-    for beta in (0.0, 0.5, 1.0):
-        worst = max(worst, abs(models.phi(beta) - phi_from_integrals(beta)))
-    return worst, 1e-9
+@_grid_check("models", "phi-cylinder-vs-quadrature", 1e-9, product((0.0, 0.5, 1.0)))
+def check_phi_two_routes(beta):
+    return abs(models.phi(beta) - phi_from_integrals(beta))
 
 
 # ---------------------------------------------------------------- constants
@@ -631,7 +558,7 @@ _CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
     "phi-prime-alpha": (1e-6, lambda c: abs(central_diff(models.phi, c.alpha) - 0.5)),
     "delta-alpha-two-routes": (1e-6, lambda c: abs(models.delta(c.alpha) - c.delta_alpha)),
     "f-formula-max-residual": (1e-8, lambda c: max_crossing_residual(20)),
-    "alpha-below-bound": (0.0, lambda c: max(0.0, c.alpha - c.alpha_upper_bound)),
+    "alpha-below-bound": (0.0, lambda c: _worst([0.0, c.alpha - c.alpha_upper_bound])),
 }
 
 

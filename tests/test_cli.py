@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,9 +9,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from magsteklov import cli, models, specfun, verify
+from magsteklov import cli, disk, models, specfun, verify
 from magsteklov.numerics import QuadratureError
 
 
@@ -202,6 +204,13 @@ class TestHalfplaneCommand:
         assert len(rows) == 41
         assert [float(r["f1"]) for r in rows[::10]] == expected
 
+    @pytest.mark.parametrize("bounds", [("-60", "0"), ("0", "50.5")])
+    def test_grid_outside_the_cylinder_range_is_config_error(self, tmp_path, capsys, bounds):
+        code, _ = run(tmp_path, "halfplane", "--b-min", bounds[0], "--b-max", bounds[1])
+        assert code == 2
+        b_min, b_max = (float(b) for b in bounds)
+        assert f"got --b-min {b_min} --b-max {b_max}" in capsys.readouterr().err
+
 
 class TestDegennesCommand:
     def test_sign_change(self, tmp_path):
@@ -353,6 +362,29 @@ class TestVerifyCommand:
         assert len(results) == len(built) == 43
         assert [(r.module, r.name) for r in results] == built
         assert all(not r.passed and "forced failure" in r.detail for r in results)
+
+    def test_a_nan_branch_ratio_fails_every_check_that_reads_lambda_n(self, monkeypatch):
+        # max keeps its current value when the next one is NaN; a check must not
+        monkeypatch.setattr(disk, "kummer_log_ratio", lambda a, c, z: math.nan)
+        monkeypatch.setattr(disk, "kummer_log_ratios", lambda a, c, z: np.full(z.shape, math.nan))
+        results = {r.name: r for r in verify.run_suite("disk")}
+        assert results.pop("lambda-prime-two-closed-forms").passed  # reads no lambda_n
+        passed = [name for name, r in results.items() if r.passed or not math.isnan(r.measured)]
+        assert passed == []
+
+    def test_a_nan_cylinder_value_fails_its_checks(self, monkeypatch):
+        real = verify.cylinder_d
+
+        def nan_at_one_point(nu, z):
+            d = real(nu, z)
+            return dataclasses.replace(d, value=math.nan) if (nu, z) == (-0.5, 1.0) else d
+
+        monkeypatch.setattr(verify, "cylinder_d", nan_at_one_point)
+        results = {r.name: r for r in verify.run_suite("specfun")}
+        three_term = results["cylinder-recurrence-three-term"]
+        assert not three_term.passed and math.isnan(three_term.measured)
+        positivity = results["cylinder-negative-order-positivity"]
+        assert not positivity.passed and positivity.measured == 1.0
 
 
 class TestConfigValidation:

@@ -14,7 +14,8 @@ the default belongs in the body as a constant, or the parameter is required.
 The package has one accuracy, ``numerics.REL_TOL``, which the kernels read
 themselves: no function anywhere takes a ``tol`` or ``rel_tol``.  The package
 depends on numpy alone: no module imports scipy, and importing the CLI
-loads none.
+loads none.  ``max`` and ``min`` keep their current value when the next one
+is NaN, so ``verify`` reduces its residuals only through ``_worst``.
 """
 
 import ast
@@ -208,3 +209,21 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _bare_reductions(module):
+    """Line numbers of builtin max/min calls over an iterable or a ``worst`` accumulator."""
+    iterables = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Starred)
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("max", "min"):
+            args = node.args
+            if len(args) == 1 or any(
+                isinstance(a, iterables) or getattr(a, "id", None) == "worst" for a in args
+            ):
+                yield node.lineno
+
+
+def test_verify_reduces_only_through_worst():
+    # a denominator such as max(abs(x), 1.0) is no reduction and stays allowed
+    lines = list(_bare_reductions("verify"))
+    assert lines == [], f"verify reduces with max/min, which skip NaN, at lines {lines}"
