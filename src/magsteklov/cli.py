@@ -27,7 +27,7 @@ from .numerics import (
     DomainError,
     QuadratureError,
 )
-from .specfun import cylinder_ds
+from .specfun import _MAX_ABS_Z, cylinder_ds
 
 SCHEMA_VERSION = 1
 
@@ -91,12 +91,20 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         handle.write("\n")
 
 
-def _b_grid(args: argparse.Namespace) -> list[float]:
+def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> list[float]:
+    """The --steps points from --b-min to --b-max; a ConfigError unless they lie in [lo, hi]."""
+    if args.steps < 2:
+        raise ConfigError(f"need --steps >= 2, got --steps {args.steps}")
+    if not lo <= args.b_min <= args.b_max <= hi:
+        raise ConfigError(
+            f"{args.command} needs {lo:g} <= --b-min <= --b-max <= {hi:g}, {domain},"
+            f" got --b-min {args.b_min} --b-max {args.b_max}"
+        )
     return [float(b) for b in np.linspace(args.b_min, args.b_max, args.steps)]
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    grid = _b_grid(args)
+    grid = _b_grid(args, -_MAX_ABS_Z, _MAX_ABS_Z, "the range of the field")
     rows = []
     for branch in ("pos", "neg"):
         sign = 1.0 if branch == "pos" else -1.0
@@ -108,12 +116,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    if args.b_min < 0:
-        raise ConfigError("envelope needs b_min >= 0")
+    grid = _b_grid(args, 0.0, _MAX_ABS_Z, "the range of the field")
     alpha = models._alpha_cached()
     offset = (alpha * alpha + 2.0) / 6.0
     rows = []
-    for point in disk.envelope(_b_grid(args)):
+    for point in disk.envelope(grid):
         asymptote = alpha * math.sqrt(point.b) - offset
         rows.append((point.b, point.active_mode, point.lambda_dn, asymptote))
     _emit(args, ["b", "active_mode", "lambda_dn", "asymptote"], rows)
@@ -189,12 +196,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_halfplane(args: argparse.Namespace) -> int:
-    if args.b_min < -50.0 or args.b_max > 50.0:
-        raise ConfigError(
-            "halfplane needs the grid inside [-50, 50], the range of the cylinder functions,"
-            f" got --b-min {args.b_min} --b-max {args.b_max}"
-        )
-    grid = _b_grid(args)
+    grid = _b_grid(args, -50.0, 50.0, "the range of the cylinder functions")
     xi = np.array(grid)
     f1 = models._halfplane_multipliers(xi).tolist()
     d_half = cylinder_ds(0.5, xi)[0].tolist()
@@ -203,14 +205,15 @@ def cmd_halfplane(args: argparse.Namespace) -> int:
 
 
 def cmd_degennes(args: argparse.Namespace) -> int:
-    if args.b_min < 0.0 or args.b_max > 1.5:
-        raise ConfigError("degennes sweep needs the grid inside [0, 1.5]")
-    rows = [(xi, models.degennes_f(xi)) for xi in _b_grid(args)]
+    grid = _b_grid(args, 0.0, 1.5, "the domain of degennes_f")
+    rows = [(xi, models.degennes_f(xi)) for xi in grid]
     _emit(args, ["xi", "f"], rows)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.only not in (None, *verify.MODULES):
+        raise ConfigError(f"--only needs one of {', '.join(verify.MODULES)}, got --only {args.only}")
     results = verify.run_suite(only=args.only)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -268,28 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_ranges(args: argparse.Namespace) -> None:
-    """Range checks argparse cannot express, for the flags this command has."""
-    given = vars(args)
-    if "n_min" in given:
-        if args.n_min > args.n_max:
-            raise ConfigError(f"need n_min <= n_max, got {args.n_min} > {args.n_max}")
-        if args.n_min < 0:
-            raise ConfigError(f"need n_min >= 0, got {args.n_min}")
-    if "b_min" in given and args.b_min > args.b_max:
-        raise ConfigError(f"need b_min <= b_max, got {args.b_min} > {args.b_max}")
-    if "steps" in given and args.steps < 2:
-        raise ConfigError(f"need steps >= 2, got {args.steps}")
+def _check_modes(args: argparse.Namespace) -> None:
+    """The mode range check argparse cannot express; _b_grid checks the field grid."""
+    if "n_min" in vars(args) and not 0 <= args.n_min <= args.n_max:
+        raise ConfigError(
+            f"need 0 <= --n-min <= --n-max, got --n-min {args.n_min} --n-max {args.n_max}"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler, _ = _SUBCOMMANDS[args.command]
     try:
-        _check_ranges(args)
+        _check_modes(args)
         return handler(args)
     except (
-        ConfigError, DomainError, KeyError, OSError, BracketError, ConvergenceError, QuadratureError
+        ConfigError, DomainError, OSError, BracketError, ConvergenceError, QuadratureError
     ) as exc:
         # a numerical failure is reported like a setting error, not as a failed check
         print(f"error: {exc}", file=sys.stderr)

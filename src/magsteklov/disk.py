@@ -88,20 +88,21 @@ def _crossing_function(n: np.ndarray, b: np.ndarray, ratio: np.ndarray) -> np.nd
     return n + 0.5 - b + b * ratio
 
 
-def _check_field(b: float, nonnegative: bool = False) -> None:
-    """A DomainError naming b unless b is finite, |b| <= 1e6 and, if asked, b >= 0."""
+def _check_field(b: float, nonnegative: bool = False) -> float:
+    """b as a float; a DomainError naming b unless b is finite, |b| <= 1e6 and, if asked, b >= 0."""
     if not math.isfinite(b):
         raise DomainError(f"b must be finite, got b={b!r}")
     if nonnegative and b < 0.0:
         raise DomainError(f"field parameter must be >= 0, got b={b}")
     if abs(b) > _MAX_ABS_Z:
         raise DomainError(f"|b| <= {_MAX_ABS_Z:g} required, got b={b}")
+    return float(b)
 
 
 def lambda_n(n: int, b: float) -> float:
     """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
     n = _check_mode(n)
-    _check_field(b)
+    b = _check_field(b)
     return _branch(n, b, kummer_log_ratio(0.5, n + 1.0, b))
 
 
@@ -142,13 +143,11 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     one of them, or raise ConvergenceError.  lambda at s - 1 is ``lambda_n``,
     since a stepped ratio loses digits in 1 - (c-1-a)/(c-1 + b R).
     """
-    grid = list(b_grid)
-    prev_b = -math.inf
-    for b in grid:
-        if b < prev_b:
+    grid = []
+    for b in b_grid:
+        if grid and b < grid[-1]:
             raise DomainError("envelope grid must be sorted ascending")
-        prev_b = b
-        _check_field(b, nonnegative=True)
+        grid.append(_check_field(b, nonnegative=True))
     s = np.array([_start_mode(b) for b in grid], dtype=float)
     field = np.array(grid, dtype=float)
     ratio = kummer_log_ratios(0.5, s + 1.0, field)

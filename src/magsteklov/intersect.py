@@ -19,13 +19,13 @@ and the crossing function g(z) = n + 1/2 - z + z R of ``disk``, positive
 below z_n and negative above.  Kummer's equation (DLMF 13.2.1) gives
 R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the same
 ratio.  One solve serves both entry points and takes each step on all its
-modes at once: ``crossings`` takes the ratios from one
-``specfun.kummer_log_ratios`` call per step, and ``find_zn`` runs it on one
-mode with the scalar ``kummer_log_ratio``.  Every ratio is taken at
-c = n + 1 >= 1 and 0 <= z <= c + sqrt(c) + 1, or the solve raises: there
-the scalar refuses the large-z expansion and sums the series the batch
-sums, so each batch record is bit for bit the scalar one.  Each root is
-certified by a sign change of g across z (1 -+ REL_TOL).
+modes at once, from one ``specfun.kummer_log_ratios`` call: ``crossings``
+runs it on many modes, and ``find_zn`` on one, where ``specfun`` sums the
+series in its scalar loop.  Every ratio is taken at c = n + 1 >= 1 and
+0 <= z <= c + sqrt(c) + 1, or the solve raises: there the scalar
+``kummer_log_ratio`` refuses the large-z expansion and sums the same
+series, so each record's lambda_at_zn is bit for bit ``disk.lambda_n``.
+Each root is certified by a sign change of g across z (1 -+ REL_TOL).
 """
 
 import functools
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disk, models
-from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError
-from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios, kummer_m
+from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError, _require_lanes
+from .specfun import _MAX_ABS_Z, kummer_log_ratios, kummer_m
 
 __all__ = [
     "AsymptoticFit",
@@ -93,15 +93,8 @@ def _start(n: int) -> float:
     return n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 0.31 / sqrt_n
 
 
-def _require(ok: np.ndarray, error: type[Exception], message: str, **lanes: np.ndarray) -> None:
-    """Raise error with message formatted from the lanes' values where ok first fails."""
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise error(message.format(**{k: v[i].item() for k, v in lanes.items()}))
-
-
-def _ratio(n: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
-    """R_n(z) from ``kummer_log_ratios`` or ``_scalar_ratios``, where both sum one series.
+def _ratio(n: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R_n(z) from ``kummer_log_ratios``, where it sums the series the scalar ratio sums.
 
     An iterate inside the band but past |z| <= 1e6 raises a DomainError that
     names its mode: only the modes from 999,235 on, whose z_n lies past the
@@ -109,17 +102,12 @@ def _ratio(n: np.ndarray, z: np.ndarray, kernel) -> np.ndarray:
     """
     in_band = (z >= 0.0) & (z <= n + 2.0 + np.sqrt(n + 1.0))
     message = "mode {n:.0f}: iterate z = {z!r} left the series band"
-    _require(in_band, ConvergenceError, message, n=n, z=z)
+    _require_lanes(in_band, ConvergenceError, message, n=n, z=z)
     message = (
         f"mode {{n:.0f}}: z_n lies past the field bound |z| <= {_MAX_ABS_Z:g} (iterate z = {{z!r}})"
     )
-    _require(z <= _MAX_ABS_Z, DomainError, message, n=n, z=z)
-    return kernel(0.5, n + 1.0, z)
-
-
-def _scalar_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``kummer_log_ratio`` on each lane, fed Python floats: numpy scalars slow its series ~2.4x."""
-    return np.array([kummer_log_ratio(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())])
+    _require_lanes(z <= _MAX_ABS_Z, DomainError, message, n=n, z=z)
+    return kummer_log_ratios(0.5, n + 1.0, z)
 
 
 def _newton_step(n: np.ndarray, z: np.ndarray, ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +135,8 @@ def _record(n: int, z: float, ratio: float) -> IntersectionRecord:
     )
 
 
-def _solve(modes: list[int], kernel) -> list[IntersectionRecord]:
-    """The records of ``modes`` from Newton steps on all of them at once, R from ``kernel``.
+def _solve(modes: list[int]) -> list[IntersectionRecord]:
+    """The records of ``modes`` from Newton steps on all of them at once.
 
     A mode leaves at the step below REL_TOL z, and its root is certified
     by the sign of g at lo = z (1 - REL_TOL) and hi = z (1 + REL_TOL), or
@@ -160,7 +148,7 @@ def _solve(modes: list[int], kernel) -> list[IntersectionRecord]:
     roots = np.empty(n.size)
     lane = np.arange(n.size)
     for _ in range(_MAX_STEPS):
-        z, done = _newton_step(n, z, _ratio(n, z, kernel))
+        z, done = _newton_step(n, z, _ratio(n, z))
         roots[lane[done]] = z[done]
         lane, n, z = lane[~done], n[~done], z[~done]
         if not lane.size:
@@ -169,10 +157,10 @@ def _solve(modes: list[int], kernel) -> list[IntersectionRecord]:
         raise ConvergenceError(f"mode {n[0]:.0f}: Newton's method did not converge")
     lo, hi = roots * (1.0 - REL_TOL), roots * (1.0 + REL_TOL)
     points = np.concatenate([lo, roots, hi])  # one call: much of its cost is per term, not per lane
-    ratio_lo, ratio, ratio_hi = np.split(_ratio(np.tile(all_n, 3), points, kernel), 3)
+    ratio_lo, ratio, ratio_hi = np.split(_ratio(np.tile(all_n, 3), points), 3)
     g_lo = disk._crossing_function(all_n, lo, ratio_lo)
     g_hi = disk._crossing_function(all_n, hi, ratio_hi)
-    _require(
+    _require_lanes(
         (g_lo > 0.0) & (g_hi < 0.0),
         BracketError,
         "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
@@ -183,7 +171,7 @@ def _solve(modes: list[int], kernel) -> list[IntersectionRecord]:
 
 @functools.cache
 def _find_zn_cached(n: int) -> IntersectionRecord:
-    return _solve([n], _scalar_ratios)[0]
+    return _solve([n])[0]
 
 
 def find_zn(n: int) -> IntersectionRecord:
@@ -197,13 +185,13 @@ def find_zn(n: int) -> IntersectionRecord:
 
 
 def crossings(modes: Iterable[int]) -> list[IntersectionRecord]:
-    """``find_zn(n)`` for each n in ``modes``, in order, from one solve on the batch kernel.
+    """``find_zn(n)`` for each n in ``modes``, in order, from one solve on all of them.
 
     Each step is one ``kummer_log_ratios`` call on the modes still moving.
-    The solve is ``find_zn``'s, and each lane's ratio is the scalar one, so
-    each record is bit for bit ``find_zn``'s.  The records are not cached.
+    The solve is ``find_zn``'s, and each lane's ratio is its one-lane ratio,
+    so each record is bit for bit ``find_zn``'s.  The records are not cached.
     """
-    return _solve([disk._check_mode(m) for m in modes], kummer_log_ratios)
+    return _solve([disk._check_mode(m) for m in modes])
 
 
 def fit_asymptotics(records: list[IntersectionRecord]) -> AsymptoticFit:

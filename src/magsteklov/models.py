@@ -71,10 +71,11 @@ def compute_alpha() -> float:
     return brent_root(lambda x: cylinder_d(0.5, -x).value, 0.5, 1.0)
 
 
-def _require_in_cylinder_range(name: str, value: float) -> None:
-    """Refuse a NaN, an infinity or |value| > 50, the range of cylinder_d, naming the argument."""
+def _require_in_cylinder_range(name: str, value: float) -> float:
+    """value as a float; NaN, infinity or |value| > 50 (cylinder_d's range) raise, naming it."""
     if not abs(value) <= 50.0:
         raise DomainError(f"{name} must be finite with |{name}| <= 50, got {name}={value!r}")
+    return float(value)
 
 
 def halfplane_multiplier(xi: float) -> float:
@@ -83,18 +84,13 @@ def halfplane_multiplier(xi: float) -> float:
     The denominator never vanishes (negative-order cylinder functions are
     positive), so f1 is defined for every real xi.
     """
-    _require_in_cylinder_range("xi", xi)
-    cd = cylinder_d(-0.5, -xi)
-    return _symbol(cd.value, cd.derivative)
+    xi = _require_in_cylinder_range("xi", xi)
+    return _halfplane_multipliers(np.array([xi])).item()
 
 
 def _halfplane_multipliers(xi: np.ndarray) -> np.ndarray:
-    """``halfplane_multiplier`` on every lane of xi, bit for bit, from one ``cylinder_ds`` call."""
-    return _symbol(*cylinder_ds(-0.5, -xi))
-
-
-def _symbol(value, derivative):
-    """f1 from D = D_{-1/2}(-xi) and D' = D'_{-1/2}(-xi): -2 D'/D."""
+    """f1 = -2 D'/D on every lane of xi, from one ``cylinder_ds`` call at -xi."""
+    value, derivative = cylinder_ds(-0.5, -xi)
     return -2.0 * derivative / value
 
 
@@ -114,6 +110,7 @@ def degennes_f(xi: float) -> float:
     """
     if not 0.0 <= xi <= 1.5:
         raise DomainError(f"xi must lie in [0, 1.5], got {xi}")
+    xi = float(xi)
     arg = -_SQRT2 * xi
     lower = cylinder_d(0.5 * (xi * xi - 1.0), arg).value
     upper = cylinder_d(0.5 * (xi * xi + 1.0), arg).value
@@ -154,7 +151,7 @@ def phi(beta: float) -> float:
 
     Phi(alpha) = alpha and Phi'(alpha) = 1/2.
     """
-    _require_in_cylinder_range("beta", beta)
+    beta = _require_in_cylinder_range("beta", beta)
     half = cylinder_d(0.5, -beta)
     minus_half = cylinder_d(-0.5, -beta)
     return beta + half.value / minus_half.value

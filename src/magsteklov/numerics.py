@@ -49,6 +49,13 @@ class QuadratureError(ArithmeticError):
     """Quadrature could not reach the accuracy REL_TOL."""
 
 
+def _require_lanes(ok: np.ndarray, error: type[Exception], message: str, **lanes: np.ndarray):
+    """Raise error where ok first fails, with message formatted from that index i and its lanes."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(message.format(i=i, **{k: v[i].item() for k, v in lanes.items()}))
+
+
 # Relative accuracy of quadrature and root finding, the one accuracy of the package.
 REL_TOL = 1e-13
 

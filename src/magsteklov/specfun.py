@@ -18,12 +18,14 @@ terms, whose ratio is (c-a+s)(1-a+s)/((s+1) z), fall below 1e-17 of the sum
 before that ratio reaches 1 in size, and sums the Kummer series otherwise.
 
 ``kummer_log_ratios(a, c, z)`` is the series route of that ratio on arrays
-c and z >= 0 with one a, for callers that need many at once (the envelope's
-grid).  Its contract is bitwise: each lane is the float the scalar series
-route returns, because it runs the same float operations in the same order,
-lane by lane, in numpy.  It never tries the expansion, which refuses every
-envelope lane (c >= 1, z <= c + sqrt(c) + 1).  The scalar loop is not
-written as a batch of one, which would cost ~20 us per term against ~0.5 us.
+c and z >= 0 with one a, for callers that need one or many at once (the
+envelope's grid, the crossing points).  Its contract is bitwise: each lane
+is the float the scalar series route returns, because it runs the same
+float operations in the same order.  It never tries the expansion, which
+refuses every envelope lane (c >= 1, z <= c + sqrt(c) + 1).  The lane
+count picks the loop that sums a batch of series: below _BATCH_MIN lanes
+the scalar loop runs lane by lane on Python floats, and from there one
+numpy loop runs all lanes together, so no caller chooses a route by size.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
@@ -41,17 +43,13 @@ expressible through modified Bessel functions K_{1/4}, K_{3/4}; that form
 carries no extra information and is not provided.)
 
 ``cylinder_ds(nu, z)`` is ``cylinder_d`` on the lanes of a 1-d array z with
-one nu, for graphs and quadrature nodes.  Its contract is bitwise too, and
-each lane takes the scalar's route through the same code: each route is
-written once, for a float z or for lanes.  On z <= 0 a point sums its
-Kummer series in the scalar loop, and lanes sum theirs together in the
-batch series loop, which also serves ``kummer_log_ratios``; its negative
-accumulator takes the terms of a < 0 (the even piece of D_{1/2}).  One
-assembly then combines the pieces for both, in floats at power-of-two
-offsets.  Lanes with z > 0 share one quadrature per block of _LANE_BLOCK
-lanes: ``integrate_semi_infinite`` takes the (lanes, nodes) array of their
-integrands.  A single point keeps the scalar series loop, for the cost
-given above.
+one nu, for graphs and quadrature nodes, and ``cylinder_d`` is its one-lane
+call, so each route is written once, for lanes.  Lanes with z <= 0 sum their
+Kummer series together; the batch loop's negative accumulator takes the
+terms of a < 0 (the even piece of D_{1/2}).  One assembly then combines the
+pieces in floats at power-of-two offsets.  Lanes with z > 0 share one
+quadrature per block of _LANE_BLOCK lanes: ``integrate_semi_infinite``
+takes the (lanes, nodes) array of their integrands.
 """
 
 import math
@@ -64,6 +62,7 @@ from .numerics import (
     DomainError,
     ScaledReal,
     _exp_split,
+    _require_lanes,
     integrate_semi_infinite,
 )
 
@@ -89,6 +88,11 @@ _LARGE_Z_MAX_TERMS = 1000
 # 32 lanes, so a 2,001-point sweep peaks within ~1 MB of the scalar route's
 # memory; unblocked, the same sweep took ~14 MB more.
 _LANE_BLOCK = 32
+# Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
+# lane.  At 32 crossing-point lanes of kummer_log_ratios the lane loop took 1.4
+# against 4.1 ms near c = 6 and 7.8 against 13.0 ms near c = 1000; the two were
+# even at ~50-60 lanes near c = 1000 and ~100 near c = 6 (2-vCPU KVM host).
+_BATCH_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def kummer_m(a: float, c: float, z: float) -> KummerValue:
     if z < 0.0:
         raise DomainError(f"kummer_m requires z >= 0, got z={z}")
     _check_range(z)
-    pos, offset, neg, terms = _series_parts(a, c, z)
+    pos, offset, neg, terms = _series_parts(float(a), float(c), float(z))
     return KummerValue(value=ScaledReal(pos - neg, offset), terms_used=terms)
 
 
@@ -239,6 +243,7 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     # only otherwise is the argument found and named
     if not math.isfinite(a + c + z):
         _require_finite(a=a, c=c, z=z)
+    a, c, z = float(a), float(c), float(z)
     if a <= 0.0 or c <= 0.0 or (z < 0.0 and c < a):
         raise DomainError(
             f"kummer_log_ratio requires a > 0, c > 0, and c >= a for z < 0; got a={a}, c={c}, z={z}"
@@ -261,18 +266,21 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
 def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pos, offset, neg) of _series_parts(a, c_i, z_i) on every lane, for z >= 0.
 
-    a is shared and z >= 0, so at each k the term of every lane has the sign
-    of the Pochhammer symbol (a)_k: all lanes add it to pos, or all to neg.
-    For a >= 0 neg stays zero and is never touched.  Every lane keeps its
-    own k_peak, stopping test, rescale and offset; the term index k is
-    shared, and a lane leaves the live set at the term where its scalar
-    loop would break.
+    Fewer than _BATCH_MIN lanes run _series_parts one by one on Python
+    floats.  More run one numpy loop: a is shared and z >= 0, so at each k
+    the term of every lane has the sign of the Pochhammer symbol (a)_k, and
+    all lanes add it to pos, or all to neg.  For a >= 0 neg stays zero and
+    is never touched.  Every lane keeps its own k_peak, stopping test,
+    rescale and offset; the term index k is shared, and a lane leaves the
+    live set at the term where its scalar loop would break.
     """
+    if z.size < _BATCH_MIN:
+        parts = [_series_parts(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())]
+        # offsets are multiples of 512, exact in a float
+        pos, offset, neg, _ = np.array(parts, dtype=float).reshape(-1, 4).T
+        return pos, offset.astype(np.int64), neg
     signed = a < 0.0
-    half_b = 0.5 * (c + 1.0 - z)  # _term_peak_bound, lane by lane
-    disc = half_b * half_b - (c - abs(a) * z)
-    root = -half_b + np.sqrt(np.maximum(disc, 0.0))
-    k_peak = np.where(disc <= 0.0, 0.0, np.maximum(0.0, root))
+    k_peak = np.array([_term_peak_bound(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())])
     sums = np.empty(z.shape)
     negs = np.zeros(z.shape)
     offsets = np.zeros(z.shape, dtype=np.int64)
@@ -319,22 +327,23 @@ def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np
 def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(a/c_i) M(a+1, c_i+1, z_i) / M(a, c_i, z_i) from the Kummer series on every lane.
 
-    For a > 0 and arrays c > 0, 0 <= z <= 1e6.  Each lane is the float that
-    the series route of the scalar ``kummer_log_ratio`` returns, bit for bit:
-    both series are summed in numpy loops that run the float operations of
-    _series_parts, and their quotient is the one ScaledReal division forms.
-    The expansion is never tried, so a lane equals ``kummer_log_ratio``
-    wherever the scalar refuses it, as for a = 1/2 at every c >= 1 with
-    z <= c + sqrt(c) + 1.
+    For finite a > 0 and arrays c > 0, 0 <= z <= 1e6.  Each lane is the
+    float that the series route of the scalar ``kummer_log_ratio`` returns,
+    bit for bit: both series are summed by _series_sums, and their quotient
+    is the one ScaledReal division forms.  The expansion is never tried, so
+    a lane equals ``kummer_log_ratio`` wherever the scalar refuses it, as for
+    a = 1/2 at every c >= 1 with z <= c + sqrt(c) + 1.
     """
     c = np.asarray(c, dtype=float)
     z = np.asarray(z, dtype=float)
     if c.shape != z.shape or c.ndim != 1:
         raise DomainError(f"c and z must be 1-d arrays of one length, got {c.shape} and {z.shape}")
-    if not (math.isfinite(a) and np.isfinite(c).all() and np.isfinite(z).all()):
-        raise DomainError("kummer_log_ratios requires finite a, c and z")
-    if not (a > 0.0 and (c > 0.0).all() and (z >= 0.0).all() and (z <= _MAX_ABS_Z).all()):
-        raise DomainError(f"kummer_log_ratios requires a > 0, c > 0 and 0 <= z <= {_MAX_ABS_Z:g}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"kummer_log_ratios requires finite a > 0, got a={a!r}")
+    message = "kummer_log_ratios requires finite c > 0, got c[{i}]={c!r}"
+    _require_lanes((c > 0.0) & (c < math.inf), DomainError, message, c=c)
+    message = f"kummer_log_ratios requires 0 <= z <= {_MAX_ABS_Z:g}, got z[{{i}}]={{z!r}}"
+    _require_lanes((z >= 0.0) & (z <= _MAX_ABS_Z), DomainError, message, z=z)
     num, num_offset, _ = _series_sums(a + 1.0, c + 1.0, z)
     den, den_offset, _ = _series_sums(a, c, z)
     # ScaledReal normalizes by powers of two only, so its quotient rounds
@@ -342,12 +351,8 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a / c) * np.ldexp(num / den, num_offset - den_offset)
 
 
-def _cylinder_from_integral(nu: float, z: float | np.ndarray) -> float | np.ndarray:
-    """D_nu(z) for nu < -1 and z > 0 from the half-line integral representation.
-
-    z is one point, or a 1-d array of lanes that share one quadrature; each
-    lane is then the float of a one-point call.
-    """
+def _cylinder_from_integral(nu: float, z: np.ndarray) -> np.ndarray:
+    """D_nu(z_i) for nu < -1 on lanes z_i > 0, from one quadrature of the half-line integral."""
     power = -nu - 1.0
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -361,16 +366,13 @@ def _cylinder_from_integral(nu: float, z: float | np.ndarray) -> float | np.ndar
     z_hi = split - (split - z)
     z_lo = z - z_hi
     lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
-    # libm's exp on lanes too: np.exp differs from it in the last bit on some arguments
-    if np.ndim(z) == 0:
-        gauss = math.exp(-0.25 * hi)
-    else:
-        gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()])
+    # libm's exp: np.exp differs from it in the last bit on some arguments
+    gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()])
     return gauss * (1.0 - 0.25 * lo) * integral / math.gamma(-nu)
 
 
-def _cylinder_lifted(nu: float, z: float | np.ndarray) -> tuple:
-    """(D_nu(z), D_{nu-1}(z)) for z > 0, at one point or on a block of lanes.
+def _cylinder_lifted(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D_nu(z_i), D_{nu-1}(z_i)) on a block of lanes z_i > 0.
 
     Half-line integrals at mu and mu-1, where mu = nu - max(0, floor(nu) + 2)
     < -1, lifted to nu by D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  While
@@ -394,25 +396,13 @@ def _reciprocal_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _kummer_piece(coef: float | np.ndarray, a: float, c: float, w: float | np.ndarray) -> tuple:
-    """coef * M(a, c, w) as (float, offset) with the value float * 2**offset, for w >= 0.
-
-    A float w takes the scalar series loop, lanes take the batch loop.
-    """
-    if np.ndim(w) == 0:
-        pos, offset, neg, _ = _series_parts(a, c, w)
-    else:
-        pos, offset, neg = _series_sums(a, np.full(w.shape, c), w)
-    return coef * (pos - neg), offset
-
-
-def _cylinder_even_odd(nu: float, z: float | np.ndarray) -> float | np.ndarray:
-    """D_nu(z) from its even/odd Kummer decomposition, at one point or on lanes,
+def _cylinder_even_odd(nu: float, z: np.ndarray) -> np.ndarray:
+    """D_nu(z_i) on lanes z_i from the even/odd Kummer decomposition,
 
         2^{nu/2} sqrt(pi) e^{-z^2/4} [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
                                        - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ].
 
-    The Kummer factors reach exp(z^2/2), so each piece is a float at its
+    The Kummer factors reach exp(z^2/2), so each piece is a float times its
     series' power-of-two offset, e^{-z^2/4} is e^r 2^k, and one final ldexp
     applies offset and k.  Scaling by powers of two is exact, so each value
     is the float that ScaledReal arithmetic on the same pieces forms.
@@ -421,10 +411,10 @@ def _cylinder_even_odd(nu: float, z: float | np.ndarray) -> float | np.ndarray:
     recessive solution.
     """
     w = 0.5 * z * z
-    even, even_offset = _kummer_piece(_reciprocal_gamma(0.5 * (1.0 - nu)), -0.5 * nu, 0.5, w)
-    odd, odd_offset = _kummer_piece(
-        -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu), 0.5 * (1.0 - nu), 1.5, w
-    )
+    even, even_offset, even_neg = _series_sums(-0.5 * nu, np.full(z.size, 0.5), w)
+    odd, odd_offset, odd_neg = _series_sums(0.5 * (1.0 - nu), np.full(z.size, 1.5), w)
+    even = _reciprocal_gamma(0.5 * (1.0 - nu)) * (even - even_neg)
+    odd = -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu) * (odd - odd_neg)
     offset = np.maximum(even_offset, odd_offset)
     pieces = np.ldexp(even, even_offset - offset) + np.ldexp(odd, odd_offset - offset)
     # as in ScaledReal's sum, an exact-zero piece leaves the other as it is, at its own offset
@@ -435,16 +425,25 @@ def _cylinder_even_odd(nu: float, z: float | np.ndarray) -> float | np.ndarray:
     return np.ldexp(prefactor * pieces, offset + k)
 
 
-def _cylinder_value(nu: float, z: float) -> tuple[float, float]:
-    """(D_nu(z), D_{nu-1}(z)) by the route that is well conditioned for the sign of z.
+def _cylinder_lanes(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_nu(z_i) and D'_nu(z_i) on every lane of a checked 1-d array z.
 
-    z <= 0: even/odd Kummer decomposition for both orders; its pieces
-    reinforce there (for nu < 0 both are positive).  z > 0: the lifted
-    half-line integrals.
+    Lanes with z <= 0 take the even/odd Kummer decomposition for both orders
+    nu and nu - 1, whose pieces reinforce there, and sum their series
+    together.  Lanes with z > 0 take the lifted half-line integrals and share
+    one quadrature per _LANE_BLOCK lanes.  A side without lanes runs nothing.
+    The derivative is the recurrence nu D_{nu-1}(z) - (z/2) D_nu(z).
     """
-    if z <= 0.0:
-        return float(_cylinder_even_odd(nu, z)), float(_cylinder_even_odd(nu - 1.0, z))
-    return _cylinder_lifted(nu, z)
+    value, below = np.empty((2, z.size))
+    left = z <= 0.0
+    if left.any():
+        value[left] = _cylinder_even_odd(nu, z[left])
+        below[left] = _cylinder_even_odd(nu - 1.0, z[left])
+    right = np.flatnonzero(~left)
+    for start in range(0, right.size, _LANE_BLOCK):
+        block = right[start : start + _LANE_BLOCK]
+        value[block], below[block] = _cylinder_lifted(nu, z[block])
+    return value, nu * below - 0.5 * z * value
 
 
 def cylinder_d(nu: float, z: float) -> CylinderValue:
@@ -458,36 +457,21 @@ def cylinder_d(nu: float, z: float) -> CylinderValue:
     _require_finite(z=z)
     if abs(z) > 50.0:
         raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
-    value, below = _cylinder_value(nu, z)
-    derivative = nu * below - 0.5 * z * value
-    return CylinderValue(value=value, derivative=derivative)
+    value, derivative = _cylinder_lanes(float(nu), np.array([float(z)]))
+    return CylinderValue(value=value.item(), derivative=derivative.item())
 
 
 def cylinder_ds(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D_nu(z_i) and D'_nu(z_i) on every lane of a 1-d array z, for nu in [-4, 4] and |z_i| <= 50.
 
-    Each lane is ``cylinder_d(nu, z_i)``'s value and derivative, bit for bit,
-    by the same route: lanes with z <= 0 sum their Kummer series together in
-    _series_sums, and lanes with z > 0 share quadratures, _LANE_BLOCK lanes
-    at a time.  For one point the scalar is the faster call: at z = -0.7 a
-    one-lane batch costs ~1.9 ms and the scalar ~0.1 ms (2-vCPU KVM host).
+    Each lane is ``cylinder_d(nu, z_i)``'s value and derivative, bit for bit:
+    both run the same lane code.
     """
     if not -4.0 <= nu <= 4.0:
         raise DomainError(f"cylinder_ds supports nu in [-4, 4], got nu={nu}")
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DomainError(f"z must be a 1-d array, got shape {z.shape}")
-    outside = ~(np.abs(z) <= 50.0)  # NaN included
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise DomainError(f"cylinder_ds supports finite |z| <= 50, got z[{i}]={z[i].item()!r}")
-    value = np.empty(z.shape)
-    below = np.empty(z.shape)
-    left = z <= 0.0
-    value[left] = _cylinder_even_odd(nu, z[left])
-    below[left] = _cylinder_even_odd(nu - 1.0, z[left])
-    right = np.flatnonzero(~left)
-    for start in range(0, right.size, _LANE_BLOCK):
-        block = right[start : start + _LANE_BLOCK]
-        value[block], below[block] = _cylinder_lifted(nu, z[block])
-    return value, nu * below - 0.5 * z * value
+    message = "cylinder_ds supports finite |z| <= 50, got z[{i}]={z!r}"
+    _require_lanes(np.abs(z) <= 50.0, DomainError, message, z=z)
+    return _cylinder_lanes(float(nu), z)

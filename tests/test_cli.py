@@ -119,7 +119,10 @@ class TestEnvelope:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: |b| <= 1e+06 required, got b=1005000.0\n"
+        assert captured.err == (
+            "error: envelope needs 0 <= --b-min <= --b-max <= 1e+06, the range of the field,"
+            " got --b-min 900000.0 --b-max 1100000.0\n"
+        )
 
 
 # -------------------------------------------------------------- intersections
@@ -388,6 +391,66 @@ class TestVerifyCommand:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["curves", "--n-min", "5", "--n-max", "2"],
+                "need 0 <= --n-min <= --n-max, got --n-min 5 --n-max 2",
+            ),
+            (
+                ["intersections", "--n-min", "-1"],
+                "need 0 <= --n-min <= --n-max, got --n-min -1 --n-max 5",
+            ),
+            (
+                ["curves", "--b-min", "5", "--b-max", "2"],
+                "curves needs -1e+06 <= --b-min <= --b-max <= 1e+06, the range of the field,"
+                " got --b-min 5.0 --b-max 2.0",
+            ),
+            (["envelope", "--steps", "1"], "need --steps >= 2, got --steps 1"),
+            (
+                ["envelope", "--b-min", "-1"],
+                "envelope needs 0 <= --b-min <= --b-max <= 1e+06, the range of the field,"
+                " got --b-min -1.0 --b-max 10.0",
+            ),
+            (
+                ["envelope", "--b-max", "2e6"],
+                "envelope needs 0 <= --b-min <= --b-max <= 1e+06, the range of the field,"
+                " got --b-min 0.0 --b-max 2000000.0",
+            ),
+            (
+                ["curves", "--b-max", "2e6"],
+                "curves needs -1e+06 <= --b-min <= --b-max <= 1e+06, the range of the field,"
+                " got --b-min 0.0 --b-max 2000000.0",
+            ),
+            (
+                ["degennes", "--b-max", "7"],
+                "degennes needs 0 <= --b-min <= --b-max <= 1.5, the domain of degennes_f,"
+                " got --b-min 0.0 --b-max 7.0",
+            ),
+            (
+                ["verify", "--only", "nope"],
+                "--only needs one of numerics, specfun, disk, intersect, models, constants,"
+                " got --only nope",
+            ),
+        ],
+        ids=[
+            "n-range", "n-min", "b-range", "steps", "envelope-b-min", "envelope-b-max",
+            "curves-b-max", "degennes-b-max", "verify-only",
+        ],
+    )
+    def test_range_error_names_the_flag_and_its_value(self, argv, message, capsys, monkeypatch):
+        # checked before any series is summed: a sweep that failed midway would call lambda_n
+        def fail(*args):
+            raise AssertionError("a sweep started before its range was checked")
+
+        monkeypatch.setattr(disk, "lambda_n", fail)
+        monkeypatch.setattr(disk, "envelope", fail)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_steps_too_small(self, tmp_path):
         code, _ = run(tmp_path, "curves", "--steps", "1")
         assert code == 2

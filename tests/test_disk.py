@@ -79,6 +79,24 @@ def radial_log_derivative(n, b):
 
 
 class TestLambdaN:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: disk.lambda_n(200, b),
+            lambda b: disk.lambda_minus_n(3, b),
+            lambda b: disk.envelope([b])[0].b,
+            lambda b: disk.envelope([b])[0].lambda_dn,
+        ],
+        ids=["lambda_n", "lambda_minus_n", "envelope_b", "envelope_lambda_dn"],
+    )
+    def test_numpy_scalar_field_gives_the_float_result(self, call):
+        # a numpy scalar is taken as its float once, at the entry: it neither
+        # leaks into the result nor slows the series it would run through
+        for b in (np.float64(150.0), np.float64(0.7), np.int64(12)):
+            value = call(b)
+            assert type(value) is float
+            assert value.hex() == call(float(b)).hex()
+
     def test_zero_field_returns_mode(self):
         for n in (0, 1, 5, 40):
             assert disk.lambda_n(n, 0.0) == float(n)

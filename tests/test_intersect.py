@@ -92,17 +92,16 @@ class TestFindZn:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 42, 500])
     def test_residual_is_the_one_crossing_series(self, monkeypatch, n):
-        # a cold search takes every value from the branch ratio and sums
-        # M(-1/2, n+1, .) once, for residual_M
+        # a cold search sums the ratio's two series in the scalar loop at
+        # every point, and M(-1/2, n+1, .) once, for residual_M
         series = []
-        kummer_m = specfun.kummer_m
+        series_parts = specfun._series_parts
 
-        def counted_kummer_m(a, c, z):
+        def counted(a, c, z):
             series.append((a, c))
-            return kummer_m(a, c, z)
+            return series_parts(a, c, z)
 
-        monkeypatch.setattr(specfun, "kummer_m", counted_kummer_m)
-        monkeypatch.setattr(intersect, "kummer_m", counted_kummer_m)
+        monkeypatch.setattr(specfun, "_series_parts", counted)
         intersect._find_zn_cached.cache_clear()
         intersect.find_zn(n)
         assert [call for call in series if call[0] < 0.0] == [(-0.5, n + 1.0)]
@@ -110,25 +109,30 @@ class TestFindZn:
 
     @pytest.mark.parametrize("n", [0, 100, 10_000])
     def test_takes_every_ratio_from_the_scalar_kernel(self, monkeypatch, n):
-        # one mode runs the solve on the scalar series loop, ~20x cheaper per
+        # a one-mode solve asks for at most three lanes a step, which specfun
+        # sums in its scalar series loop on Python floats, ~20x cheaper per
         # term than a numpy batch of one
-        calls = []
-        kummer_log_ratio = intersect.kummer_log_ratio
+        lanes = []
+        series = []
+        kummer_log_ratios = intersect.kummer_log_ratios
+        series_parts = specfun._series_parts
 
         def counted(a, c, z):
+            lanes.append(z.size)
+            return kummer_log_ratios(a, c, z)
+
+        def scalar(a, c, z):
             assert type(c) is float and type(z) is float
-            calls.append(1)
-            return kummer_log_ratio(a, c, z)
+            series.append(1)
+            return series_parts(a, c, z)
 
-        def refuse(a, c, z):
-            raise AssertionError("find_zn called the batch kernel")
-
-        monkeypatch.setattr(intersect, "kummer_log_ratio", counted)
-        monkeypatch.setattr(intersect, "kummer_log_ratios", refuse)
-        monkeypatch.setattr(specfun, "kummer_log_ratios", refuse)
+        monkeypatch.setattr(intersect, "kummer_log_ratios", counted)
+        monkeypatch.setattr(specfun, "_series_parts", scalar)
         intersect._find_zn_cached.cache_clear()
         record = intersect.find_zn(n)
-        assert len(calls) >= 5  # at least 2 steps and 3 final points
+        assert len(lanes) >= 3 and sum(lanes) >= 5  # at least 2 steps and 3 final points
+        assert max(lanes) == 3 < specfun._BATCH_MIN
+        assert len(series) == 2 * sum(lanes) + 1  # two series a lane, and residual_M's
         intersect._find_zn_cached.cache_clear()
         monkeypatch.undo()
         assert record == intersect.find_zn(n)
@@ -141,7 +145,6 @@ class TestFindZn:
             start = np.array([intersect._start(int(m)) for m in np.atleast_1d(n)])
             return (z - n - 0.5 - abs(z - start.reshape(np.shape(z)))) / z
 
-        monkeypatch.setattr(intersect, "kummer_log_ratio", lambda a, c, z: float(tangent(a, c, z)))
         monkeypatch.setattr(intersect, "kummer_log_ratios", tangent)
         intersect._find_zn_cached.cache_clear()
         message = r"no sign change for mode 12: g\(15\.\d+\) = -\d\.\d+e-12 and g\("
@@ -161,7 +164,6 @@ class TestFindZn:
 
     def test_iterate_outside_the_series_band_raises_naming_the_mode(self, monkeypatch):
         # R = 1 makes g = n + 1/2 and g' = -(n + 1/2): every step is +1
-        monkeypatch.setattr(intersect, "kummer_log_ratio", lambda a, c, z: 1.0)
         monkeypatch.setattr(intersect, "kummer_log_ratios", lambda a, c, z: np.ones_like(z))
         intersect._find_zn_cached.cache_clear()
         message = r"mode 12: iterate z = 18\.60\d+ left the series band"  # band ends at 17.61

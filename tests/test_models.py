@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from magsteklov import models, verify
@@ -150,6 +151,14 @@ def test_cylinder_argument_checked_as_given(function, name, value):
     message = rf"^{name} must be finite with \|{name}\| <= 50, got {name}={value!r}$"
     with pytest.raises(DomainError, match=message):
         function(value)
+
+
+@pytest.mark.parametrize("function", [models.phi, models.degennes_f, models.halfplane_multiplier])
+def test_numpy_scalar_argument_gives_the_float_result(function):
+    for x in (np.float64(0.7), np.float64(-0.0), np.int64(1)):
+        value = function(x)
+        assert type(value) is float
+        assert value.hex() == function(float(x)).hex()
 
 
 # ------------------------------------------------------------ comparison 6.3

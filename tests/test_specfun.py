@@ -5,6 +5,7 @@ truncated series, the Euler-type integral representation, closed forms in
 Gamma values, and finite differences.
 """
 
+import contextlib
 import math
 import time
 
@@ -236,6 +237,28 @@ class TestKummerLogRatio:
                 assert float(abs((value - ref) / ref)) <= 1e-14, (a, c, z)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: cylinder_d(x, -x).value,
+        lambda x: cylinder_d(x, -x).derivative,
+        lambda x: cylinder_d(-x, x).derivative,
+        lambda x: kummer_m(x, 2.0 * x, x).value.mantissa,
+        lambda x: kummer_log_ratio(x, x + 0.5, x),
+        lambda x: kummer_log_ratio(x, x + 0.5, -x),
+    ],
+    ids=[
+        "cylinder_d_value", "cylinder_d_derivative", "cylinder_d_positive_z",
+        "kummer_m", "kummer_log_ratio", "kummer_log_ratio_negative_z",
+    ],
+)
+def test_numpy_scalar_arguments_give_the_float_result(call):
+    for x in (np.float64(0.7), np.float64(1.5), np.int64(2)):
+        value = call(x)
+        assert type(value) is float
+        assert value.hex() == call(float(x)).hex()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position, name", [(0, "a"), (1, "c"), (2, "z")])
@@ -283,6 +306,19 @@ class SeriesSpy:
         before = self.series_calls
         value = kummer_log_ratio(a, c, z)
         return value, "series" if self.series_calls > before else "expansion"
+
+
+@contextlib.contextmanager
+def numpy_loop():
+    """Inside, _series_sums runs its numpy loop at any lane count, and the scalar loop raises."""
+
+    def scalar_loop(a, c, z):
+        raise AssertionError("the scalar series loop ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_BATCH_MIN", 0)
+        patch.setattr(specfun, "_series_parts", scalar_loop)
+        yield
 
 
 def series_log_ratio(a, c, z):
@@ -355,12 +391,14 @@ class TestLargeZQuotient:
 
 class TestKummerLogRatios:
     """kummer_log_ratios is the series quotient on every lane, bit for bit, and
-    so the scalar kummer_log_ratio wherever that refuses the expansion."""
+    so the scalar kummer_log_ratio wherever that refuses the expansion.  The
+    lanes are summed in the numpy loop, one lane included."""
 
     @staticmethod
     def assert_lanes_match(a, c, z):
         lanes = list(zip(c.tolist(), z.tolist()))
-        batch = kummer_log_ratios(a, c, z).tolist()
+        with numpy_loop():
+            batch = kummer_log_ratios(a, c, z).tolist()
         series = [series_log_ratio(a, c_i, z_i) for c_i, z_i in lanes]
         mismatched = [
             (lane, x, y) for lane, x, y in zip(lanes, batch, series) if x.hex() != y.hex()
@@ -460,25 +498,34 @@ class TestKummerLogRatios:
         monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError):
             kummer_log_ratios(0.5, np.array([1.0, 21.0]), np.array([1.0, 50.0]))
+        with numpy_loop(), pytest.raises(ConvergenceError):
+            kummer_log_ratios(0.5, np.array([1.0, 21.0]), np.array([1.0, 50.0]))
 
     def test_empty_and_single_lane(self):
         assert kummer_log_ratios(0.5, np.array([]), np.array([])).shape == (0,)
         self.assert_lanes_match(0.5, np.array([11.0]), np.array([500.0]))
 
     @pytest.mark.parametrize(
-        "a, c, z",
+        "a, c, z, message",
         [
-            (0.0, [1.0], [1.0]),
-            (0.5, [0.0], [1.0]),
-            (0.5, [1.0], [-1.0]),
-            (0.5, [1.0], [2e6]),
-            (0.5, [1.0], [math.nan]),
-            (math.inf, [1.0], [1.0]),
-            (0.5, [1.0, 2.0], [1.0]),
+            (0.0, [1.0], [1.0], r"finite a > 0, got a=0\.0$"),
+            (0.5, [0.0], [1.0], r"finite c > 0, got c\[0\]=0\.0$"),
+            (0.5, [1.0], [-1.0], r"0 <= z <= 1e\+06, got z\[0\]=-1\.0$"),
+            (0.5, [1.0], [2e6], r"0 <= z <= 1e\+06, got z\[0\]=2000000\.0$"),
+            (0.5, [1.0], [math.nan], r"0 <= z <= 1e\+06, got z\[0\]=nan$"),
+            (math.inf, [1.0], [1.0], r"finite a > 0, got a=inf$"),
+            (0.5, [1.0, 2.0], [1.0], "1-d arrays of one length"),
+            (0.5, [1.0, 2.0], [1.0, math.nan], r"got z\[1\]=nan$"),
+            (0.5, [1.0, math.inf], [1.0, 1.0], r"finite c > 0, got c\[1\]=inf$"),
+        ],
+        # the message stays out of the ids
+        ids=[
+            "0.0-c0-z0", "0.5-c1-z1", "0.5-c2-z2", "0.5-c3-z3", "0.5-c4-z4", "inf-c5-z5",
+            "0.5-c6-z6", "z-nan-in-lane-1", "c-inf-in-lane-1",
         ],
     )
-    def test_domain(self, a, c, z):
-        with pytest.raises(DomainError):
+    def test_domain(self, a, c, z, message):
+        with pytest.raises(DomainError, match=message):
             kummer_log_ratios(a, np.array(c), np.array(z))
 
 
@@ -650,12 +697,14 @@ def cylinder_ds_grid():
 
 
 class TestCylinderDs:
-    """cylinder_ds is cylinder_d on every lane, value and derivative, bit for bit."""
+    """cylinder_ds is cylinder_d on every lane, value and derivative, bit for bit:
+    the lanes sum their series in the numpy loop, and one point in the scalar loop."""
 
     @pytest.mark.parametrize("nu", CYLINDER_DS_ORDERS)
     def test_lanes_equal_the_scalar(self, nu):
         z = cylinder_ds_grid()
-        value, derivative = cylinder_ds(nu, z)
+        with numpy_loop():
+            value, derivative = cylinder_ds(nu, z)
         scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
         assert [x.hex() for x in value.tolist()] == [d.value.hex() for d in scalar]
         assert [x.hex() for x in derivative.tolist()] == [d.derivative.hex() for d in scalar]
@@ -669,7 +718,8 @@ class TestCylinderDs:
         for z_i in z.tolist():
             value, below = scaled_even_odd(nu, z_i), scaled_even_odd(nu - 1.0, z_i)
             expected.append((value.hex(), (nu * below - 0.5 * z_i * value).hex()))
-        value, derivative = cylinder_ds(nu, z)
+        with numpy_loop():
+            value, derivative = cylinder_ds(nu, z)
         assert [(v.hex(), d.hex()) for v, d in zip(value.tolist(), derivative.tolist())] == expected
         scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
         assert [(d.value.hex(), d.derivative.hex()) for d in scalar] == expected
@@ -702,7 +752,8 @@ class TestSeriesSums:
         rng = np.random.default_rng(17)
         w = np.concatenate([[0.0, 5e-324, 1e-300], rng.uniform(0.0, 50.0, 60), rng.uniform(400.0, 1250.0, 40)])
         c = np.where(rng.uniform(size=w.size) < 0.5, 0.5, 1.5)
-        pos, offset, neg = specfun._series_sums(a, c, w)
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(a, c, w)
         if a % 1.0:  # a terminating polynomial never rescales
             assert (offset > 0).sum() >= 20
         for i, (c_i, w_i) in enumerate(zip(c.tolist(), w.tolist())):
@@ -712,6 +763,33 @@ class TestSeriesSums:
                 offset_i,
                 neg_i.hex(),
             )
+
+    @pytest.mark.parametrize("lanes", [0, 1, 31, 32, 33])
+    @pytest.mark.parametrize("a", [-0.75, 0.5])
+    def test_either_loop_by_lane_count(self, a, lanes):
+        # below _BATCH_MIN lanes the scalar loop runs once a lane, from there the numpy loop
+        assert specfun._BATCH_MIN == 32
+        rng = np.random.default_rng(lanes)
+        big = lanes // 3  # lanes whose series rescale
+        w = np.concatenate([rng.uniform(0.0, 50.0, lanes - big), rng.uniform(400.0, 900.0, big)])
+        c = rng.uniform(0.5, 20.0, lanes)
+        scalar_runs = []
+        series_parts = specfun._series_parts
+
+        def counted(a, c, z):
+            scalar_runs.append(1)
+            return series_parts(a, c, z)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_series_parts", counted)
+            pos, offset, neg = specfun._series_sums(a, c, w)
+        assert len(scalar_runs) == (lanes if lanes < 32 else 0)
+        assert pos.shape == offset.shape == neg.shape == (lanes,)
+        assert (pos.dtype, offset.dtype, neg.dtype) == (float, np.int64, float)
+        parts = [series_parts(a, c_i, w_i)[:3] for c_i, w_i in zip(c.tolist(), w.tolist())]
+        got = list(zip(pos.tolist(), offset.tolist(), neg.tolist()))
+        hexed = [(p.hex(), o, n.hex()) for p, o, n in parts]
+        assert [(p.hex(), o, n.hex()) for p, o, n in got] == hexed
 
 
 # ------------------------------------------------- invariant suite delegates

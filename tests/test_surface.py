@@ -16,6 +16,10 @@ themselves: no function anywhere takes a ``tol`` or ``rel_tol``.  The package
 depends on numpy alone: no module imports scipy, and importing the CLI
 loads none.  ``max`` and ``min`` keep their current value when the next one
 is NaN, so ``verify`` reduces its residuals only through ``_worst``.
+
+``specfun`` alone picks the loop that sums a batch of Kummer series, by its
+lane count: no other module names that loop or its threshold, and no
+function takes a ``kernel`` to choose one.
 """
 
 import ast
@@ -227,3 +231,29 @@ def test_verify_reduces_only_through_worst():
     # a denominator such as max(abs(x), 1.0) is no reduction and stays allowed
     lines = list(_bare_reductions("verify"))
     assert lines == [], f"verify reduces with max/min, which skip NaN, at lines {lines}"
+
+
+SERIES_LOOP_NAMES = ("_series_parts", "_series_sums", "_BATCH_MIN")
+
+
+def _series_loop_names(module):
+    """Line numbers where the module names a series loop or its lane threshold."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in SERIES_LOOP_NAMES:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "specfun"])
+def test_only_specfun_picks_the_series_loop(module):
+    lines = list(_series_loop_names(module))
+    assert lines == [], f"{module} names {SERIES_LOOP_NAMES} at lines {lines}"
+    taking = [name for name, params in _parameters(module) if "kernel" in params]
+    assert taking == [], f"{module} has functions that take a kernel: {taking}"
