@@ -25,7 +25,9 @@ series in its scalar loop.  Every ratio is taken at c = n + 1 >= 1 and
 0 <= z <= c + sqrt(c) + 1, or the solve raises: there the scalar
 ``kummer_log_ratio`` refuses the large-z expansion and sums the same
 series, so each record's lambda_at_zn is bit for bit ``disk.lambda_n``.
-Each root is certified by a sign change of g across z (1 -+ REL_TOL).
+Each root is certified by a sign change of g across z (1 -+ REL_TOL), and
+the residuals |M(-1/2, n+1, z_n)| of all roots come from one
+``specfun._kummer_values`` call.
 """
 
 import functools
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import disk, models
 from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError, _require_lanes
-from .specfun import _MAX_ABS_Z, kummer_log_ratios, kummer_m
+from .specfun import _MAX_ABS_Z, _kummer_values, kummer_log_ratios
 
 __all__ = [
     "AsymptoticFit",
@@ -120,11 +122,9 @@ def _newton_step(n: np.ndarray, z: np.ndarray, ratio: np.ndarray) -> tuple[np.nd
     return z - step, abs(step) <= REL_TOL * z
 
 
-def _record(n: int, z: float, ratio: float) -> IntersectionRecord:
-    """The record of root z of mode n, from R = R_n(z)."""
+def _record(n: int, z: float, ratio: float, residual: float) -> IntersectionRecord:
+    """The record of root z of mode n, from R = R_n(z) and residual |M(-1/2, n+1, z)|."""
     lam = disk._branch(n, z, ratio)  # lambda_n(n, z) bit for bit: the ratio is the scalar's
-    # |M(-1/2, n+1, z)| by its own series, a check independent of the ratio
-    residual = abs(kummer_m(-0.5, n + 1.0, z).value.to_float())
     return IntersectionRecord(
         n=n,
         z_n=z,
@@ -166,7 +166,10 @@ def _solve(modes: list[int]) -> list[IntersectionRecord]:
         "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
         n=all_n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
     )
-    return [_record(m, x, r) for m, x, r in zip(modes, roots.tolist(), ratio.tolist())]
+    # |M(-1/2, n+1, z_n)| by its own series, a check independent of the ratio
+    residuals = np.abs(_kummer_values(-0.5, all_n + 1.0, roots))
+    records = zip(modes, roots.tolist(), ratio.tolist(), residuals.tolist())
+    return [_record(*record) for record in records]
 
 
 @functools.cache

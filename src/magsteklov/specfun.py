@@ -6,6 +6,11 @@ function and its arguments, never a route.
 The Kummer function M(a, c, z) = sum_k (a)_k/(c)_k z^k/k! is summed termwise
 for z >= 0 in floats that share one power-of-two offset, so values of size
 exp(z) for z up to ~1e6 stay representable.  That series needs O(z) terms.
+The library reads every sum in that form: the branch ratio divides two sums
+and scales the quotient by the power of two between their offsets, and
+``_kummer_values`` scales each lane's sum to a float.  ``kummer_m`` wraps
+the same sum in a ScaledReal; it is the public scalar M, which ``verify``
+and the tests call.
 The log-derivative M'/M has a second route: by the large-z expansion of
 DLMF 13.7.2,
 
@@ -230,7 +235,8 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     The ratio is (a/c) M(a+1, c+1, z) / M(a, c, z) for z >= 0 and, through
     M(a, c, -y) = exp(-y) M(c-a, c, y), (a/c) M(c-a, c+1, y) / M(c-a, c, y)
     for z = -y < 0: both series have positive terms, and their exp(|z|)-sized
-    growth cancels in the ScaledReal quotient.  When the shared first
+    growth cancels in the quotient of their sums, scaled by the power of two
+    between their offsets.  When the shared first
     parameter (a, or c-a) is a half-integer the large-z expansion is tried
     first: S(a+1, c+1, z) / S(a, c, z), or (a/y) S(c-a, c+1, y) / S(c-a, c, y).
     Its neglected O(e^-y) part is then about the size of the smallest term of
@@ -258,9 +264,10 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
         top = None if bottom is None else _large_z_sum(upper, c + 1.0, y)
         if top is not None:
             return prefactor * (top / bottom)
-    num = kummer_m(upper, c + 1.0, y).value
-    den = kummer_m(lower, c, y).value
-    return (a / c) * float(num / den)
+    # both first parameters are >= 0, so no term is negative and neg stays 0
+    num, num_offset, _, _ = _series_parts(upper, c + 1.0, y)
+    den, den_offset, _, _ = _series_parts(lower, c, y)
+    return (a / c) * math.ldexp(num / den, num_offset - den_offset)
 
 
 def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,7 +337,7 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     For finite a > 0 and arrays c > 0, 0 <= z <= 1e6.  Each lane is the
     float that the series route of the scalar ``kummer_log_ratio`` returns,
     bit for bit: both series are summed by _series_sums, and their quotient
-    is the one ScaledReal division forms.  The expansion is never tried, so
+    is formed as the scalar forms it.  The expansion is never tried, so
     a lane equals ``kummer_log_ratio`` wherever the scalar refuses it, as for
     a = 1/2 at every c >= 1 with z <= c + sqrt(c) + 1.
     """
@@ -346,9 +353,21 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     _require_lanes((z >= 0.0) & (z <= _MAX_ABS_Z), DomainError, message, z=z)
     num, num_offset, _ = _series_sums(a + 1.0, c + 1.0, z)
     den, den_offset, _ = _series_sums(a, c, z)
-    # ScaledReal normalizes by powers of two only, so its quotient rounds
-    # to this one: both sums lie in [1, 2**513], far from under- and overflow
+    # the scalar series route's quotient: both sums lie in [1, 2**513], so
+    # num / den rounds once and the power of two scales it exactly
     return (a / c) * np.ldexp(num / den, num_offset - den_offset)
+
+
+def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M(a, c_i, z_i) on every lane of checked arrays c and 0 <= z <= 1e6, as floats.
+
+    Each lane is ``kummer_m(a, c_i, z_i).value.to_float()``, bit for bit: the
+    series parts scaled exactly by their power-of-two offset, saturated to
+    +-inf past the float range.
+    """
+    pos, offset, neg = _series_sums(a, c, z)
+    with np.errstate(over="ignore"):
+        return np.ldexp(pos - neg, offset)
 
 
 def _cylinder_from_integral(nu: float, z: np.ndarray) -> np.ndarray:

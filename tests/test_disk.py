@@ -186,7 +186,7 @@ class RouteSpy:
 
     def __init__(self, monkeypatch):
         self.series_calls = 0
-        monkeypatch.setattr(specfun, "kummer_m", self._counting(specfun.kummer_m))
+        monkeypatch.setattr(specfun, "_series_parts", self._counting(specfun._series_parts))
 
     def _counting(self, fn):
         def counted(*args, **kwargs):

@@ -236,6 +236,15 @@ class TestCrossings:
         assert all(c >= 1.0 and 0.0 <= z <= c + math.sqrt(c) + 1.0 for c, z in lanes)
         assert all(specfun._large_z_sum(0.5, c, z) is None for c, z in lanes)
 
+    def test_residual_is_kummer_m_at_the_root(self):
+        # 41 modes take the numpy series loop and find_zn the scalar one; both
+        # read M(-1/2, n+1, z_n) as the float kummer_m's ScaledReal gives
+        records = intersect.crossings(range(41))
+        records += [intersect.find_zn(n) for n in (1000, 10_000, 100_000, 999_000)]
+        residuals = [r.residual_M.hex() for r in records]
+        expected = [abs(specfun.kummer_m(-0.5, r.n + 1.0, r.z_n).value.to_float()) for r in records]
+        assert residuals == [x.hex() for x in expected]
+
     def test_any_order_repeats_and_no_modes(self):
         assert intersect.crossings([5, np.int64(0), 5]) == [intersect.find_zn(n) for n in (5, 0, 5)]
         assert intersect.crossings([]) == []

@@ -8,6 +8,7 @@ Gamma values, and finite differences.
 import contextlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,13 +295,13 @@ class SeriesSpy:
 
     def __init__(self, monkeypatch):
         self.series_calls = 0
-        series = specfun.kummer_m
+        series = specfun._series_parts
 
         def counted(*args):
             self.series_calls += 1
             return series(*args)
 
-        monkeypatch.setattr(specfun, "kummer_m", counted)
+        monkeypatch.setattr(specfun, "_series_parts", counted)
 
     def route(self, a, c, z):
         before = self.series_calls
@@ -790,6 +791,28 @@ class TestSeriesSums:
         got = list(zip(pos.tolist(), offset.tolist(), neg.tolist()))
         hexed = [(p.hex(), o, n.hex()) for p, o, n in parts]
         assert [(p.hex(), o, n.hex()) for p, o, n in got] == hexed
+
+
+class TestKummerValues:
+    """_kummer_values is kummer_m's float on every lane, saturated past the float range."""
+
+    @pytest.mark.parametrize("loop", ["scalar", "numpy"])
+    def test_lanes_are_kummer_m_saturating_without_a_warning(self, loop):
+        # M(1, 1, z) = e^z and M(-1/2, 1, z) ~ -e^z z^(-3/2) / (2 sqrt(pi)) leave
+        # the float range near z = 710, where to_float saturates to +-inf
+        z = np.array([0.0, 2.5, 700.0, 750.0, 1e4])
+        c = np.ones(z.size)
+        with contextlib.ExitStack() as stack:
+            if loop == "numpy":
+                stack.enter_context(numpy_loop())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = {a: specfun._kummer_values(a, c, z).tolist() for a in (1.0, -0.5)}
+        for a, row in rows.items():
+            expected = [kummer_m(a, 1.0, z_i).value.to_float() for z_i in z.tolist()]
+            assert [x.hex() for x in row] == [y.hex() for y in expected]
+        assert rows[1.0][3:] == [math.inf, math.inf]
+        assert rows[-0.5][3:] == [-math.inf, -math.inf]
 
 
 # ------------------------------------------------- invariant suite delegates

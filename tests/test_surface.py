@@ -20,6 +20,10 @@ is NaN, so ``verify`` reduces its residuals only through ``_worst``.
 ``specfun`` alone picks the loop that sums a batch of Kummer series, by its
 lane count: no other module names that loop or its threshold, and no
 function takes a ``kernel`` to choose one.
+
+The library reads every Kummer sum as floats at a power-of-two offset.  The
+scalar ``kummer_m`` and its ``ScaledReal`` result serve the cross-checks:
+only ``verify`` calls the one or builds the other.
 """
 
 import ast
@@ -257,3 +261,23 @@ def test_only_specfun_picks_the_series_loop(module):
     assert lines == [], f"{module} names {SERIES_LOOP_NAMES} at lines {lines}"
     taking = [name for name, params in _parameters(module) if "kernel" in params]
     assert taking == [], f"{module} has functions that take a kernel: {taking}"
+
+
+def _scaled_real_calls(module):
+    """Line numbers where the module calls kummer_m or builds a ScaledReal, outside their definitions."""
+    for top in _tree(module).body:
+        if getattr(top, "name", None) in ("kummer_m", "ScaledReal"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                owner = getattr(getattr(func, "value", None), "id", None)
+                if name in ("kummer_m", "ScaledReal") or owner == "ScaledReal":
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "verify"])
+def test_only_verify_calls_kummer_m(module):
+    lines = list(_scaled_real_calls(module))
+    assert lines == [], f"{module} calls kummer_m or builds a ScaledReal at lines {lines}"
