@@ -27,7 +27,7 @@ from .numerics import (
     DomainError,
     QuadratureError,
 )
-from .specfun import _MAX_ABS_Z, cylinder_ds
+from .specfun import _MAX_ABS_Z, _MAX_CYLINDER_Z, cylinder_ds
 
 SCHEMA_VERSION = 1
 
@@ -196,7 +196,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_halfplane(args: argparse.Namespace) -> int:
-    grid = _b_grid(args, -50.0, 50.0, "the range of the cylinder functions")
+    grid = _b_grid(args, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z, "the range of the cylinder functions")
     xi = np.array(grid)
     f1 = models._halfplane_multipliers(xi).tolist()
     d_half = cylinder_ds(0.5, xi)[0].tolist()

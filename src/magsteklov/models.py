@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, brent_root, integrate_semi_infinite
-from .specfun import cylinder_d, cylinder_ds
+from .specfun import _MAX_CYLINDER_Z, cylinder_d, cylinder_ds
 
 __all__ = [
     "ModelConstants",
@@ -73,8 +73,9 @@ def compute_alpha() -> float:
 
 def _require_in_cylinder_range(name: str, value: float) -> float:
     """value as a float; NaN, infinity or |value| > 50 (cylinder_d's range) raise, naming it."""
-    if not abs(value) <= 50.0:
-        raise DomainError(f"{name} must be finite with |{name}| <= 50, got {name}={value!r}")
+    if not abs(value) <= _MAX_CYLINDER_Z:
+        limit = f"{_MAX_CYLINDER_Z:g}"
+        raise DomainError(f"{name} must be finite with |{name}| <= {limit}, got {name}={value!r}")
     return float(value)
 
 

@@ -86,6 +86,7 @@ _STOP_REL = 1e-16
 _RESCALE = 2.0**512
 _RESCALE_INV = 2.0**-512
 _MAX_ABS_Z = 1e6
+_MAX_CYLINDER_Z = 50.0  # |z| bound of cylinder_d and cylinder_ds
 _LARGE_Z_STOP_REL = 1e-17
 _LARGE_Z_MAX_TERMS = 1000
 # Lanes per quadrature on the z > 0 route of cylinder_ds.  Each level of one
@@ -267,7 +268,8 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     # both first parameters are >= 0, so no term is negative and neg stays 0
     num, num_offset, _, _ = _series_parts(upper, c + 1.0, y)
     den, den_offset, _, _ = _series_parts(lower, c, y)
-    return (a / c) * math.ldexp(num / den, num_offset - den_offset)
+    # scaled after the multiply, so a tiny a cannot push the quotient past the float range
+    return math.ldexp((a / c) * (num / den), num_offset - den_offset)
 
 
 def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,8 +356,8 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     num, num_offset, _ = _series_sums(a + 1.0, c + 1.0, z)
     den, den_offset, _ = _series_sums(a, c, z)
     # the scalar series route's quotient: both sums lie in [1, 2**513], so
-    # num / den rounds once and the power of two scales it exactly
-    return (a / c) * np.ldexp(num / den, num_offset - den_offset)
+    # num / den rounds once, and the power of two scales the product exactly
+    return np.ldexp((a / c) * (num / den), num_offset - den_offset)
 
 
 def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -474,8 +476,8 @@ def cylinder_d(nu: float, z: float) -> CylinderValue:
     if not -4.0 <= nu <= 4.0:
         raise DomainError(f"cylinder_d supports nu in [-4, 4], got {nu}")
     _require_finite(z=z)
-    if abs(z) > 50.0:
-        raise DomainError(f"cylinder_d supports |z| <= 50, got {z}")
+    if abs(z) > _MAX_CYLINDER_Z:
+        raise DomainError(f"cylinder_d supports |z| <= {_MAX_CYLINDER_Z:g}, got {z}")
     value, derivative = _cylinder_lanes(float(nu), np.array([float(z)]))
     return CylinderValue(value=value.item(), derivative=derivative.item())
 
@@ -491,6 +493,6 @@ def cylinder_ds(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DomainError(f"z must be a 1-d array, got shape {z.shape}")
-    message = "cylinder_ds supports finite |z| <= 50, got z[{i}]={z!r}"
-    _require_lanes(np.abs(z) <= 50.0, DomainError, message, z=z)
+    message = f"cylinder_ds supports finite |z| <= {_MAX_CYLINDER_Z:g}, got z[{{i}}]={{z!r}}"
+    _require_lanes(np.abs(z) <= _MAX_CYLINDER_Z, DomainError, message, z=z)
     return _cylinder_lanes(float(nu), z)

@@ -1,13 +1,13 @@
 """Named runtime checks for every library invariant, and the routes they compare.
 
-Each check re-derives one mathematical property on a fixed default grid and
-reports a pass/fail with the measured residual and its limit, so a broken
-build fails loudly and by name.  A check is registered once, with its
-module and name, and reports under that name whether it passes, fails or
-raises.  Many checks are one residual formula over a grid; every check
-reduces its residuals through ``_worst``, so a NaN residual fails it.  The
-CLI ``verify`` command prints the table; the ``constants`` command reports
-the ``constants`` group as JSON; the test suite calls the same functions.
+Each check re-derives one mathematical property as a residual formula,
+registered once by ``_check`` with its module, name, limit and the fixed
+points it is evaluated at.  It reports the worst residual over its points
+against that limit, so a broken build fails loudly and by name, under one
+name whether it passes, fails or raises.  The worst residual is taken
+through ``_worst``, so a NaN residual fails its check.  The CLI ``verify``
+command prints the table; the ``constants`` command reports the
+``constants`` group as JSON; the test suite calls the same functions.
 
 The independent routes that only cross-check the library live here, off
 its fast path: central finite differences, the shift identity for M', the
@@ -49,7 +49,7 @@ class CheckResult:
     detail: str
 
 
-def _result(module, name, measured, limit, extra=""):
+def _result(module, name, measured, limit, extra):
     note = f"max residual {measured:.3e} (limit {limit:.1e})"
     if extra:
         note += f"; {extra}"
@@ -60,22 +60,25 @@ def _result(module, name, measured, limit, extra=""):
 MODULES: dict[str, list] = {}
 
 
-def _check(module: str, name: str):
-    """Register the decorated body as the check ``name`` of ``module``.
+def _check(module: str, name: str, limit: float, points=((),), note: str = ""):
+    """Register the decorated residual as the check ``name`` of ``module``, passing at ``limit``.
 
-    The body returns (measured, limit) or (measured, limit, note); the
-    check wraps that into a CheckResult, which fails when measured is NaN.
-    ``run_suite`` reports a check that raises under the same ``module`` and
-    ``name`` attributes, so a check has one name whether it passes, fails
-    or raises.
+    The residual takes the arguments of one point and returns one float;
+    the check measures the worst residual over ``points`` (one point with
+    no arguments by default) and appends ``note`` to its detail.  The
+    points are built at import, so they hold no value that takes a
+    computation, such as alpha: a residual reads that itself.
+    ``run_suite`` reports a check that raises under the same ``name``, so
+    a check has one name whether it passes, fails or raises.
     """
+    points = list(points)
 
-    def register(body):
-        @functools.wraps(body)
+    def register(residual):
+        @functools.wraps(residual)
         def check() -> CheckResult:
-            return _result(module, name, *body())
+            measured = _worst(residual(*point) for point in points)
+            return _result(module, name, measured, limit, note)
 
-        check.module = module
         check.name = name
         MODULES.setdefault(module, []).append(check)
         return check
@@ -97,25 +100,6 @@ def _worst(residuals) -> float:
         if residual > worst:
             worst = residual
     return worst
-
-
-def _grid_check(module: str, name: str, limit: float, points):
-    """Register the decorated residual at one point as the check ``name`` of ``module``.
-
-    The check measures the worst residual over ``points``, the tuples of
-    the residual's arguments.  The grid is built at import, so it holds no
-    value that takes a computation, such as alpha.
-    """
-    points = list(points)
-
-    def register(residual):
-        @functools.wraps(residual)
-        def body():
-            return _worst(residual(*point) for point in points), limit
-
-        return _check(module, name)(body)
-
-    return register
 
 
 def _relative(terms) -> float:
@@ -142,7 +126,7 @@ def central_diff(f: Callable[[float], float], x: float, order: int = 1) -> float
     raise DomainError(f"order must be 1 or 2, got {order}")
 
 
-@_check("numerics", "scaled-real-round-trip")
+@_check("numerics", "scaled-real-round-trip", 0.0, note="2000 samples")
 def check_scaled_round_trip():
     rng = random.Random(20240811)
     bad = 0
@@ -150,10 +134,10 @@ def check_scaled_round_trip():
         x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
         if ScaledReal.from_float(x).to_float() != x:
             bad += 1
-    return float(bad), 0.0, "2000 samples"
+    return float(bad)
 
 
-@_check("numerics", "scaled-sum-grouping")
+@_check("numerics", "scaled-sum-grouping", 2.0 * 400 * EPS)
 def check_scaled_sum_grouping():
     rng = random.Random(7)
 
@@ -169,11 +153,10 @@ def check_scaled_sum_grouping():
             alt = alt + t
         return float(abs(ordered - alt) / abs(ordered))
 
-    limit = 2.0 * 400 * np.finfo(float).eps
-    return _worst(regrouping_error() for _ in range(20)), limit
+    return _worst(regrouping_error() for _ in range(20))
 
 
-@_grid_check(
+@_check(
     "numerics", "quadrature-gamma-family", 5.0 * REL_TOL, product((-0.5, 0.0, 0.5, 1.0, 2.0))
 )
 def check_quadrature_gamma_family(k):
@@ -181,11 +164,11 @@ def check_quadrature_gamma_family(k):
     return abs(value - math.gamma(k + 1.0)) / math.gamma(k + 1.0)
 
 
-@_check("numerics", "brent-bracket-invariance")
+@_check("numerics", "brent-bracket-invariance", 1e-12)
 def check_brent_bracket_invariance():
     f = math.cos
     roots = [brent_root(f, lo, hi) for lo, hi in ((1.0, 2.0), (0.5, 3.0), (1.4, 1.8))]
-    return _worst(abs(r - roots[0]) for r in roots), 1e-12
+    return _worst(abs(r - roots[0]) for r in roots)
 
 
 # ------------------------------------------------------------------ specfun
@@ -203,7 +186,7 @@ def kummer_m_prime(a: float, c: float, z: float) -> ScaledReal:
     return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z).value
 
 
-@_grid_check("specfun", "kummer-contiguous-c-shift", 1e-10, _KUMMER_GRID)
+@_check("specfun", "kummer-contiguous-c-shift", 1e-10, _KUMMER_GRID)
 def check_contiguous_c_shift(a, c, z):
     return _relative(
         [
@@ -214,19 +197,19 @@ def check_contiguous_c_shift(a, c, z):
     )
 
 
-@_grid_check("specfun", "kummer-contiguous-a-shift", 1e-10, _KUMMER_GRID)
+@_check("specfun", "kummer-contiguous-a-shift", 1e-10, _KUMMER_GRID)
 def check_contiguous_a_shift(a, c, z):
     return _relative([c * _mval(a, c, z), -c * _mval(a - 1.0, c, z), -z * _mval(a, c + 1.0, z)])
 
 
-@_grid_check("specfun", "kummer-contiguous-derivative-a", 1e-10, _KUMMER_GRID)
+@_check("specfun", "kummer-contiguous-derivative-a", 1e-10, _KUMMER_GRID)
 def check_contiguous_derivative_a(a, c, z):
     return _relative(
         [a * _mval(a + 1.0, c, z), -a * _mval(a, c, z), -z * float(kummer_m_prime(a, c, z))]
     )
 
 
-@_grid_check("specfun", "kummer-contiguous-derivative-ac", 1e-10, _KUMMER_GRID)
+@_check("specfun", "kummer-contiguous-derivative-ac", 1e-10, _KUMMER_GRID)
 def check_contiguous_derivative_ac(a, c, z):
     return _relative(
         [
@@ -238,7 +221,7 @@ def check_contiguous_derivative_ac(a, c, z):
 
 
 # FD noise scales with exp(z) past z = 10; the shift identity is exact either way
-@_grid_check(
+@_check(
     "specfun", "kummer-derivative-vs-fd", 1e-6, [(a, c, z) for a, c, z in _KUMMER_GRID if z <= 10.0]
 )
 def check_kummer_derivative_fd(a, c, z):
@@ -250,43 +233,43 @@ def check_kummer_derivative_fd(a, c, z):
 _CYL_GRID = [(nu, z) for nu in (-1.5, -0.5, 0.5) for z in (-2.0, -0.5, 0.0, 1.0, 3.0)]
 
 
-@_grid_check("specfun", "cylinder-recurrence-derivative-up", 1e-9, _CYL_GRID)
+@_check("specfun", "cylinder-recurrence-derivative-up", 1e-9, _CYL_GRID)
 def check_cylinder_recurrence_derivative_up(nu, z):
     d = cylinder_d(nu, z)
     return _relative([d.derivative, -0.5 * z * d.value, cylinder_d(nu + 1.0, z).value])
 
 
-@_grid_check("specfun", "cylinder-recurrence-three-term", 1e-9, _CYL_GRID)
+@_check("specfun", "cylinder-recurrence-three-term", 1e-9, _CYL_GRID)
 def check_cylinder_recurrence_three_term(nu, z):
     up = cylinder_d(nu + 1.0, z).value
     return _relative([up, -z * cylinder_d(nu, z).value, nu * cylinder_d(nu - 1.0, z).value])
 
 
-@_grid_check("specfun", "cylinder-recurrence-derivative-down", 1e-9, _CYL_GRID)
+@_check("specfun", "cylinder-recurrence-derivative-down", 1e-9, _CYL_GRID)
 def check_cylinder_recurrence_derivative_down(nu, z):
     d = cylinder_d(nu, z)
     return _relative([d.derivative, 0.5 * z * d.value, -nu * cylinder_d(nu - 1.0, z).value])
 
 
-@_grid_check("specfun", "cylinder-ode-residual", 1e-5, product((-1.5, -0.5, 0.5), (0.7, 1.3, 2.6)))
+@_check("specfun", "cylinder-ode-residual", 1e-5, product((-1.5, -0.5, 0.5), (0.7, 1.3, 2.6)))
 def check_cylinder_ode(nu, z):
     second = central_diff(lambda x: cylinder_d(nu, x).value, z, order=2)
     expected = (0.25 * z * z - nu - 0.5) * cylinder_d(nu, z).value
     return abs(second - expected) / max(abs(expected), 1e-30)
 
 
-@_grid_check("specfun", "cylinder-large-z-asymptotic", 0.02, product((-1.5, -0.5)))
+@_check("specfun", "cylinder-large-z-asymptotic", 0.02, product((-1.5, -0.5)))
 def check_cylinder_asymptotic(nu):
     z = 12.0
     return abs(cylinder_d(nu, z).value * math.exp(0.25 * z * z) * z ** (-nu) - 1.0)
 
 
-@_check("specfun", "cylinder-negative-order-positivity")
+@_check("specfun", "cylinder-negative-order-positivity", 0.0)
 def check_cylinder_positivity():
     z = np.linspace(-10.0, 10.0, 41)
     # a NaN value counts as a failure
     bad = sum(np.count_nonzero(~(cylinder_ds(nu, z)[0] > 0.0)) for nu in (-3.5, -1.5, -0.5, -0.05))
-    return float(bad), 0.0
+    return float(bad)
 
 
 # --------------------------------------------------------------------- disk
@@ -327,38 +310,38 @@ _BRANCH_B = [0.5, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
 _LAMBDA_PRIME_GRID = list(product((1, 3, 10), (1.0, 5.0, 20.0)))
 
 
-@_grid_check("disk", "branch-diamagnetic-inequality", 1e-12, product(range(1, 21), _BRANCH_B))
+@_check("disk", "branch-diamagnetic-inequality", 1e-12, product(range(1, 21), _BRANCH_B))
 def check_branch_inequality(n, b):
     return disk.lambda_n(n, b) - disk.lambda_minus_n(n, b)
 
 
-@_grid_check("disk", "branch-positivity", 1e-12, product(range(0, 21), _BRANCH_B + [0.0]))
+@_check("disk", "branch-positivity", 1e-12, product(range(0, 21), _BRANCH_B + [0.0]))
 def check_branch_positivity(n, b):
     return -disk.lambda_n(n, b)
 
 
-@_grid_check("disk", "lambda-prime-vs-finite-difference", 1e-6, _LAMBDA_PRIME_GRID)
+@_check("disk", "lambda-prime-vs-finite-difference", 1e-6, _LAMBDA_PRIME_GRID)
 def check_lambda_prime_vs_fd(n, z):
     closed = lambda_n_prime(n, z)
     fd = central_diff(lambda x: disk.lambda_n(n, x), z)
     return abs(closed - fd) / max(abs(closed), 1.0)
 
 
-@_grid_check("disk", "lambda-prime-two-closed-forms", 1e-10, _LAMBDA_PRIME_GRID)
+@_check("disk", "lambda-prime-two-closed-forms", 1e-10, _LAMBDA_PRIME_GRID)
 def check_lambda_prime_two_forms(n, z):
     a = lambda_n_prime(n, z)
     b = lambda_n_prime_alt(n, z)
     return abs(a - b) / max(abs(a), abs(b), 1e-30)
 
 
-@_check("disk", "envelope-strictly-increasing")
+@_check("disk", "envelope-strictly-increasing", -1e-15, note="10000-point grid")
 def check_envelope_monotone():
     grid = np.linspace(0.01, 100.0, 10_000)
     values = [p.lambda_dn for p in disk.envelope(list(grid))]
-    return _worst(a - b for a, b in zip(values, values[1:])), -1e-15, "10000-point grid"
+    return _worst(a - b for a, b in zip(values, values[1:]))
 
 
-@_check("disk", "envelope-mode-is-window-argmin")
+@_check("disk", "envelope-mode-is-window-argmin", 1e-10, note="50-point grid")
 def check_envelope_window_argmin():
     # the active mode's branch is the lowest of every branch in a window of
     # modes around b, found without the crossing-sign search
@@ -369,10 +352,10 @@ def check_envelope_window_argmin():
         return (point.lambda_dn - best) / max(abs(best), 1.0)
 
     points = disk.envelope([float(b) for b in np.linspace(0.5, 100.0, 50)])
-    return _worst(map(excess, points)), 1e-10, "50-point grid"
+    return _worst(map(excess, points))
 
 
-@_check("disk", "mode-switch-at-crossings")
+@_check("disk", "mode-switch-at-crossings", 0.0)
 def check_mode_switch():
     failures = 0
     prev_mode = 0
@@ -384,7 +367,7 @@ def check_mode_switch():
         if below < prev_mode:
             failures += 1
         prev_mode = above
-    return float(failures), 0.0
+    return float(failures)
 
 
 # ---------------------------------------------------------------- intersect
@@ -416,25 +399,25 @@ def max_crossing_residual(n_max: int) -> float:
     return _worst(r.residual_F for r in intersect.crossings(range(n_max + 1)))
 
 
-@_grid_check("intersect", "characterization-equivalence", 1e-9, product((0, 1, 5, 20, 100)))
+@_check("intersect", "characterization-equivalence", 1e-9, product((0, 1, 5, 20, 100)))
 def check_characterization_equivalence(n):
     return characterization_residual(n, intersect.find_zn(n).z_n)
 
 
-@_check("intersect", "crossing-eigenvalue-formula")
+@_check("intersect", "crossing-eigenvalue-formula", 1e-8)
 def check_f_formula():
-    return max_crossing_residual(50), 1e-8
+    return max_crossing_residual(50)
 
 
-@_check("intersect", "crossing-ordering-and-lower-bound")
+@_check("intersect", "crossing-ordering-and-lower-bound", 0.0)
 def check_crossing_ordering():
     zs = [r.z_n for r in intersect.crossings(range(51))]
     gaps = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     lower = [zs[i] - (i + 1.0) for i in range(len(zs))]
-    return _worst(-v for v in gaps + lower), 0.0
+    return _worst(-v for v in gaps + lower)
 
 
-@_grid_check("intersect", "stationarity-at-previous-crossing", 1e-6, product((1, 2, 5)))
+@_check("intersect", "stationarity-at-previous-crossing", 1e-6, product((1, 2, 5)))
 def check_stationary_at_previous_crossing(n):
     z_prev = intersect.find_zn(n - 1).z_n
     slope = lambda_n_prime(n, z_prev)
@@ -443,18 +426,14 @@ def check_stationary_at_previous_crossing(n):
     return _worst([abs(slope), abs(second_fd - second)])
 
 
-@_check("intersect", "beta-second-order-trend")
-def check_beta_trend():
+@_check("intersect", "beta-second-order-trend", 5.0, product((100, 400, 1600, 6400)), "scaled by n")
+def check_beta_trend(n):
     alpha = models._alpha_cached()
     correction = (2.0 * alpha * alpha + 1.0) / 6.0
-
-    def scaled_deviation(n):
-        return abs(intersect.find_zn(n).beta_n - alpha - correction / math.sqrt(n)) * n
-
-    return _worst(map(scaled_deviation, (100, 400, 1600, 6400))), 5.0, "scaled by n"
+    return abs(intersect.find_zn(n).beta_n - alpha - correction / math.sqrt(n)) * n
 
 
-@_grid_check("intersect", "envelope-sandwich-bounds", 1e-9, product((2, 5, 10)))
+@_check("intersect", "envelope-sandwich-bounds", 1e-9, product((2, 5, 10)))
 def check_envelope_sandwich(n):
     z_lo = intersect.find_zn(n - 1).z_n
     z_hi = intersect.find_zn(n).z_n
@@ -462,16 +441,14 @@ def check_envelope_sandwich(n):
     return _worst(r for lam in lams for r in ((z_lo - n) - lam, lam - (z_hi - n - 1.0)))
 
 
-@_check("intersect", "crossing-eigenvalue-asymptotic")
-def check_crossing_eigenvalue_asymptotic():
+@_check(
+    "intersect", "crossing-eigenvalue-asymptotic", 5.0, product((100, 10_000)), "scaled by sqrt(n)"
+)
+def check_crossing_eigenvalue_asymptotic(n):
     # lambda_n(z_n) = alpha sqrt(n) + (alpha^2 - 1)/3 + O(n^{-1/2})
     alpha = models._alpha_cached()
-
-    def scaled_deviation(n):
-        predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
-        return abs(intersect.find_zn(n).lambda_at_zn - predicted) * math.sqrt(n)
-
-    return _worst(map(scaled_deviation, (100, 10_000))), 5.0, "scaled by sqrt(n)"
+    predicted = alpha * math.sqrt(n) + (alpha * alpha - 1.0) / 3.0
+    return abs(intersect.find_zn(n).lambda_at_zn - predicted) * math.sqrt(n)
 
 
 # ------------------------------------------------------------------- models
@@ -498,23 +475,21 @@ def phi_from_integrals(beta: float) -> float:
     return a / c
 
 
-@_check("models", "halfplane-first-order-condition")
+@_check("models", "halfplane-first-order-condition", 1e-8)
 def check_first_order_condition():
     xi = halfplane_argmin()
     cd = cylinder_d(-0.5, -xi)
-    residual = abs(0.5 * xi * cd.value + cd.derivative) / abs(cd.value)
-    return residual, 1e-8
+    return abs(0.5 * xi * cd.value + cd.derivative) / abs(cd.value)
 
 
-@_check("models", "degennes-neumann-condition")
+@_check("models", "degennes-neumann-condition", 1e-7)
 def check_neumann_condition():
     xi0 = models._xi0_cached()
     nu = 0.5 * (xi0 * xi0 - 1.0)
-    residual = abs(cylinder_d(nu, -math.sqrt(2.0) * xi0).derivative)
-    return residual, 1e-7
+    return abs(cylinder_d(nu, -math.sqrt(2.0) * xi0).derivative)
 
 
-@_check("models", "moment-ode-residual")
+@_check("models", "moment-ode-residual", 1e-5)
 def check_moment_ode():
     def c_of(b):
         return models.moment_integrals(b)[2]
@@ -525,20 +500,20 @@ def check_moment_ode():
         value = c_of(beta)
         return abs(second - beta * first - 0.5 * value) / abs(value)
 
-    return _worst(map(residual, (0.0, 0.5, models._alpha_cached(), 1.0))), 1e-5
+    return _worst(map(residual, (0.0, 0.5, models._alpha_cached(), 1.0)))
 
 
-@_check("models", "phi-denominator-positive")
+@_check("models", "phi-denominator-positive", 0.0)
 def check_phi_no_pole():
-    return _worst(-cylinder_ds(-0.5, -np.linspace(-2.0, 2.0, 33))[0]), 0.0
+    return _worst(-cylinder_ds(-0.5, -np.linspace(-2.0, 2.0, 33))[0])
 
 
-@_grid_check("models", "halfplane-sqrt-scaling", 1e-14, product((1.0, 2.0, 10.0, 100.0)))
+@_check("models", "halfplane-sqrt-scaling", 1e-14, product((1.0, 2.0, 10.0, 100.0)))
 def check_halfplane_scaling(b):
     return abs(models.halfplane_bottom(b) / math.sqrt(b) - models._alpha_cached())
 
 
-@_grid_check("models", "phi-cylinder-vs-quadrature", 1e-9, product((0.0, 0.5, 1.0)))
+@_check("models", "phi-cylinder-vs-quadrature", 1e-9, product((0.0, 0.5, 1.0)))
 def check_phi_two_routes(beta):
     return abs(models.phi(beta) - phi_from_integrals(beta))
 
@@ -559,17 +534,8 @@ _CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
     "alpha-below-bound": (0.0, lambda c: _worst([0.0, c.alpha - c.alpha_upper_bound])),
 }
 
-
-def _constants_check(name, limit, residual):
-    def body():
-        return residual(models.constants()), limit
-
-    body.__name__ = "check_" + name.replace("-", "_")
-    return _check("constants", name)(body)
-
-
-for _name, _spec in _CONSTANTS_CHECKS.items():
-    _constants_check(_name, *_spec)
+for _name, (_limit, _residual) in _CONSTANTS_CHECKS.items():
+    _check("constants", _name, _limit)(lambda residual=_residual: residual(models.constants()))
 
 
 def run_suite(only: str | None) -> list[CheckResult]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from magsteklov import cli, disk, models, specfun, verify
-from magsteklov.numerics import QuadratureError
+from magsteklov.numerics import EPS, REL_TOL, QuadratureError
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -395,6 +395,58 @@ class TestVerifyCommand:
         assert not three_term.passed and math.isnan(three_term.measured)
         positivity = results["cylinder-negative-order-positivity"]
         assert not positivity.passed and positivity.measured == 1.0
+
+    def test_every_check_keeps_its_limit(self):
+        # the suite's gates, in order: a limit is never loosened
+        rows = [(r.module, r.name, r.limit) for r in verify.run_suite(None)]
+        assert rows == SUITE_LIMITS
+
+
+SUITE_LIMITS = [
+    ("numerics", "scaled-real-round-trip", 0.0),
+    ("numerics", "scaled-sum-grouping", 2.0 * 400 * EPS),
+    ("numerics", "quadrature-gamma-family", 5.0 * REL_TOL),
+    ("numerics", "brent-bracket-invariance", 1e-12),
+    ("specfun", "kummer-contiguous-c-shift", 1e-10),
+    ("specfun", "kummer-contiguous-a-shift", 1e-10),
+    ("specfun", "kummer-contiguous-derivative-a", 1e-10),
+    ("specfun", "kummer-contiguous-derivative-ac", 1e-10),
+    ("specfun", "kummer-derivative-vs-fd", 1e-6),
+    ("specfun", "cylinder-recurrence-derivative-up", 1e-9),
+    ("specfun", "cylinder-recurrence-three-term", 1e-9),
+    ("specfun", "cylinder-recurrence-derivative-down", 1e-9),
+    ("specfun", "cylinder-ode-residual", 1e-5),
+    ("specfun", "cylinder-large-z-asymptotic", 0.02),
+    ("specfun", "cylinder-negative-order-positivity", 0.0),
+    ("disk", "branch-diamagnetic-inequality", 1e-12),
+    ("disk", "branch-positivity", 1e-12),
+    ("disk", "lambda-prime-vs-finite-difference", 1e-6),
+    ("disk", "lambda-prime-two-closed-forms", 1e-10),
+    ("disk", "envelope-strictly-increasing", -1e-15),
+    ("disk", "envelope-mode-is-window-argmin", 1e-10),
+    ("disk", "mode-switch-at-crossings", 0.0),
+    ("intersect", "characterization-equivalence", 1e-9),
+    ("intersect", "crossing-eigenvalue-formula", 1e-8),
+    ("intersect", "crossing-ordering-and-lower-bound", 0.0),
+    ("intersect", "stationarity-at-previous-crossing", 1e-6),
+    ("intersect", "beta-second-order-trend", 5.0),
+    ("intersect", "envelope-sandwich-bounds", 1e-9),
+    ("intersect", "crossing-eigenvalue-asymptotic", 5.0),
+    ("models", "halfplane-first-order-condition", 1e-8),
+    ("models", "degennes-neumann-condition", 1e-7),
+    ("models", "moment-ode-residual", 1e-5),
+    ("models", "phi-denominator-positive", 0.0),
+    ("models", "halfplane-sqrt-scaling", 1e-14),
+    ("models", "phi-cylinder-vs-quadrature", 1e-9),
+    ("constants", "alpha-matches-reference", 1e-8),
+    ("constants", "theta0-matches-reference", 1e-6),
+    ("constants", "cylinder-root-residual", 1e-10),
+    ("constants", "halfplane-fixed-point", 1e-8),
+    ("constants", "phi-prime-alpha", 1e-6),
+    ("constants", "delta-alpha-two-routes", 1e-6),
+    ("constants", "f-formula-max-residual", 1e-8),
+    ("constants", "alpha-below-bound", 0.0),
+]
 
 
 class TestConfigValidation:

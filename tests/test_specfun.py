@@ -57,6 +57,21 @@ def euler_integral_oracle(a, c, z):
         return float(coeff * value)
 
 
+def tiny_a_log_ratio_oracle(a, z):
+    """M'(a, 1, z) / M(a, 1, z) for 0 < a < 1e-300 and z > 0, in 40-digit mpmath.
+
+    The ratio is a M(1 + a, 2, z) / M(a, 1, z).  M(1, 2, z) = (e^z - 1)/z,
+    and (a)_k = a (k-1)! (1 + O(a k)) gives M(a, 1, z) = 1 + a Ein(z) with
+    Ein(z) = Ei(z) - gamma - ln z, each to a relative O(a ln z), far below an
+    ulp.  (mpmath's hyp1f1 loses this ratio at a = 1e-310 for z in ~[690, 840].)
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, z = mpmath.mpf(a), mpmath.mpf(z)
+        ein = mpmath.ei(z) - mpmath.euler - mpmath.log(z)
+        return float(a * mpmath.expm1(z) / z / (1 + a * ein))
+
+
 def scaled_even_odd(nu, z):
     """D_nu(z) for z <= 0 from the even/odd Kummer decomposition, assembled in ScaledReal."""
 
@@ -236,6 +251,19 @@ class TestKummerLogRatio:
             with mpmath.workdps(40):
                 ref = a / c * mpmath.hyp1f1(a + 1, c + 1, z) / mpmath.hyp1f1(a, c, z)
                 assert float(abs((value - ref) / ref)) <= 1e-14, (a, c, z)
+
+    def test_tiny_a_gives_the_finite_ratio(self):
+        # below a ~ c * 2**-1024 the quotient M(a+1, c+1, z) / M(a, c, z) passes
+        # the float range near z = 716 while M'/M stays below 1, so a/c
+        # multiplies the quotient before the power of two scales it
+        z = np.linspace(600.0, 1000.0, 40)
+        for z_i in (z[0], 720.0, 1000.0):
+            ref = tiny_a_log_ratio_oracle(1e-310, z_i)
+            assert abs(kummer_log_ratio(1e-310, 1.0, z_i) - ref) <= 1e-13 * ref, z_i
+        for lanes in (z[-1:], z):
+            values = kummer_log_ratios(1e-310, np.ones_like(lanes), lanes).tolist()
+            refs = [tiny_a_log_ratio_oracle(1e-310, z_i) for z_i in lanes.tolist()]
+            assert all(abs(v - r) <= 1e-13 * r for v, r in zip(values, refs)), len(lanes)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,10 @@ function takes a ``kernel`` to choose one.
 The library reads every Kummer sum as floats at a power-of-two offset.  The
 scalar ``kummer_m`` and its ``ScaledReal`` result serve the cross-checks:
 only ``verify`` calls the one or builds the other.
+
+``verify`` registers a check one way: every top-level ``check_*`` function
+is a residual decorated by ``_check``, which takes the check's limit and
+points, and no function but ``_check`` changes ``MODULES``.
 """
 
 import ast
@@ -281,3 +285,49 @@ def _scaled_real_calls(module):
 def test_only_verify_calls_kummer_m(module):
     lines = list(_scaled_real_calls(module))
     assert lines == [], f"{module} calls kummer_m or builds a ScaledReal at lines {lines}"
+
+
+MUTATORS = ("append", "extend", "insert", "setdefault", "update", "pop", "clear")
+
+
+def _roots_at_modules(node):
+    """Whether an attribute or subscript chain starts at the name MODULES."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return isinstance(node, ast.Name) and node.id == "MODULES"
+
+
+def _changes_modules(top):
+    """Whether a top-level statement changes MODULES: a mutating call or a store on it."""
+    for node in ast.walk(top):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MUTATORS and _roots_at_modules(node.func.value):
+                return True
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if _roots_at_modules(node.value):
+                return True
+    return False
+
+
+def _decorated_by_check(function):
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_check"
+        for d in function.decorator_list
+    )
+
+
+def test_verify_registers_checks_only_through_check():
+    # one registration form: a residual with its limit and points, given to _check
+    body = _tree("verify").body
+    undecorated = [
+        node.name
+        for node in body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("check_")
+        and not _decorated_by_check(node)
+    ]
+    assert undecorated == [], f"verify has check_* functions not decorated by _check: {undecorated}"
+    changing = [
+        getattr(node, "name", f"line {node.lineno}") for node in body if _changes_modules(node)
+    ]
+    assert changing == ["_check"], f"verify changes MODULES outside _check: {changing}"
