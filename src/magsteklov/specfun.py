@@ -27,10 +27,14 @@ c and z >= 0 with one a, for callers that need one or many at once (the
 envelope's grid, the crossing points).  Its contract is bitwise: each lane
 is the float the scalar series route returns, because it runs the same
 float operations in the same order.  It never tries the expansion, which
-refuses every envelope lane (c >= 1, z <= c + sqrt(c) + 1).  The lane
-count picks the loop that sums a batch of series: below _BATCH_MIN lanes
-the scalar loop runs lane by lane on Python floats, and from there one
-numpy loop runs all lanes together, so no caller chooses a route by size.
+refuses every envelope lane (c >= 1, z <= c + sqrt(c) + 1).  Its two
+series, M(a+1, c+1, z) and M(a, c, z), are the two halves of one batch.
+The lane count picks the loop that sums a batch of series: below
+_BATCH_MIN lanes the scalar loop runs lane by lane on Python floats, and
+from there one numpy loop runs all lanes together, so no caller chooses a
+route by size.  In that loop a lane whose series has stopped retires in
+place, and retired rows are dropped only once they fill at least half
+of the rows.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
@@ -95,9 +99,11 @@ _LARGE_Z_MAX_TERMS = 1000
 # memory; unblocked, the same sweep took ~14 MB more.
 _LANE_BLOCK = 32
 # Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
-# lane.  At 32 crossing-point lanes of kummer_log_ratios the lane loop took 1.4
-# against 4.1 ms near c = 6 and 7.8 against 13.0 ms near c = 1000; the two were
-# even at ~50-60 lanes near c = 1000 and ~100 near c = 6 (2-vCPU KVM host).
+# lane.  At 32 series lanes (16 crossing-point lanes of kummer_log_ratios) the
+# lane loop took 0.33 against 0.48 ms near c = 6 and 2.3 against 3.4 ms near
+# c = 1000; the two were even at ~48-50 series lanes at both (2-vCPU KVM host).
+# In between the loops differ by at most ~1.2 ms a call, and no workload calls
+# there, so the threshold stays at 32.
 _BATCH_MIN = 32
 
 
@@ -272,64 +278,101 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     return math.ldexp((a / c) * (num / den), num_offset - den_offset)
 
 
-def _series_sums(a: float, c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pos, offset, neg) of _series_parts(a, c_i, z_i) on every lane, for z >= 0.
+def _term_peak_bounds(a: float | np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_term_peak_bound(a_i, c_i, z_i) on every lane, bit for bit.
 
-    Fewer than _BATCH_MIN lanes run _series_parts one by one on Python
-    floats.  More run one numpy loop: a is shared and z >= 0, so at each k
-    the term of every lane has the sign of the Pochhammer symbol (a)_k, and
-    all lanes add it to pos, or all to neg.  For a >= 0 neg stays zero and
-    is never touched.  Every lane keeps its own k_peak, stopping test,
-    rescale and offset; the term index k is shared, and a lane leaves the
-    live set at the term where its scalar loop would break.
+    The float operations are the scalar's, in its order, and np.sqrt rounds
+    correctly as math.sqrt does; a lane with disc <= 0 gets 0.
+    """
+    half_b = 0.5 * (c + 1.0 - z)
+    disc = half_b * half_b - (c - np.abs(a) * z)
+    return np.where(disc > 0.0, np.maximum(-half_b + np.sqrt(np.maximum(disc, 0.0)), 0.0), 0.0)
+
+
+def _series_sums(
+    a: float | np.ndarray, c: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pos, offset, neg) of _series_parts(a_i, c_i, z_i) on every lane, for z >= 0.
+
+    a is one float, or an array of one a per lane, all >= 0.  Fewer than
+    _BATCH_MIN lanes run _series_parts one by one on Python floats.  More
+    run one numpy loop.  With one a and z >= 0, at each k the term of every
+    lane has the sign of the Pochhammer symbol (a)_k, and all lanes add it
+    to pos, or all to neg; where every a >= 0, neg stays zero.  Every lane
+    keeps its own k_peak, stopping test, rescale and offset; the term index
+    k is shared.  At the term where its scalar loop would break, a lane
+    retires: its parts are recorded, and its term, pos and neg become 0.
+    A live lane's scale is >= 1, so its zero term passes the stopping test,
+    while a retired lane, of scale 0, passes neither that test nor the
+    rescale test again.  Each term finds its stopping lanes by index, so
+    the few that stop at a term cost little, and the loop drops retired
+    rows only once at most half of its rows are live.
     """
     if z.size < _BATCH_MIN:
-        parts = [_series_parts(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())]
+        lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
+        parts = [_series_parts(*lane) for lane in lanes]
         # offsets are multiples of 512, exact in a float
         pos, offset, neg, _ = np.array(parts, dtype=float).reshape(-1, 4).T
         return pos, offset.astype(np.int64), neg
-    signed = a < 0.0
-    k_peak = np.array([_term_peak_bound(a, c_i, z_i) for c_i, z_i in zip(c.tolist(), z.tolist())])
+    signed = np.ndim(a) == 0 and a < 0.0
+    k_peak = _term_peak_bounds(a, c, z)
     sums = np.empty(z.shape)
     negs = np.zeros(z.shape)
     offsets = np.zeros(z.shape, dtype=np.int64)
     lane = np.arange(z.size)
+    live = np.ones(z.shape, dtype=bool)
     term = np.ones(z.shape)
     pos = np.ones(z.shape)
     neg = np.zeros(z.shape)
     offset = np.zeros(z.shape, dtype=np.int64)
+    ratio, work = np.empty((2, z.size))  # scratch rows, rewritten at every term
+    remaining = z.size
     negative = False
     k = 0
-    while lane.size:
+    while remaining:
         if k >= _MAX_TERMS:
+            i = int(np.argmax(live))
+            a_i = np.broadcast_to(a, z.shape)[i]
             raise ConvergenceError(
-                f"Kummer series M({a}, {c[0]}, {z[0]}) did not converge in {k} terms"
+                f"Kummer series M({a_i}, {c[i]}, {z[i]}) did not converge in {k} terms"
             )
-        negative ^= a + k < 0.0
-        term = term * ((a + k) * z / ((c + k) * (k + 1.0)))
+        negative ^= signed and a + k < 0.0
+        # term *= (a + k) * z / ((c + k) * (k + 1.0)), the scalar's operations
+        np.multiply(np.add(a, k, out=ratio), z, out=ratio)
+        np.multiply(np.add(c, k, out=work), k + 1.0, out=work)
+        term *= np.divide(ratio, work, out=ratio)
         k += 1
         if negative:
-            neg = neg - term
+            neg -= term
         else:
-            pos = pos + term
+            pos += term
         scale = np.maximum(pos, neg) if signed else pos
-        done = (term == 0.0) | ((np.abs(term) < _STOP_REL * scale) & (k > k_peak))
-        if done.any():
-            sums[lane[done]] = pos[done]
-            offsets[lane[done]] = offset[done]
-            going = ~done
-            if signed:
-                negs[lane[done]] = neg[done]
-                neg = neg[going]
-            lane, c, z, k_peak = lane[going], c[going], z[going], k_peak[going]
-            term, pos, offset = term[going], pos[going], offset[going]
-        big = (np.maximum(pos, neg) if signed else pos) > _RESCALE
+        # a zero term of a live lane is small: its scale is >= 1
+        small = np.flatnonzero(
+            (np.abs(term) if signed else term) < np.multiply(scale, _STOP_REL, out=work)
+        )
+        stop = small[(term[small] == 0.0) | (k > k_peak[small])]
+        if stop.size:
+            sums[lane[stop]] = pos[stop]
+            negs[lane[stop]] = neg[stop]
+            offsets[lane[stop]] = offset[stop]
+            live[stop] = False
+            term[stop] = pos[stop] = neg[stop] = scale[stop] = 0.0
+            remaining -= stop.size
+            if 2 * remaining <= live.size:
+                lane, c, z, k_peak = lane[live], c[live], z[live], k_peak[live]
+                term, pos, neg, offset = term[live], pos[live], neg[live], offset[live]
+                if np.ndim(a):
+                    a = a[live]
+                live = np.ones(remaining, dtype=bool)
+                ratio, work = np.empty((2, remaining))
+                scale = np.maximum(pos, neg) if signed else pos
+        big = scale > _RESCALE
         if big.any():
             pos[big] *= _RESCALE_INV
+            neg[big] *= _RESCALE_INV
             term[big] *= _RESCALE_INV
             offset[big] += 512
-            if signed:
-                neg[big] *= _RESCALE_INV
     return sums, offsets, negs
 
 
@@ -338,8 +381,10 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     For finite a > 0 and arrays c > 0, 0 <= z <= 1e6.  Each lane is the
     float that the series route of the scalar ``kummer_log_ratio`` returns,
-    bit for bit: both series are summed by _series_sums, and their quotient
-    is formed as the scalar forms it.  The expansion is never tried, so
+    bit for bit: both series are the two halves of one _series_sums call,
+    whose first parameter is a + 1 on one half and a on the other, and
+    their quotient is formed as the scalar forms it.  So n lanes pay one
+    loop's cost per term, on 2n lanes.  The expansion is never tried, so
     a lane equals ``kummer_log_ratio`` wherever the scalar refuses it, as for
     a = 1/2 at every c >= 1 with z <= c + sqrt(c) + 1.
     """
@@ -353,11 +398,13 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     _require_lanes((c > 0.0) & (c < math.inf), DomainError, message, c=c)
     message = f"kummer_log_ratios requires 0 <= z <= {_MAX_ABS_Z:g}, got z[{{i}}]={{z!r}}"
     _require_lanes((z >= 0.0) & (z <= _MAX_ABS_Z), DomainError, message, z=z)
-    num, num_offset, _ = _series_sums(a + 1.0, c + 1.0, z)
-    den, den_offset, _ = _series_sums(a, c, z)
+    # M(a+1, c+1, z) on the first n lanes of one call, M(a, c, z) on the last n
+    n = z.size
+    first = np.repeat([a + 1.0, a], n)
+    sums, offsets, _ = _series_sums(first, np.concatenate([c + 1.0, c]), np.concatenate([z, z]))
     # the scalar series route's quotient: both sums lie in [1, 2**513], so
     # num / den rounds once, and the power of two scales the product exactly
-    return np.ldexp((a / c) * (num / den), num_offset - den_offset)
+    return np.ldexp((a / c) * (sums[:n] / sums[n:]), offsets[:n] - offsets[n:])
 
 
 def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:

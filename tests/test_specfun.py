@@ -530,6 +530,28 @@ class TestKummerLogRatios:
         with numpy_loop(), pytest.raises(ConvergenceError):
             kummer_log_ratios(0.5, np.array([1.0, 21.0]), np.array([1.0, 50.0]))
 
+    @pytest.mark.parametrize("lanes", [1, 16, 4001])
+    def test_both_series_in_one_call(self, lanes, monkeypatch):
+        # M(a+1, c+1, z) and M(a, c, z) are the two halves of one batch, whose
+        # lane count picks the loop: 16 ratio lanes are 32 series lanes
+        calls = []
+        series_sums = specfun._series_sums
+
+        def counted(a, c, z):
+            calls.append(z.size)
+            return series_sums(a, c, z)
+
+        monkeypatch.setattr(specfun, "_series_sums", counted)
+        rng = np.random.default_rng(lanes)
+        c = np.floor(rng.uniform(0.0, 1000.0, lanes)) + 1.0
+        z = c + rng.uniform(0.0, 1.0, lanes) * np.sqrt(c)
+        ratios = kummer_log_ratios(0.5, c, z)
+        assert calls == [2 * lanes]
+        assert (2 * lanes >= specfun._BATCH_MIN) == (lanes >= 16)
+        step = max(1, lanes // 20)
+        expected = [series_log_ratio(0.5, c_i, z_i).hex() for c_i, z_i in zip(c[::step], z[::step])]
+        assert [x.hex() for x in ratios[::step].tolist()] == expected
+
     def test_empty_and_single_lane(self):
         assert kummer_log_ratios(0.5, np.array([]), np.array([])).shape == (0,)
         self.assert_lanes_match(0.5, np.array([11.0]), np.array([500.0]))
@@ -792,6 +814,67 @@ class TestSeriesSums:
                 offset_i,
                 neg_i.hex(),
             )
+
+    def test_per_lane_a_retires_lanes_bit_for_bit(self):
+        # lanes in shuffled order that stop from the first term to past the
+        # 2,000th, inside the series band and far past it, where they rescale;
+        # retired lanes stay in the loop until at most half its rows are live
+        rng = np.random.default_rng(23)
+        c_band = 10.0 ** rng.uniform(0.0, 5.0, 120)
+        c_far = 10.0 ** rng.uniform(0.0, 2.0, 80)
+        c = np.concatenate([c_band, c_far, [1.0, 7.0, 1e5]])
+        z = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0, 120) * (c_band + np.sqrt(c_band) + 1.0),
+                rng.uniform(600.0, 2500.0, 80),
+                [0.0, 0.0, 5e-324],
+            ]
+        )
+        a = rng.choice([1e-20, 0.25, 0.5, 1.5], c.size)
+        order = rng.permutation(c.size)
+        a, c, z = a[order], c[order], z[order]
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(a, c, z)
+        parts = [specfun._series_parts(*lane) for lane in zip(a.tolist(), c.tolist(), z.tolist())]
+        terms = [p[3] - 1 for p in parts]
+        assert min(terms) == 1 and max(terms) >= 2000
+        assert (offset > 0).sum() >= 50
+        got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
+        assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
+
+    def test_lane_peak_bounds_equal_the_scalar(self):
+        # disc <= 0 with half_b < 0 gives 0, not -half_b; a root below 0 gives 0 too
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.5, 50.0, 400)
+        z = rng.uniform(0.0, 100.0, 400)
+        half_b = 0.5 * (c + 1.0 - z)
+        cases = set()
+        for a in (-2.5, -0.5, 0.0, 1e-20, 0.5, 1.5, rng.choice([1e-20, 0.25, 1.5], 400)):
+            lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
+            scalar = [specfun._term_peak_bound(*lane).hex() for lane in lanes]
+            assert [x.hex() for x in specfun._term_peak_bounds(a, c, z).tolist()] == scalar
+            disc = half_b * half_b - (c - np.abs(a) * z)
+            root = -half_b + np.sqrt(np.maximum(disc, 0.0))
+            cases.update(zip((disc > 0.0).tolist(), (root > 0.0).tolist()))
+        assert cases == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_terminating_polynomials_stop_at_their_zero_term(self, monkeypatch):
+        # past the peak bound (~1e5 here) no lane could stop on its size alone
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 4)
+        pos_1, offset_1, neg_1, terms = specfun._series_parts(-2.0, 0.5, 1e5)
+        assert terms == 4 and pos_1 - neg_1 == pytest.approx(1.0 - 4e5 + 4e10 / 3.0, rel=1e-15)
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(-2.0, np.full(40, 0.5), np.full(40, 1e5))
+        assert set(zip(pos.tolist(), offset.tolist(), neg.tolist())) == {(pos_1, offset_1, neg_1)}
+
+    def test_non_convergence_names_a_live_lane(self, monkeypatch):
+        # lane 0 retires at the first term, and three of four rows stay live
+        # without compaction: the error names lane 1, not row 0
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        c, z = np.array([1.0, 21.0, 22.0, 23.0]), np.array([0.0, 50.0, 60.0, 70.0])
+        message = r"^Kummer series M\(0\.5, 21\.0, 50\.0\) did not converge in 5 terms$"
+        with numpy_loop(), pytest.raises(ConvergenceError, match=message):
+            specfun._series_sums(0.5, c, z)
 
     @pytest.mark.parametrize("lanes", [0, 1, 31, 32, 33])
     @pytest.mark.parametrize("a", [-0.75, 0.5])
