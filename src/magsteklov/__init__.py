@@ -13,8 +13,18 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-# cli and verify load on first use (``from magsteklov import cli``), so that
-# ``python -m magsteklov.cli`` does not find its own module already imported.
+import importlib
+
+# cli and verify load on first use (``from magsteklov import cli``, or an
+# attribute read such as ``magsteklov.verify``), so that ``python -m
+# magsteklov.cli`` does not find its own module already imported, and the
+# data commands never load verify.
 from . import disk, intersect, models, numerics, specfun
 
 __all__ = ["cli", "disk", "intersect", "models", "numerics", "specfun", "verify"]
+
+
+def __getattr__(name: str):
+    if name in ("cli", "verify"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, disk, intersect, models, verify
+from . import __version__, disk, intersect, models
 from .numerics import (
     REL_TOL,
     BracketError,
@@ -174,6 +174,8 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    from . import verify  # loaded by the two commands that run checks, not by every command
+
     consts = models.constants()
     # called directly, not through run_suite, so a numerical failure exits 2
     results = [check() for check in verify.MODULES["constants"]]
@@ -212,6 +214,8 @@ def cmd_degennes(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     if args.only not in (None, *verify.MODULES):
         raise ConfigError(f"--only needs one of {', '.join(verify.MODULES)}, got --only {args.only}")
     results = verify.run_suite(only=args.only)

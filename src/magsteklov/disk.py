@@ -34,11 +34,15 @@ recurrence as c grows.
 
 ``envelope`` takes each point's ratio at a start estimate of its mode from
 one ``specfun.kummer_log_ratios`` call, the Kummer series quotient on every
-lane.  The estimate is the mode or one above, which ``envelope`` certifies
-at every point and never searches past.  Each start has c = n + 1 >= 1 and
-b <= c + sqrt(c) + 1, where the scalar ``kummer_log_ratio`` refuses the
-expansion and sums the same series, so each point's lambda_dn is bit for
-bit lambda_n of its active mode.
+lane.  The start is the smallest n whose estimate of z_n, the first four
+terms of its large-n expansion with each constant just below its value,
+reaches b: one numpy expression over the grid.  It is the mode or one
+above, which ``envelope`` certifies at every point and never searches past;
+it is one above at a few points of a grid (2 to 5 of the 4,001 of a sweep
+to b = 1e4), where lambda comes from ``lambda_n``.  Each start has
+c = n + 1 >= 1 and b <= c + sqrt(c) + 1, where the scalar
+``kummer_log_ratio`` refuses the expansion and sums the same series, so
+each point's lambda_dn is bit for bit lambda_n of its active mode.
 """
 
 import math
@@ -111,22 +115,41 @@ def lambda_minus_n(n: int, b: float) -> float:
     return lambda_n(_check_mode(n, minimum=1), -b)
 
 
-# Must not exceed alpha = 0.76495... of z_n = n + alpha sqrt(n) + (alpha^2+2)/3
-# + ~0.311/sqrt(n): then the estimate stays below every z_n, and its smallest n
-# at or above b is the mode or one above (it stays above z_{n-1} while the
-# ~5e-5 sqrt(n) it gives away is below 1, far past |b| <= 1e6).  ``envelope``
-# certifies this at every point and never searches past it.  A literal above
-# alpha, such as 0.765, passes z_n from n ~ 6e3 on.
-_ALPHA_GUESS = 0.7649
+# The start estimate is z_n = n + alpha sqrt(n) + (alpha^2+2)/3 + ~0.31/sqrt(n)
+# to four terms, each constant just below its value: est(0) = (A^2+2)/3 and
+# est(n) = n + A sqrt(n) + (A^2+2)/3 + D/sqrt(n) for n >= 1.  A is alpha =
+# 0.7649508673897595 rounded down at 8 digits.  D lies below
+# sqrt(n) (z_n - n - alpha sqrt(n) - (alpha^2+2)/3), whose minimum is 0.27766
+# at n = 1 and which reads 0.3105 at n = 10, 0.3114 at 100, 0.3105 at 1,000
+# and 0.3101 at 10,000.  So est(n) stays below z_n and above z_{n-1}, about
+# one lower, and the smallest n with est(n) >= b is the mode or one above (the
+# signs of the crossing function at est(n) are tested on every mode to 2,000
+# and 200 more to the last below 1e6).  ``envelope`` certifies this at every
+# point and never searches past it.  A literal above alpha, such as 0.765,
+# passes z_n from n ~ 6e3 on.
+_ALPHA_GUESS = 0.76495086
 _OFFSET_GUESS = (_ALPHA_GUESS * _ALPHA_GUESS + 2.0) / 3.0
+_INVERSE_GUESS = 0.27
 
 
-def _start_mode(b: float) -> int:
-    """Smallest n >= 0 with n + alpha sqrt(n) + (alpha^2+2)/3 >= b, for b >= 0."""
-    if b <= _OFFSET_GUESS:
-        return 0
-    x = 0.5 * (-_ALPHA_GUESS + math.sqrt(_ALPHA_GUESS * _ALPHA_GUESS + 4.0 * (b - _OFFSET_GUESS)))
-    return math.ceil(x * x)
+def _estimates(n: np.ndarray) -> np.ndarray:
+    """est(n) = n + A sqrt(n) + (A^2+2)/3 + D/sqrt(n) on lanes n >= 1."""
+    root = np.sqrt(n)
+    return n + _ALPHA_GUESS * root + _OFFSET_GUESS + _INVERSE_GUESS / root
+
+
+def _start_modes(b: np.ndarray) -> np.ndarray:
+    """Smallest n >= 0 with est(n) >= b on lanes b >= 0, as floats.
+
+    The root of the first three terms gives the smallest n with
+    n + A sqrt(n) + (A^2+2)/3 >= b; the last term, 0 < D/sqrt(n) < 1, moves
+    that at most one mode down, and never to n = 0, where est has no such term.
+    """
+    root = np.sqrt(_ALPHA_GUESS * _ALPHA_GUESS + 4.0 * np.maximum(b - _OFFSET_GUESS, 0.0))
+    x = 0.5 * (root - _ALPHA_GUESS)
+    n = np.ceil(x * x)
+    below = np.maximum(n - 1.0, 1.0)
+    return n - ((n >= 2.0) & (_estimates(below) >= b))
 
 
 def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
@@ -148,8 +171,8 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
         if grid and b < grid[-1]:
             raise DomainError("envelope grid must be sorted ascending")
         grid.append(_check_field(b, nonnegative=True))
-    s = np.array([_start_mode(b) for b in grid], dtype=float)
     field = np.array(grid, dtype=float)
+    s = _start_modes(field)
     ratio = kummer_log_ratios(0.5, s + 1.0, field)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the unread lane s = b = 0
         r1 = 1.0 - (s - 0.5) / (s + field * ratio)  # R_{s-1}

@@ -34,7 +34,9 @@ _BATCH_MIN lanes the scalar loop runs lane by lane on Python floats, and
 from there one numpy loop runs all lanes together, so no caller chooses a
 route by size.  In that loop a lane whose series has stopped retires in
 place, and retired rows are dropped only once they fill at least half
-of the rows.
+of the rows.  A retiring term costs a few gathers on the stopping lanes
+alone; the whole-array work of a term is its arithmetic, its stopping test
+and one maximum for the rescale test.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
@@ -99,12 +101,12 @@ _LARGE_Z_MAX_TERMS = 1000
 # memory; unblocked, the same sweep took ~14 MB more.
 _LANE_BLOCK = 32
 # Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
-# lane.  At 32 series lanes (16 crossing-point lanes of kummer_log_ratios) the
-# lane loop took 0.33 against 0.48 ms near c = 6 and 2.3 against 3.4 ms near
-# c = 1000; the two were even at ~48-50 series lanes at both (2-vCPU KVM host).
-# In between the loops differ by at most ~1.2 ms a call, and no workload calls
-# there, so the threshold stays at 32.
-_BATCH_MIN = 32
+# lane.  Timed on kummer_log_ratios' crossing-point lanes with each loop forced
+# (medians, 2-vCPU KVM host): at 40 series lanes (20 crossing-point lanes) the
+# lane loop took 0.67 against 0.71 ms near c = 6 and 4.5 against 5.2 ms near
+# c = 1000, at 48 it took 0.77 against 0.68 ms and 5.7 against 5.6 ms, and the
+# two were even at ~42-46 series lanes at both.
+_BATCH_MIN = 44
 
 
 @dataclass(frozen=True)
@@ -294,20 +296,26 @@ def _series_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pos, offset, neg) of _series_parts(a_i, c_i, z_i) on every lane, for z >= 0.
 
-    a is one float, or an array of one a per lane, all >= 0.  Fewer than
-    _BATCH_MIN lanes run _series_parts one by one on Python floats.  More
-    run one numpy loop.  With one a and z >= 0, at each k the term of every
-    lane has the sign of the Pochhammer symbol (a)_k, and all lanes add it
-    to pos, or all to neg; where every a >= 0, neg stays zero.  Every lane
-    keeps its own k_peak, stopping test, rescale and offset; the term index
-    k is shared.  At the term where its scalar loop would break, a lane
-    retires: its parts are recorded, and its term, pos and neg become 0.
-    A live lane's scale is >= 1, so its zero term passes the stopping test,
-    while a retired lane, of scale 0, passes neither that test nor the
-    rescale test again.  Each term finds its stopping lanes by index, so
-    the few that stop at a term cost little, and the loop drops retired
-    rows only once at most half of its rows are live.
+    a is one float, or an array of one a per lane, all >= 0 (a DomainError
+    names the first lane below).  Fewer than _BATCH_MIN lanes run
+    _series_parts one by one on Python floats.  More run one numpy loop.
+    With one a and z >= 0, at each k the term of every lane has the sign of
+    the Pochhammer symbol (a)_k, and all lanes add it to pos, or all to neg;
+    where every a >= 0, neg stays zero, is never touched, and the scale is
+    pos itself.  Every lane keeps its own k_peak, stopping test, rescale and
+    offset; the term index k is shared.  At the term where its scalar loop
+    would break, a lane retires: its parts are recorded, and its term, pos
+    and neg become 0.  A live lane's scale is >= 1, so its zero term passes
+    the stopping test, while a retired lane, of scale 0, passes neither that
+    test nor the rescale test again.  Each term finds its small lanes by
+    index, so the few that stop at a term cost little; once k is past the
+    largest k_peak every small lane stops.  The rescale test is one maximum
+    over the scales, and the loop drops retired rows only once at most half
+    of its rows are live.
     """
+    if np.ndim(a):
+        message = "_series_sums requires a per-lane a >= 0, got a[{i}]={a!r}"
+        _require_lanes(a >= 0.0, DomainError, message, a=a)
     if z.size < _BATCH_MIN:
         lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
         parts = [_series_parts(*lane) for lane in lanes]
@@ -316,6 +324,7 @@ def _series_sums(
         return pos, offset.astype(np.int64), neg
     signed = np.ndim(a) == 0 and a < 0.0
     k_peak = _term_peak_bounds(a, c, z)
+    last_peak = k_peak.max(initial=0.0)
     sums = np.empty(z.shape)
     negs = np.zeros(z.shape)
     offsets = np.zeros(z.shape, dtype=np.int64)
@@ -351,14 +360,20 @@ def _series_sums(
         small = np.flatnonzero(
             (np.abs(term) if signed else term) < np.multiply(scale, _STOP_REL, out=work)
         )
-        stop = small[(term[small] == 0.0) | (k > k_peak[small])]
+        # past every lane's peak bound each small lane stops
+        stop = small if k > last_peak else small[(term[small] == 0.0) | (k > k_peak[small])]
         if stop.size:
-            sums[lane[stop]] = pos[stop]
-            negs[lane[stop]] = neg[stop]
-            offsets[lane[stop]] = offset[stop]
+            rows = lane[stop]
+            sums[rows] = pos[stop]
+            offsets[rows] = offset[stop]
             live[stop] = False
-            term[stop] = pos[stop] = neg[stop] = scale[stop] = 0.0
+            term[stop] = pos[stop] = 0.0  # unsigned, scale is pos
+            if signed:
+                negs[rows] = neg[stop]
+                neg[stop] = scale[stop] = 0.0
             remaining -= stop.size
+            if not remaining:  # before compaction leaves no rows to take a maximum over
+                break
             if 2 * remaining <= live.size:
                 lane, c, z, k_peak = lane[live], c[live], z[live], k_peak[live]
                 term, pos, neg, offset = term[live], pos[live], neg[live], offset[live]
@@ -367,10 +382,11 @@ def _series_sums(
                 live = np.ones(remaining, dtype=bool)
                 ratio, work = np.empty((2, remaining))
                 scale = np.maximum(pos, neg) if signed else pos
-        big = scale > _RESCALE
-        if big.any():
+        if scale.max() > _RESCALE:
+            big = scale > _RESCALE
             pos[big] *= _RESCALE_INV
-            neg[big] *= _RESCALE_INV
+            if signed:
+                neg[big] *= _RESCALE_INV
             term[big] *= _RESCALE_INV
             offset[big] += 512
     return sums, offsets, negs

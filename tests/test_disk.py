@@ -377,6 +377,11 @@ def bench_grid(seed):
     return np.linspace(b_min, b_max, 4001)
 
 
+def estimate(m):
+    """est(m) as the library computes it; the envelope starts at the smallest m with est(m) >= b."""
+    return disk._OFFSET_GUESS if m == 0 else disk._estimates(np.array(float(m))).item()
+
+
 class TestEnvelope:
     def test_at_origin(self):
         point = disk.envelope([0.0])[0]
@@ -392,9 +397,23 @@ class TestEnvelope:
 
     def test_start_mode_is_zero_up_to_the_estimate_of_z0(self):
         offset = disk._OFFSET_GUESS
-        assert [disk._start_mode(b) for b in (0.0, 0.5, offset)] == [0, 0, 0]
-        assert disk._start_mode(math.nextafter(offset, 2.0)) == 1
-        assert disk._start_mode(1.0) == 1
+        fields = [0.0, 0.5, offset, math.nextafter(offset, 2.0), 1.0]
+        assert disk._start_modes(np.array(fields)).tolist() == [0, 0, 0, 1, 1]
+
+    def test_start_is_the_smallest_mode_whose_estimate_reaches_b(self):
+        # each est(m) and the floats next to it, where the first three terms'
+        # root is m or m + 1: the last term moves the start one down or not at all
+        modes = list(range(60)) + np.geomspace(60, 999_000, 300).round().astype(int).tolist()
+        edges = [(math.nextafter(e, 0.0), e, math.nextafter(e, 2e6)) for e in map(estimate, modes)]
+        fields = sorted({f for edge in edges for f in edge})
+        starts = disk._start_modes(np.array(fields)).tolist()
+        expected = []
+        m = 0
+        for b in fields:
+            while estimate(m) < b:
+                m += 1
+            expected.append(m)
+        assert starts == expected
 
     def test_small_field_is_mode_zero(self):
         point = disk.envelope([1.0])[0]
@@ -491,13 +510,14 @@ class TestEnvelope:
         # one below the estimate, the start falls below the mode wherever the
         # estimate was exact; two above, it is at least two above everywhere
         grid = [float(b) for b in np.linspace(0.0, 2000.0, 801)]
+        starts = disk._start_modes(np.array(grid)).tolist()
         first = next(
             p.b
-            for p in disk.envelope(grid)
-            if shift > 0 or 0 < disk._start_mode(p.b) == p.active_mode
+            for p, s in zip(disk.envelope(grid), starts)
+            if shift > 0 or 0 < s == p.active_mode
         )
-        start_mode = disk._start_mode
-        monkeypatch.setattr(disk, "_start_mode", lambda b: max(0, start_mode(b) + shift))
+        start_modes = disk._start_modes
+        monkeypatch.setattr(disk, "_start_modes", lambda b: np.maximum(0.0, start_modes(b) + shift))
         with pytest.raises(ConvergenceError, match=re.escape(f"at b={first}")):
             disk.envelope(grid)
 
@@ -505,9 +525,16 @@ class TestEnvelope:
         grid = [float(b) for b in bench_grid(7)]
         spy = RatioSpy(monkeypatch)
         points = disk.envelope(grid)
-        down = sum(p.active_mode < disk._start_mode(p.b) for p in points)
+        starts = disk._start_modes(np.array(grid)).tolist()
+        down = sum(p.active_mode < s for p, s in zip(points, starts))
         assert down > 0
         assert (spy.batches, spy.lambda_calls, spy.scalar_ratios) == (1, down, down)
+
+    def test_few_scalar_fallbacks_at_large_fields(self, monkeypatch):
+        # the D/sqrt(n) term of the estimate starts nearly every point at its mode
+        spy = RatioSpy(monkeypatch)
+        disk.envelope([float(b) for b in np.linspace(1e5, 1e6, 4001)])
+        assert spy.batches == 1 and spy.lambda_calls <= 5
 
 
 # ------------------------------------------ active mode from the branch ratio
@@ -565,17 +592,14 @@ class TestGroundStateSearch:
     def test_estimate_lies_between_consecutive_crossings(self):
         # z_{m-1} < est(m) < z_m, read off the signs of M(-1/2, ., est(m)), is
         # what keeps every start on 0 <= b <= 1e6 at the mode or one above
-        def est(m):
-            return m + disk._ALPHA_GUESS * math.sqrt(m) + disk._OFFSET_GUESS
-
-        top = disk._start_mode(1e6)
-        top -= est(top) > 1e6  # the largest m with est(m) <= 1e6
+        top = int(disk._start_modes(np.array([1e6]))[0])
+        top -= estimate(top) > 1e6  # the largest m with est(m) <= 1e6
         sample = set(range(2001)) | set(np.geomspace(2001, top, 200).round().astype(int).tolist())
         assert top in sample and len(sample) > 2190
         for m in sorted(sample):
-            assert specfun.kummer_m(-0.5, m + 1.0, est(m)).value.sign == 1, m
+            assert specfun.kummer_m(-0.5, m + 1.0, estimate(m)).value.sign == 1, m
             if m > 0:
-                assert specfun.kummer_m(-0.5, float(m), est(m)).value.sign == -1, m
+                assert specfun.kummer_m(-0.5, float(m), estimate(m)).value.sign == -1, m
         # past est(top) the start is top + 1, and z_{top+1} lies beyond 1e6
         assert specfun.kummer_m(-0.5, top + 2.0, 1e6).value.sign == 1
 
@@ -583,8 +607,9 @@ class TestGroundStateSearch:
         # a guess above alpha passes z_n at large n: 0.765 started one below
         # the mode at five of these geomspace points, the first at b = 18067.39...
         for grid in (np.linspace(1.01, 1e4, 400), np.geomspace(1.01, 1e6, 400)):
-            for point in disk.envelope([float(b) for b in grid]):
-                assert point.active_mode <= disk._start_mode(point.b) <= point.active_mode + 1
+            starts = disk._start_modes(grid).tolist()
+            for point, s in zip(disk.envelope([float(b) for b in grid]), starts):
+                assert point.active_mode <= s <= point.active_mode + 1
 
     def test_disk_sums_no_kummer_series_itself(self):
         assert not hasattr(disk, "kummer_m")

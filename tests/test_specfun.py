@@ -470,6 +470,8 @@ class TestKummerLogRatios:
         rng = np.random.default_rng(11)
         c, z = rng.uniform(0.5, 5.0, 50), rng.uniform(20.0, 200.0, 50)
         self.assert_lanes_match(1e-20, c, z)
+        # where no peak bound is large, the largest of the call is not either
+        self.assert_lanes_match(1e-20, rng.uniform(0.5, 2.0, 50), rng.uniform(15.0, 40.0, 50))
 
     def test_declined_top_sum_falls_back_to_the_series(self, monkeypatch):
         # no lane of a = 1/2 has been seen where S(a, c) is accepted and
@@ -530,10 +532,10 @@ class TestKummerLogRatios:
         with numpy_loop(), pytest.raises(ConvergenceError):
             kummer_log_ratios(0.5, np.array([1.0, 21.0]), np.array([1.0, 50.0]))
 
-    @pytest.mark.parametrize("lanes", [1, 16, 4001])
+    @pytest.mark.parametrize("lanes", [1, 16, 22, 4001])
     def test_both_series_in_one_call(self, lanes, monkeypatch):
         # M(a+1, c+1, z) and M(a, c, z) are the two halves of one batch, whose
-        # lane count picks the loop: 16 ratio lanes are 32 series lanes
+        # lane count picks the loop: 22 ratio lanes are 44 series lanes
         calls = []
         series_sums = specfun._series_sums
 
@@ -547,7 +549,7 @@ class TestKummerLogRatios:
         z = c + rng.uniform(0.0, 1.0, lanes) * np.sqrt(c)
         ratios = kummer_log_ratios(0.5, c, z)
         assert calls == [2 * lanes]
-        assert (2 * lanes >= specfun._BATCH_MIN) == (lanes >= 16)
+        assert (2 * lanes >= specfun._BATCH_MIN) == (lanes >= 22)
         step = max(1, lanes // 20)
         expected = [series_log_ratio(0.5, c_i, z_i).hex() for c_i, z_i in zip(c[::step], z[::step])]
         assert [x.hex() for x in ratios[::step].tolist()] == expected
@@ -842,6 +844,46 @@ class TestSeriesSums:
         got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
         assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
 
+    @pytest.mark.parametrize("a", ["per-lane", -0.25, -0.75, -2.0])
+    def test_retire_step_keeps_every_lane_bit_for_bit(self, a):
+        # lanes that stop before the call's largest peak bound, on a zero term
+        # or past their own bound, and lanes that stop after it, where every
+        # small lane stops; a = 0 and z = 0 lanes stop on a zero first term
+        rng = np.random.default_rng(29)
+        c = np.concatenate([rng.uniform(0.5, 20.0, 70), 10.0 ** rng.uniform(0.0, 3.0, 70)])
+        z = np.concatenate(
+            [
+                rng.uniform(0.0, 5.0, 40),
+                rng.uniform(50.0, 1500.0, 60),
+                rng.uniform(1300.0, 1500.0, 30),
+                np.zeros(10),
+            ]
+        )
+        if a == "per-lane":
+            a = rng.choice([0.0, 1e-20, 0.5, 1.5], c.size)
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(a, c, z)
+        lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
+        parts = [specfun._series_parts(*lane) for lane in lanes]
+        got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
+        assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
+        k_peak = specfun._term_peak_bounds(a, c, z)
+        terms = np.array([p[3] - 1 for p in parts])
+        assert (k_peak == 0.0).any() and (k_peak > 0.0).any()
+        if np.ndim(a):
+            assert ((a == 0.0) & (k_peak > 0.0)).any()  # a zero term before the peak
+        if np.ndim(a) or a != -2.0:
+            assert (terms <= k_peak.max()).sum() >= 10 and (terms > k_peak.max()).sum() >= 10
+        else:
+            assert set(terms.tolist()) == {1, 3}  # z = 0, and the third term of the polynomial
+
+    def test_a_negative_per_lane_a_is_refused_by_lane(self):
+        with pytest.raises(DomainError, match=r"a\[0\]=-0\.5"):
+            specfun._series_sums(np.full(40, -0.5), np.ones(40), np.full(40, 30.0))
+        a = np.array([0.5, 1.5, -0.5])  # below _BATCH_MIN, where the scalar loop runs
+        with pytest.raises(DomainError, match=r"a\[2\]=-0\.5"):
+            specfun._series_sums(a, np.ones(3), np.full(3, 30.0))
+
     def test_lane_peak_bounds_equal_the_scalar(self):
         # disc <= 0 with half_b < 0 gives 0, not -half_b; a root below 0 gives 0 too
         rng = np.random.default_rng(5)
@@ -876,11 +918,11 @@ class TestSeriesSums:
         with numpy_loop(), pytest.raises(ConvergenceError, match=message):
             specfun._series_sums(0.5, c, z)
 
-    @pytest.mark.parametrize("lanes", [0, 1, 31, 32, 33])
+    @pytest.mark.parametrize("lanes", [0, 1, 31, 32, 33, 43, 44, 45])
     @pytest.mark.parametrize("a", [-0.75, 0.5])
     def test_either_loop_by_lane_count(self, a, lanes):
         # below _BATCH_MIN lanes the scalar loop runs once a lane, from there the numpy loop
-        assert specfun._BATCH_MIN == 32
+        assert specfun._BATCH_MIN == 44
         rng = np.random.default_rng(lanes)
         big = lanes // 3  # lanes whose series rescale
         w = np.concatenate([rng.uniform(0.0, 50.0, lanes - big), rng.uniform(400.0, 900.0, big)])
@@ -895,7 +937,7 @@ class TestSeriesSums:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specfun, "_series_parts", counted)
             pos, offset, neg = specfun._series_sums(a, c, w)
-        assert len(scalar_runs) == (lanes if lanes < 32 else 0)
+        assert len(scalar_runs) == (lanes if lanes < 44 else 0)
         assert pos.shape == offset.shape == neg.shape == (lanes,)
         assert (pos.dtype, offset.dtype, neg.dtype) == (float, np.int64, float)
         parts = [series_parts(a, c_i, w_i)[:3] for c_i, w_i in zip(c.tolist(), w.tolist())]

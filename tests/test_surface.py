@@ -223,6 +223,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_verify():
+    # verify loads in the constants and verify commands, or on an attribute read
+    code = (
+        "import sys, magsteklov, magsteklov.cli; loaded = 'magsteklov.verify' in sys.modules;"
+        " print(loaded, magsteklov.verify is sys.modules['magsteklov.verify'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False True"
+
+
 def _bare_reductions(module):
     """Line numbers of builtin max/min calls over an iterable or a ``worst`` accumulator."""
     iterables = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Starred)
