@@ -13,6 +13,7 @@ version) so the data itself stays timestamp-free.
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -47,19 +48,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
+def _template(kinds: tuple[type, ...]) -> str:
+    """The printf template of a CSV row with values of these types.
+
+    A float takes 17 significant digits, None an empty field, anything
+    else its str().
+    """
+    return ",".join(
+        "%.17g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
+        for kind in kinds
+    )
 
 
 def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> None:
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        parts = [",".join(columns) + "\n"]
+        # one % per run of rows whose values share their types, on that row template repeated
+        for kinds, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+            run = list(run)
+            template = (_template(kinds) + "\n") * len(run)
+            parts.append(template % tuple(itertools.chain.from_iterable(run)))
+        text = "".join(parts)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -91,7 +100,7 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         handle.write("\n")
 
 
-def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> list[float]:
+def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> np.ndarray:
     """The --steps points from --b-min to --b-max; a ConfigError unless they lie in [lo, hi]."""
     if args.steps < 2:
         raise ConfigError(f"need --steps >= 2, got --steps {args.steps}")
@@ -100,11 +109,11 @@ def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> list
             f"{args.command} needs {lo:g} <= --b-min <= --b-max <= {hi:g}, {domain},"
             f" got --b-min {args.b_min} --b-max {args.b_max}"
         )
-    return [float(b) for b in np.linspace(args.b_min, args.b_max, args.steps)]
+    return np.linspace(args.b_min, args.b_max, args.steps)
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    grid = _b_grid(args, -_MAX_ABS_Z, _MAX_ABS_Z, "the range of the field")
+    grid = _b_grid(args, -_MAX_ABS_Z, _MAX_ABS_Z, "the range of the field").tolist()
     rows = []
     for branch in ("pos", "neg"):
         sign = 1.0 if branch == "pos" else -1.0
@@ -118,11 +127,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_envelope(args: argparse.Namespace) -> int:
     grid = _b_grid(args, 0.0, _MAX_ABS_Z, "the range of the field")
     alpha = models._alpha_cached()
-    offset = (alpha * alpha + 2.0) / 6.0
-    rows = []
-    for point in disk.envelope(grid):
-        asymptote = alpha * math.sqrt(point.b) - offset
-        rows.append((point.b, point.active_mode, point.lambda_dn, asymptote))
+    field, modes, lam = disk._ground_states(grid)
+    # np.sqrt rounds correctly, so each asymptote is alpha * math.sqrt(b) - offset
+    asymptote = alpha * np.sqrt(field) - (alpha * alpha + 2.0) / 6.0
+    rows = list(zip(field.tolist(), modes.tolist(), lam.tolist(), asymptote.tolist()))
     _emit(args, ["b", "active_mode", "lambda_dn", "asymptote"], rows)
     return 0
 
@@ -199,15 +207,14 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_halfplane(args: argparse.Namespace) -> int:
     grid = _b_grid(args, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z, "the range of the cylinder functions")
-    xi = np.array(grid)
-    f1 = models._halfplane_multipliers(xi).tolist()
-    d_half = cylinder_ds(0.5, xi)[0].tolist()
-    _emit(args, ["xi", "f1", "d_half"], list(zip(grid, f1, d_half)))
+    f1 = models._halfplane_multipliers(grid).tolist()
+    d_half = cylinder_ds(0.5, grid)[0].tolist()
+    _emit(args, ["xi", "f1", "d_half"], list(zip(grid.tolist(), f1, d_half)))
     return 0
 
 
 def cmd_degennes(args: argparse.Namespace) -> int:
-    grid = _b_grid(args, 0.0, 1.5, "the domain of degennes_f")
+    grid = _b_grid(args, 0.0, 1.5, "the domain of degennes_f").tolist()
     rows = [(xi, models.degennes_f(xi)) for xi in grid]
     _emit(args, ["xi", "f"], rows)
     return 0

@@ -35,11 +35,12 @@ recurrence as c grows.
 ``envelope`` takes each point's ratio at a start estimate of its mode from
 one ``specfun.kummer_log_ratios`` call, the Kummer series quotient on every
 lane.  The start is the smallest n whose estimate of z_n, the first four
-terms of its large-n expansion with each constant just below its value,
-reaches b: one numpy expression over the grid.  It is the mode or one
-above, which ``envelope`` certifies at every point and never searches past;
-it is one above at a few points of a grid (2 to 5 of the 4,001 of a sweep
-to b = 1e4), where lambda comes from ``lambda_n``.  Each start has
+terms of its large-n expansion with each constant just below its value
+(z_0 itself, rounded down, for n = 0), reaches b: one numpy expression over
+the grid.  It is the mode or one above, which ``envelope`` certifies at
+every point and never searches past; it is one above at a few points of a
+grid (2 to 5 of the 4,001 of a sweep to b = 1e4), where lambda comes from
+``lambda_n``.  Each start has
 c = n + 1 >= 1 and b <= c + sqrt(c) + 1, where the scalar
 ``kummer_log_ratio`` refuses the expansion and sums the same series, so
 each point's lambda_dn is bit for bit lambda_n of its active mode.
@@ -116,20 +117,21 @@ def lambda_minus_n(n: int, b: float) -> float:
 
 
 # The start estimate is z_n = n + alpha sqrt(n) + (alpha^2+2)/3 + ~0.31/sqrt(n)
-# to four terms, each constant just below its value: est(0) = (A^2+2)/3 and
-# est(n) = n + A sqrt(n) + (A^2+2)/3 + D/sqrt(n) for n >= 1.  A is alpha =
-# 0.7649508673897595 rounded down at 8 digits.  D lies below
-# sqrt(n) (z_n - n - alpha sqrt(n) - (alpha^2+2)/3), whose minimum is 0.27766
-# at n = 1 and which reads 0.3105 at n = 10, 0.3114 at 100, 0.3105 at 1,000
-# and 0.3101 at 10,000.  So est(n) stays below z_n and above z_{n-1}, about
-# one lower, and the smallest n with est(n) >= b is the mode or one above (the
-# signs of the crossing function at est(n) are tested on every mode to 2,000
-# and 200 more to the last below 1e6).  ``envelope`` certifies this at every
-# point and never searches past it.  A literal above alpha, such as 0.765,
-# passes z_n from n ~ 6e3 on.
+# to four terms, each constant just below its value: est(n) = n + A sqrt(n) +
+# (A^2+2)/3 + D/sqrt(n) for n >= 1, and est(0) = 1.5799, z_0 =
+# 1.5799568426871355 rounded down.  A is alpha = 0.7649508673897595 rounded
+# down at 8 digits.  D lies below sqrt(n) (z_n - n - alpha sqrt(n) -
+# (alpha^2+2)/3), whose minimum is 0.27766 at n = 1 and which reads 0.3105 at
+# n = 10, 0.3114 at 100, 0.3105 at 1,000 and 0.3101 at 10,000.  So est(n)
+# stays below z_n and above z_{n-1}, about one lower, and the smallest n with
+# est(n) >= b is the mode or one above (the signs of the crossing function at
+# est(n) are tested on every mode to 2,000 and 200 more to the last below
+# 1e6).  ``envelope`` certifies this at every point and never searches past
+# it.  A literal above alpha, such as 0.765, passes z_n from n ~ 6e3 on.
 _ALPHA_GUESS = 0.76495086
 _OFFSET_GUESS = (_ALPHA_GUESS * _ALPHA_GUESS + 2.0) / 3.0
 _INVERSE_GUESS = 0.27
+_Z0_GUESS = 1.5799
 
 
 def _estimates(n: np.ndarray) -> np.ndarray:
@@ -141,15 +143,53 @@ def _estimates(n: np.ndarray) -> np.ndarray:
 def _start_modes(b: np.ndarray) -> np.ndarray:
     """Smallest n >= 0 with est(n) >= b on lanes b >= 0, as floats.
 
-    The root of the first three terms gives the smallest n with
-    n + A sqrt(n) + (A^2+2)/3 >= b; the last term, 0 < D/sqrt(n) < 1, moves
-    that at most one mode down, and never to n = 0, where est has no such term.
+    Every b <= est(0) starts at 0.  Above it, the root of the first three
+    terms gives the smallest n with n + A sqrt(n) + (A^2+2)/3 >= b, at least
+    1 there; the last term, 0 < D/sqrt(n) < 1, moves that at most one mode
+    down, and never to n = 0.
     """
     root = np.sqrt(_ALPHA_GUESS * _ALPHA_GUESS + 4.0 * np.maximum(b - _OFFSET_GUESS, 0.0))
     x = 0.5 * (root - _ALPHA_GUESS)
     n = np.ceil(x * x)
     below = np.maximum(n - 1.0, 1.0)
-    return n - ((n >= 2.0) & (_estimates(below) >= b))
+    return np.where(b <= _Z0_GUESS, 0.0, n - ((n >= 2.0) & (_estimates(below) >= b)))
+
+
+def _checked_grid(b_grid) -> np.ndarray:
+    """The grid as floats; the DomainError of its first point out of order or range, if any."""
+    field = np.array(b_grid, dtype=float)
+    bad = ~((field >= 0.0) & (field <= _MAX_ABS_Z))  # NaN fails both
+    bad[1:] |= field[1:] < field[:-1]
+    if bad.any():
+        i = int(bad.argmax())
+        if i and field[i] < field[i - 1]:
+            raise DomainError("envelope grid must be sorted ascending")
+        _check_field(b_grid[i], nonnegative=True)
+    return field
+
+
+def _ground_states(b_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """envelope on arrays: the checked grid, each point's active mode and lambda_dn."""
+    field = _checked_grid(b_grid)
+    s = _start_modes(field)
+    ratio = kummer_log_ratios(0.5, s + 1.0, field)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the unread lane s = b = 0
+        r1 = 1.0 - (s - 0.5) / (s + field * ratio)  # R_{s-1}
+        down = (s > 0.0) & (_crossing_function(s - 1.0, field, r1) > 0.0)  # b < z_{s-1}
+        r2 = 1.0 - (s - 1.5) / (s - 1.0 + field * r1)  # R_{s-2}
+    certified = (_crossing_function(s, field, ratio) >= 0.0) & (  # b <= z_s
+        ~down | (s < 2.0) | (_crossing_function(s - 2.0, field, r2) <= 0.0)  # and b >= z_{s-2}
+    )
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise ConvergenceError(
+            f"start mode {int(s[i])} is not the active mode or one above at b={float(field[i])}"
+        )
+    modes = (s - down).astype(int)
+    lam = _branch(s, field, ratio)
+    for i in np.flatnonzero(down).tolist():
+        lam[i] = lambda_n(int(modes[i]), float(field[i]))
+    return field, modes, lam
 
 
 def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
@@ -166,28 +206,5 @@ def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
     one of them, or raise ConvergenceError.  lambda at s - 1 is ``lambda_n``,
     since a stepped ratio loses digits in 1 - (c-1-a)/(c-1 + b R).
     """
-    grid = []
-    for b in b_grid:
-        if grid and b < grid[-1]:
-            raise DomainError("envelope grid must be sorted ascending")
-        grid.append(_check_field(b, nonnegative=True))
-    field = np.array(grid, dtype=float)
-    s = _start_modes(field)
-    ratio = kummer_log_ratios(0.5, s + 1.0, field)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the unread lane s = b = 0
-        r1 = 1.0 - (s - 0.5) / (s + field * ratio)  # R_{s-1}
-        down = (s > 0.0) & (_crossing_function(s - 1.0, field, r1) > 0.0)  # b < z_{s-1}
-        r2 = 1.0 - (s - 1.5) / (s - 1.0 + field * r1)  # R_{s-2}
-    certified = (_crossing_function(s, field, ratio) >= 0.0) & (  # b <= z_s
-        ~down | (s < 2.0) | (_crossing_function(s - 2.0, field, r2) <= 0.0)  # and b >= z_{s-2}
-    )
-    if not certified.all():
-        i = int(np.argmin(certified))
-        raise ConvergenceError(
-            f"start mode {int(s[i])} is not the active mode or one above at b={grid[i]}"
-        )
-    modes = (s - down).astype(int).tolist()
-    return [
-        EnvelopePoint(b, n, lambda_n(n, b) if d else lam)
-        for b, n, d, lam in zip(grid, modes, down.tolist(), _branch(s, field, ratio).tolist())
-    ]
+    field, modes, lam = _ground_states(b_grid)
+    return list(map(EnvelopePoint, field.tolist(), modes.tolist(), lam.tolist()))

@@ -95,6 +95,12 @@ _MAX_ABS_Z = 1e6
 _MAX_CYLINDER_Z = 50.0  # |z| bound of cylinder_d and cylinder_ds
 _LARGE_Z_STOP_REL = 1e-17
 _LARGE_Z_MAX_TERMS = 1000
+# A quotient a/c below 2**-1022 is subnormal and keeps fewer than 53 bits, so
+# the series quotients divide a * 2**1022 by c instead and scale back by the
+# offset's ldexp.  The sums' quotient lies in [2**-513, 2**513], so the
+# product is a normal float for every c below 2**450.
+_MIN_NORMAL = 2.0**-1022
+_SUBNORMAL_SHIFT = 1022
 # Lanes per quadrature on the z > 0 route of cylinder_ds.  Each level of one
 # quadrature holds a few (lanes x ~600 nodes) float arrays, 150 KB each at
 # 32 lanes, so a 2,001-point sweep peaks within ~1 MB of the scalar route's
@@ -277,7 +283,8 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     num, num_offset, _, _ = _series_parts(upper, c + 1.0, y)
     den, den_offset, _, _ = _series_parts(lower, c, y)
     # scaled after the multiply, so a tiny a cannot push the quotient past the float range
-    return math.ldexp((a / c) * (num / den), num_offset - den_offset)
+    shift = _SUBNORMAL_SHIFT if a / c < _MIN_NORMAL else 0
+    return math.ldexp((math.ldexp(a, shift) / c) * (num / den), num_offset - den_offset - shift)
 
 
 def _term_peak_bounds(a: float | np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -420,7 +427,9 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     sums, offsets, _ = _series_sums(first, np.concatenate([c + 1.0, c]), np.concatenate([z, z]))
     # the scalar series route's quotient: both sums lie in [1, 2**513], so
     # num / den rounds once, and the power of two scales the product exactly
-    return np.ldexp((a / c) * (sums[:n] / sums[n:]), offsets[:n] - offsets[n:])
+    shift = np.where(a / c < _MIN_NORMAL, _SUBNORMAL_SHIFT, 0)
+    quotient = (np.ldexp(a, shift) / c) * (sums[:n] / sums[n:])
+    return np.ldexp(quotient, offsets[:n] - offsets[n:] - shift)
 
 
 def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,8 +14,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magsteklov import cli, disk, models, specfun, verify
+from magsteklov import cli, disk, intersect, models, specfun, verify
 from magsteklov.numerics import EPS, REL_TOL, QuadratureError
 
 
@@ -143,6 +148,73 @@ class TestIntersections:
         rows = read_rows(out)
         assert rows[0]["beta_n"] == ""
         assert float(rows[1]["beta_n"]) > 0.0
+
+
+# ---------------------------------------------------------------- CSV writer
+
+
+def per_value_csv(columns, rows):
+    """CSV text with each value formatted alone: 17 digits for a float, "" for None, else str."""
+
+    def fmt(value):
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return "" if value is None else str(value)
+
+    return "\n".join([",".join(columns), *(",".join(map(fmt, row)) for row in rows)]) + "\n"
+
+
+def emitted_csv(columns, rows):
+    args = argparse.Namespace(command="test", format="csv", out="-")
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        cli._emit(args, columns, rows)
+    return text.getvalue()
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, -math.nan]),
+)
+CSV_VALUES = st.one_of(
+    CSV_FLOATS,
+    CSV_FLOATS.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+)
+
+
+class TestCsvWriter:
+    @given(st.lists(st.lists(CSV_VALUES, max_size=6).map(tuple), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_per_value_formatting(self, rows):
+        columns = ["c%d" % i for i in range(6)]
+        assert emitted_csv(columns, rows) == per_value_csv(columns, rows)
+
+    @pytest.mark.parametrize("n_min", [0, 2])
+    def test_intersections_bytes(self, tmp_path, n_min):
+        # mode 0 has no beta_n: its row's template leaves that field empty
+        _, out = run(tmp_path, "intersections", "--n-min", str(n_min), "--n-max", "6")
+        columns = ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"]
+        rows = [
+            (r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F)
+            for r in intersect.crossings(range(n_min, 7))
+        ]
+        assert out.read_bytes().decode() == per_value_csv(columns, rows)
+
+    def test_envelope_bytes(self, tmp_path):
+        # the lane core's rows are disk.envelope's points with their asymptote
+        _, out = run(tmp_path, "envelope", "--b-min", "0", "--b-max", "300", "--steps", "401")
+        alpha = models._alpha_cached()
+        offset = (alpha * alpha + 2.0) / 6.0
+        rows = [
+            (p.b, p.active_mode, p.lambda_dn, alpha * math.sqrt(p.b) - offset)
+            for p in disk.envelope(np.linspace(0.0, 300.0, 401).tolist())
+        ]
+        columns = ["b", "active_mode", "lambda_dn", "asymptote"]
+        assert out.read_bytes().decode() == per_value_csv(columns, rows)
 
 
 # ----------------------------------------------------------- other commands
@@ -505,6 +577,7 @@ class TestConfigValidation:
 
         monkeypatch.setattr(disk, "lambda_n", fail)
         monkeypatch.setattr(disk, "envelope", fail)
+        monkeypatch.setattr(disk, "_ground_states", fail)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

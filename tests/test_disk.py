@@ -379,7 +379,7 @@ def bench_grid(seed):
 
 def estimate(m):
     """est(m) as the library computes it; the envelope starts at the smallest m with est(m) >= b."""
-    return disk._OFFSET_GUESS if m == 0 else disk._estimates(np.array(float(m))).item()
+    return disk._Z0_GUESS if m == 0 else disk._estimates(np.array(float(m))).item()
 
 
 class TestEnvelope:
@@ -396,9 +396,19 @@ class TestEnvelope:
         assert pairs[0] == (0, (0.0).hex())
 
     def test_start_mode_is_zero_up_to_the_estimate_of_z0(self):
-        offset = disk._OFFSET_GUESS
-        fields = [0.0, 0.5, offset, math.nextafter(offset, 2.0), 1.0]
-        assert disk._start_modes(np.array(fields)).tolist() == [0, 0, 0, 1, 1]
+        est0 = disk._Z0_GUESS
+        assert est0 < Z0_ORACLE
+        fields = [0.0, 0.5, disk._OFFSET_GUESS, 1.0, est0, math.nextafter(est0, 2.0), 2.0]
+        assert disk._start_modes(np.array(fields)).tolist() == [0, 0, 0, 0, 0, 1, 1]
+
+    def test_no_scalar_fallback_below_the_estimate_of_z0(self, monkeypatch):
+        # these points started at mode 1 and took lambda_n while est(0) was (A^2+2)/3
+        grid = np.linspace(0.87, disk._Z0_GUESS, 501)[1:].tolist()
+        spy = RatioSpy(monkeypatch)
+        points = disk.envelope(grid)
+        assert (spy.batches, spy.lambda_calls) == (1, 0)
+        pairs = [(p.active_mode, p.lambda_dn.hex()) for p in points]
+        assert pairs == [(0, disk.lambda_n(0, b).hex()) for b in grid]
 
     def test_start_is_the_smallest_mode_whose_estimate_reaches_b(self):
         # each est(m) and the floats next to it, where the first three terms'

@@ -265,6 +265,40 @@ class TestKummerLogRatio:
             refs = [tiny_a_log_ratio_oracle(1e-310, z_i) for z_i in lanes.tolist()]
             assert all(abs(v - r) <= 1e-13 * r for v, r in zip(values, refs)), len(lanes)
 
+    def test_subnormal_a_over_c_rounds_on_the_normal_grid(self, monkeypatch):
+        # a/c below 2**-1022 would round on the subnormal grid, by up to 2.5e-15
+        # of the ratio at the scalar point; it is formed from a * 2**1022 and
+        # scaled back, so the ratio is the quotient of the series' own sums to
+        # ~1.5 ulp
+        mpmath = pytest.importorskip("mpmath")
+        series = specfun._series_parts
+        sums = []
+
+        def recorded(*args):
+            sums.append(series(*args))
+            return sums[-1]
+
+        def sums_quotient(a, c, num, den):
+            with mpmath.workdps(40):
+                scale = mpmath.ldexp(1, num[1] - den[1])
+                return mpmath.mpf(a) / c * mpmath.mpf(num[0]) / mpmath.mpf(den[0]) * scale
+
+        monkeypatch.setattr(specfun, "_series_parts", recorded)
+        value = kummer_log_ratio(1e-305, 1e4, 1e6)
+        assert abs(value - sums_quotient(1e-305, 1e4, *sums)) <= 2 * EPS * value
+        with mpmath.workdps(40):
+            a = mpmath.mpf(1e-305)
+            exact = a / 1e4 * mpmath.hyp1f1(a + 1, 1e4 + 1, 1e6) / mpmath.hyp1f1(a, 1e4, 1e6)
+        # the rest of the error is the drift of ~1e6 series terms, 4e-14 here
+        assert abs(value - exact) <= REL_TOL * value
+
+        z = np.linspace(600.0, 1000.0, 40).tolist()
+        values = kummer_log_ratios(1e-310, np.ones(40), np.array(z)).tolist()
+        for v, z_i in zip(values, z):
+            quotient = sums_quotient(1e-310, 1.0, series(1.0, 2.0, z_i), series(1e-310, 1.0, z_i))
+            assert abs(v - quotient) <= 2 * EPS * v, z_i
+            assert abs(v - tiny_a_log_ratio_oracle(1e-310, z_i)) <= REL_TOL * v, z_i
+
 
 @pytest.mark.parametrize(
     "call",
