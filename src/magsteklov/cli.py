@@ -13,6 +13,7 @@ version) so the data itself stays timestamp-free.
 
 import argparse
 import datetime
+import gc
 import itertools
 import json
 import math
@@ -60,15 +61,33 @@ def _template(kinds: tuple[type, ...]) -> str:
     )
 
 
+def _csv(columns: list[str], rows: list[tuple]) -> str:
+    """CSV text of the table: a float takes 17 significant digits, None an empty field.
+
+    Each run of consecutive rows whose values share their types is one % on
+    its row template repeated.  When every row has the table's width, only
+    the mixed columns (those holding more than one type) can tell two rows'
+    types apart, so the rows are keyed by those columns' types alone, read
+    column by column, and a table with no mixed column is one run.
+    """
+    if set(map(len, rows)) == {len(columns)}:
+        mixed = [column for column in zip(*rows) if len(set(map(type, column))) > 1]
+        keys = zip(*(map(type, column) for column in mixed)) if mixed else [()] * len(rows)
+    else:  # ragged: each row keyed by all its types
+        keys = (tuple(map(type, row)) for row in rows)
+    parts = [",".join(columns) + "\n"]
+    start = 0
+    for _, run in itertools.groupby(keys):
+        stop = start + len(list(run))
+        template = (_template(tuple(map(type, rows[start]))) + "\n") * (stop - start)
+        parts.append(template % tuple(itertools.chain.from_iterable(rows[start:stop])))
+        start = stop
+    return "".join(parts)
+
+
 def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> None:
     if args.format == "csv":
-        parts = [",".join(columns) + "\n"]
-        # one % per run of rows whose values share their types, on that row template repeated
-        for kinds, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
-            run = list(run)
-            template = (_template(kinds) + "\n") * len(run)
-            parts.append(template % tuple(itertools.chain.from_iterable(run)))
-        text = "".join(parts)
+        text = _csv(columns, rows)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -291,6 +310,18 @@ def _check_modes(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if gc.get_freeze_count():  # the caller froze a heap of its own: leave it as it is
+        return _run(argv)
+    # the import's objects live as long as the process: frozen, the
+    # collector's passes during the command skip them
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     handler, _ = _SUBCOMMANDS[args.command]
     try:

@@ -214,33 +214,50 @@ def kummer_m(a: float, c: float, z: float) -> KummerValue:
     return KummerValue(value=ScaledReal(pos - neg, offset), terms_used=terms)
 
 
-def _large_z_sum(a: float, c: float, z: float) -> float | None:
-    """S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s), or None if it cannot reach full precision.
+def _large_z_sums(upper: float, lower: float, c: float, z: float) -> tuple[float, float] | None:
+    """S(upper, c+1, z) and S(lower, c, z), or None if either cannot reach full precision.
 
-    The sum is asymptotic: its terms shrink while the ratio of consecutive
-    terms, (c-a+s)(1-a+s) / ((s+1) z), stays below 1 in size, and grow from
-    there on.  The sum is returned once a term falls below _LARGE_Z_STOP_REL
-    of it; None means the ratio reached 1 first (always so for z <= 0), or
-    the term cap ran out.  The cap ends the loop for a NaN, and near the
-    switch for modes above ~1e4, where the series is then used.  The terms
-    are added by math.fsum: near the switch there are a few hundred of them,
-    and a running float sum would lose ~7 ulp.
+    S(a, c, z) = sum_s (c-a)_s (1-a)_s / (s! z^s) is asymptotic: its terms
+    shrink while the ratio of consecutive terms, (c-a+s)(1-a+s) / ((s+1) z),
+    stays below 1 in size, and grow from there on.  A sum is complete once a
+    term falls below _LARGE_Z_STOP_REL of it; None means a ratio reached 1
+    first (always so for z <= 0), or the term cap ran out.  The cap ends the
+    loop for a NaN, and near the switch for modes above ~1e4, where the
+    series is then used.  The two sums share one loop and each step's
+    (s+1) z, but each keeps its own decline and stop tests, so each is the
+    float a loop of its own gives.  The terms are added by math.fsum: near
+    the switch there are a few hundred of them, and a running float sum
+    would lose ~7 ulp.
     """
-    p = c - a
-    q = 1.0 - a
-    term = 1.0
-    total = 1.0
-    terms = [term]
+    p_top, q_top = (c + 1.0) - upper, 1.0 - upper
+    p_bottom, q_bottom = c - lower, 1.0 - lower
+    term_top = total_top = term_bottom = total_bottom = 1.0
+    terms_top, terms_bottom = [1.0], [1.0]
+    top = bottom = None
     for s in range(_LARGE_Z_MAX_TERMS):
-        num = (p + s) * (q + s)
         den = (s + 1.0) * z
-        if abs(num) >= den:
-            return None
-        term *= num / den
-        terms.append(term)
-        total += term
-        if abs(term) < _LARGE_Z_STOP_REL * abs(total):
-            return math.fsum(terms)
+        if top is None:
+            num = (p_top + s) * (q_top + s)
+            if abs(num) >= den:
+                return None
+            term_top *= num / den
+            terms_top.append(term_top)
+            total_top += term_top
+            if abs(term_top) < _LARGE_Z_STOP_REL * abs(total_top):
+                top = math.fsum(terms_top)
+                if bottom is not None:
+                    return top, bottom
+        if bottom is None:
+            num = (p_bottom + s) * (q_bottom + s)
+            if abs(num) >= den:
+                return None
+            term_bottom *= num / den
+            terms_bottom.append(term_bottom)
+            total_bottom += term_bottom
+            if abs(term_bottom) < _LARGE_Z_STOP_REL * abs(total_bottom):
+                bottom = math.fsum(terms_bottom)
+                if top is not None:
+                    return top, bottom
     return None
 
 
@@ -255,7 +272,7 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     parameter (a, or c-a) is a half-integer the large-z expansion is tried
     first: S(a+1, c+1, z) / S(a, c, z), or (a/y) S(c-a, c+1, y) / S(c-a, c, y).
     Its neglected O(e^-y) part is then about the size of the smallest term of
-    S, which the stopping rule of _large_z_sum bounds; for other first
+    S, which the stopping rule of _large_z_sums bounds; for other first
     parameters it can be far larger (S(1, 2, z) = 1 exactly, while
     M(1, 2, z) = (e^z - 1)/z).  The series is summed wherever the expansion
     is not tried or either sum declines.
@@ -275,10 +292,9 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     else:
         y, upper, lower, prefactor = -z, c - a, c - a, a / -z
     if lower % 1.0 == 0.5:
-        bottom = _large_z_sum(lower, c, y)
-        top = None if bottom is None else _large_z_sum(upper, c + 1.0, y)
-        if top is not None:
-            return prefactor * (top / bottom)
+        sums = _large_z_sums(upper, lower, c, y)
+        if sums is not None:
+            return prefactor * (sums[0] / sums[1])
     # both first parameters are >= 0, so no term is negative and neg stays 0
     num, num_offset, _, _ = _series_parts(upper, c + 1.0, y)
     den, den_offset, _, _ = _series_parts(lower, c, y)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -186,11 +187,53 @@ CSV_VALUES = st.one_of(
 )
 
 
+CSV_COLUMNS = st.sampled_from(
+    [
+        CSV_FLOATS,
+        CSV_FLOATS.map(np.float64),
+        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans(),
+        st.text(max_size=8),
+        st.none(),
+    ]
+)
+
+
+@st.composite
+def typed_tables(draw):
+    """Column names and rows of the table's width, each column's values of one type."""
+    kinds = draw(st.lists(CSV_COLUMNS, min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=12))
+    return ["c%d" % i for i in range(len(kinds))], rows
+
+
+@st.composite
+def equal_width_tables(draw):
+    """Column names and rows of the table's width, values of any type in any column."""
+    width = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(*[CSV_VALUES] * width), max_size=12))
+    return ["c%d" % i for i in range(width)], rows
+
+
 class TestCsvWriter:
     @given(st.lists(st.lists(CSV_VALUES, max_size=6).map(tuple), max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_per_value_formatting(self, rows):
         columns = ["c%d" % i for i in range(6)]
+        assert emitted_csv(columns, rows) == per_value_csv(columns, rows)
+
+    @given(typed_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_one_type_per_column_matches_per_value_formatting(self, table):
+        columns, rows = table
+        assert emitted_csv(columns, rows) == per_value_csv(columns, rows)
+
+    @given(equal_width_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_width_rows_match_per_value_formatting(self, table):
+        # rows keyed by the types of their mixed columns alone
+        columns, rows = table
         assert emitted_csv(columns, rows) == per_value_csv(columns, rows)
 
     @pytest.mark.parametrize("n_min", [0, 2])
@@ -658,6 +701,68 @@ class TestFlags:
         assert exc.value.code == 2
         flag = argv[1].partition("=")[0]
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
+
+
+class TestCollector:
+    """main runs with the heap it finds frozen and leaves the collector as it found it."""
+
+    @staticmethod
+    def state():
+        return gc.isenabled(), gc.get_freeze_count()
+
+    @staticmethod
+    def exit_codes(tmp_path, monkeypatch):
+        """main on a normal return, a usage error and a numerical failure."""
+        codes = [cli.main(["curves", "--n-max", "0", "--steps", "2", "--out", str(tmp_path / "a")])]
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["curves", "--only", "disk"])
+        codes.append(exc.value.code)
+
+        def refuse():
+            raise QuadratureError("cannot reach the requested accuracy")
+
+        with monkeypatch.context() as patch, contextlib.redirect_stderr(io.StringIO()):
+            patch.setattr(models, "constants", refuse)
+            codes.append(cli.main(["constants"]))
+        return codes
+
+    def test_heap_is_frozen_while_the_command_runs(self, tmp_path, monkeypatch):
+        frozen = []
+        lambda_n = disk.lambda_n
+
+        def recorded(n, b):
+            frozen.append(gc.get_freeze_count() > 0)
+            return lambda_n(n, b)
+
+        monkeypatch.setattr(disk, "lambda_n", recorded)
+        assert cli.main(["curves", "--n-max", "0", "--steps", "2", "--out", str(tmp_path / "a")]) == 0
+        assert frozen == [True] * 4
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_exit_leaves_the_collector_as_found(self, enabled, tmp_path, monkeypatch):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            before = self.state()
+            states = []
+            for _ in range(3):  # repeated calls do not grow the frozen count
+                assert self.exit_codes(tmp_path, monkeypatch) == [0, 2, 2]
+                states.append(self.state())
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert before == (enabled, 0)
+        assert states == [before] * 3
+
+    def test_a_heap_frozen_by_the_caller_stays_frozen(self, tmp_path, monkeypatch):
+        gc.freeze()
+        try:
+            before = self.state()
+            assert self.exit_codes(tmp_path, monkeypatch) == [0, 2, 2]
+            after = self.state()
+        finally:
+            gc.unfreeze()
+        assert before[1] > 0
+        assert after == before
 
 
 @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from large_z import large_z_sum
 
 from magsteklov import disk, intersect, models, specfun, verify
 from magsteklov.intersect import IntersectionRecord
@@ -234,7 +235,8 @@ class TestCrossings:
         intersect.crossings(range(2001))
         assert len(lanes) >= 5 * 2001  # at least 2 steps and 3 final points per mode
         assert all(c >= 1.0 and 0.0 <= z <= c + math.sqrt(c) + 1.0 for c, z in lanes)
-        assert all(specfun._large_z_sum(0.5, c, z) is None for c, z in lanes)
+        assert all(large_z_sum(0.5, c, z) is None for c, z in lanes)
+        assert all(specfun._large_z_sums(1.5, 0.5, c, z) is None for c, z in lanes)
 
     def test_residual_is_kummer_m_at_the_root(self):
         # 41 modes take the numpy series loop and find_zn the scalar one; both

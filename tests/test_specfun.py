@@ -5,6 +5,7 @@ truncated series, the Euler-type integral representation, closed forms in
 Gamma values, and finite differences.
 """
 
+import collections
 import contextlib
 import math
 import time
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from large_z import large_z_sum
 
 from magsteklov import models, specfun, verify
 from magsteklov.numerics import (
@@ -396,7 +398,7 @@ class TestLargeZQuotient:
         for c, z in ((1.0, 60.0), (11.0, 500.0), (101.0, 3000.0)):
             quotient, route = spy.route(0.5, c, z)
             assert route == "expansion"
-            assert quotient == specfun._large_z_sum(1.5, c + 1.0, z) / specfun._large_z_sum(0.5, c, z)
+            assert quotient == large_z_sum(1.5, c + 1.0, z) / large_z_sum(0.5, c, z)
             assert quotient == pytest.approx(series_log_ratio(0.5, c, z), rel=1e-13)
 
     def test_negative_branch_prefactor(self, monkeypatch):
@@ -405,8 +407,8 @@ class TestLargeZQuotient:
         a, c, y = 0.5, 6.0, 400.0
         ratio, route = spy.route(a, c, -y)
         assert route == "expansion"
-        top = specfun._large_z_sum(c - a, c + 1.0, y)
-        bottom = specfun._large_z_sum(c - a, c, y)
+        top = large_z_sum(c - a, c + 1.0, y)
+        bottom = large_z_sum(c - a, c, y)
         assert ratio == a / y * (top / bottom)
         expected = a / c * float(kummer_m(c - a, c + 1.0, y).value / kummer_m(c - a, c, y).value)
         assert ratio == pytest.approx(expected, rel=1e-13)
@@ -414,8 +416,8 @@ class TestLargeZQuotient:
     def test_declines_where_terms_grow_first(self, monkeypatch):
         # at (n=20, z=50) the terms turn to growth above 1e-17 of the sum,
         # so the ratio is the Kummer series quotient
-        assert specfun._large_z_sum(0.5, 21.0, 50.0) is None
-        assert specfun._large_z_sum(0.5, 1.0, 0.0) is None
+        assert large_z_sum(0.5, 21.0, 50.0) is None
+        assert large_z_sum(0.5, 1.0, 0.0) is None
         spy = SeriesSpy(monkeypatch)
         ratio, route = spy.route(0.5, 21.0, 50.0)
         assert route == "series"
@@ -445,8 +447,54 @@ class TestLargeZQuotient:
     def test_sum_has_a_hard_term_cap(self):
         # no ratio test can fail on NaN, so only the cap ends this loop
         start = time.perf_counter()
-        assert specfun._large_z_sum(0.5, 1.0, math.nan) is None
+        assert specfun._large_z_sums(1.5, 0.5, 1.0, math.nan) is None
         assert time.perf_counter() - start < 0.01
+
+
+class TestLargeZSums:
+    """The pair loop gives each of its two sums bit for bit as a loop of its own."""
+
+    @staticmethod
+    def bits(sums):
+        return None if sums is None else tuple(value.hex() for value in sums)
+
+    def assert_pairs_match(self, lanes):
+        """Each lane's pair against two single loops; returns the count of each (top, bottom) decline."""
+        declined = collections.Counter()
+        for upper, lower, c, y in lanes:
+            top, bottom = large_z_sum(upper, c + 1.0, y), large_z_sum(lower, c, y)
+            expected = None if top is None or bottom is None else (top, bottom)
+            pair = specfun._large_z_sums(upper, lower, c, y)
+            assert self.bits(pair) == self.bits(expected), (upper, lower, c, y)
+            declined[top is None, bottom is None] += 1
+        return declined
+
+    @staticmethod
+    def random_lanes(seed):
+        rng = np.random.default_rng(seed)
+        c = np.floor(rng.uniform(0.0, 60.0, 600)) + 1.0
+        y = 10.0 ** rng.uniform(0.5, 5.0, 600)
+        return list(zip(c.tolist(), y.tolist()))
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 2.5])
+    def test_positive_branch(self, a):
+        # z >= 0: S(a+1, c+1, z) and S(a, c, z)
+        declined = self.assert_pairs_match([(a + 1.0, a, c, z) for c, z in self.random_lanes(int(10 * a))])
+        assert declined[False, False] >= 100 and declined[True, True] >= 100
+        assert declined[False, True] >= 1  # the bottom sum alone declines
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 2.5])
+    def test_negative_branch(self, a):
+        # z = -y < 0: S(c-a, c+1, y) and S(c-a, c, y)
+        lanes = [(c - a, c - a, c, y) for c, y in self.random_lanes(int(10 * a) + 100) if c >= a]
+        declined = self.assert_pairs_match(lanes)
+        assert declined[False, False] >= 100 and declined[True, True] >= 100
+        assert declined[True, False] >= 1  # the top sum alone declines
+
+    def test_nan_lane(self):
+        # no ratio test can fail on NaN, so only the cap ends either sum
+        lanes = [(1.5, 0.5, 1.0, math.nan), (5.5, 5.5, 6.0, math.nan)]
+        assert self.assert_pairs_match(lanes) == {(True, True): 2}
 
 
 # ------------------------------------------------------------- batch kernel
@@ -467,7 +515,9 @@ class TestKummerLogRatios:
             (lane, x, y) for lane, x, y in zip(lanes, batch, series) if x.hex() != y.hex()
         ]
         assert mismatched == []
-        refused = [a % 1.0 != 0.5 or specfun._large_z_sum(a, *lane) is None for lane in lanes]
+        refused = [
+            a % 1.0 != 0.5 or specfun._large_z_sums(a + 1.0, a, *lane) is None for lane in lanes
+        ]
         scalar = [kummer_log_ratio(a, *lane) for lane, r in zip(lanes, refused) if r]
         assert [x.hex() for x, r in zip(batch, refused) if r] == [y.hex() for y in scalar]
 
@@ -478,8 +528,8 @@ class TestKummerLogRatios:
         z[:3] = 0.0
         self.assert_lanes_match(0.5, c, z)
         lanes = list(zip(c.tolist(), z.tolist()))
-        bottoms = [specfun._large_z_sum(0.5, c_i, z_i) for c_i, z_i in lanes]
-        tops = [specfun._large_z_sum(1.5, c_i + 1.0, z_i) for c_i, z_i in lanes]
+        bottoms = [large_z_sum(0.5, c_i, z_i) for c_i, z_i in lanes]
+        tops = [large_z_sum(1.5, c_i + 1.0, z_i) for c_i, z_i in lanes]
         assert sum(t is not None for t in tops) >= 20  # the expansion
         assert sum(b is None for b in bottoms) >= 100  # refused, then the series
         peaks = [specfun._term_peak_bound(0.5, c_i, z_i) > 0.0 for c_i, z_i in lanes]
@@ -508,18 +558,19 @@ class TestKummerLogRatios:
         self.assert_lanes_match(1e-20, rng.uniform(0.5, 2.0, 50), rng.uniform(15.0, 40.0, 50))
 
     def test_declined_top_sum_falls_back_to_the_series(self, monkeypatch):
-        # no lane of a = 1/2 has been seen where S(a, c) is accepted and
-        # S(a+1, c+1) declined, so the scalar's decline is forced
-        large_z_sum = specfun._large_z_sum
-
-        def declining_top(a, c, z):
-            return None if a == 1.5 else large_z_sum(a, c, z)
-
-        monkeypatch.setattr(specfun, "_large_z_sum", declining_top)
-        lanes = [(1.0, 60.0), (11.0, 500.0), (101.0, 3000.0)]
-        assert all(large_z_sum(0.5, c, z) is not None for c, z in lanes)
-        scalar = [kummer_log_ratio(0.5, c, z).hex() for c, z in lanes]
-        assert scalar == [series_log_ratio(0.5, c, z).hex() for c, z in lanes]
+        # no lane of a = 1/2 and z >= 0 has been seen where S(a, c) is accepted
+        # and S(a+1, c+1) declined; at z = -y the top sum S(c-a, c+1, y) has
+        # the larger term ratio, and on these lanes it alone declines
+        lanes = [(1.0, 37.2), (2.0, 33.0), (5.0, 26.4), (12.0, 20.2), (30.0, 22.5)]
+        assert all(large_z_sum(c - 0.5, c + 1.0, y) is None for c, y in lanes)
+        assert all(large_z_sum(c - 0.5, c, y) is not None for c, y in lanes)
+        assert all(specfun._large_z_sums(c - 0.5, c - 0.5, c, y) is None for c, y in lanes)
+        spy = SeriesSpy(monkeypatch)
+        for c, y in lanes:
+            ratio, route = spy.route(0.5, c, -y)
+            assert route == "series"
+            series = kummer_m(c - 0.5, c + 1.0, y).value / kummer_m(c - 0.5, c, y).value
+            assert ratio.hex() == (0.5 / c * float(series)).hex()
 
     def test_expansion_refuses_every_envelope_lane(self):
         """The scalar sums the series wherever c >= 2 and z <= c + sqrt(c) + 1.
@@ -554,7 +605,7 @@ class TestKummerLogRatios:
         strips = 0
         while c < c_end:
             top = c * (1.0 + 1.0 / 64.0)
-            assert specfun._large_z_sum(0.5, c, top + math.sqrt(top) + 1.0) is None, c
+            assert large_z_sum(0.5, c, top + math.sqrt(top) + 1.0) is None, c
             c = top
             strips += 1
         return strips
