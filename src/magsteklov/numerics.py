@@ -220,6 +220,11 @@ def integrate_semi_infinite(
     ``f`` maps an array of abscissae to the array of integrand values, or
     to a (lanes, nodes) array of several integrands at once; the result is
     then one integral per lane, each the float a one-lane call returns.
+    The float array ``f`` returns is overwritten in place: the weights are
+    multiplied into it, and its absolute values replace it for the integral
+    of |f|, so the quadrature allocates no array of that shape itself.  An
+    integrand may return a view of a buffer it rewrites at every call, but
+    never an array it needs again.
     An integrand may carry an endpoint singularity t**p with p > -1 (from
     p ~ -0.97 on, the nodes end too soon and QuadratureError is raised)
     and must decay at least like exp(-t) beyond ``decay_scale``, e.g. any
@@ -243,12 +248,13 @@ def integrate_semi_infinite(
     for level in range(_DE_LEVELS):
         x, x_weight, y, y_weight = _de_level(level)
         nodes = np.concatenate((split * x, split + y))
-        terms = f(nodes) * np.concatenate((split * x_weight, y_weight))
+        terms = f(nodes)
+        terms *= np.concatenate((split * x_weight, y_weight))
         total = 0.5 * total + terms.sum(axis=-1)
-        norm = 0.5 * norm + np.abs(terms).sum(axis=-1)
         if level == 0:
             n = x.size
             previous = 2.0 * (terms[..., :n:2].sum(axis=-1) + terms[..., n::2].sum(axis=-1))
+        norm = 0.5 * norm + np.abs(terms, out=terms).sum(axis=-1)
         result = np.where(pending, total, result)
         pending = pending & ~(abs(total - previous) <= REL_TOL * norm)
         if not pending.any():

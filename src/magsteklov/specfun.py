@@ -45,8 +45,9 @@ integrals
 
     D_mu(z) = exp(-z^2/4)/Gamma(-mu) * int_0^inf t^(-mu-1) exp(-t^2/2 - z t) dt
 
-at orders mu and mu-1 below -1, so t^(-mu-1) has no endpoint singularity,
-lifted to nu by the three-term recurrence
+at orders mu and mu-1 below -1, so t^(-mu-1) has no endpoint singularity.
+Both orders are the rows of one quadrature, which forms exp(-t^2/2 - z t)
+once for them, and they are lifted to nu by the three-term recurrence
 D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  The derivative always comes from
 the companion recurrence D'_nu(z) = nu D_{nu-1}(z) - (z/2) D_nu(z), never
 from numerical differentiation.  (For half-integer orders D_nu is
@@ -60,7 +61,10 @@ Kummer series together; the batch loop's negative accumulator takes the
 terms of a < 0 (the even piece of D_{1/2}).  One assembly then combines the
 pieces in floats at power-of-two offsets.  Lanes with z > 0 share one
 quadrature per block of _LANE_BLOCK lanes: ``integrate_semi_infinite``
-takes the (lanes, nodes) array of their integrands.
+takes the (2 lanes, nodes) array of both orders' integrands, a view of one
+buffer that every block and level of the call rewrites, so no block
+allocates and frees an array of that shape.  On either side both orders
+share one e^{-z^2/4}.
 """
 
 import math
@@ -101,10 +105,11 @@ _LARGE_Z_MAX_TERMS = 1000
 # product is a normal float for every c below 2**450.
 _MIN_NORMAL = 2.0**-1022
 _SUBNORMAL_SHIFT = 1022
-# Lanes per quadrature on the z > 0 route of cylinder_ds.  Each level of one
-# quadrature holds a few (lanes x ~600 nodes) float arrays, 150 KB each at
-# 32 lanes, so a 2,001-point sweep peaks within ~1 MB of the scalar route's
-# memory; unblocked, the same sweep took ~14 MB more.
+# Lanes per quadrature on the z > 0 route of cylinder_ds.  A quadrature writes
+# both orders' rows into one (2 lanes x nodes) buffer, 308 KB at 32 lanes on
+# the 602 nodes of level 0, which every block of the call reuses: a 2,001-point
+# sweep peaks at ~0.55 MB of traced memory, the scalar route at ~0.03 MB, and
+# unblocked the same sweep took ~9.9 MB (19.6 MB with every lane above 0).
 _LANE_BLOCK = 32
 # Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
 # lane.  Timed on kummer_log_ratios' crossing-point lanes with each loop forced
@@ -460,14 +465,38 @@ def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.ldexp(pos - neg, offset)
 
 
-def _cylinder_from_integral(nu: float, z: np.ndarray) -> np.ndarray:
-    """D_nu(z_i) for nu < -1 on lanes z_i > 0, from one quadrature of the half-line integral."""
-    power = -nu - 1.0
+def _cylinder_anchors(mu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D_mu(z_i), D_{mu-1}(z_i)) for mu < -1 on lanes z_i > 0, one quadrature per block.
+
+    A block's rows of order mu - 1, then mu, are the two halves of one
+    (2 lanes, nodes) view of a buffer that grows only when a level has more
+    nodes than any before: the kernel exp(-t^2/2 - z t) fills the first
+    half, its product with t^(-mu-1) the second, and t^(-(mu-1)-1) then
+    multiplies the first in place.  Each order nu keeps the float
+    expressions of a quadrature of its own, t**(-nu - 1) and Gamma(-nu) with
+    nu = mu - 1.0 as written, and so its floats.
+    """
+    lower = mu - 1.0
+    integral = np.empty((2, z.size))
+    work = np.empty(0)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return t**power * np.exp(-0.5 * t * t - np.multiply.outer(z, t))
+        nonlocal work
+        lanes = block.size
+        size = 2 * lanes * t.size
+        if work.size < size:
+            work = np.empty(size)
+        rows = work[:size].reshape(2 * lanes, t.size)
+        kernel = rows[:lanes]
+        np.subtract(-0.5 * t * t, np.multiply.outer(block, t, out=kernel), out=kernel)
+        np.exp(kernel, out=kernel)
+        np.multiply(t ** (-mu - 1.0), kernel, out=rows[lanes:])
+        kernel *= t ** (-lower - 1.0)
+        return rows
 
-    integral = integrate_semi_infinite(integrand)
+    for start in range(0, z.size, _LANE_BLOCK):
+        block = z[start : start + _LANE_BLOCK]
+        integral[:, start : start + block.size] = integrate_semi_infinite(integrand).reshape(2, -1)
     # exp(-z^2/4) from z^2 = hi + lo split exactly (Dekker): the rounding of
     # z * z alone would cost up to z^2/4 ulp, 6e-14 at z = 48
     hi = z * z
@@ -476,12 +505,12 @@ def _cylinder_from_integral(nu: float, z: np.ndarray) -> np.ndarray:
     z_lo = z - z_hi
     lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
     # libm's exp: np.exp differs from it in the last bit on some arguments
-    gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()])
-    return gauss * (1.0 - 0.25 * lo) * integral / math.gamma(-nu)
+    gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()]) * (1.0 - 0.25 * lo)
+    return gauss * integral[1] / math.gamma(-mu), gauss * integral[0] / math.gamma(-lower)
 
 
 def _cylinder_lifted(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D_nu(z_i), D_{nu-1}(z_i)) on a block of lanes z_i > 0.
+    """(D_nu(z_i), D_{nu-1}(z_i)) on lanes z_i > 0.
 
     Half-line integrals at mu and mu-1, where mu = nu - max(0, floor(nu) + 2)
     < -1, lifted to nu by D_{mu+1}(z) = z D_mu(z) - mu D_{mu-1}(z).  While
@@ -490,8 +519,7 @@ def _cylinder_lifted(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lifts = max(0, int(math.floor(nu)) + 2)
     mu = nu - lifts
-    below = _cylinder_from_integral(mu - 1.0, z)
-    value = _cylinder_from_integral(mu, z)
+    value, below = _cylinder_anchors(mu, z)
     for _ in range(lifts):
         below, value = value, z * value - mu * below
         mu += 1.0
@@ -505,15 +533,16 @@ def _reciprocal_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _cylinder_even_odd(nu: float, z: np.ndarray) -> np.ndarray:
+def _cylinder_even_odd(nu: float, z: np.ndarray, gauss: np.ndarray, k: np.ndarray) -> np.ndarray:
     """D_nu(z_i) on lanes z_i from the even/odd Kummer decomposition,
 
         2^{nu/2} sqrt(pi) e^{-z^2/4} [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
                                        - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ].
 
     The Kummer factors reach exp(z^2/2), so each piece is a float times its
-    series' power-of-two offset, e^{-z^2/4} is e^r 2^k, and one final ldexp
-    applies offset and k.  Scaling by powers of two is exact, so each value
+    series' power-of-two offset, e^{-z^2/4} is gauss 2^k, the split
+    ``_exp_split(-0.25 * z * z)`` that both orders share, and one final
+    ldexp applies offset and k.  Scaling by powers of two is exact, so each value
     is the float that ScaledReal arithmetic on the same pieces forms.
     Accurate for z <= 0, where the two pieces reinforce the dominant
     exp(+z^2/4) branch; useless for large z > 0, where they cancel to the
@@ -529,7 +558,6 @@ def _cylinder_even_odd(nu: float, z: np.ndarray) -> np.ndarray:
     # as in ScaledReal's sum, an exact-zero piece leaves the other as it is, at its own offset
     pieces = np.where(even == 0.0, odd, np.where(odd == 0.0, even, pieces))
     offset = np.where(even == 0.0, odd_offset, np.where(odd == 0.0, even_offset, offset))
-    gauss, k = _exp_split(-0.25 * z * z)
     prefactor = gauss * (2.0 ** (0.5 * nu) * math.sqrt(math.pi))
     return np.ldexp(prefactor * pieces, offset + k)
 
@@ -546,12 +574,13 @@ def _cylinder_lanes(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value, below = np.empty((2, z.size))
     left = z <= 0.0
     if left.any():
-        value[left] = _cylinder_even_odd(nu, z[left])
-        below[left] = _cylinder_even_odd(nu - 1.0, z[left])
-    right = np.flatnonzero(~left)
-    for start in range(0, right.size, _LANE_BLOCK):
-        block = right[start : start + _LANE_BLOCK]
-        value[block], below[block] = _cylinder_lifted(nu, z[block])
+        z_left = z[left]
+        gauss = _exp_split(-0.25 * z_left * z_left)
+        value[left] = _cylinder_even_odd(nu, z_left, *gauss)
+        below[left] = _cylinder_even_odd(nu - 1.0, z_left, *gauss)
+    right = ~left
+    if right.any():
+        value[right], below[right] = _cylinder_lifted(nu, z[right])
     return value, nu * below - 0.5 * z * value
 
 

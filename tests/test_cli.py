@@ -259,6 +259,15 @@ class TestCsvWriter:
         columns = ["b", "active_mode", "lambda_dn", "asymptote"]
         assert out.read_bytes().decode() == per_value_csv(columns, rows)
 
+    def test_halfplane_bytes(self, tmp_path):
+        # 200 lanes on each side of 0: the z > 0 route of both columns runs seven lane blocks
+        _, out = run(tmp_path, "halfplane", "--b-min", "-2", "--b-max", "2", "--steps", "401")
+        rows = [
+            (xi, models.halfplane_multiplier(xi), specfun.cylinder_d(0.5, xi).value)
+            for xi in np.linspace(-2.0, 2.0, 401).tolist()
+        ]
+        assert out.read_bytes().decode() == per_value_csv(["xi", "f1", "d_half"], rows)
+
 
 # ----------------------------------------------------------- other commands
 

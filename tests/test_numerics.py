@@ -1,6 +1,7 @@
 """Tests for the numeric substrate: scaled floats, quadrature, roots, derivatives."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,6 +248,31 @@ class TestSemiInfiniteQuadrature:
         assert all(type(x) is float for x in singles)
         rows = integrate_semi_infinite(lambda t: np.stack([lane(w)(t) for w in (0.0, 1.0, 2.0, 4.0)]))
         assert [x.hex() for x in rows.tolist()] == [x.hex() for x in singles]
+
+    def test_integrand_buffer_is_overwritten_in_place(self):
+        # an integrand may return a view of a buffer it rewrites at every call: the
+        # quadrature multiplies its weights into that array and holds no array of
+        # the integrand's shape itself, so its peak stays below one such array
+        decay = np.linspace(1.0, 5.0, 64)  # e^{-a t} integrates to 1/a
+        levels = [numerics._de_level(level) for level in range(numerics._DE_LEVELS)]
+        sizes = [x.size + y.size for x, _, y, _ in levels]
+        buffer = np.empty(decay.size * max(sizes))
+
+        def buffered(t):
+            rows = buffer[: decay.size * t.size].reshape(decay.size, t.size)
+            np.negative(np.multiply.outer(decay, t, out=rows), out=rows)
+            return np.exp(rows, out=rows)
+
+        fresh = integrate_semi_infinite(lambda t: np.exp(-np.multiply.outer(decay, t)))
+        tracemalloc.start()
+        try:
+            rows = integrate_semi_infinite(buffered)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [x.hex() for x in rows.tolist()] == [x.hex() for x in fresh.tolist()]
+        assert rows == pytest.approx(1.0 / decay, rel=1e-13)
+        assert peak < decay.size * min(sizes) * buffer.itemsize
 
     def test_one_lane_that_never_agrees_raises(self):
         with pytest.raises(QuadratureError):

@@ -719,19 +719,34 @@ class TestCylinderD:
 
     @pytest.mark.parametrize("nu", [0.5, 2.5, -4.0, -3.5, -1.0, -0.5, -1e-6])
     def test_lift_runs_each_anchor_integral_once(self, nu, monkeypatch):
-        # D_{nu-1} is the lift's own last step; a second lift would rerun the anchor integrals
-        calls = []
-        integral = specfun._cylinder_from_integral
+        # both anchor orders are the rows of one quadrature per block; D_{nu-1} is the
+        # lift's own last step, so a second lift would rerun the anchor integrals
+        anchors, quadratures = [], []
+        anchor, quadrature = specfun._cylinder_anchors, specfun.integrate_semi_infinite
 
-        def counted(*args):
-            calls.append(args[0])
-            return integral(*args)
+        def counted_anchor(mu, z):
+            anchors.append((mu, z.size))
+            return anchor(mu, z)
 
-        monkeypatch.setattr(specfun, "_cylinder_from_integral", counted)
+        def counted_quadrature(f):
+            rows = set()  # the row count of every level
+            quadratures.append(rows)
+
+            def integrand(t):
+                values = f(t)
+                rows.add(values.shape[0])
+                return values
+
+            return quadrature(integrand)
+
+        monkeypatch.setattr(specfun, "_cylinder_anchors", counted_anchor)
+        monkeypatch.setattr(specfun, "integrate_semi_infinite", counted_quadrature)
         z = 1.0
         d = cylinder_d(nu, z)
-        assert len(calls) == 2
-        assert all(order < -1.0 for order in calls)
+        specfun.cylinder_ds(nu, np.linspace(-1.0, 2.0, 100))  # 66 lanes z > 0: three blocks
+        assert [lanes for _, lanes in anchors] == [1, 66]
+        assert quadratures == [{2}, {64}, {64}, {4}]  # both orders' rows of each block
+        assert all(mu - 1.0 < mu < -1.0 for mu, _ in anchors)
         if nu - 2.0 >= -4.0:  # the recurrence below needs both lower orders in the domain
             below = cylinder_d(nu - 1.0, z).value
             assert d.value == z * below - (nu - 1.0) * cylinder_d(nu - 2.0, z).value
@@ -742,7 +757,8 @@ class TestCylinderD:
         def forbidden(*args):
             raise AssertionError(f"integral route taken at z={z}")
 
-        monkeypatch.setattr(specfun, "_cylinder_from_integral", forbidden)
+        monkeypatch.setattr(specfun, "_cylinder_anchors", forbidden)
+        monkeypatch.setattr(specfun, "integrate_semi_infinite", forbidden)
         for nu in ORACLE_ORDERS:
             cylinder_d(nu, z)
 
