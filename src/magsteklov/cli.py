@@ -12,6 +12,7 @@ version) so the data itself stays timestamp-free.
 """
 
 import argparse
+import dataclasses
 import datetime
 import gc
 import itertools
@@ -93,7 +94,7 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> No
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "columns": columns,
-            "rows": [[v for v in row] for row in rows],
+            "rows": rows,
         }
         text = json.dumps(payload, indent=2) + "\n"
     _write_output(args, text)
@@ -208,12 +209,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     results = [check() for check in verify.MODULES["constants"]]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "alpha": consts.alpha,
-        "xi0": consts.xi0,
-        "theta0": consts.theta0,
-        "delta_alpha": consts.delta_alpha,
-        "u0_sq_at_0": consts.u0_sq_at_0,
-        "alpha_upper_bound": consts.alpha_upper_bound,
+        **dataclasses.asdict(consts),
         "resolved_tol": REL_TOL,
         "checks": {
             r.name.replace("-", "_"): {"residual": r.measured, "limit": r.limit, "pass": r.passed}

@@ -16,7 +16,9 @@ characterizations, and extracts the expansion coefficients by least squares.
 
 z_n is found by Newton's method on the branch ratio R = M'/M(1/2, n+1, z)
 and the crossing function g(z) = n + 1/2 - z + z R of ``disk``, positive
-below z_n and negative above.  Kummer's equation (DLMF 13.2.1) gives
+below z_n and negative above.  Each mode starts from the expansion above
+with alpha fixed as a double, so the solve resolves no model constant.
+Kummer's equation (DLMF 13.2.1) gives
 R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the same
 ratio.  One solve serves both entry points and takes each step on all its
 modes at once, from one ``specfun.kummer_log_ratios`` call: ``crossings``
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import disk, models
+from . import disk
 from .numerics import REL_TOL, BracketError, ConvergenceError, DomainError, _require_lanes
 from .specfun import _MAX_ABS_Z, _kummer_values, kummer_log_ratios
 
@@ -49,9 +51,13 @@ __all__ = [
     "fit_asymptotics",
 ]
 
-# Newton's method takes at most 4 steps from _start (every mode to 2,000 and
-# a sample to 1e6); a mode still moving after this many has gone wrong.
+# Newton's method takes at most 4 steps from its start (every mode to 2,000
+# and a sample to 1e6); a mode still moving after this many has gone wrong.
 _MAX_STEPS = 8
+# The starts z_n ~ n + alpha sqrt(n) + (alpha^2 + 2)/3 + 0.31/sqrt(n), 0.03
+# off at n = 1 and closer above, are guesses: alpha enters as the double
+# models.compute_alpha() returns, which a test pins, and is never resolved.
+_START_ALPHA = 0.7649508673897595
 # Start of mode 0, where the expansion of z_n has no sqrt(n); z_0 = 1.57996...
 _Z0_GUESS = 1.58
 
@@ -84,15 +90,6 @@ class AsymptoticFit:
     coefficients: tuple[float, ...]  # against the basis sqrt(n), 1, n^{-1/2}, n^{-1}
     n_range: tuple[int, int]
     max_residual: float
-
-
-def _start(n: int) -> float:
-    """z_n ~ n + alpha sqrt(n) + (alpha^2 + 2)/3 + 0.31/sqrt(n): 0.03 off at n = 1, closer above."""
-    if n == 0:
-        return _Z0_GUESS
-    alpha = models._alpha_cached()
-    sqrt_n = math.sqrt(n)
-    return n + alpha * sqrt_n + (alpha * alpha + 2.0) / 3.0 + 0.31 / sqrt_n
 
 
 def _ratio(n: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -144,7 +141,8 @@ def _solve(modes: list[int]) -> list[IntersectionRecord]:
     zero, which a window of a few ulp of z would not clear at small n.
     """
     n = all_n = np.array(modes, dtype=float)
-    z = np.array([_start(m) for m in modes])
+    a, sqrt_n = _START_ALPHA, np.sqrt(np.maximum(n, 1.0))  # mode 0 starts at _Z0_GUESS
+    z = np.where(n > 0.0, n + a * sqrt_n + (a * a + 2.0) / 3.0 + 0.31 / sqrt_n, _Z0_GUESS)
     roots = np.empty(n.size)
     lane = np.arange(n.size)
     for _ in range(_MAX_STEPS):

@@ -50,7 +50,11 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """The resolved model constants and their derived combinations."""
+    """The resolved model constants and their derived combinations.
+
+    Their invariants, such as alpha below its upper bound, belong to the
+    ``constants`` checks of ``verify``: a violated one fails its named check.
+    """
 
     alpha: float
     xi0: float
@@ -58,12 +62,6 @@ class ModelConstants:
     delta_alpha: float  # (1 - 10 alpha^2) / 12
     u0_sq_at_0: float  # squared boundary value of the normalized half-line ground state
     alpha_upper_bound: float  # sqrt(2) * theta0 / u0_sq_at_0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha out of range: {self.alpha}")
-        if self.alpha > self.alpha_upper_bound:
-            raise DomainError("alpha exceeds its variational upper bound")
 
 
 def compute_alpha() -> float:

@@ -150,6 +150,15 @@ class TestIntersections:
         assert rows[0]["beta_n"] == ""
         assert float(rows[1]["beta_n"]) > 0.0
 
+    def test_resolves_no_alpha(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("intersections resolved alpha")
+
+        monkeypatch.setattr(models, "compute_alpha", refuse)
+        models._alpha_cached.cache_clear()
+        code, _ = run(tmp_path, "intersections", "--n-min", "0", "--n-max", "8")
+        assert code == 0
+
 
 # ---------------------------------------------------------------- CSV writer
 
@@ -284,6 +293,16 @@ class TestConstantsCommand:
         assert abs(payload["theta0"] - 0.5901061249) <= 1e-6
         assert abs(payload["checks"]["phi_prime_alpha"]["residual"]) <= 1e-6
         assert all(entry["pass"] for entry in payload["checks"].values())
+
+    def test_a_failed_check_exits_1_with_the_full_report(self, tmp_path, capsys, bound_below_alpha):
+        code, out = run(tmp_path, "constants", name="constants.json")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        assert payload["alpha_upper_bound"] == bound_below_alpha
+        assert len(payload["checks"]) == 8
+        failed = [name for name, entry in payload["checks"].items() if not entry["pass"]]
+        assert failed == ["alpha_below_bound"]
 
     def test_checks_are_the_verify_constants_group(self, tmp_path):
         code, out = run(tmp_path, "constants", name="constants.json")

@@ -80,16 +80,20 @@ class TestFindZn:
             with pytest.raises(DomainError):
                 intersect.find_zn(bad)
 
-    def test_uses_the_cached_alpha(self, monkeypatch):
-        models._alpha_cached()
-        expected = intersect.find_zn(7)
+    def test_resolves_no_model_constant(self, monkeypatch):
+        expected = intersect.find_zn(7), intersect.crossings(range(50))
         intersect._find_zn_cached.cache_clear()
+        models._alpha_cached.cache_clear()
 
-        def fail(*args, **kwargs):
-            raise AssertionError("compute_alpha called per crossing point")
+        def fail():
+            raise AssertionError("the crossing solve resolved alpha")
 
         monkeypatch.setattr(models, "compute_alpha", fail)
-        assert intersect.find_zn(7) == expected
+        assert (intersect.find_zn(7), intersect.crossings(range(50))) == expected
+
+    def test_start_constant_is_the_double_of_alpha(self):
+        # a route change that moves alpha fails here, and the start is updated on purpose
+        assert intersect._START_ALPHA.hex() == models.compute_alpha().hex()
 
     @pytest.mark.parametrize("n", [0, 1, 7, 42, 500])
     def test_residual_is_the_one_crossing_series(self, monkeypatch, n):
@@ -140,11 +144,16 @@ class TestFindZn:
 
     def test_broken_evaluation_raises_naming_the_mode(self, monkeypatch):
         # a ratio whose g = -|z - start| touches zero at the start without
-        # changing sign: Newton stops there, and the certificate refuses it
+        # changing sign: Newton stops there, and the certificate refuses it;
+        # a mode's start is the first iterate the solve asks a ratio at
+        starts = {}
+
         def tangent(a, c, z):
             n = c - 1.0
-            start = np.array([intersect._start(int(m)) for m in np.atleast_1d(n)])
-            return (z - n - 0.5 - abs(z - start.reshape(np.shape(z)))) / z
+            for m, iterate in zip(n.tolist(), z.tolist()):
+                starts.setdefault(m, iterate)
+            start = np.array([starts[m] for m in n.tolist()])
+            return (z - n - 0.5 - abs(z - start)) / z
 
         monkeypatch.setattr(intersect, "kummer_log_ratios", tangent)
         intersect._find_zn_cached.cache_clear()

@@ -197,6 +197,16 @@ class TestModelConstants:
         assert first is second  # resolved once per process
 
 
+def test_a_bound_below_alpha_fails_only_its_check_by_its_residual(bound_below_alpha):
+    # the constants resolve, and the violated invariant fails one named row
+    results = verify.run_suite(only="constants")
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["alpha-below-bound"]
+    assert len(results) == 8
+    assert failed[0].measured == models.constants().alpha - bound_below_alpha > failed[0].limit
+    assert failed[0].detail.startswith("max residual")
+
+
 # ------------------------------------------------- invariant suite delegates
 
 

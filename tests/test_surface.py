@@ -209,6 +209,26 @@ def test_no_module_imports_scipy(module):
     assert lines == [], f"{module} imports scipy at lines {lines}"
 
 
+def _models_imports(module):
+    """Line numbers of every import of ``magsteklov.models`` in the module, function-level ones too."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["magsteklov" if node.level else "", node.module]))
+            names = [package, *(f"{package}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == "magsteklov.models" or name.startswith("magsteklov.models.") for name in names):
+            yield node.lineno
+
+
+def test_intersect_imports_nothing_from_models():
+    # the crossing solve resolves no model constant: its starts hold alpha as a double
+    lines = list(_models_imports("intersect"))
+    assert lines == [], f"intersect imports models at lines {lines}"
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so no other test's imports are in sys.modules
     code = "import sys, magsteklov.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
