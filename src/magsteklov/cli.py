@@ -156,10 +156,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_intersections(args: argparse.Namespace) -> int:
-    rows = [
-        (r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F)
-        for r in intersect.crossings(range(args.n_min, args.n_max + 1))
-    ]
+    rows = intersect._rows(list(range(args.n_min, args.n_max + 1)))
     _emit(args, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
     return 0
 

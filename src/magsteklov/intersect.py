@@ -29,11 +29,14 @@ series in its scalar loop.  Every ratio is taken at c = n + 1 >= 1 and
 series, so each record's lambda_at_zn is bit for bit ``disk.lambda_n``.
 Each root is certified by a sign change of g across z (1 -+ REL_TOL), and
 the residuals |M(-1/2, n+1, z_n)| of all roots come from one
-``specfun._kummer_values`` call.
+``specfun._kummer_values`` call.  The solve returns each field of the
+records as one array over the modes, formed with the float operations of
+the one-mode expressions; ``crossings`` and ``find_zn`` build their records
+from those arrays, and the ``intersections`` command writes its rows from
+them without building a record.
 """
 
 import functools
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -119,26 +122,18 @@ def _newton_step(n: np.ndarray, z: np.ndarray, ratio: np.ndarray) -> tuple[np.nd
     return z - step, abs(step) <= REL_TOL * z
 
 
-def _record(n: int, z: float, ratio: float, residual: float) -> IntersectionRecord:
-    """The record of root z of mode n, from R = R_n(z) and residual |M(-1/2, n+1, z)|."""
-    lam = disk._branch(n, z, ratio)  # lambda_n(n, z) bit for bit: the ratio is the scalar's
-    return IntersectionRecord(
-        n=n,
-        z_n=z,
-        lambda_at_zn=lam,
-        beta_n=(z - n - 0.5) / math.sqrt(n) if n >= 1 else None,
-        residual_M=residual,
-        residual_F=abs(lam - (z - n - 1.0)),
-    )
+def _solve(modes: list[int]) -> tuple[np.ndarray, ...]:
+    """The roots of ``modes`` and their lambda, beta, residual_M and residual_F columns.
 
-
-def _solve(modes: list[int]) -> list[IntersectionRecord]:
-    """The records of ``modes`` from Newton steps on all of them at once.
-
-    A mode leaves at the step below REL_TOL z, and its root is certified
-    by the sign of g at lo = z (1 - REL_TOL) and hi = z (1 + REL_TOL), or
-    BracketError names it: g carries ~2e-16 of absolute noise near its
-    zero, which a window of a few ulp of z would not clear at small n.
+    Newton steps run on all modes at once.  A mode leaves at the step below
+    REL_TOL z, and its root is certified by the sign of g at
+    lo = z (1 - REL_TOL) and hi = z (1 + REL_TOL), or BracketError names it:
+    g carries ~2e-16 of absolute noise near its zero, which a window of a few
+    ulp of z would not clear at small n.  Each column takes the one-mode
+    float operations of its field on all lanes: lambda = n - z + 2 z R,
+    beta = (z - n - 1/2)/sqrt(n), where np.sqrt rounds as math.sqrt does,
+    and residual_F = |lambda - (z - n - 1)|.  A mode 0 lane's beta divides
+    by 1 and is not read.
     """
     n = all_n = np.array(modes, dtype=float)
     a, sqrt_n = _START_ALPHA, np.sqrt(np.maximum(n, 1.0))  # mode 0 starts at _Z0_GUESS
@@ -164,15 +159,23 @@ def _solve(modes: list[int]) -> list[IntersectionRecord]:
         "no sign change for mode {n:.0f}: g({lo!r}) = {g_lo!r} and g({hi!r}) = {g_hi!r}",
         n=all_n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
     )
+    lam = disk._branch(all_n, roots, ratio)  # lambda_n bit for bit: the ratio is the scalar's
+    beta = (roots - all_n - 0.5) / sqrt_n
     # |M(-1/2, n+1, z_n)| by its own series, a check independent of the ratio
-    residuals = np.abs(_kummer_values(-0.5, all_n + 1.0, roots))
-    records = zip(modes, roots.tolist(), ratio.tolist(), residuals.tolist())
-    return [_record(*record) for record in records]
+    residual_m = np.abs(_kummer_values(-0.5, all_n + 1.0, roots))
+    return roots, lam, beta, residual_m, np.abs(lam - (roots - all_n - 1.0))
+
+
+def _rows(modes: list[int]) -> list[tuple]:
+    """The fields of each mode's IntersectionRecord, in order, from one solve of all modes."""
+    roots, lam, beta, residual_m, residual_f = (column.tolist() for column in _solve(modes))
+    beta = [value if n >= 1 else None for n, value in zip(modes, beta)]
+    return list(zip(modes, roots, lam, beta, residual_m, residual_f))
 
 
 @functools.cache
 def _find_zn_cached(n: int) -> IntersectionRecord:
-    return _solve([n])[0]
+    return IntersectionRecord(*_rows([n])[0])
 
 
 def find_zn(n: int) -> IntersectionRecord:
@@ -188,11 +191,12 @@ def find_zn(n: int) -> IntersectionRecord:
 def crossings(modes: Iterable[int]) -> list[IntersectionRecord]:
     """``find_zn(n)`` for each n in ``modes``, in order, from one solve on all of them.
 
-    Each step is one ``kummer_log_ratios`` call on the modes still moving.
-    The solve is ``find_zn``'s, and each lane's ratio is its one-lane ratio,
-    so each record is bit for bit ``find_zn``'s.  The records are not cached.
+    Each step is one ``kummer_log_ratios`` call on the modes still moving,
+    and the records are built from the solve's column arrays.  The solve is
+    ``find_zn``'s, and each lane's ratio is its one-lane ratio, so each
+    record is bit for bit ``find_zn``'s.  The records are not cached.
     """
-    return _solve([disk._check_mode(m) for m in modes])
+    return [IntersectionRecord(*row) for row in _rows([disk._check_mode(m) for m in modes])]
 
 
 def fit_asymptotics(records: list[IntersectionRecord]) -> AsymptoticFit:

@@ -33,10 +33,10 @@ The lane count picks the loop that sums a batch of series: below
 _BATCH_MIN lanes the scalar loop runs lane by lane on Python floats, and
 from there one numpy loop runs all lanes together, so no caller chooses a
 route by size.  In that loop a lane whose series has stopped retires in
-place, and retired rows are dropped only once they fill at least half
-of the rows.  A retiring term costs a few gathers on the stopping lanes
-alone; the whole-array work of a term is its arithmetic, its stopping test
-and one maximum for the rescale test.
+place, and retired rows are dropped, their parts written, only once they
+fill at least half of the rows.  A retiring term costs a few scatters on
+the stopping lanes alone; the whole-array work of a term is its
+arithmetic, its stopping test and one maximum for the rescale test.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
@@ -113,10 +113,11 @@ _SUBNORMAL_SHIFT = 1022
 _LANE_BLOCK = 32
 # Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
 # lane.  Timed on kummer_log_ratios' crossing-point lanes with each loop forced
-# (medians, 2-vCPU KVM host): at 40 series lanes (20 crossing-point lanes) the
-# lane loop took 0.67 against 0.71 ms near c = 6 and 4.5 against 5.2 ms near
-# c = 1000, at 48 it took 0.77 against 0.68 ms and 5.7 against 5.6 ms, and the
-# two were even at ~42-46 series lanes at both.
+# (best of 15, 2-vCPU KVM host): near c = 6 the two loops are even at ~42-46
+# series lanes (40: 0.43 ms scalar against 0.45-0.47 ms numpy, 48: 0.53-0.57
+# against 0.50-0.51 ms), and near c = 1000 at ~30-32 (32: 1.95-2.13 against
+# 1.83-2.28 ms, 40: 2.32-2.74 against 1.71-2.70 ms).  The threshold is the
+# low-c break-even, below which the numpy loop is the slower one.
 _BATCH_MIN = 44
 
 
@@ -331,17 +332,20 @@ def _series_sums(
     the Pochhammer symbol (a)_k, and all lanes add it to pos, or all to neg;
     where every a >= 0, neg stays zero, is never touched, and the scale is
     pos itself.  Every lane keeps its own k_peak, stopping test, rescale and
-    offset; the term index k is shared.  At the term where its scalar loop
-    would break, a lane retires: its parts are recorded, and its term, pos
-    and neg become 0.  A live lane's scale is >= 1, so its zero term passes
-    the stopping test, while a retired lane, of scale 0, passes neither that
-    test nor the rescale test again.  Each term finds its small lanes by
-    index, so the few that stop at a term cost little; once k is past the
-    largest k_peak every small lane stops.  The rescale test is one maximum
-    over the scales, and the loop drops retired rows only once at most half
-    of its rows are live.
+    offset; the term index k is shared.  Each term finds its small lanes by
+    index, and a term where no lane is small does no more than its
+    arithmetic, its stopping test and one maximum for the rescale test.  Of
+    the small lanes, those where the scalar loop would break retire: their
+    term becomes 0, their live flag False, and their pos and neg are negated,
+    so the scale is <= 0 and the lane passes neither the stopping test nor
+    the rescale test again.  Once k is past the largest k_peak every small
+    lane stops.  The live flag, not the sign of pos, marks a retired lane: a
+    signed lane's pos underflows to 0 after three rescales.  A retired lane's
+    parts are written when the loop drops retired rows, which it does once
+    at most half of its rows are live, and when the last lane retires.
     """
-    if np.ndim(a):
+    per_lane = np.ndim(a) > 0
+    if per_lane:
         message = "_series_sums requires a per-lane a >= 0, got a[{i}]={a!r}"
         _require_lanes(a >= 0.0, DomainError, message, a=a)
     if z.size < _BATCH_MIN:
@@ -350,7 +354,7 @@ def _series_sums(
         # offsets are multiples of 512, exact in a float
         pos, offset, neg, _ = np.array(parts, dtype=float).reshape(-1, 4).T
         return pos, offset.astype(np.int64), neg
-    signed = np.ndim(a) == 0 and a < 0.0
+    signed = not per_lane and a < 0.0
     k_peak = _term_peak_bounds(a, c, z)
     last_peak = k_peak.max(initial=0.0)
     sums = np.empty(z.shape)
@@ -375,7 +379,10 @@ def _series_sums(
             )
         negative ^= signed and a + k < 0.0
         # term *= (a + k) * z / ((c + k) * (k + 1.0)), the scalar's operations
-        np.multiply(np.add(a, k, out=ratio), z, out=ratio)
+        if per_lane:
+            np.multiply(np.add(a, k, out=ratio), z, out=ratio)
+        else:
+            np.multiply(z, a + k, out=ratio)
         np.multiply(np.add(c, k, out=work), k + 1.0, out=work)
         term *= np.divide(ratio, work, out=ratio)
         k += 1
@@ -385,32 +392,37 @@ def _series_sums(
             pos += term
         scale = np.maximum(pos, neg) if signed else pos
         # a zero term of a live lane is small: its scale is >= 1
-        small = np.flatnonzero(
-            (np.abs(term) if signed else term) < np.multiply(scale, _STOP_REL, out=work)
-        )
-        # past every lane's peak bound each small lane stops
-        stop = small if k > last_peak else small[(term[small] == 0.0) | (k > k_peak[small])]
+        small = (np.abs(term) if signed else term) < np.multiply(scale, _STOP_REL, out=work)
+        stop = small.nonzero()[0]
+        if stop.size and k <= last_peak:  # past every lane's peak bound each small lane stops
+            stop = stop[(term[stop] == 0.0) | (k > k_peak[stop])]
         if stop.size:
-            rows = lane[stop]
-            sums[rows] = pos[stop]
-            offsets[rows] = offset[stop]
+            term[stop] = 0.0
             live[stop] = False
-            term[stop] = pos[stop] = 0.0  # unsigned, scale is pos
+            pos[stop] = -pos[stop]  # an unsigned lane's scale is its pos
             if signed:
-                negs[rows] = neg[stop]
-                neg[stop] = scale[stop] = 0.0
+                neg[stop] = -neg[stop]
+                scale[stop] = 0.0  # so this term's rescale test skips the lane
             remaining -= stop.size
-            if not remaining:  # before compaction leaves no rows to take a maximum over
-                break
             if 2 * remaining <= live.size:
+                # a retired lane holds its parts negated; abs restores them, also where
+                # a zero term added since turned a -0.0 into 0.0
+                retired = ~live
+                rows = lane[retired]
+                sums[rows] = np.abs(pos[retired])
+                offsets[rows] = offset[retired]
+                if signed:
+                    negs[rows] = np.abs(neg[retired])
+                if not remaining:
+                    break
                 lane, c, z, k_peak = lane[live], c[live], z[live], k_peak[live]
                 term, pos, neg, offset = term[live], pos[live], neg[live], offset[live]
-                if np.ndim(a):
+                if per_lane:
                     a = a[live]
                 live = np.ones(remaining, dtype=bool)
                 ratio, work = np.empty((2, remaining))
                 scale = np.maximum(pos, neg) if signed else pos
-        if scale.max() > _RESCALE:
+        if np.maximum.reduce(scale) > _RESCALE:
             big = scale > _RESCALE
             pos[big] *= _RESCALE_INV
             if signed:

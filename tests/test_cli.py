@@ -245,16 +245,28 @@ class TestCsvWriter:
         columns, rows = table
         assert emitted_csv(columns, rows) == per_value_csv(columns, rows)
 
-    @pytest.mark.parametrize("n_min", [0, 2])
+    @pytest.mark.parametrize("n_min", [0, 2, 3])
     def test_intersections_bytes(self, tmp_path, n_min):
-        # mode 0 has no beta_n: its row's template leaves that field empty
-        _, out = run(tmp_path, "intersections", "--n-min", str(n_min), "--n-max", "6")
+        # mode 0 has no beta_n: its row's template leaves that field empty, and
+        # JSON writes null.  Up to mode 6 the series run the scalar loop; 61
+        # modes are 122 series lanes, where the numpy loop runs.
+        def hexed(rows):
+            return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
         columns = ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"]
-        rows = [
-            (r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F)
-            for r in intersect.crossings(range(n_min, 7))
-        ]
-        assert out.read_bytes().decode() == per_value_csv(columns, rows)
+        for n_max in (6, n_min + 60):
+            flags = ("intersections", "--n-min", str(n_min), "--n-max", str(n_max))
+            rows = [
+                (r.n, r.z_n, r.lambda_at_zn, r.beta_n, r.residual_M, r.residual_F)
+                for r in intersect.crossings(range(n_min, n_max + 1))
+            ]
+            assert (rows[0][3] is None) == (n_min == 0)
+            _, out = run(tmp_path, *flags)
+            assert out.read_bytes().decode() == per_value_csv(columns, rows)
+            _, out = run(tmp_path, *flags, "--format", "json", name="out.json")
+            payload = json.loads(out.read_text())
+            assert payload["columns"] == columns
+            assert hexed(payload["rows"]) == hexed(rows)
 
     def test_envelope_bytes(self, tmp_path):
         # the lane core's rows are disk.envelope's points with their asymptote

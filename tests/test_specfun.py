@@ -978,6 +978,24 @@ class TestSeriesSums:
         else:
             assert set(terms.tolist()) == {1, 3}  # z = 0, and the third term of the polynomial
 
+    @pytest.mark.parametrize("a", [-0.25, -0.75])
+    def test_signed_lanes_retire_after_pos_underflows(self, a):
+        # with a in (-1, 0) every term past the first goes to neg, and past
+        # w ~ 1,065 the third rescale takes pos = 1 to 0, so its sign cannot
+        # mark a retired lane; lanes that stop first are written when a
+        # compaction drops them, the rest when the last lane stops
+        rng = np.random.default_rng(31)
+        w = rng.uniform(1100.0, 1250.0, 120)
+        c = np.where(rng.uniform(size=w.size) < 0.5, 0.5, 1.5)
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(a, c, w)
+        parts = [specfun._series_parts(a, c_i, w_i) for c_i, w_i in zip(c.tolist(), w.tolist())]
+        assert all(p == 0.0 and o >= 1536 for p, o, _, _ in parts)
+        terms = [p[3] for p in parts]
+        assert 2 * terms.count(max(terms)) <= len(terms)  # a compaction with live rows left
+        got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
+        assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
+
     def test_a_negative_per_lane_a_is_refused_by_lane(self):
         with pytest.raises(DomainError, match=r"a\[0\]=-0\.5"):
             specfun._series_sums(np.full(40, -0.5), np.ones(40), np.full(40, 30.0))

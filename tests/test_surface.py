@@ -17,6 +17,10 @@ depends on numpy alone: no module imports scipy, and importing the CLI
 loads none.  ``max`` and ``min`` keep their current value when the next one
 is NaN, so ``verify`` reduces its residuals only through ``_worst``.
 
+``cli.cmd_intersections`` writes its rows from the crossing solve's
+arrays: it builds no ``IntersectionRecord`` and calls neither ``crossings``
+nor ``find_zn``.
+
 ``specfun`` alone picks the loop that sums a batch of Kummer series, by its
 lane count: no other module names that loop or its threshold, and no
 function takes a ``kernel`` to choose one.
@@ -227,6 +231,23 @@ def test_intersect_imports_nothing_from_models():
     # the crossing solve resolves no model constant: its starts hold alpha as a double
     lines = list(_models_imports("intersect"))
     assert lines == [], f"intersect imports models at lines {lines}"
+
+
+def _record_building_calls(module, function):
+    """Line numbers where the function builds an IntersectionRecord or calls crossings or find_zn."""
+    top = next(node for node in _tree(module).body if getattr(node, "name", None) == function)
+    for node in ast.walk(top):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("IntersectionRecord", "crossings", "find_zn"):
+                yield node.lineno
+
+
+def test_intersections_command_builds_no_records():
+    # the command writes its rows from the solve's arrays, as envelope does from its lane core
+    lines = list(_record_building_calls("cli", "cmd_intersections"))
+    assert lines == [], f"cli.cmd_intersections builds crossing records at lines {lines}"
 
 
 def test_cli_import_loads_no_scipy():
