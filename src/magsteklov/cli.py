@@ -156,8 +156,9 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_intersections(args: argparse.Namespace) -> int:
-    rows = intersect._rows(list(range(args.n_min, args.n_max + 1)))
-    _emit(args, ["n", "z_n", "lambda_at_zn", "beta_n", "residual_M", "residual_F"], rows)
+    # the columns are the record's fields, in the order in which _rows gives them
+    columns = [field.name for field in dataclasses.fields(intersect.IntersectionRecord)]
+    _emit(args, columns, intersect._rows(list(range(args.n_min, args.n_max + 1))))
     return 0
 
 

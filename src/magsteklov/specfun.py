@@ -378,7 +378,9 @@ def _series_sums(
                 f"Kummer series M({a_i}, {c[i]}, {z[i]}) did not converge in {k} terms"
             )
         negative ^= signed and a + k < 0.0
-        # term *= (a + k) * z / ((c + k) * (k + 1.0)), the scalar's operations
+        # term *= (a + k) * z / ((c + k) * (k + 1.0)), the scalar's operations.  A
+        # per-lane a adds into the scratch row, as a + k would take a new array at
+        # each term; a scalar a + k is one Python float, so one multiply suffices
         if per_lane:
             np.multiply(np.add(a, k, out=ratio), z, out=ratio)
         else:
