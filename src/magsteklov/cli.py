@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import datetime
 import gc
-import itertools
 import json
 import math
 import sys
@@ -50,51 +49,38 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _template(kinds: tuple[type, ...]) -> str:
-    """The printf template of a CSV row with values of these types.
+def _csv(names: list[str], columns: list[list]) -> str:
+    """CSV text of the table given as its columns: one % on one printf row template.
 
-    A float takes 17 significant digits, None an empty field, anything
-    else its str().
+    A float column (numpy floats included) takes 17 significant digits and
+    any other column its str().  None is an empty field wherever it sits: a
+    column holding one is written as strings, its other values formatted
+    first with the column's format.
     """
-    return ",".join(
-        "%.17g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
-        for kind in kinds
-    )
+    formats, fields = [], []
+    for column in columns:
+        kind = next((type(value) for value in column if value is not None), str)
+        spec = "%.17g" if issubclass(kind, float) else "%s"
+        if None in column:
+            column, spec = ["" if value is None else spec % value for value in column], "%s"
+        formats.append(spec)
+        fields.append(column)
+    rows = len(fields[0])
+    values = [None] * (len(fields) * rows)
+    for start, column in enumerate(fields):
+        values[start :: len(fields)] = column  # in row order
+    return ",".join(names) + "\n" + (",".join(formats) + "\n") * rows % tuple(values)
 
 
-def _csv(columns: list[str], rows: list[tuple]) -> str:
-    """CSV text of the table: a float takes 17 significant digits, None an empty field.
-
-    Each run of consecutive rows whose values share their types is one % on
-    its row template repeated.  When every row has the table's width, only
-    the mixed columns (those holding more than one type) can tell two rows'
-    types apart, so the rows are keyed by those columns' types alone, read
-    column by column, and a table with no mixed column is one run.
-    """
-    if set(map(len, rows)) == {len(columns)}:
-        mixed = [column for column in zip(*rows) if len(set(map(type, column))) > 1]
-        keys = zip(*(map(type, column) for column in mixed)) if mixed else [()] * len(rows)
-    else:  # ragged: each row keyed by all its types
-        keys = (tuple(map(type, row)) for row in rows)
-    parts = [",".join(columns) + "\n"]
-    start = 0
-    for _, run in itertools.groupby(keys):
-        stop = start + len(list(run))
-        template = (_template(tuple(map(type, rows[start]))) + "\n") * (stop - start)
-        parts.append(template % tuple(itertools.chain.from_iterable(rows[start:stop])))
-        start = stop
-    return "".join(parts)
-
-
-def _emit(args: argparse.Namespace, columns: list[str], rows: list[tuple]) -> None:
+def _emit(args: argparse.Namespace, names: list[str], columns: list[list]) -> None:
     if args.format == "csv":
-        text = _csv(columns, rows)
+        text = _csv(names, columns)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "columns": columns,
-            "rows": rows,
+            "columns": names,
+            "rows": list(zip(*columns)),
         }
         text = json.dumps(payload, indent=2) + "\n"
     _write_output(args, text)
@@ -134,13 +120,12 @@ def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> np.n
 
 def cmd_curves(args: argparse.Namespace) -> int:
     grid = _b_grid(args, -_MAX_ABS_Z, _MAX_ABS_Z, "the range of the field").tolist()
-    rows = []
-    for branch in ("pos", "neg"):
-        sign = 1.0 if branch == "pos" else -1.0
-        for n in range(args.n_min, args.n_max + 1):
-            for b in grid:
-                rows.append((n, b, branch, disk.lambda_n(n, sign * b)))
-    _emit(args, ["n", "b", "branch", "lambda"], rows)
+    modes = range(args.n_min, args.n_max + 1)
+    # each branch's rows mode by mode over the grid, the pos branch first
+    lam = [disk.lambda_n(n, sign * b) for sign in (1.0, -1.0) for n in modes for b in grid]
+    ns = [n for n in modes for _ in grid] * 2
+    branches = ["pos"] * (len(lam) // 2) + ["neg"] * (len(lam) // 2)
+    _emit(args, ["n", "b", "branch", "lambda"], [ns, grid * (2 * len(modes)), branches, lam])
     return 0
 
 
@@ -150,15 +135,15 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     field, modes, lam = disk._ground_states(grid)
     # np.sqrt rounds correctly, so each asymptote is alpha * math.sqrt(b) - offset
     asymptote = alpha * np.sqrt(field) - (alpha * alpha + 2.0) / 6.0
-    rows = list(zip(field.tolist(), modes.tolist(), lam.tolist(), asymptote.tolist()))
-    _emit(args, ["b", "active_mode", "lambda_dn", "asymptote"], rows)
+    columns = [field.tolist(), modes.tolist(), lam.tolist(), asymptote.tolist()]
+    _emit(args, ["b", "active_mode", "lambda_dn", "asymptote"], columns)
     return 0
 
 
 def cmd_intersections(args: argparse.Namespace) -> int:
-    # the columns are the record's fields, in the order in which _rows gives them
-    columns = [field.name for field in dataclasses.fields(intersect.IntersectionRecord)]
-    _emit(args, columns, intersect._rows(list(range(args.n_min, args.n_max + 1))))
+    # the names are the record's fields, in the order in which _columns gives them
+    names = [field.name for field in dataclasses.fields(intersect.IntersectionRecord)]
+    _emit(args, names, intersect._columns(list(range(args.n_min, args.n_max + 1))))
     return 0
 
 
@@ -179,11 +164,9 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     gap_model = 1.0 + 0.5 * alpha / math.sqrt(n_hi)
     names = ["sqrt_n", "const", "inv_sqrt_n", "inv_n"]
     if args.format == "csv":
-        rows = [(name, coeff) for name, coeff in zip(names, fit.coefficients)]
-        rows.append(("max_fit_residual", fit.max_residual))
-        rows.append(("gap_at_n_max", gap))
-        rows.append(("gap_model_at_n_max", gap_model))
-        _emit(args, ["quantity", "value"], rows)
+        quantities = [*names, "max_fit_residual", "gap_at_n_max", "gap_model_at_n_max"]
+        values = [*fit.coefficients, fit.max_residual, gap, gap_model]
+        _emit(args, ["quantity", "value"], [quantities, values])
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -222,14 +205,13 @@ def cmd_halfplane(args: argparse.Namespace) -> int:
     grid = _b_grid(args, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z, "the range of the cylinder functions")
     f1 = models._halfplane_multipliers(grid).tolist()
     d_half = cylinder_ds(0.5, grid)[0].tolist()
-    _emit(args, ["xi", "f1", "d_half"], list(zip(grid.tolist(), f1, d_half)))
+    _emit(args, ["xi", "f1", "d_half"], [grid.tolist(), f1, d_half])
     return 0
 
 
 def cmd_degennes(args: argparse.Namespace) -> int:
     grid = _b_grid(args, 0.0, 1.5, "the domain of degennes_f").tolist()
-    rows = [(xi, models.degennes_f(xi)) for xi in grid]
-    _emit(args, ["xi", "f"], rows)
+    _emit(args, ["xi", "f"], [grid, [models.degennes_f(xi) for xi in grid]])
     return 0
 
 

@@ -31,9 +31,9 @@ Each root is certified by a sign change of g across z (1 -+ REL_TOL), and
 the residuals |M(-1/2, n+1, z_n)| of all roots come from one
 ``specfun._kummer_values`` call.  The solve returns each field of the
 records as one array over the modes, formed with the float operations of
-the one-mode expressions; ``crossings`` and ``find_zn`` build their records
-from those arrays, and the ``intersections`` command writes its rows from
-them without building a record.
+the one-mode expressions; ``_columns`` turns them into lists, from which
+``crossings`` and ``find_zn`` build their records and the ``intersections``
+command writes its table without building a record.
 """
 
 import functools
@@ -166,16 +166,16 @@ def _solve(modes: list[int]) -> tuple[np.ndarray, ...]:
     return roots, lam, beta, residual_m, np.abs(lam - (roots - all_n - 1.0))
 
 
-def _rows(modes: list[int]) -> list[tuple]:
-    """The fields of each mode's IntersectionRecord, in order, from one solve of all modes."""
+def _columns(modes: list[int]) -> list[list]:
+    """The IntersectionRecord fields over ``modes``, as lists in field order, from one solve."""
     roots, lam, beta, residual_m, residual_f = (column.tolist() for column in _solve(modes))
     beta = [value if n >= 1 else None for n, value in zip(modes, beta)]
-    return list(zip(modes, roots, lam, beta, residual_m, residual_f))
+    return [modes, roots, lam, beta, residual_m, residual_f]
 
 
 @functools.cache
 def _find_zn_cached(n: int) -> IntersectionRecord:
-    return IntersectionRecord(*_rows([n])[0])
+    return IntersectionRecord(*(column[0] for column in _columns([n])))
 
 
 def find_zn(n: int) -> IntersectionRecord:
@@ -196,7 +196,8 @@ def crossings(modes: Iterable[int]) -> list[IntersectionRecord]:
     ``find_zn``'s, and each lane's ratio is its one-lane ratio, so each
     record is bit for bit ``find_zn``'s.  The records are not cached.
     """
-    return [IntersectionRecord(*row) for row in _rows([disk._check_mode(m) for m in modes])]
+    columns = _columns([disk._check_mode(m) for m in modes])
+    return [IntersectionRecord(*fields) for fields in zip(*columns)]
 
 
 def fit_asymptotics(records: list[IntersectionRecord]) -> AsymptoticFit:

@@ -86,19 +86,23 @@ _LN2_LO = 4.7493250390316726e-07
 _LOG2E = 1.4426950408889634
 
 
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp on each lane: np.exp differs from libm's exp in the last bit on some arguments."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
 def _exp_split(x: float | np.ndarray) -> tuple:
     """(exp(r), k) with exp(x) = exp(r) * 2**k, for a float x or a 1-d array of lanes.
 
     Cody-Waite reduction with k = x / ln 2 rounded half to even, so that
     |r| <= ln(2)/2; k is an int for a float x and int64 on lanes.  exp(r) is
-    libm's on lanes too: np.exp differs from it in the last bit on some
-    arguments.
+    libm's on lanes too.
     """
     k = np.rint(x * _LOG2E)
     r = (x - k * _LN2_HI) - k * _LN2_LO
     if np.ndim(x) == 0:
         return math.exp(r), int(k)
-    return np.array([math.exp(v) for v in r.tolist()]), k.astype(np.int64)
+    return _libm_exp(r), k.astype(np.int64)
 
 
 @dataclass(frozen=True)

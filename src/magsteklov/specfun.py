@@ -77,6 +77,7 @@ from .numerics import (
     DomainError,
     ScaledReal,
     _exp_split,
+    _libm_exp,
     _require_lanes,
     integrate_semi_infinite,
 )
@@ -518,8 +519,7 @@ def _cylinder_anchors(mu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     z_hi = split - (split - z)
     z_lo = z - z_hi
     lo = ((z_hi * z_hi - hi) + 2.0 * z_hi * z_lo) + z_lo * z_lo
-    # libm's exp: np.exp differs from it in the last bit on some arguments
-    gauss = np.array([math.exp(x) for x in (-0.25 * hi).tolist()]) * (1.0 - 0.25 * lo)
+    gauss = _libm_exp(-0.25 * hi) * (1.0 - 0.25 * lo)
     return gauss * integral[1] / math.gamma(-mu), gauss * integral[0] / math.gamma(-lower)
 
 

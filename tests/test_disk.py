@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_series import crossing_oracle, kummer_series
 
 from magsteklov import disk, intersect, specfun, verify
 from magsteklov.numerics import ConvergenceError, DomainError, ScaledReal
@@ -17,30 +18,11 @@ from magsteklov.verify import central_diff
 # ----------------------------------------------------------------- oracles
 
 
-def series(a, c, z, terms=80):
-    total, term = 1.0, 1.0
-    for k in range(terms):
-        term *= (a + k) * z / ((c + k) * (k + 1.0))
-        total += term
-    return total
-
-
 def lambda_oracle(n, b, terms=120):
     """Branch eigenvalue assembled from raw float series; small |b| only."""
-    ratio = 0.5 / (n + 1.0) * series(1.5, n + 2.0, b, terms) / series(0.5, n + 1.0, b, terms)
+    top, bottom = kummer_series(1.5, n + 2.0, b, terms), kummer_series(0.5, n + 1.0, b, terms)
+    ratio = 0.5 / (n + 1.0) * top / bottom
     return n - b + 2.0 * b * ratio
-
-
-def crossing_oracle(n, lo, hi, terms=30):
-    """Bisection on the truncated series of M(-1/2, n+1, z)."""
-    f = lambda z: series(-0.5, n + 1.0, z, terms)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 Z0_ORACLE = crossing_oracle(0, 1.5, 1.7)  # ~1.57996

@@ -6,33 +6,11 @@ import math
 import numpy as np
 import pytest
 from large_z import large_z_sum
+from naive_series import crossing_oracle
 
 from magsteklov import disk, intersect, models, specfun, verify
 from magsteklov.intersect import IntersectionRecord
 from magsteklov.numerics import BracketError, ConvergenceError, DomainError
-
-# ----------------------------------------------------------------- oracles
-
-
-def series(a, c, z, terms=30):
-    total, term = 1.0, 1.0
-    for k in range(terms):
-        term *= (a + k) * z / ((c + k) * (k + 1.0))
-        total += term
-    return total
-
-
-def crossing_oracle(n, lo, hi, terms=30):
-    f = lambda z: series(-0.5, n + 1.0, z, terms)
-    assert f(lo) * f(hi) < 0.0, "oracle bracket must straddle the crossing"
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
 
 # ------------------------------------------------------------------ find_zn
 
