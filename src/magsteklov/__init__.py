@@ -2,12 +2,13 @@
 
 Subpackages:
 
-* ``numerics``: scaled floats, quadrature, root finding, derivatives.
-* ``specfun``: Kummer M and its log-derivative, parabolic cylinder D_nu.
+* ``numerics``: the error types, the lane exp, quadrature, root finding.
+* ``specfun``: the Kummer series and M'/M, parabolic cylinder D_nu.
 * ``disk``: eigenvalue branches lambda_n(b) and the ground-state envelope.
 * ``intersect``: branch crossing points z_n and their asymptotics.
 * ``models``: the constants alpha, xi0, theta0 and the limit functions.
-* ``verify``: the named checks, and the reference routes only they use.
+* ``verify``: the named checks, and the reference routes only they use
+  (central differences among them).
 * ``cli``: command-line sweeps, the constants report, and the check table.
 """
 

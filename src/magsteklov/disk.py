@@ -134,10 +134,19 @@ _INVERSE_GUESS = 0.27
 _Z0_GUESS = 1.5799
 
 
-def _estimates(n: np.ndarray) -> np.ndarray:
-    """est(n) = n + A sqrt(n) + (A^2+2)/3 + D/sqrt(n) on lanes n >= 1."""
+def _zn_expansion(n: np.ndarray, alpha: float, inverse: float) -> np.ndarray:
+    """n + A sqrt(n) + (A^2+2)/3 + D/sqrt(n) on lanes n >= 1, with A = alpha and D = inverse.
+
+    The first four terms of the large-n expansion of z_n, each caller with
+    its own constants: ``_estimates`` a lower bound, ``intersect`` a guess.
+    """
     root = np.sqrt(n)
-    return n + _ALPHA_GUESS * root + _OFFSET_GUESS + _INVERSE_GUESS / root
+    return n + alpha * root + (alpha * alpha + 2.0) / 3.0 + inverse / root
+
+
+def _estimates(n: np.ndarray) -> np.ndarray:
+    """est(n), the expansion of z_n with the constants above, on lanes n >= 1."""
+    return _zn_expansion(n, _ALPHA_GUESS, _INVERSE_GUESS)
 
 
 def _start_modes(b: np.ndarray) -> np.ndarray:

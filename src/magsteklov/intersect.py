@@ -17,7 +17,8 @@ characterizations, and extracts the expansion coefficients by least squares.
 z_n is found by Newton's method on the branch ratio R = M'/M(1/2, n+1, z)
 and the crossing function g(z) = n + 1/2 - z + z R of ``disk``, positive
 below z_n and negative above.  Each mode starts from the expansion above
-with alpha fixed as a double, so the solve resolves no model constant.
+(``disk._zn_expansion``) with alpha fixed as a double, so the solve
+resolves no model constant.
 Kummer's equation (DLMF 13.2.1) gives
 R' = (1/2 - (n+1-z) R)/z - R^2, so g' = -1 + R + z R' comes from the same
 ratio.  One solve serves both entry points and takes each step on all its
@@ -61,6 +62,7 @@ _MAX_STEPS = 8
 # off at n = 1 and closer above, are guesses: alpha enters as the double
 # models.compute_alpha() returns, which a test pins, and is never resolved.
 _START_ALPHA = 0.7649508673897595
+_START_INVERSE = 0.31
 # Start of mode 0, where the expansion of z_n has no sqrt(n); z_0 = 1.57996...
 _Z0_GUESS = 1.58
 
@@ -136,8 +138,8 @@ def _solve(modes: list[int]) -> tuple[np.ndarray, ...]:
     by 1 and is not read.
     """
     n = all_n = np.array(modes, dtype=float)
-    a, sqrt_n = _START_ALPHA, np.sqrt(np.maximum(n, 1.0))  # mode 0 starts at _Z0_GUESS
-    z = np.where(n > 0.0, n + a * sqrt_n + (a * a + 2.0) / 3.0 + 0.31 / sqrt_n, _Z0_GUESS)
+    clamped = np.maximum(n, 1.0)  # mode 0 starts at _Z0_GUESS
+    z = np.where(n > 0.0, disk._zn_expansion(clamped, _START_ALPHA, _START_INVERSE), _Z0_GUESS)
     roots = np.empty(n.size)
     lane = np.arange(n.size)
     for _ in range(_MAX_STEPS):
@@ -160,7 +162,7 @@ def _solve(modes: list[int]) -> tuple[np.ndarray, ...]:
         n=all_n, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi,
     )
     lam = disk._branch(all_n, roots, ratio)  # lambda_n bit for bit: the ratio is the scalar's
-    beta = (roots - all_n - 0.5) / sqrt_n
+    beta = (roots - all_n - 0.5) / np.sqrt(clamped)
     # |M(-1/2, n+1, z_n)| by its own series, a check independent of the ratio
     residual_m = np.abs(_kummer_values(-0.5, all_n + 1.0, roots))
     return roots, lam, beta, residual_m, np.abs(lam - (roots - all_n - 1.0))

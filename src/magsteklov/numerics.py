@@ -1,7 +1,7 @@
 """Shared numeric substrate.
 
-Scaled power-of-two floats for overflow-free series summation, and the
-Cody-Waite exp they use, on a float or on lanes; double-exponential
+The Cody-Waite exp on lanes, as a float times a power of two, so that
+values past the float range stay representable; double-exponential
 quadrature on the half line, of one integrand or of the rows of one array
 at once, each row the one-integrand result; and Brent's bracketing root
 finder.  REL_TOL is the one relative accuracy the package asks of its
@@ -14,7 +14,6 @@ import functools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "DomainError",
     "QuadratureError",
     "REL_TOL",
-    "ScaledReal",
     "brent_root",
     "integrate_semi_infinite",
 ]
@@ -91,96 +89,15 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _exp_split(x: float | np.ndarray) -> tuple:
-    """(exp(r), k) with exp(x) = exp(r) * 2**k, for a float x or a 1-d array of lanes.
+def _exp_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(r), k) with exp(x) = exp(r) * 2**k on the lanes of a 1-d array x.
 
     Cody-Waite reduction with k = x / ln 2 rounded half to even, so that
-    |r| <= ln(2)/2; k is an int for a float x and int64 on lanes.  exp(r) is
-    libm's on lanes too.
+    |r| <= ln(2)/2; k is int64, and exp(r) is libm's on every lane.
     """
     k = np.rint(x * _LOG2E)
     r = (x - k * _LN2_HI) - k * _LN2_LO
-    if np.ndim(x) == 0:
-        return math.exp(r), int(k)
     return _libm_exp(r), k.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class ScaledReal:
-    """A real number stored as mantissa * 2**exponent.
-
-    The sign lives on the mantissa and |mantissa| is kept in [1, 2) unless
-    the value is exactly zero.  This makes sums of positive series whose
-    magnitude reaches exp(1e6) representable without overflow while keeping
-    full double-precision resolution on the mantissa.
-    """
-
-    mantissa: float
-    exponent: int = 0
-
-    def __post_init__(self):
-        m = self.mantissa
-        if not math.isfinite(m):
-            raise DomainError("ScaledReal mantissa must be finite")
-        if m == 0.0:
-            object.__setattr__(self, "exponent", 0)
-            return
-        frac, e = math.frexp(m)  # |frac| in [0.5, 1)
-        object.__setattr__(self, "mantissa", frac * 2.0)
-        object.__setattr__(self, "exponent", self.exponent + e - 1)
-
-    @classmethod
-    def from_float(cls, x: float) -> "ScaledReal":
-        return cls(x, 0)
-
-    @classmethod
-    def exp(cls, x: float) -> "ScaledReal":
-        """exp(x) for any |x| <~ 1e9, without float overflow or underflow."""
-        return cls(*_exp_split(x))
-
-    def to_float(self) -> float:
-        try:
-            return math.ldexp(self.mantissa, self.exponent)
-        except OverflowError:
-            return math.copysign(math.inf, self.mantissa)
-
-    __float__ = to_float
-
-    @property
-    def sign(self) -> int:
-        if self.mantissa > 0.0:
-            return 1
-        if self.mantissa < 0.0:
-            return -1
-        return 0
-
-    def __add__(self, other: "ScaledReal") -> "ScaledReal":
-        if self.mantissa == 0.0:
-            return other
-        if other.mantissa == 0.0:
-            return self
-        hi, lo = (self, other) if self.exponent >= other.exponent else (other, self)
-        shift = lo.exponent - hi.exponent
-        if shift < -1100:  # the small term is below one ulp of the large one
-            return hi
-        return ScaledReal(hi.mantissa + math.ldexp(lo.mantissa, shift), hi.exponent)
-
-    def __sub__(self, other: "ScaledReal") -> "ScaledReal":
-        return self + (-other)
-
-    def __neg__(self) -> "ScaledReal":
-        return ScaledReal(-self.mantissa, self.exponent)
-
-    def __abs__(self) -> "ScaledReal":
-        return ScaledReal(abs(self.mantissa), self.exponent)
-
-    def __mul__(self, other: "ScaledReal") -> "ScaledReal":
-        return ScaledReal(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def __truediv__(self, other: "ScaledReal") -> "ScaledReal":
-        if other.mantissa == 0.0:
-            raise ZeroDivisionError("division by zero ScaledReal")
-        return ScaledReal(self.mantissa / other.mantissa, self.exponent - other.exponent)
 
 
 @functools.cache

@@ -8,9 +8,9 @@ for z >= 0 in floats that share one power-of-two offset, so values of size
 exp(z) for z up to ~1e6 stay representable.  That series needs O(z) terms.
 The library reads every sum in that form: the branch ratio divides two sums
 and scales the quotient by the power of two between their offsets, and
-``_kummer_values`` scales each lane's sum to a float.  ``kummer_m`` wraps
-the same sum in a ScaledReal; it is the public scalar M, which ``verify``
-and the tests call.
+``_kummer_values`` scales each lane's sum to a float by its offset.  No
+public function returns M itself: the crossing residuals and the
+cross-checks of ``verify`` read it through ``_kummer_values``.
 The log-derivative M'/M has a second route: by the large-z expansion of
 DLMF 13.7.2,
 
@@ -75,7 +75,6 @@ import numpy as np
 from .numerics import (
     ConvergenceError,
     DomainError,
-    ScaledReal,
     _exp_split,
     _libm_exp,
     _require_lanes,
@@ -84,12 +83,10 @@ from .numerics import (
 
 __all__ = [
     "CylinderValue",
-    "KummerValue",
     "cylinder_d",
     "cylinder_ds",
     "kummer_log_ratio",
     "kummer_log_ratios",
-    "kummer_m",
 ]
 
 _MAX_TERMS = 2_000_000
@@ -120,14 +117,6 @@ _LANE_BLOCK = 32
 # 1.83-2.28 ms, 40: 2.32-2.74 against 1.71-2.70 ms).  The threshold is the
 # low-c break-even, below which the numpy loop is the slower one.
 _BATCH_MIN = 44
-
-
-@dataclass(frozen=True)
-class KummerValue:
-    """Result of a Kummer series evaluation."""
-
-    value: ScaledReal
-    terms_used: int
 
 
 @dataclass(frozen=True)
@@ -201,24 +190,6 @@ def _series_parts(a: float, c: float, z: float) -> tuple[float, int, float, int]
     else:
         raise ConvergenceError(f"Kummer series M({a}, {c}, {z}) did not converge in {k} terms")
     return pos, offset, neg, k + 1
-
-
-def kummer_m(a: float, c: float, z: float) -> KummerValue:
-    """Kummer confluent hypergeometric function M(a, c, z) for 0 <= z <= 1e6.
-
-    Negative z is refused: there the series alternates and loses all
-    precision near z ~ -c, and every caller in the package transforms its
-    argument to z >= 0 first.  A series that does not converge raises
-    ConvergenceError.
-    """
-    _require_finite(a=a, c=c, z=z)
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"M(a,c,z) undefined for non-positive integer c={c}")
-    if z < 0.0:
-        raise DomainError(f"kummer_m requires z >= 0, got z={z}")
-    _check_range(z)
-    pos, offset, neg, terms = _series_parts(float(a), float(c), float(z))
-    return KummerValue(value=ScaledReal(pos - neg, offset), terms_used=terms)
 
 
 def _large_z_sums(upper: float, lower: float, c: float, z: float) -> tuple[float, float] | None:
@@ -471,9 +442,8 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _kummer_values(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """M(a, c_i, z_i) on every lane of checked arrays c and 0 <= z <= 1e6, as floats.
 
-    Each lane is ``kummer_m(a, c_i, z_i).value.to_float()``, bit for bit: the
-    series parts scaled exactly by their power-of-two offset, saturated to
-    +-inf past the float range.
+    Each lane is its series' pos - neg scaled exactly by their power-of-two
+    offset, saturated to +-inf past the float range.
     """
     pos, offset, neg = _series_sums(a, c, z)
     with np.errstate(over="ignore"):
@@ -557,7 +527,7 @@ def _cylinder_even_odd(nu: float, z: np.ndarray, gauss: np.ndarray, k: np.ndarra
     series' power-of-two offset, e^{-z^2/4} is gauss 2^k, the split
     ``_exp_split(-0.25 * z * z)`` that both orders share, and one final
     ldexp applies offset and k.  Scaling by powers of two is exact, so each value
-    is the float that ScaledReal arithmetic on the same pieces forms.
+    is the float that the same operations form on an unbounded exponent range.
     Accurate for z <= 0, where the two pieces reinforce the dominant
     exp(+z^2/4) branch; useless for large z > 0, where they cancel to the
     recessive solution.
@@ -569,7 +539,8 @@ def _cylinder_even_odd(nu: float, z: np.ndarray, gauss: np.ndarray, k: np.ndarra
     odd = -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu) * (odd - odd_neg)
     offset = np.maximum(even_offset, odd_offset)
     pieces = np.ldexp(even, even_offset - offset) + np.ldexp(odd, odd_offset - offset)
-    # as in ScaledReal's sum, an exact-zero piece leaves the other as it is, at its own offset
+    # an exact-zero piece leaves the other as it is, at its own offset, which the
+    # alignment to the larger offset could push below the normal range
     pieces = np.where(even == 0.0, odd, np.where(odd == 0.0, even, pieces))
     offset = np.where(even == 0.0, odd_offset, np.where(odd == 0.0, even_offset, offset))
     prefactor = gauss * (2.0 ** (0.5 * nu) * math.sqrt(math.pi))

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_series import crossing_oracle, kummer_series
+from scaled_real import ScaledReal, kummer_m
 
 from magsteklov import disk, intersect, specfun, verify
-from magsteklov.numerics import ConvergenceError, DomainError, ScaledReal
+from magsteklov.numerics import ConvergenceError, DomainError
 from magsteklov.verify import central_diff
 
 # ----------------------------------------------------------------- oracles
@@ -40,14 +41,14 @@ def radial_solution(n, b, r):
     if not 0.0 < r <= 1.0:
         raise DomainError(f"radius must lie in (0, 1], got {r}")
     z = b * r * r
-    kummer = specfun.kummer_m(0.5, n + 1.0, z).value
+    kummer = kummer_m(0.5, n + 1.0, z)
     return float(ScaledReal.exp(-0.5 * z) * ScaledReal.from_float(r**n) * kummer)
 
 
 def radial_log_derivative(n, b):
     """v_n'(1) / v_n(1) from a one-sided second-order difference.
 
-    A slow route to lambda_n that shares only kummer_m with it; the stencil
+    A slow route to lambda_n that shares only the Kummer series with it; the stencil
     stays inside (0, 1] where the radial solution is defined.
     """
     h = 1e-6
@@ -577,7 +578,7 @@ class TestGroundStateSearch:
             z = intersect.find_zn(n).z_n
             for point in disk.envelope([z - 1e-9 * z, z + 1e-9 * z]):
                 b, mode = point.b, point.active_mode
-                below = specfun.kummer_m(-0.5, n + 1.0, b).value.to_float() > 0.0
+                below = kummer_m(-0.5, n + 1.0, b).to_float() > 0.0
                 assert mode == (n if below else n + 1)
                 assert point.lambda_dn == disk.lambda_n(mode, b)
 
@@ -589,11 +590,11 @@ class TestGroundStateSearch:
         sample = set(range(2001)) | set(np.geomspace(2001, top, 200).round().astype(int).tolist())
         assert top in sample and len(sample) > 2190
         for m in sorted(sample):
-            assert specfun.kummer_m(-0.5, m + 1.0, estimate(m)).value.sign == 1, m
+            assert kummer_m(-0.5, m + 1.0, estimate(m)).sign == 1, m
             if m > 0:
-                assert specfun.kummer_m(-0.5, float(m), estimate(m)).value.sign == -1, m
+                assert kummer_m(-0.5, float(m), estimate(m)).sign == -1, m
         # past est(top) the start is top + 1, and z_{top+1} lies beyond 1e6
-        assert specfun.kummer_m(-0.5, top + 2.0, 1e6).value.sign == 1
+        assert kummer_m(-0.5, top + 2.0, 1e6).sign == 1
 
     def test_start_guess_is_exact_or_one_above(self):
         # a guess above alpha passes z_n at large n: 0.765 started one below

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from large_z import large_z_sum
 from naive_series import crossing_oracle
+from scaled_real import kummer_m
 
 from magsteklov import disk, intersect, models, specfun, verify
 from magsteklov.intersect import IntersectionRecord
@@ -227,11 +228,11 @@ class TestCrossings:
 
     def test_residual_is_kummer_m_at_the_root(self):
         # 41 modes take the numpy series loop and find_zn the scalar one; both
-        # read M(-1/2, n+1, z_n) as the float kummer_m's ScaledReal gives
+        # read M(-1/2, n+1, z_n) as the float the reference kummer_m gives
         records = intersect.crossings(range(41))
         records += [intersect.find_zn(n) for n in (1000, 10_000, 100_000, 999_000)]
         residuals = [r.residual_M.hex() for r in records]
-        expected = [abs(specfun.kummer_m(-0.5, r.n + 1.0, r.z_n).value.to_float()) for r in records]
+        expected = [abs(kummer_m(-0.5, r.n + 1.0, r.z_n).to_float()) for r in records]
         assert residuals == [x.hex() for x in expected]
 
     def test_any_order_repeats_and_no_modes(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scaled_real import ScaledReal
 
 from magsteklov import numerics
 from magsteklov.numerics import (
@@ -17,7 +18,6 @@ from magsteklov.numerics import (
     ConvergenceError,
     DomainError,
     QuadratureError,
-    ScaledReal,
     brent_root,
     integrate_semi_infinite,
 )
@@ -47,7 +47,7 @@ def midpoint_integral(f, upper, n=1_000_000):
     return float(np.sum(f(t)) * h)
 
 
-# --------------------------------------------------------------- ScaledReal
+# ------------------------------------------- ScaledReal, the tests' reference
 
 
 class TestScaledReal:

@@ -17,22 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from large_z import large_z_sum
 from naive_series import kummer_series
+from scaled_real import ScaledReal, kummer_m
 
-from magsteklov import models, specfun, verify
-from magsteklov.numerics import (
-    EPS,
-    REL_TOL,
-    ConvergenceError,
-    DomainError,
-    ScaledReal,
-)
-from magsteklov.specfun import (
-    cylinder_d,
-    cylinder_ds,
-    kummer_log_ratio,
-    kummer_log_ratios,
-    kummer_m,
-)
+from magsteklov import intersect, models, specfun, verify
+from magsteklov.numerics import EPS, REL_TOL, ConvergenceError, DomainError
+from magsteklov.specfun import cylinder_d, cylinder_ds, kummer_log_ratio, kummer_log_ratios
 from magsteklov.verify import central_diff, kummer_m_prime
 
 ALPHA_REF = 0.7649508673  # reference digits for the negative zero of D_{1/2}
@@ -73,10 +62,10 @@ def scaled_even_odd(nu, z):
         return 0.0 if x <= 0.0 and x == math.floor(x) else 1.0 / math.gamma(x)
 
     w = 0.5 * z * z
-    even = ScaledReal.from_float(rgamma(0.5 * (1.0 - nu))) * kummer_m(-0.5 * nu, 0.5, w).value
+    even = ScaledReal.from_float(rgamma(0.5 * (1.0 - nu))) * kummer_m(-0.5 * nu, 0.5, w)
     odd = ScaledReal.from_float(-math.sqrt(2.0) * z * rgamma(-0.5 * nu)) * kummer_m(
         0.5 * (1.0 - nu), 1.5, w
-    ).value
+    )
     prefactor = ScaledReal.exp(-0.25 * z * z) * ScaledReal.from_float(
         2.0 ** (0.5 * nu) * math.sqrt(math.pi)
     )
@@ -92,42 +81,30 @@ def cylinder_zero_closed_form():
 
 
 class TestKummerM:
+    """The library's Kummer series, read through the reference scalar M of scaled_real."""
+
     def test_empty_series(self):
-        assert kummer_m(0.7, 1.3, 0.0).value.to_float() == 1.0
+        assert kummer_m(0.7, 1.3, 0.0).to_float() == 1.0
 
     def test_collapses_to_exp(self):
-        assert kummer_m(1.0, 1.0, 1.0).value.to_float() == pytest.approx(math.e, rel=1e-14)
+        assert kummer_m(1.0, 1.0, 1.0).to_float() == pytest.approx(math.e, rel=1e-14)
 
     def test_against_series_oracle(self):
         expected = kummer_series(0.5, 1.0, 2.0, 60)  # = 3.4415238691253353
-        value = kummer_m(0.5, 1.0, 2.0).value.to_float()
+        value = kummer_m(0.5, 1.0, 2.0).to_float()
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(3.4415238691253353, rel=1e-12)
 
     def test_against_integral_representation(self):
-        assert kummer_m(0.5, 1.0, 2.0).value.to_float() == pytest.approx(
+        assert kummer_m(0.5, 1.0, 2.0).to_float() == pytest.approx(
             euler_integral_oracle(0.5, 1.0, 2.0), rel=1e-9
         )
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError, match=r"z >= 0, got z=-1\.0"):
-            kummer_m(0.5, 1.0, -1.0)
 
     def test_negative_a_single_sign_flip(self):
         # M(-1/2, 1, z) = 1 - (positive series); assembled without cancellation
         expected = kummer_series(-0.5, 1.0, 1.0, 80)
-        value = kummer_m(-0.5, 1.0, 1.0).value.to_float()
+        value = kummer_m(-0.5, 1.0, 1.0).to_float()
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_non_positive_integer_c_rejected(self):
-        with pytest.raises(DomainError):
-            kummer_m(0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            kummer_m(0.5, -3.0, 1.0)
-
-    def test_domain_cap(self):
-        with pytest.raises(DomainError):
-            kummer_m(0.5, 1.0, 2e6)
 
     def test_non_convergence_flag_and_strict(self, monkeypatch):
         # non-convergence raises; no result is returned to misread
@@ -143,11 +120,11 @@ class TestKummerM:
     @settings(max_examples=150, deadline=None)
     def test_positive_series_positive_and_converged(self, a, c, z):
         result = kummer_m(a, c, z)  # raises ConvergenceError if the series does not converge
-        assert result.value.sign == 1
+        assert result.sign == 1
 
     def test_large_argument_growth_card(self):
         # M(1/2, 2, 500) ~ Gamma(2)/Gamma(1/2) e^500 500^{-3/2}; check the exponent
-        value = kummer_m(0.5, 2.0, 500.0).value
+        value = kummer_m(0.5, 2.0, 500.0)
         expected_log2 = (500.0 - 1.5 * math.log(500.0) - math.log(math.gamma(0.5))) / math.log(2.0)
         actual_log2 = math.log2(abs(value.mantissa)) + value.exponent
         assert actual_log2 == pytest.approx(expected_log2, abs=0.01)
@@ -157,7 +134,7 @@ class TestKummerM:
         # M(1, 1, z) = e^z; the partial sum crosses the internal 2**512
         # rescale right around the term peak here, which once truncated the
         # series early (the stop test must see term and sum in one scaling)
-        value = kummer_m(1.0, 1.0, z).value
+        value = kummer_m(1.0, 1.0, z)
         expected = ScaledReal.exp(z)
         assert float(value / expected) == pytest.approx(1.0, rel=1e-12)
 
@@ -165,10 +142,10 @@ class TestKummerM:
         # transformed branch regime: a of size n, c ~ a, z between; the term
         # peak sits far beyond z - c, which a naive peak guard misses
         a, c, z = 216.5, 218.0, 374.57
-        m_mid = kummer_m(a, c, z).value
-        m_up = kummer_m(a + 1.0, c, z).value
-        m_dn = kummer_m(a - 1.0, c, z).value
-        mp_ = kummer_m_prime(a, c, z)
+        m_mid = kummer_m(a, c, z)
+        m_up = kummer_m(a + 1.0, c, z)
+        m_dn = kummer_m(a - 1.0, c, z)
+        mp_ = scaled_m_prime(a, c, z)
         # a M(a+1,c,z) - a M(a,c,z) - z M'(a,c,z) = 0
         terms = [
             ScaledReal.from_float(a) * m_up,
@@ -191,19 +168,76 @@ class TestKummerM:
 
 class TestKummerPrime:
     def test_at_zero(self):
-        assert float(kummer_m_prime(0.5, 1.0, 0.0)) == pytest.approx(0.5, rel=1e-14)
+        assert kummer_m_prime(0.5, 1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_exp_case(self):
-        assert float(kummer_m_prime(1.0, 1.0, 1.0)) == pytest.approx(math.e, rel=1e-14)
+        assert kummer_m_prime(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
 
     def test_shift_identity_vs_series(self):
         # (a/c) M(a+1, c+1, z) with the series oracle; = 1.466507901225137
         expected = 0.25 * kummer_series(1.5, 3.0, 3.0, 60)
-        assert float(kummer_m_prime(0.5, 2.0, 3.0)) == pytest.approx(expected, rel=1e-12)
+        assert kummer_m_prime(0.5, 2.0, 3.0) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_difference(self):
-        fd = central_diff(lambda z: kummer_m(0.5, 2.0, z).value.to_float(), 3.0)
-        assert float(kummer_m_prime(0.5, 2.0, 3.0)) == pytest.approx(fd, rel=1e-8)
+        fd = central_diff(lambda z: kummer_m(0.5, 2.0, z).to_float(), 3.0)
+        assert kummer_m_prime(0.5, 2.0, 3.0) == pytest.approx(fd, rel=1e-8)
+
+
+def scaled_m_prime(a, c, z):
+    """M'(a, c, z) by the shift identity, in ScaledReal."""
+    return ScaledReal.from_float(a / c) * kummer_m(a + 1.0, c + 1.0, z)
+
+
+def stencil(x):
+    """x and the points at which central_diff takes a first derivative at x."""
+    points = [x]
+    verify.central_diff(lambda t: points.append(t) or 0.0, x)
+    return points
+
+
+class TestVerifyFloatRoutes:
+    """verify's Kummer routes, in plain floats, are their ScaledReal forms bit for bit.
+
+    Every M that the checks read lies in the normal float range, where a
+    power-of-two scale commutes with rounding; the points are the checks'.
+    """
+
+    def test_m_and_m_prime_on_the_kummer_grid(self):
+        for a, c, z in verify._KUMMER_GRID:
+            # the point, its contiguous neighbours and its finite-difference stencil
+            shifted = [(a + 1.0, c, z), (a - 1.0, c, z), (a, c - 1.0, z), (a, c + 1.0, z)]
+            shifted += [(a, c, t) for t in stencil(z)]
+            for args in shifted:
+                assert verify._mval(*args).hex() == kummer_m(*args).to_float().hex(), args
+            expected = scaled_m_prime(a, c, z).to_float()
+            assert verify.kummer_m_prime(a, c, z).hex() == expected.hex(), (a, c, z)
+
+    def test_both_lambda_prime_forms(self):
+        def product_form(n, z):
+            mneg = kummer_m(-0.5, float(n), z)
+            m = kummer_m(0.5, n + 1.0, z)
+            mp = scaled_m_prime(0.5, n + 1.0, z)
+            return float(ScaledReal.from_float(-2.0 * n) * mp * mneg / (m * m))
+
+        def deficit_form(n, z):
+            m = kummer_m(0.5, n + 1.0, z)
+            bracket = m - ScaledReal.from_float(2.0 * n + 1.0) * kummer_m(-0.5, n + 1.0, z)
+            return float(scaled_m_prime(0.5, n + 1.0, z) * bracket / (m * m))
+
+        points = list(verify._LAMBDA_PRIME_GRID)
+        # the stencils of the stationarity-at-previous-crossing check, around z_{n-1}
+        points += [(n, z) for n in (1, 2, 5) for z in stencil(intersect.find_zn(n - 1).z_n)]
+        for n, z in points:
+            assert verify.lambda_n_prime(n, z).hex() == product_form(n, z).hex(), (n, z)
+            assert verify.lambda_n_prime_alt(n, z).hex() == deficit_form(n, z).hex(), (n, z)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 20, 100])  # the modes of characterization-equivalence
+    def test_characterization_residual_at_the_crossing(self, n):
+        z = intersect.find_zn(n).z_n
+        left = ScaledReal.from_float(z - n - 0.5) * kummer_m(0.5, n + 1.0, z)
+        right = ScaledReal.from_float(z) * scaled_m_prime(0.5, n + 1.0, z)
+        expected = float(abs(left - right) / (abs(left) + abs(right)))
+        assert verify.characterization_residual(n, z).hex() == expected.hex()
 
 
 class TestKummerLogRatio:
@@ -218,8 +252,8 @@ class TestKummerLogRatio:
         # independent scaled quotient: both series via the raw recurrence with
         # a shared running rescale
         ratio = kummer_log_ratio(0.5, 11.0, 500.0)
-        num = kummer_m(1.5, 12.0, 500.0).value
-        den = kummer_m(0.5, 11.0, 500.0).value
+        num = kummer_m(1.5, 12.0, 500.0)
+        den = kummer_m(0.5, 11.0, 500.0)
         expected = (0.5 / 11.0) * float(num / den)
         assert ratio == pytest.approx(expected, rel=1e-10)
         assert 0.0 < ratio < 1.0
@@ -300,13 +334,12 @@ class TestKummerLogRatio:
         lambda x: cylinder_d(x, -x).value,
         lambda x: cylinder_d(x, -x).derivative,
         lambda x: cylinder_d(-x, x).derivative,
-        lambda x: kummer_m(x, 2.0 * x, x).value.mantissa,
         lambda x: kummer_log_ratio(x, x + 0.5, x),
         lambda x: kummer_log_ratio(x, x + 0.5, -x),
     ],
     ids=[
         "cylinder_d_value", "cylinder_d_derivative", "cylinder_d_positive_z",
-        "kummer_m", "kummer_log_ratio", "kummer_log_ratio_negative_z",
+        "kummer_log_ratio", "kummer_log_ratio_negative_z",
     ],
 )
 def test_numpy_scalar_arguments_give_the_float_result(call):
@@ -322,9 +355,8 @@ class TestNonFiniteInput:
     def test_rejected_naming_the_argument(self, bad, position, name):
         args = [0.5, 1.0, 3.0]
         args[position] = bad
-        for fn in (kummer_m, kummer_log_ratio):
-            with pytest.raises(DomainError, match=f"{name} must be finite"):
-                fn(*args)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            kummer_log_ratio(*args)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cylinder_d_rejects_non_finite_z(self, bad):
@@ -335,9 +367,8 @@ class TestNonFiniteInput:
 
     def test_nan_rejected_fast(self):
         start = time.perf_counter()
-        for fn in (kummer_m, kummer_log_ratio):
-            with pytest.raises(DomainError):
-                fn(0.5, 1.0, math.nan)
+        with pytest.raises(DomainError):
+            kummer_log_ratio(0.5, 1.0, math.nan)
         with pytest.raises(DomainError):
             cylinder_d(-0.5, math.nan)
         assert time.perf_counter() - start < 0.01
@@ -380,7 +411,7 @@ def numpy_loop():
 
 def series_log_ratio(a, c, z):
     """(a/c) M(a+1, c+1, z) / M(a, c, z) straight from the Kummer series."""
-    return a / c * float(kummer_m(a + 1.0, c + 1.0, z).value / kummer_m(a, c, z).value)
+    return a / c * float(kummer_m(a + 1.0, c + 1.0, z) / kummer_m(a, c, z))
 
 
 class TestLargeZQuotient:
@@ -402,7 +433,7 @@ class TestLargeZQuotient:
         top = large_z_sum(c - a, c + 1.0, y)
         bottom = large_z_sum(c - a, c, y)
         assert ratio == a / y * (top / bottom)
-        expected = a / c * float(kummer_m(c - a, c + 1.0, y).value / kummer_m(c - a, c, y).value)
+        expected = a / c * float(kummer_m(c - a, c + 1.0, y) / kummer_m(c - a, c, y))
         assert ratio == pytest.approx(expected, rel=1e-13)
 
     def test_declines_where_terms_grow_first(self, monkeypatch):
@@ -533,7 +564,7 @@ class TestKummerLogRatios:
         z = np.concatenate([10.0 ** rng.uniform(-1.0, 2.5, 100), rng.uniform(300.0, 3000.0, 200)])
         self.assert_lanes_match(0.25, c, z)
         lanes = list(zip(c.tolist(), z.tolist()))
-        assert sum(kummer_m(0.25, c_i, z_i).value.exponent > 512 for c_i, z_i in lanes) >= 150
+        assert sum(kummer_m(0.25, c_i, z_i).exponent > 512 for c_i, z_i in lanes) >= 150
         # lanes where the two series rescale a different number of times
         num_offsets = specfun._series_sums(1.25, c + 1.0, z)[1]
         assert (num_offsets != specfun._series_sums(0.25, c, z)[1]).any()
@@ -561,7 +592,7 @@ class TestKummerLogRatios:
         for c, y in lanes:
             ratio, route = spy.route(0.5, c, -y)
             assert route == "series"
-            series = kummer_m(c - 0.5, c + 1.0, y).value / kummer_m(c - 0.5, c, y).value
+            series = kummer_m(c - 0.5, c + 1.0, y) / kummer_m(c - 0.5, c, y)
             assert ratio.hex() == (0.5 / c * float(series)).hex()
 
     def test_expansion_refuses_every_envelope_lane(self):
@@ -666,15 +697,15 @@ class TestLaguerre:
     """Laguerre functions of parameter 0 through kummer_m: L_nu^0(z) = M(-nu, 1, z)."""
 
     def test_constant(self):
-        assert kummer_m(0.0, 1.0, 5.0).value.to_float() == pytest.approx(1.0, rel=1e-14)
+        assert kummer_m(0.0, 1.0, 5.0).to_float() == pytest.approx(1.0, rel=1e-14)
 
     def test_degree_one_polynomial(self):
         for z in (0.0, 0.7, 2.5):
-            assert kummer_m(-1.0, 1.0, z).value.to_float() == pytest.approx(1.0 - z, abs=1e-13)
+            assert kummer_m(-1.0, 1.0, z).to_float() == pytest.approx(1.0 - z, abs=1e-13)
 
     def test_half_order_value(self):
         expected = kummer_series(0.5, 1.0, 1.0, 60)  # = 1.7533876543770904
-        assert kummer_m(0.5, 1.0, 1.0).value.to_float() == pytest.approx(expected, rel=1e-12)
+        assert kummer_m(0.5, 1.0, 1.0).to_float() == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------- cylinder
@@ -1058,7 +1089,7 @@ class TestSeriesSums:
 
 
 class TestKummerValues:
-    """_kummer_values is kummer_m's float on every lane, saturated past the float range."""
+    """_kummer_values is the reference M's float on every lane, saturated past the float range."""
 
     @pytest.mark.parametrize("loop", ["scalar", "numpy"])
     def test_lanes_are_kummer_m_saturating_without_a_warning(self, loop):
@@ -1073,7 +1104,7 @@ class TestKummerValues:
                 warnings.simplefilter("error")
                 rows = {a: specfun._kummer_values(a, c, z).tolist() for a in (1.0, -0.5)}
         for a, row in rows.items():
-            expected = [kummer_m(a, 1.0, z_i).value.to_float() for z_i in z.tolist()]
+            expected = [kummer_m(a, 1.0, z_i).to_float() for z_i in z.tolist()]
             assert [x.hex() for x in row] == [y.hex() for y in expected]
         assert rows[1.0][3:] == [math.inf, math.inf]
         assert rows[-0.5][3:] == [-math.inf, -math.inf]

@@ -25,9 +25,11 @@ nor ``find_zn``.
 lane count: no other module names that loop or its threshold, and no
 function takes a ``kernel`` to choose one.
 
-The library reads every Kummer sum as floats at a power-of-two offset.  The
-scalar ``kummer_m`` and its ``ScaledReal`` result serve the cross-checks:
-only ``verify`` calls the one or builds the other.
+The package reads every Kummer sum as floats at a power-of-two offset, the
+cross-checks of ``verify`` included.  No module defines, imports or names
+the scalar ``kummer_m``, its result type ``KummerValue`` or the
+``ScaledReal`` number type: the tests alone keep ``ScaledReal`` and a scalar
+M in it, as a reference in ``tests/scaled_real.py``.
 
 ``verify`` registers a check one way: every top-level ``check_*`` function
 is a residual decorated by ``_check``, which takes the check's limit and
@@ -299,50 +301,47 @@ def test_verify_reduces_only_through_worst():
     assert lines == [], f"verify reduces with max/min, which skip NaN, at lines {lines}"
 
 
-SERIES_LOOP_NAMES = ("_series_parts", "_series_sums", "_BATCH_MIN")
+def _naming(module, names):
+    """Line numbers where the module defines, imports or names any of ``names``.
 
-
-def _series_loop_names(module):
-    """Line numbers where the module names a series loop or its lane threshold."""
+    A name counts as a def or class, a variable, an attribute, an imported
+    alias, or a string constant equal to it, such as an ``__all__`` entry.
+    """
     for node in ast.walk(_tree(module)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.alias):
             name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
         else:
             continue
-        if name in SERIES_LOOP_NAMES:
+        if name in names:
             yield node.lineno
+
+
+SERIES_LOOP_NAMES = ("_series_parts", "_series_sums", "_BATCH_MIN")
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "specfun"])
 def test_only_specfun_picks_the_series_loop(module):
-    lines = list(_series_loop_names(module))
+    lines = list(_naming(module, SERIES_LOOP_NAMES))
     assert lines == [], f"{module} names {SERIES_LOOP_NAMES} at lines {lines}"
     taking = [name for name, params in _parameters(module) if "kernel" in params]
     assert taking == [], f"{module} has functions that take a kernel: {taking}"
 
 
-def _scaled_real_calls(module):
-    """Line numbers where the module calls kummer_m or builds a ScaledReal, outside their definitions."""
-    for top in _tree(module).body:
-        if getattr(top, "name", None) in ("kummer_m", "ScaledReal"):
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                owner = getattr(getattr(func, "value", None), "id", None)
-                if name in ("kummer_m", "ScaledReal") or owner == "ScaledReal":
-                    yield node.lineno
+SCALAR_KUMMER_NAMES = ("kummer_m", "KummerValue", "ScaledReal")
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "verify"])
-def test_only_verify_calls_kummer_m(module):
-    lines = list(_scaled_real_calls(module))
-    assert lines == [], f"{module} calls kummer_m or builds a ScaledReal at lines {lines}"
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_names_the_scalar_kummer_types(module):
+    lines = list(_naming(module, SCALAR_KUMMER_NAMES))
+    assert lines == [], f"{module} names {SCALAR_KUMMER_NAMES} at lines {lines}"
 
 
 MUTATORS = ("append", "extend", "insert", "setdefault", "update", "pop", "clear")
