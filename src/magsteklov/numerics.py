@@ -142,10 +142,10 @@ def integrate_semi_infinite(
     to a (lanes, nodes) array of several integrands at once; the result is
     then one integral per lane, each the float a one-lane call returns.
     The float array ``f`` returns is overwritten in place: the weights are
-    multiplied into it, and its absolute values replace it for the integral
-    of |f|, so the quadrature allocates no array of that shape itself.  An
-    integrand may return a view of a buffer it rewrites at every call, but
-    never an array it needs again.
+    multiplied into it, and its absolute values may replace it for the
+    integral of |f|, so the quadrature allocates no array of that shape
+    itself.  An integrand may return a view of a buffer it rewrites at every
+    call, but never an array it needs again.
     An integrand may carry an endpoint singularity t**p with p > -1 (from
     p ~ -0.97 on, the nodes end too soon and QuadratureError is raised)
     and must decay at least like exp(-t) beyond ``decay_scale``, e.g. any
@@ -157,11 +157,15 @@ def integrate_semi_infinite(
     the nodes the previous one lacks.  Each lane returns its sum at the
     first level that agrees with the one before to REL_TOL of the integral
     of |f|, and QuadratureError is raised when some lane agrees at no level
-    up to the cap.  An integrand that is not negligible at the ends of the
-    node ranges (too slow a decay, too strong a singularity) never agrees:
-    halving the step halves the weight of each end node.  numpy sums each
-    row of a C-contiguous array, strided halves included, as it sums the
-    same values in a 1-d array, so each lane's float is a one-lane call's.
+    up to the cap.  That integral is summed only at a level where some
+    pending lane misses the cheaper test against REL_TOL |integral of f|:
+    both sums add in the same order, so fl(sum |t|) >= |fl(sum t)| at every
+    level, and a lane that passes the cheaper test passes the other too.
+    An integrand that is not negligible at the ends of the node ranges (too
+    slow a decay, too strong a singularity) never agrees: halving the step
+    halves the weight of each end node.  numpy sums each row of a
+    C-contiguous array, strided halves included, as it sums the same values
+    in a 1-d array, so each lane's float is a one-lane call's.
     """
     split = max(decay_scale, 1.0)
     total = norm = result = 0.0
@@ -175,9 +179,12 @@ def integrate_semi_infinite(
         if level == 0:
             n = x.size
             previous = 2.0 * (terms[..., :n:2].sum(axis=-1) + terms[..., n::2].sum(axis=-1))
-        norm = 0.5 * norm + np.abs(terms, out=terms).sum(axis=-1)
         result = np.where(pending, total, result)
-        pending = pending & ~(abs(total - previous) <= REL_TOL * norm)
+        change = abs(total - previous)
+        pending = pending & ~(change <= REL_TOL * abs(total))
+        if pending.any():  # so every level that goes on adds its |f| sum to norm
+            norm = 0.5 * norm + np.abs(terms, out=terms).sum(axis=-1)
+            pending = pending & ~(change <= REL_TOL * norm)
         if not pending.any():
             return float(result) if terms.ndim == 1 else result
         previous = total

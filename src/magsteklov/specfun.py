@@ -36,7 +36,10 @@ route by size.  In that loop a lane whose series has stopped retires in
 place, and retired rows are dropped, their parts written, only once they
 fill at least half of the rows.  A retiring term costs a few scatters on
 the stopping lanes alone; the whole-array work of a term is its
-arithmetic, its stopping test and one maximum for the rescale test.
+arithmetic and its stopping test, which runs on every term.  The rescale
+test, one maximum per term, runs only in a call where some lane's bound
+on its sums (``_sum_bits``) reaches 2**501: no call of the envelope or
+crossing-point paths does, and cylinder lanes far from z = 0 do.
 
 Parabolic cylinder functions D_nu take one of two routes, by the sign of z.
 For z <= 0, D_nu and D_{nu-1} both come from the even/odd Kummer
@@ -110,13 +113,18 @@ _SUBNORMAL_SHIFT = 1022
 # unblocked the same sweep took ~9.9 MB (19.6 MB with every lane above 0).
 _LANE_BLOCK = 32
 # Lanes from which _series_sums runs one numpy loop, not _series_parts lane by
-# lane.  Timed on kummer_log_ratios' crossing-point lanes with each loop forced
-# (best of 15, 2-vCPU KVM host): near c = 6 the two loops are even at ~42-46
-# series lanes (40: 0.43 ms scalar against 0.45-0.47 ms numpy, 48: 0.53-0.57
-# against 0.50-0.51 ms), and near c = 1000 at ~30-32 (32: 1.95-2.13 against
-# 1.83-2.28 ms, 40: 2.32-2.74 against 1.71-2.70 ms).  The threshold is the
-# low-c break-even, below which the numpy loop is the slower one.
+# lane.  Timed on kummer_log_ratios' crossing-point lanes of consecutive modes
+# with each loop forced (best of 15, 2-vCPU KVM host): near c = 6 the two
+# loops are even at ~40-42 series lanes (40: 0.36-0.37 ms scalar against
+# 0.37-0.38 ms numpy, 44: 0.41 against 0.39 ms), and near c = 1000 at ~24-26
+# (24: 1.47-1.52 against 1.52-1.55 ms, 28: 1.73-1.91 against 1.42-1.66 ms).
+# The threshold stays a few lanes above the low-c break-even, below which the
+# numpy loop is the slower one; at 44 lanes it is 3-6% the faster.
 _BATCH_MIN = 44
+# A numpy series call runs no rescale test when every lane's _sum_bits reads
+# below this: its sums then stay below 2**501, short of _RESCALE (the proof
+# is in _series_sums).
+_UNSCALED_BITS = 480.0
 
 
 @dataclass(frozen=True)
@@ -292,6 +300,37 @@ def _term_peak_bounds(a: float | np.ndarray, c: np.ndarray, z: np.ndarray) -> np
     return np.where(disc > 0.0, np.maximum(-half_b + np.sqrt(np.maximum(disc, 0.0)), 0.0), 0.0)
 
 
+def _sum_bits(
+    a: float | np.ndarray,
+    c: np.ndarray,
+    z: np.ndarray,
+    k_top: np.ndarray,
+    ratio: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Per-lane b = (K+1) log2 max(1, z/c) + max(0, |a|-1) (1 + ln(K+1)) / ln 2.
+
+    K = k_top = floor(k_peak) on every lane; _series_sums says why each sum
+    of the lane stays below 2**(21 + b).  b is formed in the scratch rows
+    ratio and work of z's length, and the result is work.  z/c is clipped
+    to 2**512, so a lane where z/c overflows (c near the float's least
+    values) reads b >= 512 without a warning.
+    """
+    np.add(np.log1p(k_top, out=ratio), 1.0, out=ratio)
+    if np.ndim(a):
+        np.maximum(np.subtract(a, 1.0, out=work), 0.0, out=work)  # a per-lane a is >= 0
+        work *= ratio
+    else:
+        np.multiply(ratio, max(0.0, abs(a) - 1.0), out=work)
+    work *= 1.0 / math.log(2.0)
+    with np.errstate(over="ignore"):
+        np.divide(z, c, out=ratio)
+    np.log2(np.clip(ratio, 1.0, _RESCALE, out=ratio), out=ratio)
+    work += ratio  # (K+1) L as L + K L, with no row for K+1
+    work += np.multiply(ratio, k_top, out=ratio)
+    return work
+
+
 def _series_sums(
     a: float | np.ndarray, c: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,15 +345,31 @@ def _series_sums(
     pos itself.  Every lane keeps its own k_peak, stopping test, rescale and
     offset; the term index k is shared.  Each term finds its small lanes by
     index, and a term where no lane is small does no more than its
-    arithmetic, its stopping test and one maximum for the rescale test.  Of
-    the small lanes, those where the scalar loop would break retire: their
-    term becomes 0, their live flag False, and their pos and neg are negated,
-    so the scale is <= 0 and the lane passes neither the stopping test nor
-    the rescale test again.  Once k is past the largest k_peak every small
-    lane stops.  The live flag, not the sign of pos, marks a retired lane: a
-    signed lane's pos underflows to 0 after three rescales.  A retired lane's
-    parts are written when the loop drops retired rows, which it does once
-    at most half of its rows are live, and when the last lane retires.
+    arithmetic and its stopping test, plus one maximum for the rescale test
+    in a call that keeps it.  Of the small lanes, those where the scalar
+    loop would break retire: their term becomes 0, their live flag False,
+    and their pos and neg are negated, so the scale is <= 0 and the lane
+    passes neither the stopping test nor the rescale test again.  Once k is
+    past the largest k_peak every small lane stops.  The live flag, not the
+    sign of pos, marks a retired lane: a signed lane's pos underflows to 0
+    after three rescales.  A retired lane's parts are written when the loop
+    drops retired rows, which it does once at most half of its rows are
+    live, and when the last lane retires.
+
+    The call decides once, from its inputs, whether any sum can reach
+    _RESCALE.  Only indices up to k_peak grow a term (_term_peak_bound), so
+    with K = floor(k_peak) every |t_k| is at most the product over j <= K
+    of max(1, |r_j|), where r_j = (a+j) z / ((c+j)(j+1)) takes t_j to
+    t_{j+1}.  |r_j| <= ((|a|+j)/(j+1)) (z/c), and the product over j <= K
+    of 1 + (|a|-1)/(j+1) is at most exp(max(0, |a|-1) (1 + ln(K+1))), so
+    every |t_k| <= 2**b with b the lane's _sum_bits.  A sum has at most
+    _MAX_TERMS + 1 terms, and rounding compounds by a factor below 1 + 2e-9
+    over 2e6 steps of six roundings and one addition each; as 2,000,001
+    times that factor is below 2**21, pos and neg stay below 2**(21 + b).
+    Where every lane reads b < _UNSCALED_BITS = 480, no sum reaches 2**501,
+    the test could never pass, and the loop runs none; the 11 bits left
+    below 2**512 cover the rounding of b itself.  A call with any other
+    lane keeps the test on every term.
     """
     per_lane = np.ndim(a) > 0
     if per_lane:
@@ -328,6 +383,8 @@ def _series_sums(
         return pos, offset.astype(np.int64), neg
     signed = not per_lane and a < 0.0
     k_peak = _term_peak_bounds(a, c, z)
+    # floored in place: an integer k passes k > k_peak just where it passes k > floor(k_peak)
+    np.floor(k_peak, out=k_peak)
     last_peak = k_peak.max(initial=0.0)
     sums = np.empty(z.shape)
     negs = np.zeros(z.shape)
@@ -339,8 +396,11 @@ def _series_sums(
     neg = np.zeros(z.shape)
     offset = np.zeros(z.shape, dtype=np.int64)
     ratio, work = np.empty((2, z.size))  # scratch rows, rewritten at every term
+    small = np.empty(z.shape, dtype=bool)
+    rescale = _sum_bits(a, c, z, k_peak, ratio, work).max(initial=0.0) >= _UNSCALED_BITS
     remaining = z.size
     negative = False
+    add, multiply, divide, less = np.add, np.multiply, np.divide, np.less  # local: read per term
     k = 0
     while remaining:
         if k >= _MAX_TERMS:
@@ -354,11 +414,11 @@ def _series_sums(
         # per-lane a adds into the scratch row, as a + k would take a new array at
         # each term; a scalar a + k is one Python float, so one multiply suffices
         if per_lane:
-            np.multiply(np.add(a, k, out=ratio), z, out=ratio)
+            multiply(add(a, k, out=ratio), z, out=ratio)
         else:
-            np.multiply(z, a + k, out=ratio)
-        np.multiply(np.add(c, k, out=work), k + 1.0, out=work)
-        term *= np.divide(ratio, work, out=ratio)
+            multiply(z, a + k, out=ratio)
+        multiply(add(c, k, out=work), k + 1.0, out=work)
+        term *= divide(ratio, work, out=ratio)
         k += 1
         if negative:
             neg -= term
@@ -366,7 +426,8 @@ def _series_sums(
             pos += term
         scale = np.maximum(pos, neg) if signed else pos
         # a zero term of a live lane is small: its scale is >= 1
-        small = (np.abs(term) if signed else term) < np.multiply(scale, _STOP_REL, out=work)
+        size = np.abs(term, out=ratio) if signed else term
+        less(size, multiply(scale, _STOP_REL, out=work), out=small)
         stop = small.nonzero()[0]
         if stop.size and k <= last_peak:  # past every lane's peak bound each small lane stops
             stop = stop[(term[stop] == 0.0) | (k > k_peak[stop])]
@@ -395,8 +456,9 @@ def _series_sums(
                     a = a[live]
                 live = np.ones(remaining, dtype=bool)
                 ratio, work = np.empty((2, remaining))
+                small = np.empty(remaining, dtype=bool)
                 scale = np.maximum(pos, neg) if signed else pos
-        if np.maximum.reduce(scale) > _RESCALE:
+        if rescale and np.maximum.reduce(scale) > _RESCALE:
             big = scale > _RESCALE
             pos[big] *= _RESCALE_INV
             if signed:

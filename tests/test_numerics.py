@@ -233,20 +233,31 @@ class TestSemiInfiniteQuadrature:
             integrate_semi_infinite(lambda t: np.where(t < 2.5, np.exp(-t), 0.0))
 
     def test_lanes_equal_one_lane_calls(self):
-        # e^-t cos(w t) agrees at level 0, 1, 2 and 3 for w = 0, 1, 2 and 4
-        def lane(w):
-            return lambda t: np.exp(-t) * np.cos(w * t)
+        # e^-t cos(w t) agrees at level 0, 1, 2 and 3 for w = 0, 1, 2 and 4.  The
+        # integrals of e^-t - 2 e^-2t and e^-t cos t - e^-2t are 0: the first's
+        # levels 0 and 1/2 agree exactly, the second's agree at level 1 to
+        # REL_TOL of the integral of |f| only, never of |total|, so that lane
+        # needs the |f| sums the other lanes skip
+        cancelling = {
+            "e^-t - 2e^-2t": lambda t: np.exp(-t) - 2.0 * np.exp(-2.0 * t),
+            "e^-t cos t - e^-2t": lambda t: np.exp(-t) * np.cos(t) - np.exp(-2.0 * t),
+        }
 
+        def lane(w):
+            return cancelling[w] if w in cancelling else lambda t: np.exp(-t) * np.cos(w * t)
+
+        lanes = (0.0, 1.0, 2.0, 4.0, *cancelling)
         levels = []
         singles = []
-        for w in (0.0, 1.0, 2.0, 4.0):
+        for w in lanes:
             calls = []
             f = lane(w)
             singles.append(integrate_semi_infinite(lambda t, f=f: calls.append(t) or f(t)))
             levels.append(len(calls))
-        assert levels == [1, 2, 3, 4]
+        assert levels == [1, 2, 3, 4, 1, 2]
         assert all(type(x) is float for x in singles)
-        rows = integrate_semi_infinite(lambda t: np.stack([lane(w)(t) for w in (0.0, 1.0, 2.0, 4.0)]))
+        assert max(abs(x) for x in singles[4:]) < 1e-16
+        rows = integrate_semi_infinite(lambda t: np.stack([lane(w)(t) for w in lanes]))
         assert [x.hex() for x in rows.tolist()] == [x.hex() for x in singles]
 
     def test_integrand_buffer_is_overwritten_in_place(self):

@@ -19,7 +19,7 @@ from large_z import large_z_sum
 from naive_series import kummer_series
 from scaled_real import ScaledReal, kummer_m
 
-from magsteklov import intersect, models, specfun, verify
+from magsteklov import disk, intersect, models, specfun, verify
 from magsteklov.numerics import EPS, REL_TOL, ConvergenceError, DomainError
 from magsteklov.specfun import cylinder_d, cylinder_ds, kummer_log_ratio, kummer_log_ratios
 from magsteklov.verify import central_diff, kummer_m_prime
@@ -1018,6 +1018,88 @@ class TestSeriesSums:
         assert 2 * terms.count(max(terms)) <= len(terms)  # a compaction with live rows left
         got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
         assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
+
+    @staticmethod
+    def sum_bits(a, c, z):
+        k_top = np.floor(specfun._term_peak_bounds(a, c, z))
+        return specfun._sum_bits(a, c, z, k_top, *np.empty((2, z.size))).copy()
+
+    def test_sum_bits_bound_every_sum(self):
+        # the lane families of the library's calls: envelope starts to b = 1e6,
+        # crossing and residual lanes to n = 1e5, even and odd cylinder lanes at
+        # 9 orders to |z| = 50, and per-lane a up to 9
+        rng = np.random.default_rng(37)
+        field = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 60)])
+        s = disk._start_modes(field)
+        modes = sorted({0, 1, 2, 7, *np.geomspace(10, 1e5, 30).astype(int).tolist()})
+        roots = np.array([r.z_n for r in intersect.crossings(modes)])
+        n = np.array(modes, dtype=float)
+        families = {
+            "envelope": (
+                np.repeat([1.5, 0.5], field.size),
+                np.concatenate([s + 2.0, s + 1.0]),
+                np.tile(field, 2),
+            ),
+            "crossing": (
+                np.repeat([1.5, 0.5], n.size),
+                np.concatenate([n + 2.0, n + 1.0]),
+                np.tile(roots, 2),
+            ),
+            "residual": (-0.5, n + 1.0, roots),
+        }
+        w = 0.5 * np.linspace(0.0, 50.0, 26) ** 2
+        for nu in (-4.0, -3.0, -2.5, -1.5, -1.0, -0.5, 0.5, 2.0, 4.0):
+            families[f"even {nu}"] = (-0.5 * nu, np.full(w.size, 0.5), w)
+            families[f"odd {nu}"] = (0.5 * (1.0 - nu), np.full(w.size, 1.5), w)
+        # per-lane a up to 9, one a of 9, and a lane whose only growing term is
+        # its first: t_1 = a z / c = 1e10 with K = 0
+        c = np.append(10.0 ** rng.uniform(-1.0, 3.0, 79), 1e-30)
+        z = np.append(rng.uniform(0.0, 2.0, 79) * (c[:-1] + 30.0), 1.0)
+        families["per-lane a"] = (np.append(rng.uniform(0.0, 9.0, 79), 1e-20), c, z)
+        families["a = 9"] = (9.0, c, z)
+        cleared = collections.Counter()
+        for name, (a, c, z) in families.items():
+            bits = self.sum_bits(a, c, z).tolist()
+            lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
+            for (a_i, c_i, z_i), b in zip(lanes, bits):
+                pos, offset, neg, _ = specfun._series_parts(a_i, c_i, z_i)
+                assert math.log2(max(pos, neg)) + offset < 21.0 + b, (name, a_i, c_i, z_i)
+                if b < specfun._UNSCALED_BITS:
+                    assert offset == 0 and max(pos, neg) < 2.0**501, (name, a_i, c_i, z_i)
+                    cleared[name] += 1
+        # the command paths' calls run no rescale test; the big cylinder and per-lane lanes keep it
+        for name in ("envelope", "crossing", "residual"):
+            assert cleared[name] == families[name][2].size
+        assert 0 < cleared["per-lane a"] < 80 and 0 < cleared["a = 9"] < 80
+        assert 0 < cleared["even -0.5"] < w.size
+
+    def test_rescale_test_runs_only_where_a_sum_can_reach_it(self, monkeypatch):
+        # a call that mixes lanes the bound clears with lanes that rescale keeps
+        # the test, bit for bit; with _RESCALE lowered to 4 a cleared call shows
+        # that it runs none, and a mixed call that it does
+        rng = np.random.default_rng(41)
+        w = np.concatenate([rng.uniform(0.0, 50.0, 40), rng.uniform(400.0, 1250.0, 20)])
+        c = np.where(rng.uniform(size=w.size) < 0.5, 0.5, 1.5)
+        bits = self.sum_bits(-0.25, c, w)
+        assert bits[:40].max() < specfun._UNSCALED_BITS <= bits[40:].min()
+        with numpy_loop():
+            pos, offset, neg = specfun._series_sums(-0.25, c, w)
+        parts = [specfun._series_parts(-0.25, c_i, w_i) for c_i, w_i in zip(c.tolist(), w.tolist())]
+        assert (offset[40:] > 0).all()
+        got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
+        assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
+        monkeypatch.setattr(specfun, "_RESCALE", 4.0)
+        with numpy_loop():
+            cleared = specfun._series_sums(-0.25, c[:40], w[:40])
+            mixed = specfun._series_sums(-0.25, c, w)
+        assert [x.tolist() for x in cleared] == [pos[:40].tolist(), offset[:40].tolist(), neg[:40].tolist()]
+        assert (mixed[1][:40] > 0).any()
+
+    def test_sum_bits_of_an_overflowing_z_over_c(self):
+        # z/c past the float range is clipped to 2**512 without a warning, which
+        # the suite would raise as an error
+        z = np.array([1e3, 1e-3])
+        assert (self.sum_bits(0.5, np.array([5e-324, 5e-324]), z) >= 512.0).all()
 
     def test_a_negative_per_lane_a_is_refused_by_lane(self):
         with pytest.raises(DomainError, match=r"a\[0\]=-0\.5"):
