@@ -11,13 +11,14 @@ Data files are deterministic byte-for-byte for a fixed configuration; a
 version) so the data itself stays timestamp-free.
 """
 
-import argparse
 import dataclasses
 import datetime
 import gc
 import json
 import math
 import sys
+from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -36,17 +37,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-def _finite_float(text: str) -> float:
-    """argparse type for a float flag: NaN and infinities are usage errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
 
 
 def _csv(names: list[str], columns: list[list]) -> str:
@@ -72,7 +62,7 @@ def _csv(names: list[str], columns: list[list]) -> str:
     return ",".join(names) + "\n" + (",".join(formats) + "\n") * rows % tuple(values)
 
 
-def _emit(args: argparse.Namespace, names: list[str], columns: list[list]) -> None:
+def _emit(args: SimpleNamespace, names: list[str], columns: list[list]) -> None:
     if args.format == "csv":
         text = _csv(names, columns)
     else:
@@ -86,7 +76,7 @@ def _emit(args: argparse.Namespace, names: list[str], columns: list[list]) -> No
     _write_output(args, text)
 
 
-def _write_output(args: argparse.Namespace, text: str) -> None:
+def _write_output(args: SimpleNamespace, text: str) -> None:
     if args.out in ("-", ""):
         sys.stdout.write(text)
         return
@@ -106,7 +96,7 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         handle.write("\n")
 
 
-def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> np.ndarray:
+def _b_grid(args: SimpleNamespace, lo: float, hi: float, domain: str) -> np.ndarray:
     """The --steps points from --b-min to --b-max; a ConfigError unless they lie in [lo, hi]."""
     if args.steps < 2:
         raise ConfigError(f"need --steps >= 2, got --steps {args.steps}")
@@ -118,7 +108,7 @@ def _b_grid(args: argparse.Namespace, lo: float, hi: float, domain: str) -> np.n
     return np.linspace(args.b_min, args.b_max, args.steps)
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
+def cmd_curves(args: SimpleNamespace) -> int:
     grid = _b_grid(args, -_MAX_ABS_Z, _MAX_ABS_Z, "the range of the field").tolist()
     modes = range(args.n_min, args.n_max + 1)
     # each branch's rows mode by mode over the grid, the pos branch first
@@ -129,7 +119,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_envelope(args: argparse.Namespace) -> int:
+def cmd_envelope(args: SimpleNamespace) -> int:
     grid = _b_grid(args, 0.0, _MAX_ABS_Z, "the range of the field")
     alpha = models._alpha_cached()
     field, modes, lam = disk._ground_states(grid)
@@ -140,14 +130,14 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_intersections(args: argparse.Namespace) -> int:
+def cmd_intersections(args: SimpleNamespace) -> int:
     # the names are the record's fields, in the order in which _columns gives them
     names = [field.name for field in dataclasses.fields(intersect.IntersectionRecord)]
     _emit(args, names, intersect._columns(list(range(args.n_min, args.n_max + 1))))
     return 0
 
 
-def cmd_asymptotics(args: argparse.Namespace) -> int:
+def cmd_asymptotics(args: SimpleNamespace) -> int:
     n_lo, n_hi = max(args.n_min, 1), args.n_max
     # the range gate first: geomspace refuses n_hi = 0
     ns = sorted({int(round(n)) for n in np.geomspace(n_lo, n_hi, 40)}) if n_hi >= 4 * n_lo else []
@@ -182,7 +172,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
+def cmd_constants(args: SimpleNamespace) -> int:
     from . import verify  # loaded by the two commands that run checks, not by every command
 
     consts = models.constants()
@@ -201,7 +191,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_halfplane(args: argparse.Namespace) -> int:
+def cmd_halfplane(args: SimpleNamespace) -> int:
     grid = _b_grid(args, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z, "the range of the cylinder functions")
     f1 = models._halfplane_multipliers(grid).tolist()
     d_half = cylinder_ds(0.5, grid)[0].tolist()
@@ -209,13 +199,13 @@ def cmd_halfplane(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_degennes(args: argparse.Namespace) -> int:
+def cmd_degennes(args: SimpleNamespace) -> int:
     grid = _b_grid(args, 0.0, 1.5, "the domain of degennes_f").tolist()
     _emit(args, ["xi", "f"], [grid, [models.degennes_f(xi) for xi in grid]])
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
     if args.only not in (None, *verify.MODULES):
@@ -235,16 +225,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-# argparse settings of each flag; _SUBCOMMANDS says which commands take it.
+# Each flag's value type (a float must also be finite), its help text and,
+# for --format, its choices; _SUBCOMMANDS says which commands take it.
 _FLAGS = {
-    "n_min": {"type": int},
-    "n_max": {"type": int},
-    "b_min": {"type": _finite_float},
-    "b_max": {"type": _finite_float},
-    "steps": {"type": int},
-    "out": {"help": "output path, or - for stdout"},
-    "format": {"choices": ("csv", "json")},
-    "only": {"help": "restrict verify to one module"},
+    "n_min": {"type": int, "help": "lowest mode n"},
+    "n_max": {"type": int, "help": "highest mode n"},
+    "b_min": {"type": float, "help": "first grid point"},
+    "b_max": {"type": float, "help": "last grid point"},
+    "steps": {"type": int, "help": "number of grid points"},
+    "out": {"type": str, "help": "output path, or - for stdout"},
+    "format": {"type": str, "help": "output format", "choices": ("csv", "json")},
+    "only": {"type": str, "help": "restrict verify to one module"},
 }
 _MODES = {"n_min": 0, "n_max": 5}
 _GRID = {"b_min": 0.0, "b_max": 10.0, "steps": 101}
@@ -264,21 +255,105 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="magsteklov",
-        description="Magnetic Steklov spectrum of the unit disk: sweeps, constants, verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name)
-        for flag, default in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), default=default, **_FLAGS[flag])
-    return parser
+def _option(flag: str) -> str:
+    """The flag as written on the command line, with a placeholder for its value."""
+    choices = _FLAGS[flag].get("choices")
+    return f"--{flag.replace('_', '-')} " + ("{%s}" % ",".join(choices) if choices else flag.upper())
 
 
-def _check_modes(args: argparse.Namespace) -> None:
-    """The mode range check argparse cannot express; _b_grid checks the field grid."""
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: magsteklov [-h] {%s} ..." % ",".join(_SUBCOMMANDS)
+    flags = _SUBCOMMANDS[command][1]
+    return f"usage: magsteklov {command} [-h]" + "".join(f" [{_option(flag)}]" for flag in flags)
+
+
+def _help(command: str | None) -> str:
+    """The -h/--help text: the eight commands, or one command's flags with their defaults."""
+    if command is None:
+        return "\n".join([
+            _usage(None),
+            "",
+            "Magnetic Steklov spectrum of the unit disk: sweeps, constants, verification.",
+            "",
+            "commands:",
+            *(f"  {name}" for name in _SUBCOMMANDS),
+            "",
+            "magsteklov COMMAND -h lists the flags of COMMAND.",
+        ]) + "\n"
+    rows = [("-h, --help", "show this help message and exit")]
+    for flag, default in _SUBCOMMANDS[command][1].items():
+        text = _FLAGS[flag]["help"]
+        rows.append((_option(flag), text if default is None else f"{text} (default: {default})"))
+    width = max(len(option) for option, _ in rows) + 2
+    lines = [f"  {option:<{width}}{text}" for option, text in rows]
+    return "\n".join([_usage(command), "", "options:", *lines]) + "\n"
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    prog = "magsteklov" if command is None else f"magsteklov {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _convert(flag: str, text: str) -> int | float | str:
+    """The value of a flag given as text; a ValueError saying why it is refused."""
+    spec = _FLAGS[flag]
+    kind = spec["type"]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        choices = ", ".join(map(repr, spec["choices"]))
+        raise ValueError(f"invalid choice: {text!r} (choose from {choices})")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command argv names and its flags' values, each flag's default where it is not given.
+
+    The grammar is COMMAND, then --flag VALUE or --flag=VALUE, each flag one
+    of the command's own by its exact name.  A value is the next token as it
+    stands, even one that starts with -; a repeated flag keeps its last
+    value.  -h or --help prints the help and exits 0; anything else is a
+    usage error, exit 2.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    if command not in _SUBCOMMANDS:
+        choices = ", ".join(map(repr, _SUBCOMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    defaults = _SUBCOMMANDS[command][1]
+    options = {"--" + flag.replace("_", "-"): flag for flag in defaults}
+    values = {"command": command, **defaults}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        option, given, text = token.partition("=")
+        if option not in options:
+            _usage_error(command, f"unrecognized argument: {token}")
+        if not given:
+            text = next(tokens, None)
+            if text is None:
+                _usage_error(command, f"argument {option}: expected one argument")
+        try:
+            values[options[option]] = _convert(options[option], text)
+        except ValueError as exc:
+            _usage_error(command, f"argument {option}: {exc}")
+    return SimpleNamespace(**values)
+
+
+def _check_modes(args: SimpleNamespace) -> None:
+    """The mode range check; _b_grid checks the field grid."""
     if "n_min" in vars(args) and not 0 <= args.n_min <= args.n_max:
         raise ConfigError(
             f"need 0 <= --n-min <= --n-max, got --n-min {args.n_min} --n-max {args.n_max}"
@@ -298,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     handler, _ = _SUBCOMMANDS[args.command]
     try:
         _check_modes(args)

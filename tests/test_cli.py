@@ -1,6 +1,5 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -175,7 +174,7 @@ def per_value_csv(columns, rows):
 
 
 def emitted_csv(names, columns):
-    args = argparse.Namespace(command="test", format="csv", out="-")
+    args = cli._parse(["curves", "--format", "csv", "--out", "-"])
     with contextlib.redirect_stdout(io.StringIO()) as text:
         cli._emit(args, names, columns)
     return text.getvalue()
@@ -684,6 +683,63 @@ class TestFlags:
         listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert listed == self.EXPECTED[command]
 
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_top_level_help_lists_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        commands = captured.out.split("commands:\n")[1].split("\n\n")[0].split()
+        assert commands == list(self.EXPECTED) and captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["halfplane", "--b-min=-2", "--steps=5"], ["halfplane", "--b-min", "-2", "--steps", "5"]),
+            (
+                ["curves", "--n-max=1", "--b-max=3", "--steps=4", "--format=json"],
+                ["curves", "--n-max", "1", "--b-max", "3", "--steps", "4", "--format", "json"],
+            ),
+            (["degennes", "--steps", "9", "--steps", "5", "--steps=3"], ["degennes", "--steps", "3"]),
+        ],
+        ids=["joined-negative", "joined", "repeated"],
+    )
+    def test_spellings_of_one_setting_write_the_same_bytes(self, tmp_path, argv, same_as):
+        codes, data, parameters = [], [], []
+        for name, spelling in (("a", argv), ("b", same_as)):
+            code, out = run(tmp_path, *spelling, name=name)
+            codes.append(code)
+            data.append(out.read_bytes())
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            parameters.append({**meta["parameters"], "out": None})
+        assert codes == [0, 0]
+        assert data[0] == data[1]
+        assert parameters[0] == parameters[1]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["curves", "--steps"], "magsteklov curves: error: argument --steps: expected one argument"),
+            (["curves", "--n-max="], "magsteklov curves: error: argument --n-max: invalid int value: ''"),
+            (
+                ["envelope", "--format", "xml"],
+                "magsteklov envelope: error: argument --format: invalid choice: 'xml'"
+                " (choose from 'csv', 'json')",
+            ),
+            ([], "magsteklov: error: the following arguments are required: command"),
+            (["plot"], "magsteklov: error: argument command: invalid choice: 'plot'"),
+        ],
+        ids=["no-value", "empty-value", "format", "no-command", "unknown-command"],
+    )
+    def test_usage_error_names_the_flag_or_command(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        usage, error = captured.err.splitlines()
+        assert captured.out == "" and usage.startswith("usage: magsteklov ")
+        assert error.startswith(message)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -698,6 +754,9 @@ class TestFlags:
             ["intersections", "--rel-tol", "1e-9"],
             ["constants", "--rel-tol", "1e-9"],
             ["verify", "--rel-tol", "1e-9"],
+            ["curves", "--st", "2"],  # an abbreviation is no flag
+            ["curves", "--n_max", "2"],
+            ["curves", "2"],
         ],
         ids=lambda argv: "-".join(argv[:2]),
     )
@@ -712,7 +771,8 @@ class TestFlags:
             ["envelope", "--b-max", "nan"],
             ["envelope", "--b-max", "inf"],
             ["halfplane", "--b-min", "nan"],
-            ["curves", "--b-min=-inf"],  # a bare -inf would parse as a flag
+            ["curves", "--b-min=-inf"],
+            ["halfplane", "--b-min", "-inf"],
         ],
         ids=lambda argv: "-".join(argv),
     )

@@ -252,9 +252,14 @@ def test_intersections_command_builds_no_records():
     assert lines == [], f"cli.cmd_intersections builds crossing records at lines {lines}"
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, so no other test's imports are in sys.modules
-    code = "import sys, magsteklov.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+def test_cli_command_loads_no_scipy_argparse_or_locale():
+    # a fresh interpreter, so no other test's imports are in sys.modules; the
+    # CLI parses its own argv, so a data command loads no argparse, gettext or locale
+    code = (
+        "import sys, magsteklov.cli; magsteklov.cli.main(['curves', '--n-max', '0', '--steps', '2']);"
+        " print(sorted(m for m in sys.modules"
+        " if 'scipy' in m or m in ('argparse', 'gettext', 'locale')), file=sys.stderr)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -263,7 +268,8 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.startswith("n,b,branch,lambda\n")
+    assert out.stderr.strip() == "[]"
 
 
 def test_cli_import_loads_no_verify():
