@@ -339,14 +339,15 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             sys.stdout.write(_help(command))
             raise SystemExit(0)
         option, given, text = token.partition("=")
-        if option not in options:
+        flag = options.get(option)
+        if flag is None:
             _usage_error(command, f"unrecognized argument: {token}")
         if not given:
             text = next(tokens, None)
             if text is None:
                 _usage_error(command, f"argument {option}: expected one argument")
         try:
-            values[options[option]] = _convert(options[option], text)
+            values[flag] = _convert(flag, text)
         except ValueError as exc:
             _usage_error(command, f"argument {option}: {exc}")
     return SimpleNamespace(**values)
