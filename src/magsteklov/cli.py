@@ -13,7 +13,6 @@ version) so the data itself stays timestamp-free.
 
 import dataclasses
 import datetime
-import gc
 import json
 import math
 import sys
@@ -122,7 +121,7 @@ def cmd_curves(args: SimpleNamespace) -> int:
 def cmd_envelope(args: SimpleNamespace) -> int:
     grid = _b_grid(args, 0.0, _MAX_ABS_Z, "the range of the field")
     alpha = models._alpha_cached()
-    field, modes, lam = disk._ground_states(grid)
+    field, modes, lam = disk.envelope(grid)
     # np.sqrt rounds correctly, so each asymptote is alpha * math.sqrt(b) - offset
     asymptote = alpha * np.sqrt(field) - (alpha * alpha + 2.0) / 6.0
     columns = [field.tolist(), modes.tolist(), lam.tolist(), asymptote.tolist()]
@@ -193,7 +192,7 @@ def cmd_constants(args: SimpleNamespace) -> int:
 
 def cmd_halfplane(args: SimpleNamespace) -> int:
     grid = _b_grid(args, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z, "the range of the cylinder functions")
-    f1 = models._halfplane_multipliers(grid).tolist()
+    f1 = models.halfplane_multiplier(grid).tolist()
     d_half = cylinder_ds(0.5, grid)[0].tolist()
     _emit(args, ["xi", "f1", "d_half"], [grid.tolist(), f1, d_half])
     return 0
@@ -362,18 +361,6 @@ def _check_modes(args: SimpleNamespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if gc.get_freeze_count():  # the caller froze a heap of its own: leave it as it is
-        return _run(argv)
-    # the import's objects live as long as the process: frozen, the
-    # collector's passes during the command skip them
-    gc.freeze()
-    try:
-        return _run(argv)
-    finally:
-        gc.unfreeze()
-
-
-def _run(argv: list[str] | None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     handler, _ = _SUBCOMMANDS[args.command]
     try:

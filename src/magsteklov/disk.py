@@ -39,16 +39,15 @@ terms of its large-n expansion with each constant just below its value
 (z_0 itself, rounded down, for n = 0), reaches b: one numpy expression over
 the grid.  It is the mode or one above, which ``envelope`` certifies at
 every point and never searches past; it is one above at a few points of a
-grid (2 to 5 of the 4,001 of a sweep to b = 1e4), where lambda comes from
-``lambda_n``.  Each start has
-c = n + 1 >= 1 and b <= c + sqrt(c) + 1, where the scalar
-``kummer_log_ratio`` refuses the expansion and sums the same series, so
-each point's lambda_dn is bit for bit lambda_n of its active mode.
+grid (2 to 6 of the 4,001 of the benchmark's sweeps to b = 1e4 at seeds 0
+to 5), where lambda comes from ``lambda_n``.  Each start has c = n + 1 >= 1
+and b <= c + sqrt(c) + 1, where the scalar ``kummer_log_ratio`` refuses the
+expansion and sums the same series, so each point's lambda_dn is bit for
+bit lambda_n of its active mode.
 """
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +55,10 @@ from .numerics import ConvergenceError, DomainError
 from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios
 
 __all__ = [
-    "EnvelopePoint",
     "envelope",
     "lambda_minus_n",
     "lambda_n",
 ]
-
-
-@dataclass(frozen=True)
-class EnvelopePoint:
-    """Ground state energy at one field value, with the mode attaining it."""
-
-    b: float
-    active_mode: int
-    lambda_dn: float
 
 
 def _check_mode(n: int, minimum: int = 0) -> int:
@@ -177,8 +166,20 @@ def _checked_grid(b_grid) -> np.ndarray:
     return field
 
 
-def _ground_states(b_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """envelope on arrays: the checked grid, each point's active mode and lambda_dn."""
+def envelope(b_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ground state energy along an ascending grid of field parameters.
+
+    Returns three arrays in grid order: the grid as floats, each point's
+    active mode, the unique n with z_{n-1} <= b <= z_n (z_{-1} taken as 0),
+    and lambda_dn = lambda_{active}(b).  The active mode is non-decreasing
+    along the grid and increases by exactly one at each crossing point.
+
+    The whole grid is checked before any series is summed.  Every point is
+    a lane of one ``kummer_log_ratios`` call at its start mode s; ratios
+    stepped down in c decide between s and s - 1 and certify that it is
+    one of them, or raise ConvergenceError.  lambda at s - 1 is ``lambda_n``,
+    since a stepped ratio loses digits in 1 - (c-1-a)/(c-1 + b R).
+    """
     field = _checked_grid(b_grid)
     s = _start_modes(field)
     ratio = kummer_log_ratios(0.5, s + 1.0, field)
@@ -200,20 +201,3 @@ def _ground_states(b_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lam[i] = lambda_n(int(modes[i]), float(field[i]))
     return field, modes, lam
 
-
-def envelope(b_grid: list[float]) -> list[EnvelopePoint]:
-    """Ground state energy along an ascending grid of field parameters.
-
-    Output order matches the input grid.  Each point reports the active
-    mode, the unique n with z_{n-1} <= b <= z_n (z_{-1} taken as 0), and
-    lambda_dn = lambda_{active}(b); the active mode is non-decreasing along
-    the grid and increases by exactly one at each crossing point.
-
-    The whole grid is checked before any series is summed.  Every point is
-    a lane of one ``kummer_log_ratios`` call at its start mode s; ratios
-    stepped down in c decide between s and s - 1 and certify that it is
-    one of them, or raise ConvergenceError.  lambda at s - 1 is ``lambda_n``,
-    since a stepped ratio loses digits in 1 - (c-1-a)/(c-1 + b R).
-    """
-    field, modes, lam = _ground_states(b_grid)
-    return list(map(EnvelopePoint, field.tolist(), modes.tolist(), lam.tolist()))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, brent_root, integrate_semi_infinite
+from .numerics import DomainError, _require_lanes, brent_root, integrate_semi_infinite
 from .specfun import _MAX_CYLINDER_Z, cylinder_d, cylinder_ds
 
 __all__ = [
@@ -77,20 +77,24 @@ def _require_in_cylinder_range(name: str, value: float) -> float:
     return float(value)
 
 
-def halfplane_multiplier(xi: float) -> float:
+def halfplane_multiplier(xi: float | np.ndarray) -> float | np.ndarray:
     """Boundary-map symbol f1(xi) = -2 D'_{-1/2}(-xi) / D_{-1/2}(-xi), for |xi| <= 50.
 
-    The denominator never vanishes (negative-order cylinder functions are
-    positive), so f1 is defined for every real xi.
+    A float xi gives a float, and a 1-d array gives f1 on every lane, each
+    the float of a scalar call: all lanes come from one ``cylinder_ds`` call
+    at -xi.  The denominator never vanishes (negative-order cylinder
+    functions are positive), so f1 is defined for every real xi.
     """
-    xi = _require_in_cylinder_range("xi", xi)
-    return _halfplane_multipliers(np.array([xi])).item()
-
-
-def _halfplane_multipliers(xi: np.ndarray) -> np.ndarray:
-    """f1 = -2 D'/D on every lane of xi, from one ``cylinder_ds`` call at -xi."""
-    value, derivative = cylinder_ds(-0.5, -xi)
-    return -2.0 * derivative / value
+    scalar = np.ndim(xi) == 0
+    if scalar:
+        lanes = np.array([_require_in_cylinder_range("xi", xi)])
+    else:
+        lanes = np.asarray(xi, dtype=float)
+        message = f"xi must be finite with |xi| <= {_MAX_CYLINDER_Z:g}, got xi[{{i}}]={{xi!r}}"
+        _require_lanes(np.abs(lanes) <= _MAX_CYLINDER_Z, DomainError, message, xi=lanes)
+    value, derivative = cylinder_ds(-0.5, -lanes)
+    f1 = -2.0 * derivative / value
+    return f1.item() if scalar else f1
 
 
 def halfplane_bottom(b: float) -> float:

@@ -298,23 +298,21 @@ def check_lambda_prime_two_forms(n, z):
 
 @_check("disk", "envelope-strictly-increasing", -1e-15, note="10000-point grid")
 def check_envelope_monotone():
-    grid = np.linspace(0.01, 100.0, 10_000)
-    values = [p.lambda_dn for p in disk.envelope(list(grid))]
-    return _worst(a - b for a, b in zip(values, values[1:]))
+    _, _, values = disk.envelope(np.linspace(0.01, 100.0, 10_000))
+    return _worst(values[:-1] - values[1:])
 
 
 @_check("disk", "envelope-mode-is-window-argmin", 1e-10, note="50-point grid")
 def check_envelope_window_argmin():
     # the active mode's branch is the lowest of every branch in a window of
     # modes around b, found without the crossing-sign search
-    def excess(point):
-        b = point.b
+    def excess(b, lambda_dn):
         lo = max(0, int(b - 3.0 * math.sqrt(b)) - 2)
         best = -_worst(-disk.lambda_n(m, b) for m in range(lo, math.ceil(b) + 3))
-        return (point.lambda_dn - best) / max(abs(best), 1.0)
+        return (lambda_dn - best) / max(abs(best), 1.0)
 
-    points = disk.envelope([float(b) for b in np.linspace(0.5, 100.0, 50)])
-    return _worst(map(excess, points))
+    field, _, lam = disk.envelope(np.linspace(0.5, 100.0, 50))
+    return _worst(map(excess, field.tolist(), lam.tolist()))
 
 
 @_check("disk", "mode-switch-at-crossings", 0.0)
@@ -323,7 +321,7 @@ def check_mode_switch():
     prev_mode = 0
     for n in range(4):
         z = intersect.find_zn(n).z_n
-        below, above = (point.active_mode for point in disk.envelope([z - 1e-6, z + 1e-6]))
+        below, above = disk.envelope([z - 1e-6, z + 1e-6])[1].tolist()
         if below != n or above != n + 1:
             failures += 1
         if below < prev_mode:

@@ -75,7 +75,7 @@ def test_criterion_05_large_field_expansion(alpha):
     start = time.perf_counter()
     details = []
     for b in (1e3, 1e4, 1e5):
-        lam = disk.envelope([b])[0].lambda_dn
+        lam = disk.envelope([b])[2].item()
         residual = abs(lam - (alpha * math.sqrt(b) - offset))
         budget = 5.0 / math.sqrt(b)
         assert residual <= budget, f"b={b}: {residual} > {budget}"
@@ -105,7 +105,7 @@ def test_criterion_06_asymptotic_fit(alpha):
 
 def test_criterion_07_strong_diamagnetism():
     grid = np.linspace(100.0 / 10_000, 100.0, 10_000)
-    values = [p.lambda_dn for p in disk.envelope(list(grid))]
+    values = disk.envelope(grid)[2].tolist()
     increments = [b - a for a, b in zip(values, values[1:])]
     assert min(increments) > 0.0
     worst_pair = -math.inf

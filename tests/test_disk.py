@@ -67,8 +67,8 @@ class TestLambdaN:
         [
             lambda b: disk.lambda_n(200, b),
             lambda b: disk.lambda_minus_n(3, b),
-            lambda b: disk.envelope([b])[0].b,
-            lambda b: disk.envelope([b])[0].lambda_dn,
+            lambda b: disk.envelope([b])[0].item(),
+            lambda b: disk.envelope([b])[2].item(),
         ],
         ids=["lambda_n", "lambda_minus_n", "envelope_b", "envelope_lambda_dn"],
     )
@@ -367,14 +367,15 @@ def estimate(m):
 
 class TestEnvelope:
     def test_at_origin(self):
-        point = disk.envelope([0.0])[0]
-        assert point.active_mode == 0
-        assert point.lambda_dn == 0.0
+        _, modes, lam = disk.envelope([0.0])
+        assert modes.tolist() == [0]
+        assert lam.tolist() == [0.0]
 
     def test_below_the_first_crossing_every_point_is_lambda_0(self):
         # b <= 1 takes the same batch lane and search as every other point
         grid = [float(b) for b in np.linspace(0.0, 1.0, 1001)]
-        pairs = [(p.active_mode, p.lambda_dn.hex()) for p in disk.envelope(grid)]
+        _, modes, lam = disk.envelope(grid)
+        pairs = [(mode, value.hex()) for mode, value in zip(modes.tolist(), lam.tolist())]
         assert pairs == [(0, disk.lambda_n(0, b).hex()) for b in grid]
         assert pairs[0] == (0, (0.0).hex())
 
@@ -388,9 +389,9 @@ class TestEnvelope:
         # these points started at mode 1 and took lambda_n while est(0) was (A^2+2)/3
         grid = np.linspace(0.87, disk._Z0_GUESS, 501)[1:].tolist()
         spy = RatioSpy(monkeypatch)
-        points = disk.envelope(grid)
+        _, modes, lam = disk.envelope(grid)
         assert (spy.batches, spy.lambda_calls) == (1, 0)
-        pairs = [(p.active_mode, p.lambda_dn.hex()) for p in points]
+        pairs = [(mode, value.hex()) for mode, value in zip(modes.tolist(), lam.tolist())]
         assert pairs == [(0, disk.lambda_n(0, b).hex()) for b in grid]
 
     def test_start_is_the_smallest_mode_whose_estimate_reaches_b(self):
@@ -409,35 +410,33 @@ class TestEnvelope:
         assert starts == expected
 
     def test_small_field_is_mode_zero(self):
-        point = disk.envelope([1.0])[0]
-        assert point.active_mode == 0
-        assert point.lambda_dn == pytest.approx(disk.lambda_n(0, 1.0), rel=1e-14)
+        _, modes, lam = disk.envelope([1.0])
+        assert modes.tolist() == [0]
+        assert lam[0] == pytest.approx(disk.lambda_n(0, 1.0), rel=1e-14)
 
     def test_mode_transition_at_first_crossing(self):
-        below, above = disk.envelope([Z0_ORACLE - 1e-6, Z0_ORACLE + 1e-6])
-        assert below.active_mode == 0
-        assert above.active_mode == 1
+        _, modes, _ = disk.envelope([Z0_ORACLE - 1e-6, Z0_ORACLE + 1e-6])
+        assert modes.tolist() == [0, 1]
 
     def test_large_field_matches_asymptote(self):
         from magsteklov import models
 
         alpha = models.compute_alpha()
-        point = disk.envelope([1e4])[0]
+        _, _, lam = disk.envelope([1e4])
         expected = alpha * 100.0 - (alpha * alpha + 2.0) / 6.0
-        assert point.lambda_dn == pytest.approx(expected, abs=0.05)
+        assert lam[0] == pytest.approx(expected, abs=0.05)
 
     def test_envelope_is_min_over_window(self):
         for b in (0.5, 3.7, 12.0, 47.3):
-            point = disk.envelope([b])[0]
+            _, _, lam = disk.envelope([b])
             window = range(0, int(b) + 3)
             best = min(disk.lambda_n(m, b) for m in window)
-            assert point.lambda_dn == pytest.approx(best, rel=1e-12)
+            assert lam[0] == pytest.approx(best, rel=1e-12)
 
     def test_grid_order_preserved_and_monotone(self):
         grid = list(np.linspace(0.5, 30.0, 200))
-        points = disk.envelope(grid)
-        assert [p.b for p in points] == grid
-        values = [p.lambda_dn for p in points]
+        field, _, values = disk.envelope(grid)
+        assert field.tolist() == grid
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
 
     def test_rejects_descending_grid(self):
@@ -451,7 +450,7 @@ class TestEnvelope:
     @given(st.floats(min_value=0.05, max_value=500.0))
     @settings(max_examples=40, deadline=None)
     def test_active_mode_is_local_minimum(self, b):
-        mode = disk.envelope([b])[0].active_mode
+        mode = disk.envelope([b])[1].item()
         lam = disk.lambda_n(mode, b)
         slack = 1e-11 * max(1.0, abs(lam))
         assert lam <= disk.lambda_n(mode + 1, b) + slack
@@ -491,11 +490,10 @@ class TestEnvelope:
         ids=["bench-7", "bench-21", "bench-23", "geomspace-1e6"],
     )
     def test_each_point_is_the_branch_of_its_mode(self, fields):
-        points = disk.envelope([float(b) for b in fields])
-        modes = [p.active_mode for p in points]
+        field, modes, lam = (column.tolist() for column in disk.envelope(fields))
         assert modes == sorted(modes)
-        branch = [disk.lambda_n(p.active_mode, p.b) for p in points]
-        mismatched = [p for p, lam in zip(points, branch) if p.lambda_dn.hex() != lam.hex()]
+        branch = [disk.lambda_n(n, b) for n, b in zip(modes, field)]
+        mismatched = [b for b, x, y in zip(field, lam, branch) if x.hex() != y.hex()]
         assert mismatched == []
 
     @pytest.mark.parametrize("shift", [-1, 2])
@@ -504,10 +502,9 @@ class TestEnvelope:
         # estimate was exact; two above, it is at least two above everywhere
         grid = [float(b) for b in np.linspace(0.0, 2000.0, 801)]
         starts = disk._start_modes(np.array(grid)).tolist()
+        _, modes, _ = disk.envelope(grid)
         first = next(
-            p.b
-            for p, s in zip(disk.envelope(grid), starts)
-            if shift > 0 or 0 < s == p.active_mode
+            b for b, n, s in zip(grid, modes.tolist(), starts) if shift > 0 or 0 < s == n
         )
         start_modes = disk._start_modes
         monkeypatch.setattr(disk, "_start_modes", lambda b: np.maximum(0.0, start_modes(b) + shift))
@@ -517,9 +514,9 @@ class TestEnvelope:
     def test_one_batch_and_lambda_n_only_where_the_start_is_one_above(self, monkeypatch):
         grid = [float(b) for b in bench_grid(7)]
         spy = RatioSpy(monkeypatch)
-        points = disk.envelope(grid)
+        _, modes, _ = disk.envelope(grid)
         starts = disk._start_modes(np.array(grid)).tolist()
-        down = sum(p.active_mode < s for p, s in zip(points, starts))
+        down = sum(n < s for n, s in zip(modes.tolist(), starts))
         assert down > 0
         assert (spy.batches, spy.lambda_calls, spy.scalar_ratios) == (1, down, down)
 
@@ -576,11 +573,11 @@ class TestGroundStateSearch:
     def test_agrees_with_the_crossing_function(self):
         for n in range(0, 2001, 37):
             z = intersect.find_zn(n).z_n
-            for point in disk.envelope([z - 1e-9 * z, z + 1e-9 * z]):
-                b, mode = point.b, point.active_mode
+            field, modes, lam = disk.envelope([z - 1e-9 * z, z + 1e-9 * z])
+            for b, mode, lambda_dn in zip(field.tolist(), modes.tolist(), lam.tolist()):
                 below = kummer_m(-0.5, n + 1.0, b).to_float() > 0.0
                 assert mode == (n if below else n + 1)
-                assert point.lambda_dn == disk.lambda_n(mode, b)
+                assert lambda_dn == disk.lambda_n(mode, b)
 
     def test_estimate_lies_between_consecutive_crossings(self):
         # z_{m-1} < est(m) < z_m, read off the signs of M(-1/2, ., est(m)), is
@@ -601,8 +598,8 @@ class TestGroundStateSearch:
         # the mode at five of these geomspace points, the first at b = 18067.39...
         for grid in (np.linspace(1.01, 1e4, 400), np.geomspace(1.01, 1e6, 400)):
             starts = disk._start_modes(grid).tolist()
-            for point, s in zip(disk.envelope([float(b) for b in grid]), starts):
-                assert point.active_mode <= s <= point.active_mode + 1
+            for mode, s in zip(disk.envelope(grid)[1].tolist(), starts):
+                assert mode <= s <= mode + 1
 
     def test_disk_sums_no_kummer_series_itself(self):
         assert not hasattr(disk, "kummer_m")

@@ -1,6 +1,7 @@
 """Tests for the model constants and limit functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestHalfplaneMultiplier:
 
     def test_defined_on_negative_arguments(self):
         assert math.isfinite(models.halfplane_multiplier(-2.0))
+
+    def test_array_lanes_are_the_scalar_calls(self):
+        grid = np.concatenate(([-50.0, -0.0, 0.0, 50.0], np.linspace(-49.0, 49.0, 41)))
+        lanes = models.halfplane_multiplier(grid)
+        assert lanes.shape == grid.shape
+        scalar = [models.halfplane_multiplier(xi).hex() for xi in grid.tolist()]
+        assert [f1.hex() for f1 in lanes.tolist()] == scalar
 
 
 class TestHalfplaneBottom:
@@ -142,13 +150,22 @@ class TestDelta:
         (models.halfplane_multiplier, "xi", math.inf),
         (models.halfplane_multiplier, "xi", 60.0),
         (models.halfplane_multiplier, "xi", -50.5),
+        pytest.param(models.halfplane_multiplier, "xi", np.array([0.5, math.nan]), id="lanes-nan"),
+        pytest.param(models.halfplane_multiplier, "xi", np.array([-1.0, math.inf]), id="lanes-inf"),
+        pytest.param(models.halfplane_multiplier, "xi", np.array([-50.5, 1.0]), id="lanes--50.5"),
         (models.phi, "beta", math.nan),
         (models.phi, "beta", math.inf),
         (models.phi, "beta", 51.0),
     ],
 )
 def test_cylinder_argument_checked_as_given(function, name, value):
-    message = rf"^{name} must be finite with \|{name}\| <= 50, got {name}={value!r}$"
+    # an array is named by its first lane out of range
+    if np.ndim(value):
+        i = next(i for i, x in enumerate(value.tolist()) if not abs(x) <= 50.0)
+        given = f"{name}[{i}]={value[i].item()!r}"
+    else:
+        given = f"{name}={value!r}"
+    message = rf"^{name} must be finite with \|{name}\| <= 50, got {re.escape(given)}$"
     with pytest.raises(DomainError, match=message):
         function(value)
 

@@ -19,7 +19,8 @@ is NaN, so ``verify`` reduces its residuals only through ``_worst``.
 
 ``cli.cmd_intersections`` writes its rows from the crossing solve's
 arrays: it builds no ``IntersectionRecord`` and calls neither ``crossings``
-nor ``find_zn``.
+nor ``find_zn``.  The other commands call the public functions of ``disk``
+and ``models``: ``cli`` reads no private name of either but the alpha cache.
 
 ``specfun`` alone picks the loop that sums a batch of Kummer series, by its
 lane count: no other module names that loop or its threshold, and no
@@ -250,6 +251,28 @@ def test_intersections_command_builds_no_records():
     # the command writes its rows from the solve's arrays, as envelope does from its lane core
     lines = list(_record_building_calls("cli", "cmd_intersections"))
     assert lines == [], f"cli.cmd_intersections builds crossing records at lines {lines}"
+
+
+def _private_reads(module, library):
+    """(line, name) of each private name the module reads off ``library`` or imports from it."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == library:
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module in (library, f"magsteklov.{library}"):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if name.startswith("_"))
+
+
+@pytest.mark.parametrize(
+    "library, allowed", [("disk", ()), ("models", ("_alpha_cached",))], ids=["disk", "models"]
+)
+def test_cli_calls_only_public_functions_of(library, allowed):
+    # the commands call the functions a tracer wraps by their __all__ names;
+    # alpha is read through the one cache the package resolves it in
+    reads = [(line, name) for line, name in _private_reads("cli", library) if name not in allowed]
+    assert reads == [], f"cli reads private names of {library}: {reads}"
 
 
 def test_cli_command_loads_no_scipy_argparse_or_locale():
