@@ -46,12 +46,11 @@ expansion and sums the same series, so each point's lambda_dn is bit for
 bit lambda_n of its active mode.
 """
 
-import math
 import operator
 
 import numpy as np
 
-from .numerics import ConvergenceError, DomainError
+from .numerics import ConvergenceError, DomainError, _require_in
 from .specfun import _MAX_ABS_Z, kummer_log_ratio, kummer_log_ratios
 
 __all__ = [
@@ -82,27 +81,16 @@ def _crossing_function(n: np.ndarray, b: np.ndarray, ratio: np.ndarray) -> np.nd
     return n + 0.5 - b + b * ratio
 
 
-def _check_field(b: float, nonnegative: bool = False) -> float:
-    """b as a float; a DomainError naming b unless b is finite, |b| <= 1e6 and, if asked, b >= 0."""
-    if not math.isfinite(b):
-        raise DomainError(f"b must be finite, got b={b!r}")
-    if nonnegative and b < 0.0:
-        raise DomainError(f"field parameter must be >= 0, got b={b}")
-    if abs(b) > _MAX_ABS_Z:
-        raise DomainError(f"|b| <= {_MAX_ABS_Z:g} required, got b={b}")
-    return float(b)
-
-
 def lambda_n(n: int, b: float) -> float:
     """Branch eigenvalue lambda_n(b) for mode n >= 0, any real b with |b| <= 1e6."""
     n = _check_mode(n)
-    b = _check_field(b)
+    b = _require_in("b", b, -_MAX_ABS_Z, _MAX_ABS_Z)
     return _branch(n, b, kummer_log_ratio(0.5, n + 1.0, b))
 
 
 def lambda_minus_n(n: int, b: float) -> float:
     """Eigenvalue of the reflected mode -n, which equals lambda_n(-b)."""
-    return lambda_n(_check_mode(n, minimum=1), -b)
+    return lambda_n(_check_mode(n, minimum=1), -_require_in("b", b, -_MAX_ABS_Z, _MAX_ABS_Z))
 
 
 # The start estimate is z_n = n + alpha sqrt(n) + (alpha^2+2)/3 + ~0.31/sqrt(n)
@@ -154,16 +142,15 @@ def _start_modes(b: np.ndarray) -> np.ndarray:
 
 
 def _checked_grid(b_grid) -> np.ndarray:
-    """The grid as floats; the DomainError of its first point out of order or range, if any."""
+    """The grid as a new float array; the DomainError of its first point out of range or order.
+
+    A point both out of range and below the one before it is named by its range.
+    """
     field = np.array(b_grid, dtype=float)
-    bad = ~((field >= 0.0) & (field <= _MAX_ABS_Z))  # NaN fails both
-    bad[1:] |= field[1:] < field[:-1]
-    if bad.any():
-        i = int(bad.argmax())
-        if i and field[i] < field[i - 1]:
-            raise DomainError("envelope grid must be sorted ascending")
-        _check_field(b_grid[i], nonnegative=True)
-    return field
+    if field.ndim == 1 and (descents := np.flatnonzero(field[1:] < field[:-1])).size:
+        _require_in("b", field[: descents[0] + 2], 0.0, _MAX_ABS_Z)
+        raise DomainError("envelope grid must be sorted ascending")
+    return _require_in("b", field, 0.0, _MAX_ABS_Z)
 
 
 def envelope(b_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, _require_lanes, brent_root, integrate_semi_infinite
+from .numerics import DomainError, _require_in, brent_root, integrate_semi_infinite
 from .specfun import _MAX_CYLINDER_Z, cylinder_d, cylinder_ds
 
 __all__ = [
@@ -69,14 +69,6 @@ def compute_alpha() -> float:
     return brent_root(lambda x: cylinder_d(0.5, -x).value, 0.5, 1.0)
 
 
-def _require_in_cylinder_range(name: str, value: float) -> float:
-    """value as a float; NaN, infinity or |value| > 50 (cylinder_d's range) raise, naming it."""
-    if not abs(value) <= _MAX_CYLINDER_Z:
-        limit = f"{_MAX_CYLINDER_Z:g}"
-        raise DomainError(f"{name} must be finite with |{name}| <= {limit}, got {name}={value!r}")
-    return float(value)
-
-
 def halfplane_multiplier(xi: float | np.ndarray) -> float | np.ndarray:
     """Boundary-map symbol f1(xi) = -2 D'_{-1/2}(-xi) / D_{-1/2}(-xi), for |xi| <= 50.
 
@@ -85,16 +77,10 @@ def halfplane_multiplier(xi: float | np.ndarray) -> float | np.ndarray:
     at -xi.  The denominator never vanishes (negative-order cylinder
     functions are positive), so f1 is defined for every real xi.
     """
-    scalar = np.ndim(xi) == 0
-    if scalar:
-        lanes = np.array([_require_in_cylinder_range("xi", xi)])
-    else:
-        lanes = np.asarray(xi, dtype=float)
-        message = f"xi must be finite with |xi| <= {_MAX_CYLINDER_Z:g}, got xi[{{i}}]={{xi!r}}"
-        _require_lanes(np.abs(lanes) <= _MAX_CYLINDER_Z, DomainError, message, xi=lanes)
-    value, derivative = cylinder_ds(-0.5, -lanes)
+    xi = _require_in("xi", xi, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z)
+    value, derivative = cylinder_ds(-0.5, -np.atleast_1d(xi))
     f1 = -2.0 * derivative / value
-    return f1.item() if scalar else f1
+    return f1 if isinstance(xi, np.ndarray) else f1.item()
 
 
 def halfplane_bottom(b: float) -> float:
@@ -111,9 +97,7 @@ def degennes_f(xi: float) -> float:
     it encodes the Neumann condition of the half-line model at the bottom of
     its band function.
     """
-    if not 0.0 <= xi <= 1.5:
-        raise DomainError(f"xi must lie in [0, 1.5], got {xi}")
-    xi = float(xi)
+    xi = _require_in("xi", xi, 0.0, 1.5)
     arg = -_SQRT2 * xi
     lower = cylinder_d(0.5 * (xi * xi - 1.0), arg).value
     upper = cylinder_d(0.5 * (xi * xi + 1.0), arg).value
@@ -131,14 +115,12 @@ def moment_integrals(beta: float) -> tuple[float, float, float, float]:
     All integrands carry the weight exp(beta s - s^2/2); A and B use the
     power s^{1/2}, C and D the power s^{-1/2}, and B, D carry the extra
     polynomial factor (s - s^3/3).  They are the four rows of one
-    quadrature, each returned at its own first agreeing level.  The moments
-    grow like exp(beta^2/2), so beta beyond ~37 would overflow the double
-    range.
+    quadrature, each returned at its own first agreeing level.  beta lies in
+    [-37, 37]: the moments grow like exp(beta^2/2), so beta beyond ~37 would
+    overflow the double range, and C ~ sqrt(pi/|beta|) as beta -> -inf is
+    lost to the quadrature from about -1e16 on.
     """
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got beta={beta!r}")
-    if beta > 37.0:
-        raise DomainError(f"moment integrals exceed the double range for beta={beta}")
+    beta = _require_in("beta", beta, -37.0, 37.0)
 
     def rows(s: np.ndarray) -> np.ndarray:
         weight = np.exp(beta * s - 0.5 * s * s)
@@ -154,7 +136,7 @@ def phi(beta: float) -> float:
 
     Phi(alpha) = alpha and Phi'(alpha) = 1/2.
     """
-    beta = _require_in_cylinder_range("beta", beta)
+    beta = _require_in("beta", beta, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z)
     half = cylinder_d(0.5, -beta)
     minus_half = cylinder_d(-0.5, -beta)
     return beta + half.value / minus_half.value

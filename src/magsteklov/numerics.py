@@ -8,6 +8,12 @@ finder.  REL_TOL is the one relative accuracy the package asks of its
 iterative routines; both kernels here read it, and no function takes an
 accuracy argument.  Everything here is a pure function of its inputs and
 safe to call concurrently.
+
+Every public argument whose domain is one closed interval is checked by
+``_require_in``, which raises the package's one DomainError form for it:
+``x must lie in [lo, hi], got x=v``, ``got x[i]=v`` for the first bad lane
+of an array, or ``x must be a 1-d array, got shape s``.  NaN and +-inf lie
+in no interval.
 """
 
 import functools
@@ -52,6 +58,27 @@ def _require_lanes(ok: np.ndarray, error: type[Exception], message: str, **lanes
     if not ok.all():
         i = int(np.argmin(ok))
         raise error(message.format(i=i, **{k: v[i].item() for k, v in lanes.items()}))
+
+
+def _require_in(name: str, x, lo: float, hi: float):
+    """x as a float, or an ndarray x as a 1-d float array, when every value lies in [lo, hi].
+
+    Otherwise a DomainError names the argument and its first value outside,
+    or the array's shape.  Anything but an ndarray is taken as one number,
+    with no numpy call.
+    """
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            if x.ndim != 1:
+                raise DomainError(f"{name} must be a 1-d array, got shape {x.shape}")
+            lanes = x.astype(float, copy=False)
+            message = f"{name} must lie in [{lo:g}, {hi:g}], got {name}[{{i}}]={{x!r}}"
+            _require_lanes((lanes >= lo) & (lanes <= hi), DomainError, message, x=lanes)
+            return lanes
+        x = float(x)
+    if lo <= x <= hi:  # NaN fails both comparisons
+        return x
+    raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {name}={x!r}")
 
 
 # Relative accuracy of quadrature and root finding, the one accuracy of the package.

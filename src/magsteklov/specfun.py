@@ -80,6 +80,7 @@ from .numerics import (
     DomainError,
     _exp_split,
     _libm_exp,
+    _require_in,
     _require_lanes,
     integrate_semi_infinite,
 )
@@ -135,17 +136,6 @@ class CylinderValue:
     derivative: float
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {name}={value!r}")
-
-
-def _check_range(z: float) -> None:
-    if not abs(z) <= _MAX_ABS_Z:
-        raise DomainError(f"|z| <= {_MAX_ABS_Z:g} required, got z={z}")
-
-
 def _term_peak_bound(a: float, c: float, z: float) -> float:
     """Upper bound on the index where |series term| stops growing.
 
@@ -170,7 +160,7 @@ def _series_parts(a: float, c: float, z: float) -> tuple[float, int, float, int]
     accumulators share the offset, which grows by 512 whenever the running
     sum outgrows 2**512; the stopping test runs before any rescale so it
     always compares the term and the sum in the same scaling.  Raises ConvergenceError when the
-    term budget runs out first.
+    term budget runs out first, or at the first rescale of a sum that overflowed to inf.
     """
     term = 1.0
     pos = 1.0
@@ -191,6 +181,8 @@ def _series_parts(a: float, c: float, z: float) -> tuple[float, int, float, int]
         if abs(term) < _STOP_REL * scale and k > k_peak:
             break
         if scale > _RESCALE:
+            if scale == math.inf:
+                raise ConvergenceError(f"Kummer series M({a}, {c}, {z}) overflowed at term {k}")
             pos *= _RESCALE_INV
             neg *= _RESCALE_INV
             term *= _RESCALE_INV
@@ -263,16 +255,13 @@ def kummer_log_ratio(a: float, c: float, z: float) -> float:
     M(1, 2, z) = (e^z - 1)/z).  The series is summed wherever the expansion
     is not tried or either sum declines.
     """
-    # a finite sum proves all three finite in one test (this runs once per lambda_n);
-    # only otherwise is the argument found and named
-    if not math.isfinite(a + c + z):
-        _require_finite(a=a, c=c, z=z)
-    a, c, z = float(a), float(c), float(z)
-    if a <= 0.0 or c <= 0.0 or (z < 0.0 and c < a):
+    z = _require_in("z", z, -_MAX_ABS_Z, _MAX_ABS_Z)
+    a, c = float(a), float(c)
+    if not (a > 0.0 and c > 0.0 and a + c < math.inf) or (z < 0.0 and c < a):
         raise DomainError(
-            f"kummer_log_ratio requires a > 0, c > 0, and c >= a for z < 0; got a={a}, c={c}, z={z}"
+            "kummer_log_ratio requires finite a > 0 and c > 0, and c >= a for z < 0;"
+            f" got a={a!r}, c={c!r}, z={z!r}"
         )
-    _check_range(z)
     if z >= 0.0:
         y, upper, lower, prefactor = z, a + 1.0, a, 1.0
     else:
@@ -369,7 +358,9 @@ def _series_sums(
     Where every lane reads b < _UNSCALED_BITS = 480, no sum reaches 2**501,
     the test could never pass, and the loop runs none; the 11 bits left
     below 2**512 cover the rounding of b itself.  A call with any other
-    lane keeps the test on every term.
+    lane keeps the test on every term, and a rescale that finds a sum at
+    inf raises ConvergenceError naming that lane's series, as
+    _series_parts does.
     """
     per_lane = np.ndim(a) > 0
     if per_lane:
@@ -458,7 +449,12 @@ def _series_sums(
                 ratio, work = np.empty((2, remaining))
                 small = np.empty(remaining, dtype=bool)
                 scale = np.maximum(pos, neg) if signed else pos
-        if rescale and np.maximum.reduce(scale) > _RESCALE:
+        if rescale and (top := np.maximum.reduce(scale)) > _RESCALE:
+            if top == math.inf:
+                i = int(np.argmax(scale))
+                a_i = np.broadcast_to(a, z.shape)[i]
+                message = f"Kummer series M({a_i}, {c[i]}, {z[i]}) overflowed at term {k}"
+                raise ConvergenceError(message)
             big = scale > _RESCALE
             pos[big] *= _RESCALE_INV
             if signed:
@@ -488,12 +484,12 @@ def kummer_log_ratios(a: float, c: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise DomainError(f"kummer_log_ratios requires finite a > 0, got a={a!r}")
     message = "kummer_log_ratios requires finite c > 0, got c[{i}]={c!r}"
     _require_lanes((c > 0.0) & (c < math.inf), DomainError, message, c=c)
-    message = f"kummer_log_ratios requires 0 <= z <= {_MAX_ABS_Z:g}, got z[{{i}}]={{z!r}}"
-    _require_lanes((z >= 0.0) & (z <= _MAX_ABS_Z), DomainError, message, z=z)
+    z = _require_in("z", z, 0.0, _MAX_ABS_Z)
     # M(a+1, c+1, z) on the first n lanes of one call, M(a, c, z) on the last n
     n = z.size
     first = np.repeat([a + 1.0, a], n)
-    sums, offsets, _ = _series_sums(first, np.concatenate([c + 1.0, c]), np.concatenate([z, z]))
+    with np.errstate(over="ignore"):  # a sum that overflows raises ConvergenceError, not a warning
+        sums, offsets, _ = _series_sums(first, np.concatenate([c + 1.0, c]), np.concatenate([z, z]))
     # the scalar series route's quotient: both sums lie in [1, 2**513], so
     # num / den rounds once, and the power of two scales the product exactly
     shift = np.where(a / c < _MIN_NORMAL, _SUBNORMAL_SHIFT, 0)
@@ -637,12 +633,9 @@ def cylinder_d(nu: float, z: float) -> CylinderValue:
     The derivative is always the recurrence combination
     nu D_{nu-1}(z) - (z/2) D_nu(z), never a numerical difference.
     """
-    if not -4.0 <= nu <= 4.0:
-        raise DomainError(f"cylinder_d supports nu in [-4, 4], got {nu}")
-    _require_finite(z=z)
-    if abs(z) > _MAX_CYLINDER_Z:
-        raise DomainError(f"cylinder_d supports |z| <= {_MAX_CYLINDER_Z:g}, got {z}")
-    value, derivative = _cylinder_lanes(float(nu), np.array([float(z)]))
+    nu = _require_in("nu", nu, -4.0, 4.0)
+    z = _require_in("z", z, -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z)
+    value, derivative = _cylinder_lanes(nu, np.array([z]))
     return CylinderValue(value=value.item(), derivative=derivative.item())
 
 
@@ -652,11 +645,6 @@ def cylinder_ds(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each lane is ``cylinder_d(nu, z_i)``'s value and derivative, bit for bit:
     both run the same lane code.
     """
-    if not -4.0 <= nu <= 4.0:
-        raise DomainError(f"cylinder_ds supports nu in [-4, 4], got nu={nu}")
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DomainError(f"z must be a 1-d array, got shape {z.shape}")
-    message = f"cylinder_ds supports finite |z| <= {_MAX_CYLINDER_Z:g}, got z[{{i}}]={{z!r}}"
-    _require_lanes(np.abs(z) <= _MAX_CYLINDER_Z, DomainError, message, z=z)
-    return _cylinder_lanes(float(nu), z)
+    nu = _require_in("nu", nu, -4.0, 4.0)
+    z = _require_in("z", np.asarray(z), -_MAX_CYLINDER_Z, _MAX_CYLINDER_Z)
+    return _cylinder_lanes(nu, z)

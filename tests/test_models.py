@@ -137,10 +137,29 @@ class TestDelta:
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
-        with pytest.raises(DomainError, match="^beta must be finite"):
+        message = rf"^beta must lie in \[-37, 37\], got beta={beta!r}$"
+        with pytest.raises(DomainError, match=message):
             models.moment_integrals(beta)
-        with pytest.raises(DomainError, match="^beta must be finite"):
+        with pytest.raises(DomainError, match=message):
             models.delta(beta)
+
+    @pytest.mark.parametrize("beta", [37.5, -37.5, -1e300])
+    def test_beta_past_the_quadrature_range_rejected(self, beta):
+        # unbounded below, the quadrature fails from about -1e16 on and returns
+        # four zero moments by -1e280, so delta would divide by zero
+        message = rf"^beta must lie in \[-37, 37\], got beta={re.escape(repr(beta))}$"
+        with pytest.raises(DomainError, match=message):
+            models.moment_integrals(beta)
+        with pytest.raises(DomainError, match=message):
+            models.delta(beta)
+
+    def test_moments_at_the_ends_of_the_range(self):
+        # C ~ sqrt(2 pi/beta) exp(beta^2/2) as beta -> +inf and sqrt(pi/|beta|) as beta -> -inf
+        top, bottom = models.moment_integrals(37.0), models.moment_integrals(-37.0)
+        assert all(math.isfinite(x) for x in top + bottom)
+        laplace = math.sqrt(2.0 * math.pi / 37.0) * math.exp(37.0**2 / 2.0)
+        assert top[2] == pytest.approx(laplace, rel=1e-2)
+        assert bottom[2] == pytest.approx(math.sqrt(math.pi / 37.0), rel=1e-2)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +184,7 @@ def test_cylinder_argument_checked_as_given(function, name, value):
         given = f"{name}[{i}]={value[i].item()!r}"
     else:
         given = f"{name}={value!r}"
-    message = rf"^{name} must be finite with \|{name}\| <= 50, got {re.escape(given)}$"
+    message = rf"^{name} must lie in \[-50, 50\], got {re.escape(given)}$"
     with pytest.raises(DomainError, match=message):
         function(value)
 

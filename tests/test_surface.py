@@ -35,6 +35,11 @@ M in it, as a reference in ``tests/scaled_real.py``.
 ``verify`` registers a check one way: every top-level ``check_*`` function
 is a residual decorated by ``_check``, which takes the check's limit and
 points, and no function but ``_check`` changes ``MODULES``.
+
+An argument whose domain is one closed interval is checked by
+``numerics._require_in``, which alone words that rule: no module defines or
+names the four validators it replaced, and no library module but
+``numerics`` holds a string that words an interval rule.
 """
 
 import ast
@@ -417,3 +422,31 @@ def test_verify_registers_checks_only_through_check():
         getattr(node, "name", f"line {node.lineno}") for node in body if _changes_modules(node)
     ]
     assert changing == ["_check"], f"verify changes MODULES outside _check: {changing}"
+
+
+RETIRED_VALIDATORS = (
+    "_require_finite", "_check_range", "_check_field", "_require_in_cylinder_range"
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_names_the_retired_validators(module):
+    lines = list(_naming(module, RETIRED_VALIDATORS))
+    assert lines == [], f"{module} names {RETIRED_VALIDATORS} at lines {lines}"
+
+
+INTERVAL_WORDING = ("must lie in", "must be finite", " supports ", "required, got")
+
+
+def _interval_wording(module):
+    """Line numbers of string constants, f-string parts included, that word an interval rule."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if any(words in node.value for words in INTERVAL_WORDING):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in LIBRARY if m != "numerics"])
+def test_only_numerics_words_an_interval_rule(module):
+    lines = list(_interval_wording(module))
+    assert lines == [], f"{module} words an interval rule itself at lines {lines}"
