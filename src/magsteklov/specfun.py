@@ -59,15 +59,17 @@ carries no extra information and is not provided.)
 
 ``cylinder_ds(nu, z)`` is ``cylinder_d`` on the lanes of a 1-d array z with
 one nu, for graphs and quadrature nodes, and ``cylinder_d`` is its one-lane
-call, so each route is written once, for lanes.  Lanes with z <= 0 sum their
-Kummer series together; the batch loop's negative accumulator takes the
-terms of a < 0 (the even piece of D_{1/2}).  One assembly then combines the
-pieces in floats at power-of-two offsets.  Lanes with z > 0 share one
-quadrature per block of _LANE_BLOCK lanes: ``integrate_semi_infinite``
-takes the (2 lanes, nodes) array of both orders' integrands, a view of one
-buffer that every block and level of the call rewrites, so no block
-allocates and frees an array of that shape.  On either side both orders
-share one e^{-z^2/4}.
+call, so each route is written once, for lanes.  Lanes with z <= 0 sum the
+four Kummer series of both orders, even and odd, as the quarters of one
+batch whose first parameter varies by lane, negative on some (the even
+piece of D_{1/2} has a = -1/4).  One assembly then forms D_nu and D_{nu-1}
+as the two rows of one array, combining the pieces in floats at
+power-of-two offsets.  Lanes with z > 0 share one quadrature per block of
+_LANE_BLOCK lanes: ``integrate_semi_infinite`` takes the (2 lanes, nodes)
+array of both orders' integrands, a view of one buffer that every block and
+level of the call rewrites, so no block allocates and frees an array of
+that shape, and the node powers are formed once per node array of the
+call.  On either side both orders share one e^{-z^2/4}.
 """
 
 import math
@@ -299,15 +301,16 @@ def _sum_bits(
 ) -> np.ndarray:
     """Per-lane b = (K+1) log2 max(1, z/c) + max(0, |a|-1) (1 + ln(K+1)) / ln 2.
 
-    K = k_top = floor(k_peak) on every lane; _series_sums says why each sum
-    of the lane stays below 2**(21 + b).  b is formed in the scratch rows
-    ratio and work of z's length, and the result is work.  z/c is clipped
-    to 2**512, so a lane where z/c overflows (c near the float's least
-    values) reads b >= 512 without a warning.
+    K = k_top = floor(k_peak) on every lane, and a is one float or one per
+    lane, of either sign; _series_sums says why each sum of the lane stays
+    below 2**(21 + b).  b is formed in the scratch rows ratio and work of
+    z's length, and the result is work.  z/c is clipped to 2**512, so a lane
+    where z/c overflows (c near the float's least values) reads b >= 512
+    without a warning.
     """
     np.add(np.log1p(k_top, out=ratio), 1.0, out=ratio)
     if np.ndim(a):
-        np.maximum(np.subtract(a, 1.0, out=work), 0.0, out=work)  # a per-lane a is >= 0
+        np.maximum(np.subtract(np.abs(a, out=work), 1.0, out=work), 0.0, out=work)
         work *= ratio
     else:
         np.multiply(ratio, max(0.0, abs(a) - 1.0), out=work)
@@ -325,17 +328,20 @@ def _series_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pos, offset, neg) of _series_parts(a_i, c_i, z_i) on every lane, for z >= 0.
 
-    a is one float, or an array of one a per lane, all >= 0 (a DomainError
-    names the first lane below).  Fewer than _BATCH_MIN lanes run
-    _series_parts one by one on Python floats.  More run one numpy loop.
-    With one a and z >= 0, at each k the term of every lane has the sign of
-    the Pochhammer symbol (a)_k, and all lanes add it to pos, or all to neg;
-    where every a >= 0, neg stays zero, is never touched, and the scale is
-    pos itself.  Every lane keeps its own k_peak, stopping test, rescale and
-    offset; the term index k is shared.  Each term finds its small lanes by
-    index, and a term where no lane is small does no more than its
-    arithmetic and its stopping test, plus one maximum for the rescale test
-    in a call that keeps it.  Of the small lanes, those where the scalar
+    a is one float, or an array of one a per lane, of either sign.  Fewer
+    than _BATCH_MIN lanes run _series_parts one by one on Python floats.
+    More run one numpy loop.  With z >= 0 the term of a lane has the sign of
+    the Pochhammer symbol (a)_k, which changes at each k with a + k < 0.
+    With one a, all lanes add the term to pos, or all to neg.  A call with a
+    lane below 0 keeps a per-lane sign flag, toggled while a + k < 0, and
+    each lane adds its term to pos or neg by its flag.  In both signed forms
+    the stopping test compares |term| with max(pos, neg), as the scalar loop
+    does.  Where every a >= 0, neg stays zero, is never touched, and the
+    scale is pos itself.  Every lane keeps its own k_peak, stopping test,
+    rescale and offset; the term index k is shared.  Each term finds its
+    small lanes by index, and a term where no lane is small does no more
+    than its arithmetic and its stopping test, plus one maximum for the
+    rescale test in a call that keeps it.  Of the small lanes, those where the scalar
     loop would break retire: their term becomes 0, their live flag False,
     and their pos and neg are negated, so the scale is <= 0 and the lane
     passes neither the stopping test nor the rescale test again.  Once k is
@@ -362,17 +368,18 @@ def _series_sums(
     inf raises ConvergenceError naming that lane's series, as
     _series_parts does.
     """
-    per_lane = np.ndim(a) > 0
-    if per_lane:
-        message = "_series_sums requires a per-lane a >= 0, got a[{i}]={a!r}"
-        _require_lanes(a >= 0.0, DomainError, message, a=a)
     if z.size < _BATCH_MIN:
         lanes = zip(np.broadcast_to(a, z.shape).tolist(), c.tolist(), z.tolist())
         parts = [_series_parts(*lane) for lane in lanes]
         # offsets are multiples of 512, exact in a float
         pos, offset, neg, _ = np.array(parts, dtype=float).reshape(-1, 4).T
         return pos, offset.astype(np.int64), neg
-    signed = not per_lane and a < 0.0
+    per_lane = np.ndim(a) > 0
+    # while low + k < 0 the Pochhammer symbol (a)_k of some lane changes sign;
+    # a Python float, as the test runs on every term
+    low = float(a.min(initial=0.0)) if per_lane else a
+    signed = low < 0.0
+    mixed = per_lane and signed  # the sign of a term varies by lane
     k_peak = _term_peak_bounds(a, c, z)
     # floored in place: an integer k passes k > k_peak just where it passes k > floor(k_peak)
     np.floor(k_peak, out=k_peak)
@@ -390,8 +397,9 @@ def _series_sums(
     small = np.empty(z.shape, dtype=bool)
     rescale = _sum_bits(a, c, z, k_peak, ratio, work).max(initial=0.0) >= _UNSCALED_BITS
     remaining = z.size
-    negative = False
-    add, multiply, divide, less = np.add, np.multiply, np.divide, np.less  # local: read per term
+    negative = np.zeros(z.shape, dtype=bool) if mixed else False
+    # local: read per term
+    add, subtract, multiply, divide, less = np.add, np.subtract, np.multiply, np.divide, np.less
     k = 0
     while remaining:
         if k >= _MAX_TERMS:
@@ -400,7 +408,10 @@ def _series_sums(
             raise ConvergenceError(
                 f"Kummer series M({a_i}, {c[i]}, {z[i]}) did not converge in {k} terms"
             )
-        negative ^= signed and a + k < 0.0
+        if low + k < 0.0:
+            negative ^= a + k < 0.0
+            if mixed:
+                positive = ~negative
         # term *= (a + k) * z / ((c + k) * (k + 1.0)), the scalar's operations.  A
         # per-lane a adds into the scratch row, as a + k would take a new array at
         # each term; a scalar a + k is one Python float, so one multiply suffices
@@ -411,7 +422,10 @@ def _series_sums(
         multiply(add(c, k, out=work), k + 1.0, out=work)
         term *= divide(ratio, work, out=ratio)
         k += 1
-        if negative:
+        if mixed:
+            subtract(neg, term, out=neg, where=negative)
+            add(pos, term, out=pos, where=positive)
+        elif negative:
             neg -= term
         else:
             pos += term
@@ -445,6 +459,8 @@ def _series_sums(
                 term, pos, neg, offset = term[live], pos[live], neg[live], offset[live]
                 if per_lane:
                     a = a[live]
+                if mixed:
+                    negative, positive = negative[live], positive[live]
                 live = np.ones(remaining, dtype=bool)
                 ratio, work = np.empty((2, remaining))
                 small = np.empty(remaining, dtype=bool)
@@ -515,13 +531,17 @@ def _cylinder_anchors(mu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     (2 lanes, nodes) view of a buffer that grows only when a level has more
     nodes than any before: the kernel exp(-t^2/2 - z t) fills the first
     half, its product with t^(-mu-1) the second, and t^(-(mu-1)-1) then
-    multiplies the first in place.  Each order nu keeps the float
-    expressions of a quadrature of its own, t**(-nu - 1) and Gamma(-nu) with
-    nu = mu - 1.0 as written, and so its floats.
+    multiplies the first in place.  -t^2/2 and both powers of t are formed
+    once per node array of the call, not once per block.  Each order nu
+    keeps the float expressions of a quadrature of its own, t**(-nu - 1) and
+    Gamma(-nu) with nu = mu - 1.0 as written, and so its floats.
     """
     lower = mu - 1.0
     integral = np.empty((2, z.size))
     work = np.empty(0)
+    # -t^2/2 and both node powers by node array length: every block's quadrature
+    # samples the same levels, and no two levels have one length
+    powers = {}
 
     def integrand(t: np.ndarray) -> np.ndarray:
         nonlocal work
@@ -531,10 +551,13 @@ def _cylinder_anchors(mu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             work = np.empty(size)
         rows = work[:size].reshape(2 * lanes, t.size)
         kernel = rows[:lanes]
-        np.subtract(-0.5 * t * t, np.multiply.outer(block, t, out=kernel), out=kernel)
+        if t.size not in powers:
+            powers[t.size] = -0.5 * t * t, t ** (-mu - 1.0), t ** (-lower - 1.0)
+        square, upper_power, lower_power = powers[t.size]
+        np.subtract(square, np.multiply.outer(block, t, out=kernel), out=kernel)
         np.exp(kernel, out=kernel)
-        np.multiply(t ** (-mu - 1.0), kernel, out=rows[lanes:])
-        kernel *= t ** (-lower - 1.0)
+        np.multiply(upper_power, kernel, out=rows[lanes:])
+        kernel *= lower_power
         return rows
 
     for start in range(0, z.size, _LANE_BLOCK):
@@ -575,52 +598,70 @@ def _reciprocal_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _cylinder_even_odd(nu: float, z: np.ndarray, gauss: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """D_nu(z_i) on lanes z_i from the even/odd Kummer decomposition,
+def _cylinder_even_odd(nu: float, z: np.ndarray) -> np.ndarray:
+    """D_nu(z_i) and D_{nu-1}(z_i) as two rows, from the even/odd Kummer decomposition
 
         2^{nu/2} sqrt(pi) e^{-z^2/4} [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
-                                       - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ].
+                                       - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ]
 
-    The Kummer factors reach exp(z^2/2), so each piece is a float times its
-    series' power-of-two offset, e^{-z^2/4} is gauss 2^k, the split
-    ``_exp_split(-0.25 * z * z)`` that both orders share, and one final
-    ldexp applies offset and k.  Scaling by powers of two is exact, so each value
-    is the float that the same operations form on an unbounded exponent range.
-    Accurate for z <= 0, where the two pieces reinforce the dominant
-    exp(+z^2/4) branch; useless for large z > 0, where they cancel to the
-    recessive solution.
+    at each order.  The four series, even and odd at nu and then at nu - 1,
+    are the quarters of one _series_sums call, each first parameter formed
+    by its order's expression above.  The Kummer factors reach exp(z^2/2),
+    so each piece is a float times its series' power-of-two offset,
+    e^{-z^2/4} is gauss 2^k, the split ``_exp_split(-0.25 * z * z)`` that
+    both orders share, and one final ldexp applies offset and k.  Each
+    order's constants are a column that multiplies its row, so each value
+    is the float that the same operations on that order alone form, and
+    scaling by powers of two is exact, so it is the float they form on an
+    unbounded exponent range.  Accurate for z <= 0, where the two pieces
+    reinforce the dominant exp(+z^2/4) branch; useless for large z > 0,
+    where they cancel to the recessive solution.
     """
+    orders = (nu, nu - 1.0)
+    n = z.size
     w = 0.5 * z * z
-    even, even_offset, even_neg = _series_sums(-0.5 * nu, np.full(z.size, 0.5), w)
-    odd, odd_offset, odd_neg = _series_sums(0.5 * (1.0 - nu), np.full(z.size, 1.5), w)
-    even = _reciprocal_gamma(0.5 * (1.0 - nu)) * (even - even_neg)
-    odd = -math.sqrt(2.0) * z * _reciprocal_gamma(-0.5 * nu) * (odd - odd_neg)
+    first = [a for order in orders for a in (-0.5 * order, 0.5 * (1.0 - order))]
+    c = np.tile(np.repeat([0.5, 1.5], n), 2)
+    pos, offset, neg = _series_sums(np.repeat(first, n), c, np.tile(w, 4))
+    # [order, piece, lane], the even piece first
+    sums, offsets = (pos - neg).reshape(2, 2, n), offset.reshape(2, 2, n)
+    even_offset, odd_offset = offsets[:, 0], offsets[:, 1]
+    # each order's constants, as columns that multiply its row
+    even_scale, odd_scale, scale = np.array(
+        [
+            [
+                _reciprocal_gamma(0.5 * (1.0 - order)),
+                _reciprocal_gamma(-0.5 * order),
+                2.0 ** (0.5 * order) * math.sqrt(math.pi),
+            ]
+            for order in orders
+        ]
+    ).T[..., None]
+    even = even_scale * sums[:, 0]
+    odd = -math.sqrt(2.0) * z * odd_scale * sums[:, 1]
     offset = np.maximum(even_offset, odd_offset)
     pieces = np.ldexp(even, even_offset - offset) + np.ldexp(odd, odd_offset - offset)
     # an exact-zero piece leaves the other as it is, at its own offset, which the
     # alignment to the larger offset could push below the normal range
     pieces = np.where(even == 0.0, odd, np.where(odd == 0.0, even, pieces))
     offset = np.where(even == 0.0, odd_offset, np.where(odd == 0.0, even_offset, offset))
-    prefactor = gauss * (2.0 ** (0.5 * nu) * math.sqrt(math.pi))
-    return np.ldexp(prefactor * pieces, offset + k)
+    gauss, k = _exp_split(-0.25 * z * z)
+    return np.ldexp(gauss * scale * pieces, offset + k)
 
 
 def _cylinder_lanes(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D_nu(z_i) and D'_nu(z_i) on every lane of a checked 1-d array z.
 
     Lanes with z <= 0 take the even/odd Kummer decomposition for both orders
-    nu and nu - 1, whose pieces reinforce there, and sum their series
-    together.  Lanes with z > 0 take the lifted half-line integrals and share
+    nu and nu - 1, whose pieces reinforce there, in one series call and one
+    assembly.  Lanes with z > 0 take the lifted half-line integrals and share
     one quadrature per _LANE_BLOCK lanes.  A side without lanes runs nothing.
     The derivative is the recurrence nu D_{nu-1}(z) - (z/2) D_nu(z).
     """
     value, below = np.empty((2, z.size))
     left = z <= 0.0
     if left.any():
-        z_left = z[left]
-        gauss = _exp_split(-0.25 * z_left * z_left)
-        value[left] = _cylinder_even_odd(nu, z_left, *gauss)
-        below[left] = _cylinder_even_odd(nu - 1.0, z_left, *gauss)
+        value[left], below[left] = _cylinder_even_odd(nu, z[left])
     right = ~left
     if right.any():
         value[right], below[right] = _cylinder_lifted(nu, z[right])

@@ -480,9 +480,12 @@ def check_phi_two_routes(beta):
 # name with - replaced by _.  The group shares the one resolution of the
 # constants that models caches.
 
+# The two references are 40-digit mpmath values rounded to doubles: alpha is
+# findroot(lambda x: pcfd(0.5, -x), 0.765), and theta0 is xi0^2 for the root
+# xi0 = 0.76818365313916576 of the de Gennes function (degennes_f) near 0.768.
 _CONSTANTS_CHECKS = {  # name: (limit, residual from the constants)
-    "alpha-matches-reference": (1e-8, lambda c: abs(c.alpha - 0.7649508673)),
-    "theta0-matches-reference": (1e-6, lambda c: abs(c.theta0 - 0.5901061249)),
+    "alpha-matches-reference": (1e-15, lambda c: abs(c.alpha - 0.7649508673897596)),
+    "theta0-matches-reference": (2e-15, lambda c: abs(c.theta0 - 0.5901061249502342)),
     "cylinder-root-residual": (1e-10, lambda c: abs(cylinder_d(0.5, -c.alpha).value)),
     "halfplane-fixed-point": (1e-8, lambda c: abs(models.halfplane_multiplier(c.alpha) - c.alpha)),
     "phi-prime-alpha": (1e-6, lambda c: abs(central_diff(models.phi, c.alpha) - 0.5)),

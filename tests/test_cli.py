@@ -571,8 +571,8 @@ SUITE_LIMITS = [
     ("models", "phi-denominator-positive", 0.0),
     ("models", "halfplane-sqrt-scaling", 1e-14),
     ("models", "phi-cylinder-vs-quadrature", 1e-9),
-    ("constants", "alpha-matches-reference", 1e-8),
-    ("constants", "theta0-matches-reference", 1e-6),
+    ("constants", "alpha-matches-reference", 1e-15),
+    ("constants", "theta0-matches-reference", 2e-15),
     ("constants", "cylinder-root-residual", 1e-10),
     ("constants", "halfplane-fixed-point", 1e-8),
     ("constants", "phi-prime-alpha", 1e-6),

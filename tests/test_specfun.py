@@ -930,6 +930,35 @@ class TestCylinderDs:
         scalar = [cylinder_d(nu, z_i) for z_i in z.tolist()]
         assert [(d.value.hex(), d.derivative.hex()) for d in scalar] == expected
 
+    @pytest.mark.parametrize("nu", [0.5, -0.5])
+    def test_one_series_call_and_one_assembly(self, nu, monkeypatch):
+        # the four series of both orders' z <= 0 lanes are one batch, whose first
+        # parameter is negative on some lanes at nu = 1/2, and both orders are the
+        # rows of one assembly; lanes z > 0 sum no series
+        calls, passes = [], []
+        series_sums, even_odd = specfun._series_sums, specfun._cylinder_even_odd
+
+        def counted_sums(a, c, z):
+            calls.append((np.asarray(a).tolist(), c.tolist(), z.tolist()))
+            return series_sums(a, c, z)
+
+        def counted_even_odd(nu, z):
+            passes.append(z.size)
+            return even_odd(nu, z)
+
+        monkeypatch.setattr(specfun, "_series_sums", counted_sums)
+        monkeypatch.setattr(specfun, "_cylinder_even_odd", counted_even_odd)
+        cylinder_d(nu, -0.7)
+        a, c, w = calls[0]
+        below = nu - 1.0
+        assert a == [-0.5 * nu, 0.5 * (1.0 - nu), -0.5 * below, 0.5 * (1.0 - below)]
+        assert c == [0.5, 1.5, 0.5, 1.5] and w == [0.5 * 0.7 * 0.7] * 4
+        z = np.linspace(-5.0, 5.0, 101)  # 51 lanes z <= 0: 204 series lanes
+        cylinder_ds(nu, z)
+        assert [len(w) for _, _, w in calls] == [4, 204] and passes == [1, 51]
+        cylinder_ds(nu, z[z > 0.0])
+        assert len(calls) == 2 and passes == [1, 51]
+
     def test_no_lanes(self):
         value, derivative = cylinder_ds(0.5, np.array([]))
         assert value.shape == derivative.shape == (0,)
@@ -1130,12 +1159,32 @@ class TestSeriesSums:
         z = np.array([1e3, 1e-3])
         assert (self.sum_bits(0.5, np.array([5e-324, 5e-324]), z) >= 512.0).all()
 
-    def test_a_negative_per_lane_a_is_refused_by_lane(self):
-        with pytest.raises(DomainError, match=r"a\[0\]=-0\.5"):
-            specfun._series_sums(np.full(40, -0.5), np.ones(40), np.full(40, 30.0))
-        a = np.array([0.5, 1.5, -0.5])  # below _BATCH_MIN, where the scalar loop runs
-        with pytest.raises(DomainError, match=r"a\[2\]=-0\.5"):
-            specfun._series_sums(a, np.ones(3), np.full(3, 30.0))
+    @pytest.mark.parametrize("reach", ["near-zero", "far"])
+    @pytest.mark.parametrize("loop", ["scalar", "numpy"])
+    def test_mixed_sign_per_lane_a_equals_the_scalar_parts(self, loop, reach, monkeypatch):
+        # each lane keeps its own sign flag, toggled while a + k < 0: a in (-1, 0)
+        # sends every term past the first to neg, a = -1.5 flips at k = 0 and 1,
+        # -1 and -2 end on a zero term; near z = 0 no lane can reach a rescale,
+        # out to w = 1,250 (|z| = 50) the call keeps the test and lanes rescale
+        rng = np.random.default_rng(43)
+        first = [-0.25, -0.75, -1.5, -1.0, -2.0, -1e-20, 0.0, 2.5]
+        a = rng.permutation(np.repeat(first, 12))
+        top = 2.0 if reach == "near-zero" else 1250.0
+        w = np.concatenate([[0.0, 5e-324], rng.uniform(0.0, top, a.size - 2)])
+        c = np.where(rng.uniform(size=w.size) < 0.5, 0.5, 1.5)
+        bits = self.sum_bits(a, c, w)
+        assert (bits.max() >= specfun._UNSCALED_BITS) == (reach == "far")
+        with contextlib.ExitStack() as stack:
+            if loop == "numpy":
+                stack.enter_context(numpy_loop())
+            else:
+                monkeypatch.setattr(specfun, "_BATCH_MIN", a.size + 1)
+            pos, offset, neg = specfun._series_sums(a, c, w)
+        parts = [specfun._series_parts(*lane) for lane in zip(a.tolist(), c.tolist(), w.tolist())]
+        assert ((offset > 0).sum() >= 10) == (reach == "far")
+        assert (neg > 0.0).any() and (neg == 0.0).any()
+        got = [(p.hex(), o, n.hex()) for p, o, n in zip(pos.tolist(), offset.tolist(), neg.tolist())]
+        assert got == [(p.hex(), o, n.hex()) for p, o, n, _ in parts]
 
     def test_lane_peak_bounds_equal_the_scalar(self):
         # disc <= 0 with half_b < 0 gives 0, not -half_b; a root below 0 gives 0 too
